@@ -12,9 +12,8 @@ position. Times up to ~10^9 then cost seconds instead of days.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -167,26 +166,22 @@ class EndpointSums:
     values: np.ndarray  # (len(times), dimension), int64
     k_max: int
     tail_variance: float
-    mode: str
 
     def value_at(self, t: int) -> np.ndarray:
         return self.values[self.times.index(t)]
 
 
-def schedule_sums(spec: FieldSpec, times: Sequence[int], mode: str = "auto",
-                  dense_p_threshold: int = DENSE_P_THRESHOLD) -> EndpointSums:
+def schedule_sums(spec: FieldSpec, times: Sequence[int]) -> EndpointSums:
     """Evaluate S_t for every t in ``times`` under ``spec``.
 
-    mode="auto" picks dense ramp windows for small scales and sparse
-    position sampling for large ones; mode="explicit" forces per-coordinate
-    evaluation everywhere the result depends on individual values, so that
-    (for gap-free schedules) it reproduces the stepping implementation
-    exactly. The realization depends on the schedule through the chunk
+    Scales with p_k <= DENSE_P_THRESHOLD read every field value in their
+    ramp windows; larger scales sample the nonzero positions of those
+    windows sparsely. When the schedule has no gaps and every scale is
+    dense, no aggregate is drawn and the result equals the exact partial
+    sums. The realization depends on the schedule through the chunk
     partition, so results meant to share one field realization must be
     produced by a single call with the union of their times.
     """
-    if mode not in ("auto", "explicit"):
-        raise ValueError(f"unknown mode {mode!r}")
     times = tuple(sorted(set(int(t) for t in times)))
     if not times or times[0] < 1:
         raise ValueError("schedule times must be positive integers")
@@ -198,33 +193,26 @@ def schedule_sums(spec: FieldSpec, times: Sequence[int], mode: str = "auto",
     mult = 2 if spec.doubling else 1
     values = np.zeros((len(times), dim), dtype=np.int64)
     max_t = times[-1]
-    # explicit mode anchors every time step so no aggregate chunk can affect
-    # the result (the single remaining gap sits inside the lag difference,
-    # where it cancels identically)
-    anchor_times = tuple(range(1, max_t + 1)) if mode == "explicit" else times
     for i in range(1, dim + 1):
         for sp in spec.scales():
             if spec.zero:
                 continue
-            dense = mode == "explicit" or sp.p <= dense_p_threshold
-            contributions = _scale_endpoints(spec, sp, i, times, anchor_times,
-                                             max_t, dense)
-            values[:, i - 1] += contributions
+            values[:, i - 1] += _scale_endpoints(spec, sp, i, times, max_t,
+                                                 sp.p <= DENSE_P_THRESHOLD)
     values *= mult
     return EndpointSums(times=times, values=values, k_max=spec.k_max,
-                        tail_variance=tail_variance_bound(max_t, spec.k_max),
-                        mode=mode)
+                        tail_variance=tail_variance_bound(max_t, spec.k_max))
 
 
 def _scale_endpoints(spec: FieldSpec, sp: ScaleParams, i: int,
-                     times: Tuple[int, ...], anchor_times: Tuple[int, ...],
-                     max_t: int, dense: bool) -> np.ndarray:
+                     times: Tuple[int, ...], max_t: int,
+                     dense: bool) -> np.ndarray:
     p = sp.p
     if sp.d < max_t + p:
         # lag windows overlap the lead axis: one shared absolute axis
         anchors = {0, sp.d}
-        anchors.update(anchor_times)
-        anchors.update(t + sp.d for t in anchor_times)
+        anchors.update(times)
+        anchors.update(t + sp.d for t in times)
         axis = _AxisEval(spec, sp, i, sorted(anchors), base=0, lagged=False,
                          dense=dense)
         h0 = axis.ramp(0)
@@ -236,7 +224,7 @@ def _scale_endpoints(spec: FieldSpec, sp: ScaleParams, i: int,
             lag = p * (axis.running_sum(t + sp.d) - cd) + axis.ramp(t + sp.d) - hd
             out.append(lead - lag)
         return np.array(out, dtype=np.int64)
-    anchors = (0,) + anchor_times
+    anchors = (0,) + times
     lead = _AxisEval(spec, sp, i, anchors, base=0, lagged=False, dense=dense)
     lag_ns = lag_namespace(sp.k)
     lag = _AxisEval(spec, sp, i, anchors, base=0 if lag_ns else sp.d,
@@ -288,17 +276,3 @@ def endpoint_batch_law(seed: int, n: int, size: int, k_min: int = 1,
             np.add.at(out[:, i], idx, contrib)
     return out * mult
 
-
-def sample_variance_check(seed: int, n: int, size: int, k_max: int) -> Dict[str, float]:
-    """Empirical vs analytic variance of the endpoint law (diagnostic)."""
-    samples = endpoint_batch_law(seed, n, size, k_max=k_max)
-    emp = float(samples[:, 0].astype(np.float64).var())
-    law = grouped_law(1, k_max, n)
-    ana = law.variance()
-    # SE of the sample variance from the true fourth moment: the law has
-    # large excess kurtosis (rare heavy atoms), so the Gaussian 2 sigma^4
-    # formula would understate it badly
-    v = law.values.astype(np.float64)
-    kappa4 = float((law.counts * (law.qs - 3 * law.qs**2) * v**4).sum())
-    se = math.sqrt(max(kappa4 + 2.0 * ana * ana, 0.0) / size)
-    return {"empirical": emp, "analytic": ana, "stderr": se}

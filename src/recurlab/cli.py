@@ -29,19 +29,11 @@ from .experiments import (
 from .fields import FieldSpec, default_k_max
 from .gaussian import power_density_model, white_noise_model
 from .pmf import lclt_deviation, walk_pmf
-from .ranges import P_CUBE, P_SQUARE, certify_distinct, choose_k
+from .ranges import FIT_FROM, P_CUBE, P_SQUARE, certify_distinct
 
 
 class ConfigError(Exception):
     pass
-
-
-# key -> (type, validator or None); validators raise ConfigError
-def _positive(key):
-    def check(v):
-        if v <= 0:
-            raise ConfigError(f"{key} must be positive, got {v}")
-    return check
 
 
 _COMMON = {
@@ -176,6 +168,10 @@ def _validate(command: str, v: Dict) -> None:
                 f"summability needs 2*k*delta > 1, got {2 * v['k'] * v['delta']}")
     if command == "recur3" and v["k"] != 0 and v["k"] < 3:
         raise ConfigError(f"k must be 0 (auto) or >= 3, got {v['k']}")
+    if command == "recur3" and v["horizon"] < FIT_FROM:
+        raise ConfigError(f"horizon must be >= {FIT_FROM} for recur3 (the "
+                          f"complement envelope is fitted from n = {FIT_FROM}), "
+                          f"got {v['horizon']}")
     if command == "mixing" and v["M"] < 0:
         raise ConfigError("M must be >= 0")
     if command == "certify-range" and v["N"] < 1:

@@ -29,11 +29,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import zeta
 
-from .bigsums import endpoint_batch_law, schedule_sums
-from .fields import FieldSpec, field_value, partial_sums_batch
+from .bigsums import endpoint_batch_law
+from .fields import FieldSpec, default_k_max, partial_sums_batch
 from .gaussian import (
     SpectralModel,
-    linear_times_schedule,
     power_summability,
     sample_paths,
     triple_probability,
@@ -42,10 +41,10 @@ from .gaussian import (
 from .pmf import box_probability, peak_probability_sweep, walk_pmf
 from .prf import hash_words
 from .ranges import (
-    ComplementProfile,
     PermutationView,
     PolynomialSpec,
     choose_k,
+    complement_profile,
 )
 from .shiftspace import OmegaConfig
 
@@ -230,9 +229,6 @@ def exp_section2(spec: FieldSpec, H: int = 2000, samples: int = 1000,
 # polynomial-times structural experiment
 
 
-_POOL_CACHE: Dict[Tuple, List[PermutationView]] = {}
-
-
 def range_view_pool(p1: PolynomialSpec, p2: PolynomialSpec, N: int, size: int,
                     seed0: int = 0, k_max: Optional[int] = None,
                     ) -> List[PermutationView]:
@@ -241,37 +237,16 @@ def range_view_pool(p1: PolynomialSpec, p2: PolynomialSpec, N: int, size: int,
     Building a view is the expensive step (one union schedule evaluation),
     so experiments draw sample tuples from a shared pool; the per-sample
     assertions are structural, not statistical, so reuse across tuples does
-    not bias them. Cached per argument set.
+    not bias them.
     """
-    from .fields import default_k_max
-
     if k_max is None:
         k_max = default_k_max(max(p1(N), p2(N)))
-    key = (p1.coeffs, p2.coeffs, N, size, seed0, k_max)
-    if key not in _POOL_CACHE:
-        pool = []
-        for i in range(size):
-            spec = FieldSpec(seed=_child_seed(seed0, 2, i), dimension=2,
-                             k_max=k_max, doubling=True)
-            pool.append(PermutationView.build(spec, p1, p2, N))
-        _POOL_CACHE[key] = pool
-    return _POOL_CACHE[key]
-
-
-def pool_complement_profile(pool: Sequence[PermutationView],
-                            fit_from: int = 8) -> ComplementProfile:
-    """Complement-probability profile computed from an existing view pool."""
-    N = pool[0].N
-    miss = np.zeros(N, dtype=np.int64)
-    for view in pool:
-        ks = set(view.curly)
-        for n in range(1, N + 1):
-            if n not in ks:
-                miss[n - 1] += 1
-    q_hat = miss / len(pool)
-    ns = np.arange(fit_from, N + 1)
-    c = float(np.max(q_hat[fit_from - 1:] * np.sqrt(ns) / math.pi))
-    return ComplementProfile(N=N, samples=len(pool), q_hat=q_hat, envelope_c=c)
+    pool = []
+    for i in range(size):
+        spec = FieldSpec(seed=_child_seed(seed0, 2, i), dimension=2,
+                         k_max=k_max, doubling=True)
+        pool.append(PermutationView.build(spec, p1, p2, N))
+    return pool
 
 
 def exp_section3(pool: Sequence[PermutationView], k: int, H: int,
@@ -335,8 +310,7 @@ def exp_section3(pool: Sequence[PermutationView], k: int, H: int,
 def section3_defaults(pool: Sequence[PermutationView], margin: float = 0.1):
     """Pick k from the pool's complement profile (smallest with a summable
     joint-miss series under the fitted envelope)."""
-    profile = pool_complement_profile(pool)
-    return choose_k(profile, margin=margin)
+    return choose_k(complement_profile(pool), margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +357,8 @@ def exp_gaussian(model: SpectralModel, k: int, c: int = 1, d: int = 1,
     The (c, d) linear-times pair only relabels the probe schedule, so the
     numeric content is computed on the n-schedule and the pair recorded.
     """
-    linear_times_schedule(c, d, 1)
+    if c == 0 or d == 0:
+        raise ValueError("c and d must be nonzero integers")
     if 2 * k * model.delta <= 1.0:
         raise ValueError("summability hypothesis 2 k delta > 1 fails")
     ests = []
@@ -421,7 +396,6 @@ def exp_gaussian(model: SpectralModel, k: int, c: int = 1, d: int = 1,
 
 
 Cylinder = Tuple[Tuple[Tuple[int, int], int], ...]  # ((site, bit), ...)
-FieldCondition = Tuple[Tuple[int, int, int, int], ...]  # ((k, i, j, value), ...)
 
 
 def _cylinder_radius(cyl: Cylinder) -> int:
@@ -461,7 +435,6 @@ class MixingReport:
 def mixing_probe(spec: FieldSpec, M: int, H: int = 4096,
                  samples: int = 100_000,
                  B1: Cylinder = (((0, 0), 1),), B2: Cylinder = (((0, 0), 1),),
-                 A1: FieldCondition = (), A2: FieldCondition = (),
                  n_min: int = 64, seed0: int = 0) -> MixingReport:
     """Exact box probabilities on a dyadic grid plus a cylinder correlation.
 
@@ -493,12 +466,6 @@ def mixing_probe(spec: FieldSpec, M: int, H: int = 4096,
         boxes.append(box_probability(pmf2d, 2 * M))
     decay_ok = boxes[-1] < boxes[0]
 
-    if A1 or A2:
-        # field conditions tie the configuration-side events to the same
-        # realization, which the law-level endpoint sampler cannot provide
-        raise NotImplementedError(
-            "field-value conditions need per-seed endpoint evaluation; "
-            "use mixing_probe_exact_fields for small sample budgets")
     n_probe = grid[-1]
     if spec.zero:
         s_n = np.zeros((samples, 2), dtype=np.int64)
@@ -537,47 +504,3 @@ def mixing_probe(spec: FieldSpec, M: int, H: int = 4096,
                         samples=samples, decay_ok=decay_ok,
                         correlation_ok=correlation_ok)
 
-
-def mixing_probe_exact_fields(spec: FieldSpec, M: int, n: int, samples: int,
-                              B1: Cylinder, B2: Cylinder,
-                              A1: FieldCondition, A2: FieldCondition,
-                              seed0: int = 0) -> Dict[str, float]:
-    """Correlation estimate with field-value conditions, evaluated per seed.
-
-    Each sample gets its own field realization: the A-conditions read the
-    named coordinates directly and the walk endpoint comes from the exact
-    schedule engine, so the dependence between them is honest. Budgeted
-    for small sample counts (one schedule evaluation per sample).
-    """
-    if samples > 5000:
-        raise ValueError("per-seed budget capped at 5000 samples")
-    rng = np.random.default_rng(_child_seed(seed0, 9))
-    joint_hits = 0
-    marg1_hits = 0
-    marg2_hits = 0
-    for s in range(samples):
-        sub = FieldSpec(seed=_child_seed(seed0, 10, s), dimension=2,
-                        k_min=spec.k_min, k_max=spec.k_max,
-                        doubling=spec.doubling)
-        okA1 = all(field_value(sub, k, i, j) == v for (k, i, j, v) in A1)
-        okA2 = all(field_value(sub, k, i, j + n) == v for (k, i, j, v) in A2)
-        shift_arr = schedule_sums(sub, [n]).values[0]
-        shift = (int(shift_arr[0]), int(shift_arr[1]))
-        bits: Dict[Tuple[int, int], int] = {}
-
-        def bit_at(site):
-            if site not in bits:
-                bits[site] = int(rng.integers(0, 2))
-            return bits[site]
-
-        okB1 = all(bit_at(tuple(u)) == b for u, b in B1)
-        okB2 = all(bit_at((u[0] + shift[0], u[1] + shift[1])) == b
-                   for u, b in B2)
-        marg1_hits += okA1 and okB1
-        marg2_hits += okA2 and okB2
-        joint_hits += okA1 and okB1 and okA2 and okB2
-    joint = joint_hits / samples
-    product = (marg1_hits / samples) * (marg2_hits / samples)
-    se = math.sqrt(max(joint * (1 - joint), 1.0 / samples) / samples)
-    return {"joint": joint, "product": product,
-            "correlation": abs(joint - product), "se": se}

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .prf import uniform01, uniform01_vec
+from .prf import uniform01_vec
 
 # Address-word tags keep the field family, the omega configuration and any
 # auxiliary streams in disjoint key spaces.
@@ -111,10 +111,6 @@ class FieldSpec:
             if w.lo >= w.hi:
                 raise ValueError("empty forced window")
 
-    @property
-    def override_map(self) -> Dict[Tuple[int, int, int], int]:
-        return dict(self.overrides)
-
     def scales(self) -> List[ScaleParams]:
         return [scale_params(k) for k in range(self.k_min, self.k_max + 1)]
 
@@ -144,89 +140,49 @@ def tail_variance_bound(n: int, k_max: int) -> float:
     return total
 
 
-def _forced_value(spec: FieldSpec, k: int, i: int, j: int) -> Optional[int]:
-    if spec.overrides:
-        v = spec.override_map.get((k, i, j))
-        if v is not None:
-            return v
-    for w in spec.windows:
-        if w.k == k and w.i == i and w.lo <= j < w.hi:
-            return w.value
-    return None
+def _forcing(spec: FieldSpec, k: int, i: int, shift: int):
+    """Forced intervals [lo, hi) of scale k, coordinate i, moved by -shift
+    and clipped to int64, as (lo, hi, value) in the order to apply them.
 
+    Applied in order, a later interval overwrites an earlier one, so the
+    list runs from the lowest precedence to the highest: windows last to
+    first (the first matching window wins), then overrides (which win over
+    every window; the last of two equal keys wins, as in a dict).
+    """
+    def clip(x):
+        return min(max(x - shift, -(1 << 63)), (1 << 63) - 1)
 
-def field_value(spec: FieldSpec, k: int, i: int, j: int) -> int:
-    """The field value at (scale k, coordinate i, time j) in {-1, 0, +1}."""
-    if not (spec.k_min <= k <= spec.k_max):
-        raise ValueError(f"scale {k} outside [{spec.k_min}, {spec.k_max}]")
-    if not (1 <= i <= spec.dimension):
-        raise ValueError(f"coordinate index {i} exceeds dimension")
-    v = _forced_value(spec, k, i, j)
-    if v is not None:
-        return v
-    if spec.zero:
-        return 0
-    sp = scale_params(k)
-    if lag_namespace(k) and j >= sp.d // 2:
-        u = uniform01(spec.seed, TAG_FIELD, k, i, 1, j - sp.d + spec.origin)
-    else:
-        u = uniform01(spec.seed, TAG_FIELD, k, i, j + spec.origin)
-    if u < sp.q / 2:
-        return 1
-    if u < sp.q:
-        return -1
-    return 0
+    out = [(w.lo, w.hi, w.value) for w in reversed(spec.windows)
+           if w.k == k and w.i == i]
+    out += [(j, j + 1, v) for (kk, ii, j), v in spec.overrides
+            if kk == k and ii == i]
+    return [(clip(lo), clip(hi), v) for lo, hi, v in out]
 
 
 def field_values_vec(spec: FieldSpec, k: int, i: int, j: np.ndarray,
-                     lagged: bool = False) -> np.ndarray:
-    """Vectorized field_value over an int64 coordinate array.
+                     lagged: bool = False, seed=None) -> np.ndarray:
+    """Field values of scale k, coordinate i over an int64 coordinate array.
 
     With ``lagged=True`` the entries of ``j`` are offsets from the lag d_k
     (required for scales whose lag exceeds the int64 coordinate range).
+    ``seed`` replaces ``spec.seed`` and may be an array that broadcasts
+    against ``j``; the result has the broadcast shape. Forced windows and
+    overrides apply as interval masks over ``j``.
     """
     sp = scale_params(k)
     j = np.asarray(j, dtype=np.int64)
     if lagged and not lag_namespace(k):
-        return field_values_vec(spec, k, i, j + sp.d)
-    if spec.zero:
-        out = np.zeros(j.shape, dtype=np.int64)
-    else:
+        return field_values_vec(spec, k, i, j + sp.d, seed=seed)
+    seed = spec.seed if seed is None else seed
+    out = np.zeros(np.broadcast_shapes(np.shape(seed), j.shape), dtype=np.int64)
+    if not spec.zero:
         words = (TAG_FIELD, k, i, 1) if lagged else (TAG_FIELD, k, i)
-        u = uniform01_vec(spec.seed, words, j + spec.origin)
-        out = np.where(u < sp.q / 2, 1, np.where(u < sp.q, -1, 0)).astype(np.int64)
-    if spec.has_forcing():
-        flat = out.ravel()
-        jf = j.ravel()
-        for idx in range(flat.size):
-            abs_j = int(jf[idx]) + (sp.d if lagged else 0)
-            v = _forced_value(spec, k, i, abs_j)
-            if v is not None:
-                flat[idx] = v
-        out = flat.reshape(j.shape)
+        u = uniform01_vec(seed, words, j + spec.origin)
+        out[u < sp.q] = -1
+        out[u < sp.q / 2] = 1
+    for lo, hi, v in _forcing(spec, k, i, sp.d if lagged else 0):
+        out = np.where((lo <= j) & (j < hi), v, out)
     return out
-
-
-def f_k_at(spec: FieldSpec, k: int, i: int, t: int) -> int:
-    """Block function of scale k at time t: lead window minus lagged window."""
-    sp = scale_params(k)
-    total = 0
-    for j in range(sp.p):
-        total += field_value(spec, k, i, t + j)
-        total -= field_value(spec, k, i, t + sp.d + j)
-    return total
-
-
-def f_at(spec: FieldSpec, t: int) -> Tuple[int, ...]:
-    """The walk increment at time t (one entry per coordinate)."""
-    mult = 2 if spec.doubling else 1
-    out = []
-    for i in range(1, spec.dimension + 1):
-        s = 0
-        for k in range(spec.k_min, spec.k_max + 1):
-            s += f_k_at(spec, k, i, t)
-        out.append(mult * s)
-    return tuple(out)
 
 
 def shift_base(spec: FieldSpec, n: int) -> FieldSpec:
@@ -236,26 +192,6 @@ def shift_base(spec: FieldSpec, n: int) -> FieldSpec:
     new_over = tuple(((k, i, j - n), v) for (k, i, j), v in spec.overrides)
     new_win = tuple(replace(w, lo=w.lo - n, hi=w.hi - n) for w in spec.windows)
     return replace(spec, origin=spec.origin + n, overrides=new_over, windows=new_win)
-
-
-def negate(spec: FieldSpec) -> "NegatedSpec":
-    return NegatedSpec(spec)
-
-
-class NegatedSpec:
-    """Wrapper flipping the sign of every field value (for symmetry tests)."""
-
-    def __init__(self, base: FieldSpec):
-        self.base = base
-
-    def __getattr__(self, name):
-        return getattr(self.base, name)
-
-
-def _field_value_any(spec, k, i, j):
-    if isinstance(spec, NegatedSpec):
-        return -field_value(spec.base, k, i, j)
-    return field_value(spec, k, i, j)
 
 
 @dataclass(frozen=True)
@@ -273,42 +209,41 @@ class PathSample:
         return self.values[t - a]
 
 
-def partial_sums(spec, window: Tuple[int, int]) -> PathSample:
-    """Exact partial sums over ``window`` = [a, b] with a <= 0 <= b.
+def _window_sums(spec: FieldSpec, seeds: np.ndarray,
+                 window: Tuple[int, int]) -> np.ndarray:
+    """S_t for t in [a, b] and every seed: shape (seeds, b - a + 1, dimension).
 
-    Uses the incremental update: stepping the block function touches only
-    four field positions per scale, so long windows cost O(k_max) per step
-    after an O(sum p_k) initialization.
+    Per scale, the field values over [a, b + p - 1) on the lead axis and on
+    the lag axis each take one prefix sum; the block sum over [t, t + p) is
+    then the difference of two prefix entries. Only one scale's block of
+    values is held at a time.
     """
     a, b = window
-    if a > b:
-        raise ValueError(f"window [{a}, {b}] is empty")
-    if not (a <= 0 <= b):
-        raise ValueError("window must contain 0 (bilateral convention)")
-    base = spec.base if isinstance(spec, NegatedSpec) else spec
-    dim = base.dimension
-    mult = 2 if base.doubling else 1
-    scales = base.scales()
-    # g[k][i] tracks the block function of scale k, coordinate i at time t.
-    increments = np.zeros((b - a, dim), dtype=np.int64) if b > a else np.zeros((0, dim), dtype=np.int64)
-    for i in range(1, dim + 1):
-        for sp in scales:
-            g = sum(
-                _field_value_any(spec, sp.k, i, a + j)
-                - _field_value_any(spec, sp.k, i, a + sp.d + j)
-                for j in range(sp.p)
-            )
-            for t in range(a, b):
-                increments[t - a, i - 1] += g
-                g += _field_value_any(spec, sp.k, i, t + sp.p) - _field_value_any(spec, sp.k, i, t)
-                g -= _field_value_any(spec, sp.k, i, t + sp.d + sp.p) - _field_value_any(spec, sp.k, i, t + sp.d)
-    increments *= mult
-    values = np.zeros((b - a + 1, dim), dtype=np.int64)
-    # S_t = sum of increments over [0, t) for t > 0, minus over [t, 0) for t < 0.
-    cum = np.concatenate([np.zeros((1, dim), dtype=np.int64), np.cumsum(increments, axis=0)])
-    # cum[m] = sum of f over [a, a+m); S_t = cum[t - a] - cum[-a].
-    values[:] = cum - cum[-a]
-    return PathSample(spec=base, window=(a, b), values=values)
+    if a > b or not (a <= 0 <= b):
+        raise ValueError(f"window [{a}, {b}] must satisfy a <= 0 <= b")
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
+    incr = np.zeros((seeds.shape[0], b - a, spec.dimension), dtype=np.int64)
+    for i in range(1, spec.dimension + 1):
+        for sp in spec.scales():
+            j = np.arange(a, b + sp.p - 1)
+            prefix = np.zeros((seeds.shape[0], j.size + 1), dtype=np.int64)
+            for lagged, sign in ((False, 1), (True, -1)):
+                np.cumsum(field_values_vec(spec, sp.k, i, j, lagged, seed=seeds),
+                          axis=1, out=prefix[:, 1:])
+                incr[:, :, i - 1] += sign * (prefix[:, sp.p:] - prefix[:, : b - a])
+    if spec.doubling:
+        incr *= 2
+    cum = np.zeros((seeds.shape[0], b - a + 1, spec.dimension), dtype=np.int64)
+    np.cumsum(incr, axis=1, out=cum[:, 1:])
+    return cum - cum[:, [-a], :]
+
+
+def partial_sums(spec: FieldSpec, window: Tuple[int, int]) -> PathSample:
+    """Exact partial sums of one realization over ``window`` = [a, b] with
+    a <= 0 <= b; S_t sums the increments over [0, t) for t >= 0 and minus
+    those over [t, 0) for t < 0."""
+    values = _window_sums(spec, [spec.seed], window)
+    return PathSample(spec=spec, window=tuple(window), values=values[0])
 
 
 def partial_sums_batch(
@@ -325,43 +260,11 @@ def partial_sums_batch(
     Matches partial_sums(FieldSpec(seed=s, ...), window) for each seed s.
     """
     a, b = window
-    if a > b or not (a <= 0 <= b):
-        raise ValueError("window must satisfy a <= 0 <= b")
-    seeds = np.asarray(seeds, dtype=np.uint64)
     if k_max is None:
         k_max = default_k_max(max(abs(a), abs(b), 2))
-    n_seeds = seeds.size
-    mult = 2 if doubling else 1
-    incr = np.zeros((n_seeds, b - a, dimension), dtype=np.int64)
-
-    def vals(k, i, j_arr, lagged=False):
-        sp = scale_params(k)
-        if lagged and not lag_namespace(k):
-            j_arr = np.asarray(j_arr, dtype=np.int64) + sp.d
-            lagged = False
-        words = (TAG_FIELD, k, i, 1) if lagged else (TAG_FIELD, k, i)
-        u = uniform01_vec(seeds[:, None], words, np.asarray(j_arr, dtype=np.int64)[None, :])
-        return np.where(u < sp.q / 2, 1, np.where(u < sp.q, -1, 0)).astype(np.int64)
-
-    for i in range(1, dimension + 1):
-        for k in range(k_min, k_max + 1):
-            sp = scale_params(k)
-            lead = vals(k, i, np.arange(a, a + sp.p))
-            lag = vals(k, i, np.arange(a, a + sp.p), lagged=True)
-            g = lead.sum(axis=1) - lag.sum(axis=1)
-            if b > a:
-                # four touched positions per step, batched over the window
-                ts = np.arange(a, b)
-                d_lead = vals(k, i, ts + sp.p) - vals(k, i, ts)
-                d_lag = vals(k, i, ts + sp.p, lagged=True) - vals(k, i, ts, lagged=True)
-                for idx in range(b - a):
-                    incr[:, idx, i - 1] += g
-                    g = g + d_lead[:, idx] - d_lag[:, idx]
-    incr *= mult
-    cum = np.concatenate(
-        [np.zeros((n_seeds, 1, dimension), dtype=np.int64), np.cumsum(incr, axis=1)], axis=1
-    )
-    return cum - cum[:, [-a], :]
+    spec = FieldSpec(seed=0, dimension=dimension, k_min=k_min, k_max=k_max,
+                     doubling=doubling)
+    return _window_sums(spec, seeds, window)
 
 
 @dataclass(frozen=True)

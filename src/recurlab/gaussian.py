@@ -136,21 +136,6 @@ def validate_psd(model: SpectralModel, N: int) -> PsdReport:
 # sampling
 
 
-@dataclass
-class GaussianPath:
-    model: SpectralModel
-    seed: int
-    values: np.ndarray  # shape (N+1,)
-    method: str
-    jitter: float = 0.0
-
-
-@dataclass
-class TwistedPath:
-    model: SpectralModel
-    values: np.ndarray  # Y_n = 2 r(n) X_0 - X_n
-
-
 def _circulant_eigs(r: np.ndarray) -> Optional[np.ndarray]:
     N = len(r) - 1
     if N == 0:
@@ -162,13 +147,12 @@ def _circulant_eigs(r: np.ndarray) -> Optional[np.ndarray]:
     return np.clip(eigs, 0.0, None)
 
 
-def _cholesky_with_jitter(r: np.ndarray) -> Tuple[np.ndarray, float]:
+def _cholesky_with_jitter(r: np.ndarray) -> np.ndarray:
     T = toeplitz(r)
     jitter = 0.0
     while True:
         try:
-            L = np.linalg.cholesky(T + jitter * np.eye(len(r)))
-            return L, jitter
+            return np.linalg.cholesky(T + jitter * np.eye(len(r)))
         except np.linalg.LinAlgError:
             jitter = 1e-12 if jitter == 0.0 else jitter * 10.0
             if jitter > MAX_JITTER:
@@ -191,25 +175,8 @@ def sample_paths(model: SpectralModel, N: int, size: int, seed: int) -> np.ndarr
         coef = np.sqrt(eigs / M)
         z = rng.standard_normal((size, M)) + 1j * rng.standard_normal((size, M))
         return np.fft.fft(coef * z, axis=1).real[:, : N + 1]
-    L, _ = _cholesky_with_jitter(r)
+    L = _cholesky_with_jitter(r)
     return rng.standard_normal((size, N + 1)) @ L.T
-
-
-def sample_path(model: SpectralModel, N: int, seed: int) -> GaussianPath:
-    rng = np.random.default_rng(seed)
-    r = model.r_vector(N)
-    eigs = _circulant_eigs(r)
-    if eigs is not None:
-        M = len(eigs)
-        coef = np.sqrt(eigs / M)
-        z = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        vals = np.fft.fft(coef * z).real[: N + 1]
-        return GaussianPath(model=model, seed=seed, values=vals,
-                            method="circulant")
-    L, jitter = _cholesky_with_jitter(r)
-    vals = L @ rng.standard_normal(N + 1)
-    return GaussianPath(model=model, seed=seed, values=vals,
-                        method="cholesky", jitter=jitter)
 
 
 def twisted_values(model: SpectralModel, paths: np.ndarray) -> np.ndarray:
@@ -217,12 +184,6 @@ def twisted_values(model: SpectralModel, paths: np.ndarray) -> np.ndarray:
     N = paths.shape[-1] - 1
     r = model.r_vector(N)
     return 2.0 * r * paths[..., :1] - paths
-
-
-def twisted_path(model: SpectralModel, path: GaussianPath) -> TwistedPath:
-    """The companion process; Cov(Y_n, Y_m) = r(n-m) by the identity
-    4 r(n) r(m) - 2 r(n) r(m) - 2 r(m) r(n) + r(n-m)."""
-    return TwistedPath(model=model, values=twisted_values(model, path.values))
 
 
 def covariance_identities(model: SpectralModel, n: int, m: int) -> Dict[str, float]:
@@ -323,19 +284,3 @@ def power_summability(estimates: Sequence[float], k: int, delta: float,
     tail = float(C ** (2 * k) * zeta(s, H + 1))
     return SummabilityReport(k=k, delta=delta, C=C, H=H, head=head, tail=tail)
 
-
-def linear_times_schedule(c: int, d: int, n: int) -> int:
-    """Index reduction for the linear-times root systems: probing the pair
-    of c-th and d-th roots at times (c n, d n) is the same event as probing
-    the original pair at n, so experiments reuse the n-schedule and only
-    record (c, d)."""
-    if c == 0 or d == 0:
-        raise ValueError("c and d must be nonzero integers")
-    return n
-
-
-def model_to_csv(model: SpectralModel, N: int) -> str:
-    lines = ["n,r"]
-    for n in range(N + 1):
-        lines.append(f"{n},{model.r(n)!r}")
-    return "\n".join(lines) + "\n"

@@ -10,8 +10,6 @@ the amplitudes are rational, for oracle comparisons.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -511,28 +509,3 @@ def box_probability(pmf2d: ProductPmf2D, M: int) -> float:
         raise ValueError("M must be >= 0")
     return pmf2d.px.interval_mass(-M, M) * pmf2d.py.interval_mass(-M, M)
 
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def pmf_to_csv(pmf: IntegerPmf, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "mass"])
-        for j, m in zip(pmf.support, pmf.mass):
-            if m > 0:
-                writer.writerow([int(j), repr(float(m))])
-
-
-def pmf_to_json(pmf: IntegerPmf) -> str:
-    payload = {
-        "offset": int(pmf.offset),
-        "mass": [float(m) for m in pmf.mass],
-        "pruned": float(pmf.pruned),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def lclt_report_to_json(report: LcltReport) -> str:
-    return json.dumps(report.__dict__, sort_keys=True)

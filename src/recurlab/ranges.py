@@ -93,8 +93,8 @@ class RangeTable:
         return tuple(int(x) for x in self.endpoints[n - 1])
 
 
-def build_range_tables(spec: FieldSpec, polys: Sequence[PolynomialSpec], N: int,
-                       mode: str = "auto") -> List[RangeTable]:
+def build_range_tables(spec: FieldSpec, polys: Sequence[PolynomialSpec],
+                       N: int) -> List[RangeTable]:
     """Range tables for several polynomials over one shared field realization.
 
     All endpoint times go into a single union schedule, so the tables are
@@ -107,7 +107,7 @@ def build_range_tables(spec: FieldSpec, polys: Sequence[PolynomialSpec], N: int,
         if poly(1) < 1:
             raise ValueError("schedule values must be positive on [1, N]")
     times = sorted({poly(n) for poly in polys for n in range(1, N + 1)})
-    sums = schedule_sums(spec, times, mode=mode)
+    sums = schedule_sums(spec, times)
     row = {t: idx for idx, t in enumerate(sums.times)}
     out = []
     for poly in polys:
@@ -125,16 +125,8 @@ def build_range_tables(spec: FieldSpec, polys: Sequence[PolynomialSpec], N: int,
     return out
 
 
-def build_range(spec: FieldSpec, poly: PolynomialSpec, N: int,
-                mode: str = "auto") -> RangeTable:
-    return build_range_tables(spec, [poly], N, mode=mode)[0]
-
-
-def curly_K(spec: FieldSpec, p1: PolynomialSpec, p2: PolynomialSpec, N: int,
-            mode: str = "auto") -> Tuple[int, ...]:
-    """Indices fresh for both schedules, from one shared realization."""
-    t1, t2 = build_range_tables(spec, [p1, p2], N, mode=mode)
-    return tuple(sorted(set(t1.fresh) & set(t2.fresh)))
+def build_range(spec: FieldSpec, poly: PolynomialSpec, N: int) -> RangeTable:
+    return build_range_tables(spec, [poly], N)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +223,10 @@ class PermutationView:
 
     @classmethod
     def build(cls, spec: FieldSpec, p1: PolynomialSpec, p2: PolynomialSpec,
-              N: int, mode: str = "auto") -> "PermutationView":
+              N: int) -> "PermutationView":
         if spec.dimension != 2:
             raise ValueError("permutation view needs a 2-D walk")
-        t1, t2 = build_range_tables(spec, [p1, p2], N, mode=mode)
+        t1, t2 = build_range_tables(spec, [p1, p2], N)
         curly = tuple(sorted(set(t1.fresh) & set(t2.fresh)))
         s1 = tuple(t1.endpoint(n) for n in curly)
         s2 = tuple(t2.endpoint(n) for n in curly)
@@ -309,13 +301,6 @@ class PermutationView:
 # joint fresh-index statistics over independent realizations
 
 
-def a_n_membership(curly_sets: Sequence[Sequence[int]], n: int) -> bool:
-    """Whether some tensor coordinate has n among its shared fresh indices."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return any(n in set(ks) for ks in curly_sets)
-
-
 @dataclass
 class ComplementProfile:
     """Monte Carlo profile of q_n = P(n not fresh for both schedules)."""
@@ -330,25 +315,29 @@ class ComplementProfile:
         return np.sqrt(np.maximum(q * (1 - q), 1e-12) / self.samples)
 
 
-def complement_profile(p1: PolynomialSpec, p2: PolynomialSpec, N: int,
-                       samples: int, seed0: int = 0, k_max: Optional[int] = None,
-                       fit_from: int = 8) -> ComplementProfile:
-    """Estimate q_n over a pool of independent field realizations."""
-    from .fields import default_k_max
+# first index of the envelope fit q_n <= pi c / sqrt(n)
+FIT_FROM = 8
 
-    if k_max is None:
-        k_max = default_k_max(max(p1(N), p2(N)))
+
+def complement_profile(pool: Sequence[PermutationView],
+                       fit_from: int = FIT_FROM) -> ComplementProfile:
+    """Estimate q_n from the shared fresh indices of a pool of views, one
+    independent field realization each, and fit the envelope over
+    fit_from <= n <= N."""
+    N = pool[0].N
+    if N < fit_from:
+        raise ValueError(f"profile horizon N={N} is below the envelope fit "
+                         f"start {fit_from}")
     miss = np.zeros(N, dtype=np.int64)
-    for s in range(samples):
-        spec = FieldSpec(seed=seed0 + s, dimension=2, k_max=k_max, doubling=True)
-        ks = set(curly_K(spec, p1, p2, N))
+    for view in pool:
+        ks = set(view.curly)
         for n in range(1, N + 1):
             if n not in ks:
                 miss[n - 1] += 1
-    q_hat = miss / samples
+    q_hat = miss / len(pool)
     ns = np.arange(fit_from, N + 1)
-    c = float(np.max(q_hat[fit_from - 1:] * np.sqrt(ns) / math.pi)) if N >= fit_from else 1.0
-    return ComplementProfile(N=N, samples=samples, q_hat=q_hat, envelope_c=c)
+    c = float(np.max(q_hat[fit_from - 1:] * np.sqrt(ns) / math.pi))
+    return ComplementProfile(N=N, samples=len(pool), q_hat=q_hat, envelope_c=c)
 
 
 @dataclass
@@ -458,8 +447,6 @@ def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
         path = partial_sums(spec, (0, 2 * N))
         chain = [tuple(int(x) for x in path.at(t)) for t in range(0, 2 * N + 1)]
         ok = all(_lex_less(chain[t], chain[t + 1]) for t in range(2 * N))
-        if not ok:
-            goal_failures += 1
         center = np.array(chain[N])
         window = {tuple(int(x) for x in (np.array(c) - center)) for c in chain}
         if len(window) != 2 * N + 1:
@@ -469,7 +456,8 @@ def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
         incr = np.diff(high.values[:, 0])
         floor = int(incr.min())
         y_floor = floor if y_floor is None else min(y_floor, floor)
-        if floor <= C:
+        # counted once per sample, so goal_failures <= samples
+        if not ok or floor <= C:
             goal_failures += 1
     # exact cylinder probability (log space) over the forced scales
     log_prob = 0.0

@@ -134,8 +134,3 @@ def iterate_tilde_S_1d(view: View, m: int) -> View:
         view = tilde_S_1d(view)
     return view
 
-
-def flip_is_involution_witness(config: OmegaConfig, sites) -> bool:
-    view = FlipView(FlipView(BaseView(config)))
-    base = BaseView(config)
-    return all(view.bit(u) == base.bit(u) for u in sites)

@@ -14,7 +14,6 @@ from recurlab.experiments import (
     exp_section2,
     exp_section3,
     mixing_probe,
-    pool_complement_profile,
     range_view_pool,
 )
 from recurlab.fields import FieldSpec, default_k_max, partial_sums_batch
@@ -41,6 +40,7 @@ from recurlab.ranges import (
     certify_distinct,
     choose_k,
     complement_point,
+    complement_profile,
 )
 from recurlab.shiftspace import OmegaConfig
 
@@ -179,7 +179,7 @@ def test_07_permutation_correctness():
 def test_08_section3_emptiness(pool500):
     pool, build_seconds = pool500
     with _Budget(600 - min(build_seconds, 540)):
-        profile = pool_complement_profile(pool)
+        profile = complement_profile(pool)
         choice = choose_k(profile)
         assert choice.total < 1.0  # partial-sum target
         probe = exp_section3(pool, k=choice.k, H=500, samples=1000, seed0=0)

@@ -48,6 +48,14 @@ class TestParseConfig:
     def test_recur3_small_k_rejected(self):
         assert main(["recur3", "--param", "k=1"]) == 2
 
+    def test_recur3_short_horizon_rejected(self, capsys):
+        # the complement envelope is fitted from n = 8 on
+        with pytest.raises(ConfigError, match="horizon"):
+            parse_config(["recur3", "--horizon", "5"])
+        assert main(["recur3", "--horizon", "7"]) == 2
+        assert "horizon" in capsys.readouterr().err
+        assert parse_config(["recur3", "--horizon", "8"])["horizon"] == 8
+
     def test_param_flag(self):
         cfg = parse_config(["gauss", "--param", "delta=0.4", "--param", "k=2"])
         assert cfg["delta"] == 0.4

@@ -10,14 +10,12 @@ from recurlab.experiments import (
     exp_section2,
     exp_section3,
     mixing_probe,
-    mixing_probe_exact_fields,
-    pool_complement_profile,
     range_view_pool,
     section3_defaults,
 )
 from recurlab.fields import FieldSpec
 from recurlab.gaussian import power_density_model, white_noise_model
-from recurlab.ranges import P_CUBE, P_SQUARE
+from recurlab.ranges import P_CUBE, P_SQUARE, complement_profile
 
 
 @pytest.fixture(scope="module")
@@ -89,12 +87,8 @@ class TestSection2:
 
 
 class TestSection3:
-    def test_pool_cached(self, pool):
-        again = range_view_pool(P_SQUARE, P_CUBE, N=100, size=25, seed0=0)
-        assert again is pool
-
     def test_profile_and_k(self, pool):
-        prof = pool_complement_profile(pool)
+        prof = complement_profile(pool)
         assert prof.q_hat.shape == (100,)
         rep = section3_defaults(pool)
         assert rep.k >= 3
@@ -190,21 +184,6 @@ class TestMixingProbe:
         with pytest.raises(ValueError):
             mixing_probe(FieldSpec(seed=1, dimension=1, k_max=6), M=2, H=128,
                          samples=10, n_min=64)
-        with pytest.raises(NotImplementedError):
-            mixing_probe(spec, M=2, H=128, samples=10, n_min=64,
-                         A1=((1, 1, 0, 1),))
-
-    def test_exact_field_conditions(self):
-        spec = FieldSpec(seed=3, dimension=2, k_max=8, doubling=True)
-        out = mixing_probe_exact_fields(
-            spec, M=2, n=64, samples=300,
-            B1=(((0, 0), 1),), B2=(((0, 0), 1),),
-            A1=((1, 1, 0, 0),), A2=((1, 1, 0, 0),), seed0=4)
-        assert 0.0 <= out["joint"] <= 1.0
-        assert out["correlation"] <= out["correlation"] + out["se"]
-        with pytest.raises(ValueError):
-            mixing_probe_exact_fields(spec, M=2, n=8, samples=10**6,
-                                      B1=(), B2=(), A1=(), A2=())
 
     def test_report_json_round_trip(self):
         spec = FieldSpec(seed=3, dimension=2, k_max=6, doubling=True)

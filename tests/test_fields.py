@@ -11,19 +11,17 @@ from recurlab.fields import (
     ForcedWindow,
     conditioned_spec,
     default_k_max,
-    f_at,
-    f_k_at,
-    field_value,
     field_values_vec,
     goal_event_plan,
     min_low_scale_increment,
-    negate,
     partial_sums,
     partial_sums_batch,
     scale_params,
     shift_base,
     tail_variance_bound,
 )
+
+from oracles import f_at, f_k_at, field_value, oracle_sums
 
 
 class TestScaleParams:
@@ -59,6 +57,15 @@ class TestFieldValue:
     def test_override_dominates(self):
         spec = FieldSpec(seed=1, dimension=1, k_max=2, overrides=(((1, 1, 0), 1),))
         assert field_value(spec, 1, 1, 0) == 1
+        # overrides beat windows, and the first of two overlapping windows wins
+        spec = FieldSpec(seed=1, dimension=1, k_max=2,
+                         overrides=(((1, 1, 4), 0), ((2, 1, 5), 1)),
+                         windows=(ForcedWindow(k=1, i=1, lo=0, hi=6, value=1),
+                                  ForcedWindow(k=1, i=1, lo=3, hi=10, value=-1)))
+        j = np.arange(-3, 12)
+        vec = field_values_vec(spec, 1, 1, j)
+        assert vec.tolist() == [field_value(spec, 1, 1, int(x)) for x in j]
+        assert vec[3:13].tolist() == [1, 1, 1, 1, 0, 1, -1, -1, -1, -1]
 
     def test_deterministic(self):
         spec = FieldSpec(seed=99, dimension=2, k_max=4)
@@ -164,14 +171,27 @@ class TestPartialSums:
         spec = FieldSpec(seed=seed, dimension=1, k_max=2, doubling=False)
         full = partial_sums(spec, (0, n + m))
         first = partial_sums(spec, (0, n))
-        second = partial_sums(shift_base(spec, n), (0, m))
+        shifted = shift_base(spec, n)
+        second = partial_sums(shifted, (0, m))
         assert (full.at(n + m) == first.at(n) + second.at(m)).all()
+        assert (full.values == oracle_sums(spec, (0, n + m))).all()
+        assert (second.values == oracle_sums(shifted, (0, m))).all()
 
     def test_sign_symmetry(self):
+        # overriding every value the window reads with its negation negates
+        # the whole path
         spec = FieldSpec(seed=77, dimension=1, k_max=2)
-        pos = partial_sums(spec, (-4, 12))
-        neg = partial_sums(negate(spec), (-4, 12))
+        a, b = -4, 12
+        flipped = tuple(
+            ((k, 1, j), -field_value(spec, k, 1, j))
+            for k in (1, 2)
+            for base in (0, scale_params(k).d)
+            for j in range(base + a, base + b + scale_params(k).p - 1))
+        pos = partial_sums(spec, (a, b))
+        neg = partial_sums(FieldSpec(seed=77, dimension=1, k_max=2,
+                                     overrides=flipped), (a, b))
         assert (pos.values == -neg.values).all()
+        assert (pos.values != 0).any()
 
     def test_bad_window(self):
         spec = FieldSpec(seed=1, dimension=1, k_max=1)
@@ -185,6 +205,7 @@ class TestPartialSums:
             spec = FieldSpec(seed=int(s), dimension=2, k_max=3, doubling=True)
             single = partial_sums(spec, (-3, 12))
             assert (batch[idx] == single.values).all()
+            assert (single.values == oracle_sums(spec, (-3, 12))).all()
 
 
 class TestHugeLagScales:
@@ -225,6 +246,7 @@ class TestHugeLagScales:
             spec = FieldSpec(seed=int(s), dimension=1, k_max=8, doubling=False)
             single = partial_sums(spec, (0, 6))
             assert (batch[idx] == single.values).all()
+            assert (single.values == oracle_sums(spec, (0, 6))).all()
 
     def test_forced_lag_window_respected(self):
         sp = scale_params(8)
@@ -233,6 +255,8 @@ class TestHugeLagScales:
         assert field_value(spec, 8, 1, sp.d + 2) == 1
         vec = field_values_vec(spec, 8, 1, np.arange(0, 6), lagged=True)
         assert vec[:4].tolist() == [1, 1, 1, 1]
+        path = partial_sums(spec, (-2, 6))
+        assert (path.values == oracle_sums(spec, (-2, 6))).all()
 
 
 class TestShiftBase:
@@ -294,6 +318,8 @@ class TestConditioning:
             path = partial_sums(spec, (0, 2 * N))
             diffs = np.diff(path.values[:, 0])
             assert (diffs > 0).all()
+            if seed < 3:
+                assert (path.values == oracle_sums(spec, (0, 2 * N))).all()
 
 
 class TestTruncation:

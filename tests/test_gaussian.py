@@ -3,19 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from recurlab import gaussian
+from recurlab.experiments import exp_gaussian
 from recurlab.gaussian import (
     PsdError,
     SpectralModel,
     constant_model,
     covariance_identities,
-    linear_times_schedule,
-    model_to_csv,
     power_density_model,
     power_summability,
-    sample_path,
     sample_paths,
     triple_probability,
-    twisted_path,
     twisted_values,
     upper_tail,
     validate_psd,
@@ -91,9 +89,9 @@ class TestPsd:
 
 class TestSampling:
     def test_reproducible(self, power03):
-        a = sample_path(power03, 64, seed=5)
-        b = sample_path(power03, 64, seed=5)
-        assert (a.values == b.values).all()
+        a = sample_paths(power03, 64, size=1, seed=5)
+        b = sample_paths(power03, 64, size=1, seed=5)
+        assert (a == b).all()
 
     def test_white_noise_iid(self):
         paths = sample_paths(white_noise_model(), 64, size=20_000, seed=1)
@@ -111,25 +109,34 @@ class TestSampling:
             emp = float(np.mean(paths[:, 0] * paths[:, n]))
             assert abs(emp - power03.r(n)) < 4 * math.sqrt(2.0 / 100_000) + 1e-3
 
-    def test_constant_model_needs_fallback(self):
-        # rank-one covariance: circulant embedding degenerates, Cholesky
-        # jitter path must engage and still produce a constant path
-        path = sample_path(constant_model(), 8, seed=7)
-        assert path.jitter <= 1e-8
-        assert np.allclose(path.values, path.values[0], atol=1e-3)
+    def test_constant_model_needs_fallback(self, monkeypatch):
+        # the circulant embedding of the rank-one covariance is nonnegative,
+        # so it samples exactly constant paths
+        paths = sample_paths(constant_model(), 8, size=50, seed=7)
+        assert (paths == paths[:, :1]).all()
+        # without it, plain Cholesky fails on the singular Toeplitz section
+        # and the jitter fallback must engage and still give constant paths
+        monkeypatch.setattr(gaussian, "_circulant_eigs", lambda r: None)
+        paths = sample_paths(constant_model(), 8, size=50, seed=7)
+        assert np.allclose(paths, paths[:, :1], atol=1e-3)
+
+    def test_cholesky_fallback_covariance(self, power03, monkeypatch):
+        monkeypatch.setattr(gaussian, "_circulant_eigs", lambda r: None)
+        paths = sample_paths(power03, 16, size=100_000, seed=3)
+        for n in (0, 1, 4, 16):
+            emp = float(np.mean(paths[:, 0] * paths[:, n]))
+            assert abs(emp - power03.r(n)) < 4 * math.sqrt(2.0 / 100_000) + 1e-3
 
 
 class TestTwistedPath:
     def test_y0_equals_x0(self, power03):
-        path = sample_path(power03, 16, seed=11)
-        tw = twisted_path(power03, path)
-        assert tw.values[0] == path.values[0]
+        path = sample_paths(power03, 16, size=1, seed=11)[0]
+        assert twisted_values(power03, path)[0] == path[0]
 
     def test_white_noise_negation(self):
         wn = white_noise_model()
-        path = sample_path(wn, 10, seed=3)
-        tw = twisted_path(wn, path)
-        assert (tw.values[1:] == -path.values[1:]).all()
+        path = sample_paths(wn, 10, size=1, seed=3)[0]
+        assert (twisted_values(wn, path)[1:] == -path[1:]).all()
 
     def test_algebraic_identities(self, power03):
         ids = covariance_identities(power03, 5, 2)
@@ -210,21 +217,8 @@ class TestSummability:
 
 
 class TestLinearTimes:
-    def test_identity_reduction(self):
-        assert linear_times_schedule(1, 1, 9) == 9
-        assert linear_times_schedule(2, 3, 5) == 5
-        assert linear_times_schedule(-1, 1, 7) == 7
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            linear_times_schedule(0, 1, 5)
-        with pytest.raises(ValueError):
-            linear_times_schedule(2, 0, 5)
-
-
-class TestExport:
-    def test_csv(self):
-        text = model_to_csv(white_noise_model(), 3)
-        assert text.splitlines()[0] == "n,r"
-        assert text.splitlines()[1] == "0,1.0"
-        assert len(text.splitlines()) == 5
+    def test_zero_rejected(self, power03):
+        with pytest.raises(ValueError, match="nonzero"):
+            exp_gaussian(power03, k=2, c=0, d=1, H=4, samples=10, mc=100)
+        with pytest.raises(ValueError, match="nonzero"):
+            exp_gaussian(power03, k=2, c=2, d=0, H=4, samples=10, mc=100)

@@ -18,8 +18,6 @@ from recurlab.pmf import (
     grouped_law,
     lclt_deviation,
     peak_probability_sweep,
-    pmf_to_csv,
-    pmf_to_json,
     point_mass,
     rational_q,
     scale_pmf,
@@ -57,11 +55,13 @@ def _oracle_scale_law(k, n, q):
         digits = (idx[:, None] // powers[None, :]) % 3 - 1
         sums = digits @ coeff
         nonzeros = np.abs(digits).sum(axis=1)
-        pairs, counts = np.unique(np.stack([sums, nonzeros], axis=1), axis=0,
-                                  return_counts=True)
-        for (s, nz), cnt in zip(pairs, counts):
-            prob = int(cnt) * half ** int(nz) * stay ** (m - int(nz))
-            law[int(s)] = law.get(int(s), Fraction(0)) + prob
+        # one int64 key per (sum, nonzero count) pair, since 0 <= nz <= m;
+        # a 1-D unique sorts far faster than the row-wise unique(axis=0)
+        keys, counts = np.unique(sums * (m + 1) + nonzeros, return_counts=True)
+        for key, cnt in zip(keys, counts):
+            s, nz = divmod(int(key), m + 1)
+            prob = int(cnt) * half ** nz * stay ** (m - nz)
+            law[s] = law.get(s, Fraction(0)) + prob
     return law
 
 
@@ -305,21 +305,6 @@ class TestBoxProbability:
         law2d, _ = walk_pmf(spec, 4)
         with pytest.raises(ValueError):
             box_probability(law2d, -1)
-
-
-class TestExport:
-    def test_json_roundtrip_stable(self):
-        pmf = scale_pmf(1, 2)
-        assert pmf_to_json(pmf) == pmf_to_json(scale_pmf(1, 2))
-
-    def test_csv_written(self, tmp_path):
-        pmf = scale_pmf(1, 1)
-        path = tmp_path / "law.csv"
-        pmf_to_csv(pmf, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "j,mass"
-        rows = {int(line.split(",")[0]): float(line.split(",")[1]) for line in lines[1:]}
-        assert rows[0] == pytest.approx(867 / 2048, abs=1e-12)
 
 
 @settings(max_examples=20, deadline=None)

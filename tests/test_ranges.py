@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurlab.fields import FieldSpec, partial_sums
+import recurlab.ranges
+from recurlab.fields import FieldSpec, PathSample, default_k_max, partial_sums
 from recurlab.ranges import (
     HorizonError,
     P_CUBE,
     P_SQUARE,
+    ComplementProfile,
     PermutationView,
     PolynomialSpec,
-    a_n_membership,
     build_range,
     build_range_tables,
     certify_distinct,
@@ -20,9 +21,10 @@ from recurlab.ranges import (
     complement_index,
     complement_point,
     complement_profile,
-    curly_K,
 )
 from recurlab.shiftspace import OmegaConfig
+
+from oracles import oracle_sums
 
 
 class TestPolynomialSpec:
@@ -61,11 +63,14 @@ class TestRangeTable:
         assert table.density == 1 / 25
 
     def test_endpoints_match_stepping(self):
+        # the linear schedule makes the union schedule gap-free up to 36,
+        # and every scale is dense at k_max = 8, so the squares up to 36
+        # read exact partial sums
         spec = FieldSpec(seed=17, dimension=2, k_max=8, doubling=True)
-        table = build_range(spec, P_SQUARE, 6, mode="explicit")
-        path = partial_sums(spec, (0, 36))
+        _, table = build_range_tables(spec, [PolynomialSpec((1,)), P_SQUARE], 36)
+        path = oracle_sums(spec, (0, 36))
         for n in range(1, 7):
-            assert table.endpoint(n) == tuple(path.at(n * n))
+            assert table.endpoint(n) == tuple(path[n * n])
 
     def test_fresh_strictly_increasing_and_counts(self):
         spec = FieldSpec(seed=3, dimension=2, k_max=18, doubling=True)
@@ -106,18 +111,10 @@ class TestRangeTable:
 class TestCurlyK:
     def test_subset_of_both_fresh(self):
         spec = FieldSpec(seed=5, dimension=2, k_max=18, doubling=True)
-        ks = curly_K(spec, P_SQUARE, P_CUBE, 50)
+        ks = PermutationView.build(spec, P_SQUARE, P_CUBE, 50).curly
         t1, t2 = build_range_tables(spec, [P_SQUARE, P_CUBE], 50)
-        assert set(ks) <= set(t1.fresh)
-        assert set(ks) <= set(t2.fresh)
+        assert set(ks) == set(t1.fresh) & set(t2.fresh)
         assert list(ks) == sorted(ks)
-
-    def test_membership_helper(self):
-        sets = [(1, 2, 5), (3,), ()]
-        assert a_n_membership(sets, 3)
-        assert not a_n_membership(sets, 4)
-        with pytest.raises(ValueError):
-            a_n_membership(sets, 0)
 
 
 class TestComplementEnumeration:
@@ -217,7 +214,12 @@ class TestPermutationView:
 
 class TestComplementProfile:
     def test_profile_and_choice(self):
-        prof = complement_profile(P_SQUARE, P_CUBE, N=60, samples=20, seed0=900)
+        k_max = default_k_max(P_CUBE(60))
+        pool = [PermutationView.build(
+            FieldSpec(seed=900 + s, dimension=2, k_max=k_max, doubling=True),
+            P_SQUARE, P_CUBE, 60) for s in range(20)]
+        prof = complement_profile(pool)
+        assert prof.samples == 20
         assert prof.q_hat.shape == (60,)
         assert ((0 <= prof.q_hat) & (prof.q_hat <= 1)).all()
         assert prof.stderr().shape == (60,)
@@ -228,12 +230,18 @@ class TestComplementProfile:
         assert rep.to_json() == choose_k(prof, margin=0.1).to_json()
 
     def test_choose_k_can_fail(self):
-        prof = complement_profile(P_SQUARE, P_CUBE, N=20, samples=5, seed0=77)
-        prof.q_hat[:] = 1.0  # saturated profile admits no finite k
-        prof = type(prof)(N=prof.N, samples=prof.samples, q_hat=prof.q_hat,
-                          envelope_c=5.0)
+        # a saturated profile admits no finite k
+        prof = ComplementProfile(N=20, samples=5, q_hat=np.ones(20),
+                                 envelope_c=5.0)
         with pytest.raises(RuntimeError):
             choose_k(prof, k_limit=4)
+
+    def test_horizon_below_fit_rejected(self):
+        spec = FieldSpec(seed=1, dimension=2, k_max=10, doubling=True)
+        pool = [PermutationView.build(spec, P_SQUARE, P_CUBE, 7)]
+        with pytest.raises(ValueError, match="fit"):
+            complement_profile(pool)
+        assert complement_profile(pool, fit_from=7).envelope_c >= 0
 
 
 class TestCertification:
@@ -254,6 +262,19 @@ class TestCertification:
         assert all(log_mdk >= bound for _, log_mdk, bound in run.bound_checks)
         assert run.bound_checks[0][0] == run.K + run.C
         assert run.to_json() == run.to_json()
+
+    def test_goal_failures_counted_once_per_sample(self, monkeypatch):
+        # a constant path fails both goal checks (no increase, floor <= C)
+        # in every sample; each sample must still count once
+        def flat(spec, window):
+            return PathSample(spec=spec, window=window,
+                              values=np.zeros((window[1] - window[0] + 1, 2),
+                                              dtype=np.int64))
+
+        monkeypatch.setattr(recurlab.ranges, "partial_sums", flat)
+        run = certify_distinct(seed0=0, N=2, samples=5)
+        assert run.y_floor == 0 <= run.C
+        assert run.goal_failures == run.samples == 5
 
     def test_rejects_insufficient_c(self):
         with pytest.raises(ValueError):

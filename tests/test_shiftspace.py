@@ -9,7 +9,6 @@ from recurlab.shiftspace import (
     OmegaConfig,
     PermuteView,
     ShiftView,
-    flip_is_involution_witness,
     iterate_tilde_S_1d,
     tilde_S_1d,
     tilde_S_power_bit_1d,
@@ -67,7 +66,8 @@ class TestViews:
     def test_flip_involution(self):
         cfg = OmegaConfig(seed=5, dimension=2)
         sites = [(0, 0), (1, 0), (-3, 7), (2, 2)]
-        assert flip_is_involution_witness(cfg, sites)
+        twice = FlipView(FlipView(BaseView(cfg)))
+        assert all(twice.bit(u) == cfg.bit(u) for u in sites)
 
     def test_permute_view(self):
         cfg = OmegaConfig(seed=9, dimension=1)

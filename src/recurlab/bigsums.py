@@ -13,18 +13,17 @@ position. Times up to ~10^9 then cost seconds instead of days.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .prf import derive_rng, uniform01_vec
+from .prf import derive_rng
 from .fields import (
     COORD_BOUND,
     TAG_BLOCK,
-    TAG_FIELD,
-    TAG_SPARSE,
     FieldSpec,
     ScaleParams,
+    field_values_vec,
     lag_namespace,
     scale_params,
     tail_variance_bound,
@@ -36,126 +35,91 @@ DENSE_P_THRESHOLD = 1024
 _TAG_LAW = 53  # keyed stream for law-level batch samplers
 
 
-class _Segment:
-    """Contiguous stretch of one scale's axis with known field values."""
-
-    __slots__ = ("lo", "hi", "dense", "values", "prefix", "pos", "vals", "total")
-
-    def __init__(self, lo: int, hi: int):
-        self.lo = lo
-        self.hi = hi
-
-    def range_sum_before(self, offset: int) -> int:
-        """Sum of values on [lo, offset)."""
-        idx = offset - self.lo
-        if self.dense:
-            return int(self.prefix[idx])
-        return int(self.vals[: np.searchsorted(self.pos, idx)].sum())
-
-    def ramp(self, a: int, p: int) -> int:
-        """Sum of (a + p - 1 - j) * X_j over j in [a, a + p - 1)."""
-        start = a - self.lo
-        if self.dense:
-            window = self.values[start : start + p - 1]
-            weights = np.arange(p - 1, 0, -1, dtype=np.int64)
-            return int(window @ weights)
-        left = np.searchsorted(self.pos, start)
-        right = np.searchsorted(self.pos, start + p - 1)
-        total = 0
-        for idx in range(left, right):
-            total += int(self.vals[idx]) * (p - 1 - (int(self.pos[idx]) - start))
-        return total
-
-
 class _AxisEval:
     """Field sums along one (scale, coordinate, window-role) axis.
 
-    Offsets are relative to ``base`` (0 for the lead axis; d_k for the lag
-    axis, which switches to its own address namespace when d_k exceeds the
-    coordinate bound). Every anchor opens a ramp window of length p - 1;
-    overlapping windows merge into segments, the gaps become aggregate
-    chunks keyed by their endpoints.
+    Offsets count from 0 on the lead axis and from d_k on the lag axis
+    (``lag=True``), whose addresses are those of ``field_values_vec`` with
+    ``lagged=True``. Every anchor opens a ramp window of length p - 1;
+    overlapping or touching windows merge into segments, and the gaps
+    between segments become aggregate chunks. The segments are laid end to
+    end in packed coordinates, where the known values are stored sorted with
+    prefix sums of x and of c * x; packing keeps c * x small for any offset.
     """
 
     def __init__(self, spec: FieldSpec, sp: ScaleParams, i: int,
-                 anchors: Sequence[int], base: int, lagged: bool,
-                 dense: bool):
-        self.sp = sp
-        anchors = sorted(set(anchors))
+                 anchors: Sequence[int], lag: bool, dense: bool):
+        self.p = sp.p
+        q = sp.q
+        anchors = np.unique(np.asarray(anchors, dtype=np.int64))
         if anchors[0] != 0:
             raise ValueError("axis anchors must start at offset 0")
-        segments: List[_Segment] = []
-        for a in anchors:
-            lo, hi = a, a + sp.p - 1
-            if segments and lo <= segments[-1].hi:
-                segments[-1].hi = max(segments[-1].hi, hi)
-            else:
-                segments.append(_Segment(lo, hi))
-        seed = spec.seed
-        # one keyed stream per axis; aggregate draws consumed in axis order,
-        # so the realization is deterministic given the anchor set
-        rng = derive_rng(seed, TAG_BLOCK, sp.k, i, int(lagged), base) if not dense else None
-        for seg in segments:
-            length = seg.hi - seg.lo
-            if dense:
-                js = np.arange(seg.lo, seg.hi, dtype=np.int64)
-                if lagged:
-                    u = uniform01_vec(seed, (TAG_FIELD, sp.k, i, 1), js)
-                else:
-                    u = uniform01_vec(seed, (TAG_FIELD, sp.k, i), js + base)
-                vals = np.where(u < sp.q / 2, 1, np.where(u < sp.q, -1, 0)).astype(np.int64)
-                seg.dense = True
-                seg.values = vals
-                seg.prefix = np.concatenate([[0], np.cumsum(vals)])
-                seg.total = int(seg.prefix[-1])
-            else:
-                count = int(rng.binomial(length, sp.q))
+        w = sp.p - 1
+        first = np.flatnonzero(np.diff(anchors, prepend=-w - 1) > w)
+        self.lo = anchors[first]
+        self.hi = np.append(anchors[first[1:] - 1], anchors[-1]) + w
+        lengths = self.hi - self.lo
+        self.start = np.cumsum(lengths) - lengths
+        # one keyed stream per axis; the sparse draws and then the aggregate
+        # draws are consumed in axis order, so the realization is
+        # deterministic given the anchor set
+        ns = lag and lag_namespace(sp.k)
+        key = (spec.seed, TAG_BLOCK, sp.k, i, int(ns), sp.d if lag and not ns else 0)
+        rng = None
+        if dense:
+            js = np.repeat(self.lo - self.start, lengths) + np.arange(int(lengths.sum()))
+            vals = field_values_vec(spec, sp.k, i, js, lagged=lag)
+            c = np.flatnonzero(vals)
+            x = vals[c]
+        else:
+            rng = derive_rng(*key)
+            cs, xs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+            for st, length in zip(self.start.tolist(), lengths.tolist()):
+                count = int(rng.binomial(length, q))
+                if count == 0:
+                    continue
                 pos: set = set()
                 while len(pos) < count:
-                    pos.update(int(x) for x in rng.integers(0, length, count - len(pos)))
-                pos_arr = np.sort(np.fromiter(pos, dtype=np.int64, count=count))
-                sgn = rng.integers(0, 2, size=count).astype(np.int64) * 2 - 1
-                seg.dense = False
-                seg.pos = pos_arr
-                seg.vals = sgn
-                seg.total = int(sgn.sum())
-        # running sums up to each segment start (chunks drawn in axis order)
-        self._segments = segments
-        self._starts = [seg.lo for seg in segments]
-        self._cum_before: List[int] = []
-        running = 0
-        prev_end = 0
-        for seg in segments:
-            gap = seg.lo - prev_end
-            if gap > 0:
-                if rng is None:
-                    rng = derive_rng(seed, TAG_BLOCK, sp.k, i, int(lagged), base)
-                fired = int(rng.binomial(gap, sp.q))
-                running += 2 * int(rng.binomial(fired, 0.5)) - fired
-            self._cum_before.append(running)
-            running += seg.total
-            prev_end = seg.hi
+                    pos.update(rng.integers(0, length, count - len(pos)).tolist())
+                cs.append(st + np.sort(np.fromiter(pos, dtype=np.int64, count=count)))
+                xs.append(rng.integers(0, 2, size=count) * 2 - 1)
+            c, x = np.concatenate(cs), np.concatenate(xs)
+        self.c = c
+        self.s0 = np.concatenate([[0], np.cumsum(x)])
+        self.s1 = np.concatenate([[0], np.cumsum(c * x)])
+        # aggregate sum over each gap: binomial count, then fair signs
+        drawn = [0]
+        gaps = (self.lo[1:] - self.hi[:-1]).tolist()
+        if gaps and rng is None:
+            rng = derive_rng(*key)
+        for gap in gaps:
+            fired = rng.binomial(gap, q)
+            drawn.append(2 * rng.binomial(fired, 0.5) - fired)
+        self.gaps_before = np.cumsum(drawn)
 
-    def _segment_of(self, offset: int) -> Tuple[_Segment, int]:
-        import bisect
+    def _packed(self, offsets: Sequence[int], span: int):
+        """Segment index and packed coordinate of each offset; every
+        [offset, offset + span) must lie inside one segment."""
+        off = np.asarray(offsets, dtype=np.int64)
+        seg = np.searchsorted(self.lo, off, side="right") - 1
+        ok = (seg >= 0) & (off + span <= self.hi[seg])
+        if not ok.all():
+            raise ValueError(f"offset {int(off[~ok][0])} is not an anchor of this axis")
+        return seg, off - self.lo[seg] + self.start[seg]
 
-        idx = bisect.bisect_right(self._starts, offset) - 1
-        seg = self._segments[idx]
-        if not (seg.lo <= offset < seg.hi):
-            raise ValueError(f"offset {offset} is not an anchor of this axis")
-        return seg, idx
-
-    def running_sum(self, offset: int) -> int:
+    def running_sum(self, offsets: Sequence[int]) -> np.ndarray:
         """C(offset): sum of field values over [0, offset)."""
-        if offset == 0:
-            return 0
-        seg, idx = self._segment_of(offset)
-        return self._cum_before[idx] + seg.range_sum_before(offset)
+        seg, c = self._packed(offsets, 1)
+        return self.gaps_before[seg] + self.s0[np.searchsorted(self.c, c)]
 
-    def ramp(self, offset: int) -> int:
-        """H(offset): descending-weight sum over [offset, offset + p - 1)."""
-        seg, _ = self._segment_of(offset)
-        return seg.ramp(offset, self.sp.p)
+    def ramp(self, offsets: Sequence[int]) -> np.ndarray:
+        """H(offset): descending-weight sum over [offset, offset + p - 1),
+        which is (c + p - 1) * sum(x) - sum(c * x) over the packed window."""
+        _, c = self._packed(offsets, self.p - 1)
+        left = np.searchsorted(self.c, c)
+        right = np.searchsorted(self.c, c + self.p - 1)
+        return ((c + self.p - 1) * (self.s0[right] - self.s0[left])
+                - (self.s1[right] - self.s1[left]))
 
 
 @dataclass
@@ -192,50 +156,37 @@ def schedule_sums(spec: FieldSpec, times: Sequence[int]) -> EndpointSums:
     dim = spec.dimension
     mult = 2 if spec.doubling else 1
     values = np.zeros((len(times), dim), dtype=np.int64)
-    max_t = times[-1]
+    t = np.array(times, dtype=np.int64)
     for i in range(1, dim + 1):
         for sp in spec.scales():
             if spec.zero:
                 continue
-            values[:, i - 1] += _scale_endpoints(spec, sp, i, times, max_t,
+            values[:, i - 1] += _scale_endpoints(spec, sp, i, t,
                                                  sp.p <= DENSE_P_THRESHOLD)
     values *= mult
     return EndpointSums(times=times, values=values, k_max=spec.k_max,
-                        tail_variance=tail_variance_bound(max_t, spec.k_max))
+                        tail_variance=tail_variance_bound(times[-1], spec.k_max))
 
 
 def _scale_endpoints(spec: FieldSpec, sp: ScaleParams, i: int,
-                     times: Tuple[int, ...], max_t: int,
-                     dense: bool) -> np.ndarray:
-    p = sp.p
-    if sp.d < max_t + p:
+                     t: np.ndarray, dense: bool) -> np.ndarray:
+    """Scale-k contribution to S_t at the sorted times ``t``: the lead
+    block sums p * C + H from 0 to t minus the lagged ones from d_k."""
+    p, d = sp.p, sp.d
+    if d < t[-1] + p:
         # lag windows overlap the lead axis: one shared absolute axis
-        anchors = {0, sp.d}
-        anchors.update(times)
-        anchors.update(t + sp.d for t in times)
-        axis = _AxisEval(spec, sp, i, sorted(anchors), base=0, lagged=False,
-                         dense=dense)
-        h0 = axis.ramp(0)
-        hd = axis.ramp(sp.d)
-        cd = axis.running_sum(sp.d)
-        out = []
-        for t in times:
-            lead = p * axis.running_sum(t) + axis.ramp(t) - h0
-            lag = p * (axis.running_sum(t + sp.d) - cd) + axis.ramp(t + sp.d) - hd
-            out.append(lead - lag)
-        return np.array(out, dtype=np.int64)
-    anchors = (0,) + times
-    lead = _AxisEval(spec, sp, i, anchors, base=0, lagged=False, dense=dense)
-    lag_ns = lag_namespace(sp.k)
-    lag = _AxisEval(spec, sp, i, anchors, base=0 if lag_ns else sp.d,
-                    lagged=lag_ns, dense=dense)
-    h0_lead, h0_lag = lead.ramp(0), lag.ramp(0)
-    out = []
-    for t in times:
-        lead_v = p * lead.running_sum(t) + lead.ramp(t) - h0_lead
-        lag_v = p * lag.running_sum(t) + lag.ramp(t) - h0_lag
-        out.append(lead_v - lag_v)
-    return np.array(out, dtype=np.int64)
+        axis = _AxisEval(spec, sp, i, np.concatenate([[0, d], t, t + d]),
+                         lag=False, dense=dense)
+        h0, hd = axis.ramp([0, d])
+        cd = axis.running_sum([d])[0]
+        lead = p * axis.running_sum(t) + axis.ramp(t) - h0
+        lagged = p * (axis.running_sum(t + d) - cd) + axis.ramp(t + d) - hd
+        return lead - lagged
+    out = np.zeros(len(t), dtype=np.int64)
+    for lag, sign in ((False, 1), (True, -1)):
+        axis = _AxisEval(spec, sp, i, np.concatenate([[0], t]), lag=lag, dense=dense)
+        out += sign * (p * axis.running_sum(t) + axis.ramp(t) - axis.ramp([0]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,12 @@ from .prf import uniform01_vec
 TAG_FIELD = 11
 TAG_OMEGA = 23
 TAG_BLOCK = 37
-TAG_SPARSE = 41
 
 COORD_BOUND = 1 << 60
+
+# field values per (seeds x window) block in the path-sum kernel; each
+# block also holds a few hashing temporaries of its size
+_BLOCK_ELEMS = 1 << 18
 
 
 def lag_namespace(k: int) -> bool:
@@ -215,8 +218,9 @@ def _window_sums(spec: FieldSpec, seeds: np.ndarray,
 
     Per scale, the field values over [a, b + p - 1) on the lead axis and on
     the lag axis each take one prefix sum; the block sum over [t, t + p) is
-    then the difference of two prefix entries. Only one scale's block of
-    values is held at a time.
+    then the difference of two prefix entries. The seeds go through in row
+    chunks of at most _BLOCK_ELEMS values per block, which bounds the
+    memory held besides the result.
     """
     a, b = window
     if a > b or not (a <= 0 <= b):
@@ -226,11 +230,14 @@ def _window_sums(spec: FieldSpec, seeds: np.ndarray,
     for i in range(1, spec.dimension + 1):
         for sp in spec.scales():
             j = np.arange(a, b + sp.p - 1)
-            prefix = np.zeros((seeds.shape[0], j.size + 1), dtype=np.int64)
-            for lagged, sign in ((False, 1), (True, -1)):
-                np.cumsum(field_values_vec(spec, sp.k, i, j, lagged, seed=seeds),
-                          axis=1, out=prefix[:, 1:])
-                incr[:, :, i - 1] += sign * (prefix[:, sp.p:] - prefix[:, : b - a])
+            rows = max(1, _BLOCK_ELEMS // j.size)
+            for r in range(0, seeds.shape[0], rows):
+                chunk = seeds[r : r + rows]
+                prefix = np.zeros((chunk.shape[0], j.size + 1), dtype=np.int64)
+                for lagged, sign in ((False, 1), (True, -1)):
+                    np.cumsum(field_values_vec(spec, sp.k, i, j, lagged, seed=chunk),
+                              axis=1, out=prefix[:, 1:])
+                    incr[r : r + rows, :, i - 1] += sign * (prefix[:, sp.p:] - prefix[:, : b - a])
     if spec.doubling:
         incr *= 2
     cum = np.zeros((seeds.shape[0], b - a + 1, spec.dimension), dtype=np.int64)

@@ -1,10 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from recurlab.bigsums import endpoint_batch_law, schedule_sums
-from recurlab.fields import FieldSpec, default_k_max
+from recurlab import bigsums
+from recurlab.bigsums import _AxisEval, endpoint_batch_law, schedule_sums
+from recurlab.fields import FieldSpec, default_k_max, scale_params
 from recurlab.pmf import grouped_law, walk_pmf
 
 from oracles import oracle_sums
@@ -39,6 +41,64 @@ class TestExplicitAgreesWithStepping:
         spec = FieldSpec(seed=9, dimension=1, k_min=2, k_max=2, doubling=False)
         sums = schedule_sums(spec, list(range(1, 25)))
         assert (sums.values == oracle_sums(spec, (0, 24))[1:]).all()
+
+
+SQUARES_AND_CUBES = sorted({n**e for n in range(1, 101) for e in (2, 3)})
+
+
+def _digest(spec, times):
+    return hashlib.sha256(schedule_sums(spec, times).values.tobytes()).hexdigest()
+
+
+class TestPinnedRealizations:
+    # sha256 of the endpoint tables, taken from the per-segment engine that
+    # preceded the vectorized one; they pin every value, the keyed
+    # aggregate draws and the sparse position sampler, so any change to the
+    # order in which the axis streams are consumed shows up here
+
+    # dim 2, k_max 22 over {n^2, n^3 : n <= 100}: the shared axis (k <= 4),
+    # split axes, the lag namespace (k >= 8) and sparse scales (k >= 11)
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "7bac6d180bea77a720031c5e36a7ac3fcf6955198a33212cd77eb73ae49ccba6"),
+        (1, "a95014c250524e09f04613944f4cf4518815c93a9b0d514de12db2ef578e65bf"),
+        (2, "aa4db5d9673b6908b863bae5a59759e09e26af0a11dcc40803bb3916fc63f615"),
+    ])
+    def test_square_and_cube_schedule(self, seed, digest):
+        assert _digest(FieldSpec(seed=seed, dimension=2, k_max=22), SQUARES_AND_CUBES) == digest
+
+    # the same with every scale on the sparse sampler and its redraw loop
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "44a6fc09c97894063e4342e9a79e677a9f7b28a08b024283ec8bc533ecf879d0"),
+        (1, "c34e18eb55658cd2fdf749b968c9edb080d7de9879849be0122cf7cc12dd4f57"),
+        (2, "af373873029c67f606eecf7cb10db9bf00452db3847b5941730485292768d6ae"),
+    ])
+    def test_all_scales_sparse(self, seed, digest, monkeypatch):
+        monkeypatch.setattr(bigsums, "DENSE_P_THRESHOLD", 1)
+        assert _digest(FieldSpec(seed=seed, dimension=2, k_max=22), SQUARES_AND_CUBES) == digest
+
+    # times up to 2^57, where absolute coordinates would overflow any
+    # weighted sum taken on the axis itself
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "2bf4d7ca6c2c41f41565d7f41c4122285f76cb7d1df4642334ca4b91122e20e6"),
+        (1, "0e31db8348765ad5da7f2e44c82f887d40f902e038b8bd8c47992770618284d1"),
+        (2, "4aa75077b5fef56de9c97737fe9f9186375eac167a912e094a32dccef716e34a"),
+    ])
+    def test_large_times(self, seed, digest):
+        spec = FieldSpec(seed=seed, dimension=1, k_max=30, doubling=False)
+        assert _digest(spec, [10, 10**7, 10**12, 2**57]) == digest
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_query_off_anchors_rejected(self, dense):
+        sp = scale_params(3)
+        spec = FieldSpec(seed=1, dimension=1, k_max=3)
+        axis = _AxisEval(spec, sp, 1, [0, 1000], lag=False, dense=dense)
+        axis.running_sum([0, 1000, 1000 + sp.p - 2])
+        axis.ramp([0, 1000])
+        for offset in (sp.p - 1, 500, 1000 + sp.p - 1, -1):
+            with pytest.raises(ValueError, match="not an anchor"):
+                axis.running_sum([offset])
+        with pytest.raises(ValueError, match="not an anchor"):
+            axis.ramp([1])  # its window runs past the end of the segment
 
 
 class TestAutoMode:

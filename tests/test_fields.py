@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recurlab import fields
 from recurlab.fields import (
     ConditioningPlan,
     FieldSpec,
@@ -206,6 +207,15 @@ class TestPartialSums:
             single = partial_sums(spec, (-3, 12))
             assert (batch[idx] == single.values).all()
             assert (single.values == oracle_sums(spec, (-3, 12))).all()
+
+    def test_batch_chunks_match_whole_block(self, monkeypatch):
+        # 7 seeds over (-3, 20): scale 1 reads 25 values per seed, so an
+        # 80-value block holds 3 rows and the seeds run in chunks of 3, 3, 1
+        seeds = np.arange(100, 107, dtype=np.uint64)
+        whole = partial_sums_batch(seeds, (-3, 20), dimension=2, k_max=5, doubling=True)
+        monkeypatch.setattr(fields, "_BLOCK_ELEMS", 80)
+        chunked = partial_sums_batch(seeds, (-3, 20), dimension=2, k_max=5, doubling=True)
+        assert (chunked == whole).all()
 
 
 class TestHugeLagScales:

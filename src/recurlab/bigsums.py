@@ -28,7 +28,7 @@ from .fields import (
     scale_params,
     tail_variance_bound,
 )
-from .pmf import grouped_law
+from .pmf import scale_groups
 
 DENSE_P_THRESHOLD = 1024
 
@@ -131,9 +131,6 @@ class EndpointSums:
     k_max: int
     tail_variance: float
 
-    def value_at(self, t: int) -> np.ndarray:
-        return self.values[self.times.index(t)]
-
 
 def schedule_sums(spec: FieldSpec, times: Sequence[int]) -> EndpointSums:
     """Evaluate S_t for every t in ``times`` under ``spec``.
@@ -212,15 +209,13 @@ def endpoint_batch_law(seed: int, n: int, size: int, k_min: int = 1,
     for i in range(dimension):
         rng = derive_rng(seed, _TAG_LAW, n, i, stream)
         for k in range(k_min, k_max + 1):
-            sp = scale_params(k)
-            law = grouped_law(k, k, n)
-            total_atoms = int(law.counts.sum())
-            fired = rng.binomial(total_atoms, sp.q, size=size)
+            values, counts = scale_groups(k, n)
+            total_atoms = int(counts.sum())
+            fired = rng.binomial(total_atoms, scale_params(k).q, size=size)
             n_fired = int(fired.sum())
             if n_fired == 0:
                 continue
-            probs = law.counts / total_atoms
-            amps = rng.choice(law.values, size=n_fired, p=probs)
+            amps = rng.choice(values, size=n_fired, p=counts / total_atoms)
             signs = rng.integers(0, 2, size=n_fired) * 2 - 1
             contrib = amps * signs
             idx = np.repeat(np.arange(size), fired)

@@ -24,12 +24,11 @@ from .experiments import (
     exp_section3,
     mixing_probe,
     range_view_pool,
-    section3_defaults,
 )
 from .fields import FieldSpec, default_k_max
 from .gaussian import power_density_model, white_noise_model
 from .pmf import lclt_deviation, walk_pmf
-from .ranges import FIT_FROM, P_CUBE, P_SQUARE, certify_distinct
+from .ranges import FIT_FROM, P_CUBE, P_SQUARE, certify_distinct, choose_k, complement_profile
 
 
 class ConfigError(Exception):
@@ -262,7 +261,7 @@ def _run_recur3(cfg: RunConfig) -> int:
     H = cfg["horizon"]
     pool = range_view_pool(P_SQUARE, P_CUBE, N=H, size=cfg["pool_size"],
                            seed0=cfg["seed"], k_max=cfg["k_max"] or None)
-    choice = section3_defaults(pool, margin=cfg["margin"])
+    choice = choose_k(complement_profile(pool), margin=cfg["margin"])
     k = cfg["k"] or choice.k
     probe = exp_section3(pool, k=k, H=H, samples=cfg["samples"],
                          seed0=cfg["seed"])

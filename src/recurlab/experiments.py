@@ -40,12 +40,7 @@ from .gaussian import (
 )
 from .pmf import box_probability, peak_probability_sweep, walk_pmf
 from .prf import hash_words
-from .ranges import (
-    PermutationView,
-    PolynomialSpec,
-    choose_k,
-    complement_profile,
-)
+from .ranges import PermutationView, PolynomialSpec
 from .shiftspace import OmegaConfig
 
 _TAG_EXP = 67
@@ -292,7 +287,7 @@ def exp_section3(pool: Sequence[PermutationView], k: int, H: int,
             t = witness[n]
             view = pool[idx[t]]
             cfg = configs[t]
-            t_bit = cfg.bit(view.table1.endpoint(n))
+            t_bit = view.t_origin_bit(cfg, n)
             s_bit = view.tilde_S_origin_bit(cfg, n)
             if s_bit != 1 - t_bit:
                 identity_failures += 1
@@ -305,12 +300,6 @@ def exp_section3(pool: Sequence[PermutationView], k: int, H: int,
                              in_surrogate=in_surrogate, violations=violations,
                              identity_failures=identity_failures,
                              uncovered=uncovered)
-
-
-def section3_defaults(pool: Sequence[PermutationView], margin: float = 0.1):
-    """Pick k from the pool's complement profile (smallest with a summable
-    joint-miss series under the fitted envelope)."""
-    return choose_k(complement_profile(pool), margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +445,7 @@ def mixing_probe(spec: FieldSpec, M: int, H: int = 4096,
     while n <= H:
         grid.append(n)
         n *= 2
-    if grid[-1] != H:
+    if not grid or grid[-1] != H:
         raise ValueError("H must be n_min times a power of two")
     boxes = []
     for n in grid:

@@ -12,7 +12,6 @@ the marginal law of the path while anti-correlating the non-projected part.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -116,10 +115,6 @@ class PsdReport:
     min_eigenvalue: float
     tolerance: float = PSD_TOL
 
-    def to_json(self) -> str:
-        return json.dumps({"N": self.N, "min_eigenvalue": self.min_eigenvalue,
-                           "tolerance": self.tolerance}, sort_keys=True)
-
 
 def validate_psd(model: SpectralModel, N: int) -> PsdReport:
     """Check the (N+1)x(N+1) Toeplitz section; raises PsdError on failure."""
@@ -218,13 +213,6 @@ class TripleEstimate:
     def envelope(self) -> float:
         return min(self.env_tail, self.env_markov)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n, "estimate": self.estimate, "se": self.se,
-            "samples": self.samples, "env_tail": self.env_tail,
-            "env_markov": self.env_markov,
-        }, sort_keys=True)
-
 
 def triple_probability(model: SpectralModel, n: int, samples: int,
                        seed: int = 0) -> TripleEstimate:
@@ -263,11 +251,6 @@ class SummabilityReport:
     @property
     def total(self) -> float:
         return self.head + self.tail
-
-    def to_json(self) -> str:
-        return json.dumps({"k": self.k, "delta": self.delta, "C": self.C,
-                           "H": self.H, "head": self.head, "tail": self.tail,
-                           "total": self.total}, sort_keys=True)
 
 
 def power_summability(estimates: Sequence[float], k: int, delta: float,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -25,59 +25,35 @@ PRUNE_EPS = 1e-16
 
 
 # ---------------------------------------------------------------------------
-# coefficient profiles
+# atom groups
 
 
-def weight_profile(n: int, p: int) -> np.ndarray:
-    """Trapezoid w(m) = #{(j, l): j in [0,n), l in [0,p), j + l = m}."""
-    if n < 1 or p < 1:
-        raise ValueError("need n >= 1 and p >= 1")
-    m = np.arange(n + p - 1)
-    return np.minimum.reduce([m + 1, np.full_like(m, p), np.full_like(m, n), n + p - 1 - m])
+def scale_groups(k: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(values, counts): the |coefficient| and multiplicity of scale k's
+    nonzero atoms in S_n, values ascending.
 
-
-@dataclass(frozen=True)
-class CoefficientProfile:
-    """Signed atom coefficients of one scale's contribution to S_n."""
-
-    n: int
-    k: int
-    weights: np.ndarray
-    lag: int
-    mode: str  # "overlapping" or "split"
-
-    def signed_coefficients(self) -> np.ndarray:
-        """Explicit c_m (overlapping mode only; split mode never materializes it)."""
-        if self.mode != "overlapping":
-            raise ValueError("split-mode profile has no single signed array")
-        w = self.weights
-        length = self.n + scale_params(self.k).p - 1 + self.lag
-        c = np.zeros(length, dtype=np.int64)
-        c[: w.size] += w
-        c[self.lag : self.lag + w.size] -= w
-        return c
-
-
-def coefficient_profile(k: int, n: int) -> CoefficientProfile:
-    sp = scale_params(k)
-    w = weight_profile(n, sp.p)
-    mode = "split" if sp.d >= n + sp.p else "overlapping"
-    return CoefficientProfile(n=n, k=k, weights=w, lag=sp.d, mode=mode)
-
-
-def _grouped_magnitudes(profile: CoefficientProfile) -> Tuple[np.ndarray, np.ndarray]:
-    """(values, multiplicities) of |coefficient| over nonzero atoms.
-
-    Split mode counts both independent copies of the trapezoid.
+    Atom m enters the lead window with the trapezoid weight
+    w(m) = #{(j, l): j in [0,n), l in [0,p), j + l = m} and the lag window
+    d_k later with -w. When d_k >= n + p the two copies do not meet, so the
+    groups are the heights 1..h, h = min(n, p), four times each, except the
+    plateau h, which both copies hold |n - p| + 1 times.
     """
-    if profile.mode == "split":
-        vals, counts = np.unique(profile.weights, return_counts=True)
-        counts = counts * 2
-    else:
-        c = np.abs(profile.signed_coefficients())
-        vals, counts = np.unique(c, return_counts=True)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    sp = scale_params(k)
+    if sp.d >= n + sp.p:
+        h = min(n, sp.p)
+        counts = np.full(h, 4, dtype=np.int64)
+        counts[-1] = 2 * (abs(n - sp.p) + 1)
+        return np.arange(1, h + 1, dtype=np.int64), counts
+    m = np.arange(n + sp.p - 1, dtype=np.int64)
+    w = np.minimum(np.minimum(m + 1, m[::-1] + 1), min(n, sp.p))
+    c = np.zeros(w.size + sp.d, dtype=np.int64)
+    c[: w.size] += w
+    c[sp.d :] -= w
+    vals, counts = np.unique(np.abs(c), return_counts=True)
     keep = vals > 0
-    return vals[keep].astype(np.int64), counts[keep].astype(np.int64)
+    return vals[keep], counts[keep].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +94,6 @@ class IntegerPmf:
             return 0.0
         return float(self.mass[a:b].sum())
 
-    def reflect(self) -> "IntegerPmf":
-        return IntegerPmf(offset=-(self.offset + self.mass.size - 1),
-                          mass=self.mass[::-1].copy(), pruned=self.pruned)
-
     def stretch(self, factor: int) -> "IntegerPmf":
         """Law of factor * S (support reindexed, zeros interleaved)."""
         if factor == 1:
@@ -129,11 +101,6 @@ class IntegerPmf:
         out = np.zeros((self.mass.size - 1) * factor + 1, dtype=self.mass.dtype)
         out[::factor] = self.mass
         return IntegerPmf(offset=self.offset * factor, mass=out, pruned=self.pruned)
-
-    def convolve(self, other: "IntegerPmf") -> "IntegerPmf":
-        mass = np.convolve(self.mass, other.mass)
-        return IntegerPmf(offset=self.offset + other.offset, mass=mass,
-                          pruned=self.pruned + other.pruned).prune()
 
     def prune(self, eps: float = PRUNE_EPS) -> "IntegerPmf":
         small = self.mass < eps
@@ -232,18 +199,11 @@ class GroupedLaw:
 
 
 def grouped_law(k_min: int, k_max: int, n: int) -> GroupedLaw:
-    vals: List[np.ndarray] = []
-    cnts: List[np.ndarray] = []
-    qss: List[np.ndarray] = []
-    for k in range(k_min, k_max + 1):
-        sp = scale_params(k)
-        profile = coefficient_profile(k, n)
-        v, c = _grouped_magnitudes(profile)
-        vals.append(v)
-        cnts.append(c)
-        qss.append(np.full(v.size, sp.q))
+    ks = range(k_min, k_max + 1)
+    vals, cnts = zip(*(scale_groups(k, n) for k in ks))
+    qs = [np.full(v.size, scale_params(k).q) for k, v in zip(ks, vals)]
     return GroupedLaw(values=np.concatenate(vals), counts=np.concatenate(cnts),
-                      qs=np.concatenate(qss))
+                      qs=np.concatenate(qs))
 
 
 def _pmf_from_groups(law: GroupedLaw, grid: Optional[int] = None) -> Tuple[IntegerPmf, float]:
@@ -289,20 +249,6 @@ def _pmf_from_groups(law: GroupedLaw, grid: Optional[int] = None) -> Tuple[Integ
     return pmf, _alias_bound(law.values, law.counts, law.qs, half)
 
 
-def scale_pmf(k: int, n: int, alpha: Optional[float] = None,
-              grid: Optional[int] = None) -> IntegerPmf:
-    """Exact law of the scale-k contribution to S_n (single coordinate)."""
-    sp = scale_params(k)
-    q = sp.q if alpha is None else alpha * alpha
-    if n == 0 or q == 0.0:
-        return point_mass(0)
-    profile = coefficient_profile(k, n)
-    v, c = _grouped_magnitudes(profile)
-    law = GroupedLaw(values=v, counts=c, qs=np.full(v.size, q))
-    pmf, _ = _pmf_from_groups(law, grid=grid)
-    return pmf
-
-
 @dataclass
 class WalkLawReport:
     n: int
@@ -322,21 +268,15 @@ def walk_pmf(spec: FieldSpec, n: int, grid: Optional[int] = None):
         raise ValueError("n must be >= 0")
     if spec.has_forcing():
         raise ValueError("walk_pmf requires an unconditioned spec")
-    if spec.zero:
-        base = point_mass(0)
-        report = WalkLawReport(n=n, k_min=spec.k_min, k_max=spec.k_max,
-                               alias_bound=0.0, tail_variance=0.0)
-    elif n == 0:
-        base = point_mass(0)
-        report = WalkLawReport(n=n, k_min=spec.k_min, k_max=spec.k_max,
-                               alias_bound=0.0,
-                               tail_variance=tail_variance_bound(n, spec.k_max))
+    if spec.zero or n == 0:
+        base, alias = point_mass(0), 0.0
     else:
         law = grouped_law(spec.k_min, spec.k_max, n)
         base, alias = _pmf_from_groups(law, grid=grid)
-        report = WalkLawReport(n=n, k_min=spec.k_min, k_max=spec.k_max,
-                               alias_bound=alias,
-                               tail_variance=tail_variance_bound(n, spec.k_max))
+    # tail_variance_bound(0, k) is 0.0, so only the zero spec needs a case
+    tail = 0.0 if spec.zero else tail_variance_bound(n, spec.k_max)
+    report = WalkLawReport(n=n, k_min=spec.k_min, k_max=spec.k_max,
+                           alias_bound=alias, tail_variance=tail)
     if spec.doubling:
         base = base.stretch(2)
     if spec.dimension == 1:
@@ -394,8 +334,7 @@ def peak_probability_sweep(n_max: int, k_max: int, k_min: int = 1,
             plateau = abs(n - sp.p) + 1
             logphi += 2.0 * (2.0 * cumulative[sp.k] + plateau * last[sp.k])
         for sp in overlap_ks:
-            profile = coefficient_profile(sp.k, n)
-            v, c = _grouped_magnitudes(profile)
+            v, c = scale_groups(sp.k, n)
             for vv, cc in zip(v, c):
                 logphi += cc * logterm(sp, int(vv))
         out[n - 1] = float(weights @ np.exp(logphi))
@@ -420,17 +359,11 @@ def exact_scale_pmf(k: int, n: int, q: Optional[Fraction] = None) -> Dict[int, F
         q = rational_q(k)
     if n == 0 or q == 0:
         return {0: Fraction(1)}
-    profile = coefficient_profile(k, n)
-    if profile.mode == "split":
-        atoms = [int(w) for w in profile.weights] * 2
-    else:
-        atoms = [abs(int(c)) for c in profile.signed_coefficients() if c != 0]
     law: Dict[int, Fraction] = {0: Fraction(1)}
     half = q / 2
     stay = 1 - q
-    for c in atoms:
-        if c == 0:
-            continue
+    # the law of a sum of independent atoms does not depend on their order
+    for c in np.repeat(*scale_groups(k, n)).tolist():
         new: Dict[int, Fraction] = {}
         for s, m in law.items():
             for dv, w in ((0, stay), (c, half), (-c, half)):

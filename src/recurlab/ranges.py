@@ -55,10 +55,6 @@ class PolynomialSpec:
             power *= n
         return total
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs)
-
     def check_injective(self, N: int) -> None:
         vals = [self(n) for n in range(1, N + 1)]
         if len(set(vals)) != len(vals):
@@ -82,10 +78,6 @@ class RangeTable:
     endpoints: np.ndarray  # (N, dimension) int64; row n-1 is S_{p(n)}
     fresh: Tuple[int, ...]
     range_set: frozenset
-
-    @property
-    def density(self) -> float:
-        return len(self.range_set) / self.N
 
     def endpoint(self, n: int) -> Tuple[int, ...]:
         if not (1 <= n <= self.N):
@@ -132,65 +124,47 @@ def build_range(spec: FieldSpec, poly: PolynomialSpec, N: int) -> RangeTable:
 # ---------------------------------------------------------------------------
 # canonical spiral enumeration of the lattice complement
 
-_spiral_cache: List[Tuple[int, int]] = []
-_spiral_index: Dict[Tuple[int, int], int] = {}
-
-
-def _spiral_ring(r: int):
-    if r == 0:
-        yield (0, 0)
-        return
-    for y in range(-r + 1, r + 1):
-        yield (r, y)
-    for x in range(r - 1, -r - 1, -1):
-        yield (x, r)
-    for y in range(r - 1, -r - 1, -1):
-        yield (-r, y)
-    for x in range(-r + 1, r + 1):
-        yield (x, -r)
-
 
 def _is_resolved_other(v: Tuple[int, int]) -> bool:
     # any odd coordinate puts v provably outside the (doubled) visited sets
     return (v[0] % 2 != 0) or (v[1] % 2 != 0)
 
 
-def _extend_spiral(upto_len: Optional[int] = None,
-                   upto_point: Optional[Tuple[int, int]] = None) -> None:
-    r = 0 if not _spiral_cache else max(abs(_spiral_cache[-1][0]),
-                                        abs(_spiral_cache[-1][1])) + 1
-    needed_r = None
-    if upto_point is not None:
-        needed_r = max(abs(upto_point[0]), abs(upto_point[1]))
-    while True:
-        if upto_len is not None and len(_spiral_cache) >= upto_len:
-            return
-        if needed_r is not None and r > needed_r:
-            return
-        if upto_len is None and needed_r is None:
-            return
-        for v in _spiral_ring(r):
-            if _is_resolved_other(v):
-                _spiral_index[v] = len(_spiral_cache)
-                _spiral_cache.append(v)
-        r += 1
+def _resolved_ring(r: int) -> List[Tuple[int, int]]:
+    """Resolved points of sup-norm r >= 1 in spiral order: up the right
+    side, left along the top, down the left side, right along the bottom."""
+    ring = ([(r, y) for y in range(-r + 1, r + 1)]
+            + [(x, r) for x in range(r - 1, -r - 1, -1)]
+            + [(-r, y) for y in range(r - 1, -r - 1, -1)]
+            + [(x, -r) for x in range(-r + 1, r + 1)])
+    return [v for v in ring if _is_resolved_other(v)]
+
+
+def _resolved_inside(r: int) -> int:
+    """Number of resolved points of sup-norm < r: the (2r-1)^2 box minus
+    its points in 2Z^2."""
+    return (2 * r - 1) ** 2 - (2 * ((r - 1) // 2) + 1) ** 2
 
 
 def complement_point(i: int) -> Tuple[int, int]:
     """The i-th (1-based) point of the canonical complement enumeration."""
     if i < 1:
         raise ValueError("enumeration is 1-based")
-    _extend_spiral(upto_len=i)
-    return _spiral_cache[i - 1]
+    # about 3 r^2 points lie inside ring r; step from that guess to the ring
+    r = max(1, math.isqrt(i // 3))
+    while _resolved_inside(r) >= i:
+        r -= 1
+    while _resolved_inside(r + 1) < i:
+        r += 1
+    return _resolved_ring(r)[i - _resolved_inside(r) - 1]
 
 
 def complement_index(v: Tuple[int, int]) -> int:
     """Position (1-based) of v in the canonical complement enumeration."""
     if not _is_resolved_other(v):
         raise ValueError(f"{v} is not a resolved complement point")
-    if v not in _spiral_index:
-        _extend_spiral(upto_point=v)
-    return _spiral_index[v] + 1
+    r = max(abs(v[0]), abs(v[1]))
+    return _resolved_inside(r) + _resolved_ring(r).index(tuple(v)) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +222,6 @@ class PermutationView:
         if _is_resolved_other(v):
             return ("other", None)
         return ("unresolved", None)
-
-    def fresh_index(self, ordinal: int) -> int:
-        """k_i: the walk index enumerated at position ``ordinal``."""
-        return self.curly[ordinal - 1]
 
     # -- the permutation ----------------------------------------------------
 

@@ -107,6 +107,11 @@ class TestDispatch:
                    "256", "--samples", "2000")
         assert code == 1
 
+    def test_mixing_short_horizon_rejected(self, tmp_path, capsys):
+        # below n_min (64) the dyadic grid of horizons is empty
+        assert run(tmp_path, "mixing", "--horizon", "32") == 2
+        assert "power of two" in capsys.readouterr().err
+
     def test_mixing_small(self, tmp_path):
         code = run(tmp_path, "mixing", "--horizon", "512", "--samples",
                    "5000", "--param", "M=4")

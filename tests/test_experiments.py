@@ -11,11 +11,10 @@ from recurlab.experiments import (
     exp_section3,
     mixing_probe,
     range_view_pool,
-    section3_defaults,
 )
 from recurlab.fields import FieldSpec
 from recurlab.gaussian import power_density_model, white_noise_model
-from recurlab.ranges import P_CUBE, P_SQUARE, complement_profile
+from recurlab.ranges import P_CUBE, P_SQUARE, choose_k, complement_profile
 
 
 @pytest.fixture(scope="module")
@@ -90,12 +89,12 @@ class TestSection3:
     def test_profile_and_k(self, pool):
         prof = complement_profile(pool)
         assert prof.q_hat.shape == (100,)
-        rep = section3_defaults(pool)
+        rep = choose_k(prof)
         assert rep.k >= 3
         assert rep.total < 0.9
 
     def test_structural_emptiness(self, pool):
-        rep = section3_defaults(pool)
+        rep = choose_k(complement_profile(pool))
         probe = exp_section3(pool, k=rep.k, H=100, samples=200, seed0=0)
         assert probe.violations == 0
         assert probe.identity_failures == 0

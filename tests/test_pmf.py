@@ -12,7 +12,6 @@ from recurlab.pmf import (
     IntegerPmf,
     ProductPmf2D,
     box_probability,
-    coefficient_profile,
     exact_scale_pmf,
     exact_walk_pmf,
     grouped_law,
@@ -20,9 +19,8 @@ from recurlab.pmf import (
     peak_probability_sweep,
     point_mass,
     rational_q,
-    scale_pmf,
+    scale_groups,
     walk_pmf,
-    weight_profile,
 )
 
 # ---------------------------------------------------------------------------
@@ -73,41 +71,90 @@ def _convolve_laws(a, b):
     return out
 
 
+def _brute_groups(k, n):
+    """scale_groups from the definition: the trapezoid counts the pairs
+    (j, l) in [0, n) x [0, p) with j + l = m, the lag window subtracts it d_k
+    later (a gap of zeros between the two windows is left out), and
+    np.unique groups the nonzero |coefficients|."""
+    sp = scale_params(k)
+    w = np.convolve(np.ones(n, dtype=np.int64), np.ones(sp.p, dtype=np.int64))
+    shift = min(sp.d, w.size)
+    c = np.zeros(w.size + shift, dtype=np.int64)
+    c[: w.size] += w
+    c[shift:] -= w
+    vals, counts = np.unique(np.abs(c), return_counts=True)
+    return vals[vals > 0], counts[vals > 0]
+
+
+def _single_scale_pmf(k, n):
+    spec = FieldSpec(seed=0, dimension=1, k_min=k, k_max=k, doubling=False)
+    return walk_pmf(spec, n)[0]
+
+
+def _assert_groups(k, n, values, counts):
+    got_v, got_c = scale_groups(k, n)
+    assert got_v.dtype == np.int64 and got_c.dtype == np.int64
+    assert got_v.tolist() == list(values) and got_c.tolist() == list(counts)
+
+
+class TestScaleGroups:
+    def test_matches_brute_force(self):
+        # both branches and the switch between them: a scale is split
+        # once d_k >= n + p_k, which happens inside this range for k <= 4
+        for k in range(1, 14):
+            for n in list(range(1, 300)) + [511, 512, 513, 1024, 2048, 4096]:
+                _assert_groups(k, n, *(x.tolist() for x in _brute_groups(k, n)))
+
+
 class TestWeightProfile:
+    """Split scales: the groups are the histogram of the trapezoid weight
+    profile, once for the lead window and once for the lag window."""
+
     def test_small_trapezoid(self):
-        assert weight_profile(3, 3).tolist() == [1, 2, 3, 2, 1]
+        _assert_groups(2, 3, [1, 2, 3], [4, 4, 4])  # [1, 2, 3, 3, 2, 1] twice
 
     def test_short_lead(self):
-        assert weight_profile(1, 3).tolist() == [1, 1, 1]
-        assert weight_profile(2, 4).tolist() == [1, 2, 2, 2, 1]
+        _assert_groups(2, 1, [1], [8])  # [1, 1, 1, 1] twice
+        _assert_groups(2, 2, [1, 2], [4, 6])  # [1, 2, 2, 2, 1] twice
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            weight_profile(0, 3)
+            scale_groups(2, 0)
 
-    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40))
-    def test_invariants(self, n, p):
-        w = weight_profile(n, p)
-        assert w.sum() == n * p
-        assert w.size == n + p - 1
-        assert (w == w[::-1]).all()
-        assert w.max() == min(n, p)
+    @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=600))
+    def test_invariants(self, k, n):
+        sp = scale_params(k)
+        values, counts = scale_groups(k, n)
+        assert (values > 0).all() and (np.diff(values) > 0).all()
+        assert (counts > 0).all()
+        if sp.d >= n + sp.p:
+            assert (values * counts).sum() == 2 * n * sp.p
+            assert counts.sum() == 2 * (n + sp.p - 1)
+            assert values.tolist() == list(range(1, min(n, sp.p) + 1))
+        else:
+            assert (values * counts).sum() <= 2 * n * sp.p
 
 
 class TestCoefficientProfile:
+    """Overlapping scales: the lag window starts before the lead window
+    ends, so atoms shared by both cancel in part."""
+
     def test_modes(self):
-        assert coefficient_profile(1, 1).mode == "overlapping"  # d=2 < 1+3
-        assert coefficient_profile(2, 1).mode == "split"  # d=16 >= 1+4
-        assert coefficient_profile(2, 13).mode == "overlapping"  # 16 < 13+4
+        # (1, 1) overlaps: d = 2 < 1 + 3, and [1, 1, 1] minus its shift by 2
+        # is [1, 1, 0, -1, -1]
+        _assert_groups(1, 1, [1], [4])
+        # (2, 1) is split: d = 16 >= 1 + 4
+        _assert_groups(2, 1, [1], [8])
+        # (2, 13) takes the overlapping branch (16 < 13 + 4), but the lag
+        # window starts right where the lead one ends, so nothing cancels
+        _assert_groups(2, 13, [1, 2, 3, 4], [4, 4, 4, 20])
 
     def test_signed_sum_zero(self):
-        c = coefficient_profile(1, 4).signed_coefficients()
-        assert c.sum() == 0
-        assert c.size == 4 + 3 - 1 + 2
-
-    def test_split_has_no_signed_array(self):
-        with pytest.raises(ValueError):
-            coefficient_profile(2, 1).signed_coefficients()
+        # (1, 4): trapezoid [1, 2, 3, 3, 2, 1] minus its shift by d = 2 gives
+        # [1, 2, 2, 1, -1, -2, -2, -1], which sums to zero
+        values, counts = scale_groups(1, 4)
+        assert values.tolist() == [1, 2] and counts.tolist() == [4, 4]
+        assert counts.sum() == 4 + 3 - 1 + 2
 
 
 class TestExactRational:
@@ -151,7 +198,7 @@ class TestFloatAgainstExact:
     @pytest.mark.parametrize("k,n", [(1, 1), (1, 4), (2, 1), (2, 3), (2, 14)])
     def test_scale_pmf(self, k, n):
         exact = exact_scale_pmf(k, n)
-        pmf = scale_pmf(k, n)
+        pmf = _single_scale_pmf(k, n)
         for s, m in exact.items():
             assert pmf.prob(s) == pytest.approx(float(m), abs=1e-12)
         assert pmf.total() == pytest.approx(1.0, abs=1e-12)
@@ -183,16 +230,6 @@ class TestIntegerPmfOps:
         pmf = IntegerPmf(offset=-1, mass=np.array([0.25, 0.5, 0.25]))
         st2 = pmf.stretch(2)
         assert st2.prob(-2) == 0.25 and st2.prob(0) == 0.5 and st2.prob(1) == 0.0
-
-    def test_reflect(self):
-        pmf = IntegerPmf(offset=0, mass=np.array([0.75, 0.25]))
-        r = pmf.reflect()
-        assert r.prob(-1) == 0.25 and r.prob(0) == 0.75
-
-    def test_convolve(self):
-        a = IntegerPmf(offset=0, mass=np.array([0.5, 0.5]))
-        conv = a.convolve(a)
-        assert conv.prob(0) == 0.25 and conv.prob(1) == 0.5 and conv.prob(2) == 0.25
 
     def test_interval_mass(self):
         pmf = IntegerPmf(offset=-1, mass=np.array([0.2, 0.5, 0.3]))
@@ -310,7 +347,7 @@ class TestBoxProbability:
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=10))
 def test_scale_pmf_is_probability(k, n):
-    pmf = scale_pmf(k, n)
+    pmf = _single_scale_pmf(k, n)
     assert pmf.total() == pytest.approx(1.0, abs=1e-9)
     assert (pmf.mass >= 0).all()
     assert pmf.max_asymmetry() < 1e-12

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -60,7 +61,6 @@ class TestRangeTable:
         table = build_range(spec, P_CUBE, 25)
         assert table.fresh == ()
         assert table.range_set == {(0, 0)}
-        assert table.density == 1 / 25
 
     def test_endpoints_match_stepping(self):
         # the linear schedule makes the union schedule gap-free up to 36,
@@ -126,8 +126,15 @@ class TestComplementEnumeration:
             complement_point(0)
 
     def test_index_inverts_point(self):
-        for i in (1, 2, 17, 200, 1234):
+        for i in (1, 2, 8, 9, 17, 200, 1234, 20_000):
             assert complement_index(complement_point(i)) == i
+
+    def test_pinned_enumeration(self):
+        # sha256 of the first 20,000 points as int64 (x, y) pairs: pi maps
+        # the complement through this order, so reports depend on it
+        pts = np.array([complement_point(i) for i in range(1, 20_001)], dtype=np.int64)
+        digest = hashlib.sha256(pts.tobytes()).hexdigest()
+        assert digest == "cb4d28cc53dc85219c3ac6e4855ac8d6a25abdddc4422e60df9cff88537b95dc"
 
     def test_even_points_rejected(self):
         with pytest.raises(ValueError):
@@ -185,7 +192,11 @@ class TestPermutationView:
         assert view.audit_injectivity(pts) == 0
 
     def test_fresh_index_enumeration(self, view):
-        assert view.fresh_index(1) == view.curly[0]
+        # ordinal i enumerates the i-th shared fresh index k_i on both tables
+        for ordinal, k in enumerate(view.curly, start=1):
+            assert view.s1_points[ordinal - 1] == view.table1.endpoint(k)
+            assert view.s2_points[ordinal - 1] == view.table2.endpoint(k)
+            assert view.classify(view.table2.endpoint(k)) == ("s2", ordinal)
 
     def test_twist_is_complement_on_visit_points(self, view):
         cfg = OmegaConfig(seed=42, dimension=2)

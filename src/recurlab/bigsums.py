@@ -148,7 +148,7 @@ def schedule_sums(spec: FieldSpec, times: Sequence[int]) -> EndpointSums:
         raise ValueError("schedule times must be positive integers")
     if times[-1] >= COORD_BOUND // 4:
         raise ValueError("schedule exceeds the coordinate bound")
-    if spec.has_forcing() or spec.origin != 0:
+    if spec.windows or spec.origin != 0:
         raise ValueError("schedule_sums needs an unconditioned, unshifted spec")
     dim = spec.dimension
     mult = 2 if spec.doubling else 1

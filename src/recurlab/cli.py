@@ -14,11 +14,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Optional
 
 from . import __version__
 from .experiments import (
+    Extraction,
+    TripleProbeReport,
     exp_gaussian,
     exp_section2,
     exp_section3,
@@ -157,6 +160,11 @@ def _validate(command: str, v: Dict) -> None:
     for key in ("samples", "horizon", "mc", "pool_size", "n_min"):
         if key in v and v[key] <= 0:
             raise ConfigError(f"{key} must be positive, got {v[key]}")
+    if not 0 <= v["seed"] < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2^64), got {v['seed']}")
+    if command == "certify-range" and v["seed"] + v["samples"] > 2**64:
+        raise ConfigError("certify-range seeds its samples with seed, seed + 1, "
+                          "..., seed + samples - 1, which must stay below 2^64")
     if command == "gauss":
         if not (0.0 < v["delta"] < 1.0):
             raise ConfigError(f"delta must lie in (0, 1), got {v['delta']}")
@@ -173,6 +181,9 @@ def _validate(command: str, v: Dict) -> None:
                           f"got {v['horizon']}")
     if command == "mixing" and v["M"] < 0:
         raise ConfigError("M must be >= 0")
+    if command == "mixing" and v["horizon"] < 2 * v["n_min"]:
+        raise ConfigError(f"horizon must be n_min times a power of two, at "
+                          f"least 2 * n_min = {2 * v['n_min']}, got {v['horizon']}")
     if command == "certify-range" and v["N"] < 1:
         raise ConfigError("N must be >= 1")
 
@@ -191,6 +202,23 @@ def _write(out_dir: str, name: str, text: str) -> Path:
 def _report(config: RunConfig, payload: Dict) -> str:
     return json.dumps({"config": config.resolved(), **payload},
                       sort_keys=True) + "\n"
+
+
+def _str_keys(d: Dict) -> Dict:
+    # converted before the sort_keys dump, integer keys sort as strings
+    # ("10" before "9"), as they always have in the reports
+    return {str(k): v for k, v in d.items()}
+
+
+def _extraction(ext: Extraction, verdict: str) -> Dict:
+    return {"N": ext.N, "M": ext.M, "measure_D": ext.measure_D,
+            "measure_A": ext.measure_A, "violations": ext.violations,
+            "verdict": verdict}
+
+
+def _probe(probe: TripleProbeReport) -> Dict:
+    return {**asdict(probe), "surrogate_measure": probe.surrogate_measure,
+            "uncovered": _str_keys(probe.uncovered)}
 
 
 def _csv(header, rows) -> str:
@@ -248,8 +276,9 @@ def _run_recur2(cfg: RunConfig) -> int:
     bc, probe = exp_section2(spec, H=cfg["horizon"], samples=cfg["samples"],
                              seed0=cfg["seed"])
     ok = bc.verdict == "ok" and probe.violations == 0
-    payload = {"report": json.loads(bc.to_json()),
-               "probe": json.loads(probe.to_json()), "pass": ok}
+    report = {"H": bc.H, "envelope_c": bc.envelope_c, "tail": bc.tail,
+              "total": bc.total, **_extraction(bc.extraction, bc.verdict)}
+    payload = {"report": report, "probe": _probe(probe), "pass": ok}
     _write(cfg["out"], "report.json", _report(cfg, payload))
     rows = [(n + 1, float(bc.a_n[n]), float(bc.partial_sums[n]))
             for n in range(bc.H)]
@@ -266,8 +295,9 @@ def _run_recur3(cfg: RunConfig) -> int:
     probe = exp_section3(pool, k=k, H=H, samples=cfg["samples"],
                          seed0=cfg["seed"])
     ok = probe.violations == 0 and probe.identity_failures == 0
-    payload = {"k": k, "choose_k": json.loads(choice.to_json()),
-               "probe": json.loads(probe.to_json()), "pass": ok}
+    payload = {"k": k,
+               "choose_k": {**asdict(choice), "per_k": _str_keys(choice.per_k)},
+               "probe": _probe(probe), "pass": ok}
     _write(cfg["out"], "recur3.json", _report(cfg, payload))
     return 0 if ok else 1
 
@@ -278,7 +308,9 @@ def _run_gauss(cfg: RunConfig) -> int:
                        H=cfg["horizon"], samples=cfg["samples"],
                        mc=cfg["mc"], seed0=cfg["seed"])
     ok = rep.verdict == "ok" and math.isfinite(rep.summability_total)
-    payload = {"report": json.loads(rep.to_json()), "pass": ok}
+    report = {**asdict(rep), **_extraction(rep.extraction, rep.verdict)}
+    del report["extraction"]
+    payload = {"report": report, "pass": ok}
     _write(cfg["out"], "gauss.json", _report(cfg, payload))
     if cfg["emit_plot_data"]:
         rows = [(n + 1, e) for n, e in enumerate(rep.estimates)]
@@ -294,7 +326,7 @@ def _run_mixing(cfg: RunConfig) -> int:
                        samples=cfg["samples"], n_min=cfg["n_min"],
                        seed0=cfg["seed"])
     ok = rep.decay_ok and rep.correlation_ok
-    payload = {"report": json.loads(rep.to_json()), "pass": ok}
+    payload = {"report": asdict(rep), "pass": ok}
     _write(cfg["out"], "mixing.json", _report(cfg, payload))
     rows = list(zip(rep.n_grid, rep.box_probabilities))
     _write(cfg["out"], "boxes.csv", _csv(["n", "box_probability"], rows))
@@ -307,7 +339,7 @@ def _run_certify(cfg: RunConfig) -> int:
                            samples=cfg["samples"])
     bounds_ok = all(log_mdk >= bound for _, log_mdk, bound in run.bound_checks)
     ok = (run.goal_failures == 0 and run.distinct_failures == 0 and bounds_ok)
-    payload = {"report": json.loads(run.to_json()), "bounds_ok": bounds_ok,
+    payload = {"report": asdict(run), "bounds_ok": bounds_ok,
                "pass": ok}
     _write(cfg["out"], "certify.json", _report(cfg, payload))
     return 0 if ok else 1

@@ -21,9 +21,8 @@ cut-offs are exposed in the reports.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +37,7 @@ from .gaussian import (
     triple_probability,
     twisted_values,
 )
-from .pmf import box_probability, peak_probability_sweep, walk_pmf
+from .pmf import peak_probability_sweep, walk_pmf
 from .prf import hash_words
 from .ranges import PermutationView, PolynomialSpec
 from .shiftspace import OmegaConfig
@@ -122,16 +121,6 @@ class BCReport:
     def verdict(self) -> str:
         return self.extraction.verdict
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "H": self.H, "envelope_c": self.envelope_c, "tail": self.tail,
-            "total": self.total, "N": self.extraction.N,
-            "M": self.extraction.M, "measure_D": self.extraction.measure_D,
-            "measure_A": self.extraction.measure_A,
-            "violations": self.extraction.violations,
-            "verdict": self.verdict,
-        }, sort_keys=True)
-
 
 @dataclass
 class TripleProbeReport:
@@ -145,20 +134,6 @@ class TripleProbeReport:
     @property
     def surrogate_measure(self) -> float:
         return self.in_surrogate / self.samples
-
-    @property
-    def surrogate_se(self) -> float:
-        p = self.surrogate_measure
-        return math.sqrt(max(p * (1 - p), 1.0 / self.samples) / self.samples)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "horizon": self.horizon, "samples": self.samples,
-            "in_surrogate": self.in_surrogate, "violations": self.violations,
-            "identity_failures": self.identity_failures,
-            "surrogate_measure": self.surrogate_measure,
-            "uncovered": {str(k): v for k, v in sorted(self.uncovered.items())},
-        }, sort_keys=True)
 
 
 def _omega_seed_with_origin_bit(seed0: int, tag: Sequence[int], dimension: int,
@@ -185,7 +160,7 @@ def exp_section2(spec: FieldSpec, H: int = 2000, samples: int = 1000,
     """
     if H < 16:
         raise ValueError("need H >= 16")
-    if spec.dimension != 1 or spec.has_forcing() or spec.origin != 0:
+    if spec.dimension != 1 or spec.windows or spec.origin != 0:
         raise ValueError("section-2 experiment needs a plain 1-D spec")
     if spec.zero:
         p0 = np.ones(H)
@@ -323,19 +298,6 @@ class GaussianReport:
             return "envelope-violated"
         return self.extraction.verdict
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "k": self.k, "c": self.c, "d": self.d, "H": self.H,
-            "estimates": list(self.estimates),
-            "envelope_violations": self.envelope_violations,
-            "summability_total": self.summability_total,
-            "N": self.extraction.N, "M": self.extraction.M,
-            "measure_D": self.extraction.measure_D,
-            "measure_A": self.extraction.measure_A,
-            "violations": self.extraction.violations,
-            "verdict": self.verdict,
-        }, sort_keys=True)
-
 
 def exp_gaussian(model: SpectralModel, k: int, c: int = 1, d: int = 1,
                  H: int = 64, samples: int = 2000, mc: int = 100_000,
@@ -350,6 +312,9 @@ def exp_gaussian(model: SpectralModel, k: int, c: int = 1, d: int = 1,
         raise ValueError("c and d must be nonzero integers")
     if 2 * k * model.delta <= 1.0:
         raise ValueError("summability hypothesis 2 k delta > 1 fails")
+    # the estimates, the paths and the twist all read r(0..H): tabulate it
+    # once, so a lag beyond the model's own table takes one quadrature
+    model = replace(model, table=tuple(model.r_vector(H)))
     ests = []
     env_viol = 0
     for n in range(1, H + 1):
@@ -409,17 +374,6 @@ class MixingReport:
     decay_ok: bool
     correlation_ok: bool
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "M": self.M, "n_grid": list(self.n_grid),
-            "box_probabilities": list(self.box_probabilities),
-            "joint_estimate": self.joint_estimate,
-            "product_estimate": self.product_estimate,
-            "correlation": self.correlation, "se": self.se,
-            "II_bound": self.II_bound, "samples": self.samples,
-            "decay_ok": self.decay_ok, "correlation_ok": self.correlation_ok,
-        }, sort_keys=True)
-
 
 def mixing_probe(spec: FieldSpec, M: int, H: int = 4096,
                  samples: int = 100_000,
@@ -445,14 +399,14 @@ def mixing_probe(spec: FieldSpec, M: int, H: int = 4096,
     while n <= H:
         grid.append(n)
         n *= 2
-    if not grid or grid[-1] != H:
-        raise ValueError("H must be n_min times a power of two")
+    if len(grid) < 2 or grid[-1] != H:
+        # box decay is read off a grid of at least two horizons
+        raise ValueError("H must be n_min times a power of two, at least 2 * n_min")
     boxes = []
     for n in grid:
-        pmf2d, _ = walk_pmf(FieldSpec(seed=spec.seed, dimension=2,
-                                      k_min=spec.k_min, k_max=spec.k_max,
-                                      doubling=spec.doubling, zero=spec.zero), n)
-        boxes.append(box_probability(pmf2d, 2 * M))
+        # the two coordinates are independent copies of one law
+        m = walk_pmf(replace(spec, dimension=1), n)[0].interval_mass(-2 * M, 2 * M)
+        boxes.append(m * m)
     decay_ok = boxes[-1] < boxes[0]
 
     n_probe = grid[-1]
@@ -465,7 +419,6 @@ def mixing_probe(spec: FieldSpec, M: int, H: int = 4096,
                                  doubling=spec.doubling)
     rng = np.random.default_rng(_child_seed(seed0, 8))
     joint_hits = 0
-    b1_sites = [tuple(u) for u, _ in B1]
     for s in range(samples):
         bits: Dict[Tuple[int, int], int] = {}
 

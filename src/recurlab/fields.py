@@ -5,8 +5,8 @@ each and 0 otherwise, independent across addresses. The scale-k block
 function sums p_k consecutive values minus the same block lagged by d_k,
 and the walk increment is the sum of the block functions over all scales up
 to a truncation. Everything is deterministic given the 64-bit seed; forced
-assignments (pointwise or over coordinate windows) take precedence and
-realize exact conditioning on cylinder events.
+windows of coordinates (a single forced value is a window one value wide)
+take precedence and realize exact conditioning on cylinder events.
 """
 
 from __future__ import annotations
@@ -83,11 +83,9 @@ class ForcedWindow:
 class FieldSpec:
     """Addressable realization of the multi-scale field.
 
-    ``overrides`` maps (k, i, j) to a forced value in {-1, 0, +1};
-    ``windows`` force whole coordinate ranges (used by conditioning plans
-    whose cylinder sets are too long to enumerate pointwise). ``origin``
-    shifts the time axis: evaluation at j reads the base realization at
-    j + origin.
+    ``windows`` force coordinate ranges to values in {-1, 0, +1}; where two
+    overlap, the first wins. ``origin`` shifts the time axis: evaluation at
+    j reads the base realization at j + origin.
     """
 
     seed: int
@@ -97,7 +95,6 @@ class FieldSpec:
     doubling: bool = True
     origin: int = 0
     zero: bool = False
-    overrides: Tuple[Tuple[Tuple[int, int, int], int], ...] = ()
     windows: Tuple[ForcedWindow, ...] = ()
 
     def __post_init__(self):
@@ -105,9 +102,6 @@ class FieldSpec:
             raise ValueError("dimension must be 1 or 2")
         if not (1 <= self.k_min <= self.k_max):
             raise ValueError("need 1 <= k_min <= k_max")
-        for (k, i, j), v in self.overrides:
-            if v not in (-1, 0, 1):
-                raise ValueError(f"forced value {v} not in {{-1,0,1}}")
         for w in self.windows:
             if w.value not in (-1, 0, 1):
                 raise ValueError(f"forced value {w.value} not in {{-1,0,1}}")
@@ -116,9 +110,6 @@ class FieldSpec:
 
     def scales(self) -> List[ScaleParams]:
         return [scale_params(k) for k in range(self.k_min, self.k_max + 1)]
-
-    def has_forcing(self) -> bool:
-        return bool(self.overrides) or bool(self.windows)
 
 
 def default_k_max(n_max: int) -> int:
@@ -148,18 +139,13 @@ def _forcing(spec: FieldSpec, k: int, i: int, shift: int):
     and clipped to int64, as (lo, hi, value) in the order to apply them.
 
     Applied in order, a later interval overwrites an earlier one, so the
-    list runs from the lowest precedence to the highest: windows last to
-    first (the first matching window wins), then overrides (which win over
-    every window; the last of two equal keys wins, as in a dict).
+    windows run last to first: the first matching window wins.
     """
     def clip(x):
         return min(max(x - shift, -(1 << 63)), (1 << 63) - 1)
 
-    out = [(w.lo, w.hi, w.value) for w in reversed(spec.windows)
-           if w.k == k and w.i == i]
-    out += [(j, j + 1, v) for (kk, ii, j), v in spec.overrides
-            if kk == k and ii == i]
-    return [(clip(lo), clip(hi), v) for lo, hi, v in out]
+    return [(clip(w.lo), clip(w.hi), w.value) for w in reversed(spec.windows)
+            if w.k == k and w.i == i]
 
 
 def field_values_vec(spec: FieldSpec, k: int, i: int, j: np.ndarray,
@@ -169,8 +155,8 @@ def field_values_vec(spec: FieldSpec, k: int, i: int, j: np.ndarray,
     With ``lagged=True`` the entries of ``j`` are offsets from the lag d_k
     (required for scales whose lag exceeds the int64 coordinate range).
     ``seed`` replaces ``spec.seed`` and may be an array that broadcasts
-    against ``j``; the result has the broadcast shape. Forced windows and
-    overrides apply as interval masks over ``j``.
+    against ``j``; the result has the broadcast shape. Forced windows apply
+    as interval masks over ``j``.
     """
     sp = scale_params(k)
     j = np.asarray(j, dtype=np.int64)
@@ -192,9 +178,8 @@ def shift_base(spec: FieldSpec, n: int) -> FieldSpec:
     """Time shift of the whole field: shifted(j) == original(j + n)."""
     if n == 0:
         return spec
-    new_over = tuple(((k, i, j - n), v) for (k, i, j), v in spec.overrides)
     new_win = tuple(replace(w, lo=w.lo - n, hi=w.hi - n) for w in spec.windows)
-    return replace(spec, origin=spec.origin + n, overrides=new_over, windows=new_win)
+    return replace(spec, origin=spec.origin + n, windows=new_win)
 
 
 @dataclass(frozen=True)
@@ -354,13 +339,10 @@ def conditioned_spec(spec: FieldSpec, plan: ConditioningPlan) -> FieldSpec:
 
     The forced coordinates are cylinder conditions on independent field
     values, so sampling the remaining coordinates unconditionally realizes
-    the exact conditional law given the event.
+    the exact conditional law given the event. A forced window of the spec
+    that disagrees with the plan is rejected.
     """
-    plan.check_consistent()
-    for w in plan.windows:
-        for ((k, i, j), v) in spec.overrides:
-            if w.k == k and w.i == i and w.lo <= j < w.hi and v != w.value:
-                raise ValueError(f"plan conflicts with existing override at {(k, i, j)}")
+    replace(plan, windows=spec.windows + plan.windows).check_consistent()
     need_kmax = max((w.k for w in plan.windows), default=spec.k_max)
     out = spec
     if need_kmax > spec.k_max:

@@ -13,9 +13,8 @@ the marginal law of the path while anti-correlating the non-projected part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -35,15 +34,12 @@ class PsdError(ValueError):
         super().__init__(f"min eigenvalue {min_eigenvalue:.3e} at N={N}")
 
 
-@lru_cache(maxsize=None)
 def _power_r(delta: float, n: int) -> float:
     """Covariance of the normalized |t|^(delta-1) density at lag n.
 
     The substitution u = t^delta removes the endpoint singularity, leaving a
     bounded oscillatory integrand for adaptive quadrature.
     """
-    if n == 0:
-        return 1.0
     hi = math.pi**delta
 
     def integrand(u: float) -> float:
@@ -57,21 +53,26 @@ def _power_r(delta: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Covariance sequence r with r(0) = 1 and |r(n)| <= C n^-delta."""
+    """Covariance sequence r with r(0) = 1 and |r(n)| <= C n^-delta.
+
+    ``table`` holds r(0), r(1), ... as computed when the model was fitted;
+    a power-family lag beyond it is computed by quadrature on each call.
+    """
 
     family: str
     delta: float
     C: float
     params: Tuple[Tuple[str, float], ...] = ()
+    table: Tuple[float, ...] = field(default=(), repr=False, compare=False)
 
     def r(self, n: int) -> float:
         n = abs(int(n))
+        if n < len(self.table):
+            return self.table[n]
         if n == 0:
             return 1.0
         if self.family == "white":
             return 0.0
-        if self.family == "constant":
-            return 1.0
         if self.family == "power":
             return _power_r(self.delta, n)
         raise ValueError(f"unknown family {self.family!r}")
@@ -97,34 +98,12 @@ def power_density_model(delta: float, probe: int = 512) -> SpectralModel:
     if abs(slope + delta) > 0.1:
         raise RuntimeError(f"fitted decay slope {slope:.3f} far from -{delta}")
     return SpectralModel(family="power", delta=delta, C=C,
-                         params=(("slope", slope), ("probe", float(probe))))
+                         params=(("slope", slope), ("probe", float(probe))),
+                         table=(1.0, *rs.tolist()))
 
 
 def white_noise_model() -> SpectralModel:
     return SpectralModel(family="white", delta=1.0, C=0.0)
-
-
-def constant_model() -> SpectralModel:
-    """Degenerate r(n) = 1 model (rank-one Toeplitz sections)."""
-    return SpectralModel(family="constant", delta=0.0, C=1.0)
-
-
-@dataclass(frozen=True)
-class PsdReport:
-    N: int
-    min_eigenvalue: float
-    tolerance: float = PSD_TOL
-
-
-def validate_psd(model: SpectralModel, N: int) -> PsdReport:
-    """Check the (N+1)x(N+1) Toeplitz section; raises PsdError on failure."""
-    if N > 4096:
-        raise ValueError("N above the validation budget (4096)")
-    T = toeplitz(model.r_vector(N))
-    min_eig = float(eigvalsh(T, subset_by_index=(0, 0))[0])
-    if min_eig < -PSD_TOL:
-        raise PsdError(min_eig, N)
-    return PsdReport(N=N, min_eigenvalue=min_eig)
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +158,6 @@ def twisted_values(model: SpectralModel, paths: np.ndarray) -> np.ndarray:
     N = paths.shape[-1] - 1
     r = model.r_vector(N)
     return 2.0 * r * paths[..., :1] - paths
-
-
-def covariance_identities(model: SpectralModel, n: int, m: int) -> Dict[str, float]:
-    """Algebraic covariances of the twisted pair at lags n, m."""
-    r = model.r
-    return {
-        "cov_Y_Y": 4 * r(n) * r(m) - 2 * r(n) * r(m) - 2 * r(m) * r(n) + r(n - m),
-        "cov_X_Y": 2 * r(n) * r(m) - r(n - m),
-        "expected_cov_Y_Y": r(n - m),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -81,11 +81,6 @@ class IntegerPmf:
     def total(self) -> float:
         return float(self.mass.sum())
 
-    def variance(self) -> float:
-        js = self.support.astype(np.float64)
-        mean = float(js @ self.mass)
-        return float((js - mean) ** 2 @ self.mass)
-
     def interval_mass(self, lo: int, hi: int) -> float:
         """Mass of [lo, hi] inclusive."""
         a = max(lo - self.offset, 0)
@@ -125,17 +120,6 @@ class IntegerPmf:
 
 def point_mass(j: int = 0) -> IntegerPmf:
     return IntegerPmf(offset=j, mass=np.array([1.0]))
-
-
-@dataclass(frozen=True)
-class ProductPmf2D:
-    """Law of a 2-D walk with independent coordinates."""
-
-    px: IntegerPmf
-    py: IntegerPmf
-
-    def prob(self, j: Tuple[int, int]) -> float:
-        return self.px.prob(j[0]) * self.py.prob(j[1])
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +242,18 @@ class WalkLawReport:
     tail_variance: float
 
 
-def walk_pmf(spec: FieldSpec, n: int, grid: Optional[int] = None):
-    """Exact law of S_n under ``spec`` (without forced assignments).
-
-    Returns (pmf, report); 2-D specs yield a ProductPmf2D of two identical
-    independent coordinate laws.
+def walk_pmf(spec: FieldSpec, n: int,
+             grid: Optional[int] = None) -> Tuple[IntegerPmf, WalkLawReport]:
+    """Exact law of one coordinate of S_n under a 1-D ``spec`` without
+    forced windows; returns (pmf, report). The coordinates of a 2-D walk
+    are independent copies of this law.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if spec.has_forcing():
+    if spec.dimension != 1:
+        raise ValueError("walk_pmf takes a 1-D spec: the coordinates of a "
+                         "2-D walk are independent copies of its law")
+    if spec.windows:
         raise ValueError("walk_pmf requires an unconditioned spec")
     if spec.zero or n == 0:
         base, alias = point_mass(0), 0.0
@@ -279,9 +266,7 @@ def walk_pmf(spec: FieldSpec, n: int, grid: Optional[int] = None):
                            alias_bound=alias, tail_variance=tail)
     if spec.doubling:
         base = base.stretch(2)
-    if spec.dimension == 1:
-        return base, report
-    return ProductPmf2D(px=base, py=base), report
+    return base, report
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +381,6 @@ def exact_walk_pmf(spec: FieldSpec, n: int) -> Dict[int, Fraction]:
 class LcltReport:
     n: int
     sigma2: float
-    dimension: int
     deviation: float
     peak: float
     scaling: float
@@ -404,41 +388,13 @@ class LcltReport:
     asymmetry: float
 
 
-def lclt_deviation(pmf, n: int, sigma2: float = SIGMA2, dimension: int = 1) -> LcltReport:
-    """Sup over the stored support of scaling * |p_n(j) - gaussian(j)|."""
-    if dimension == 1:
-        if not isinstance(pmf, IntegerPmf):
-            raise TypeError("1-D deviation needs an IntegerPmf")
-        scaling = math.sqrt(n) if n > 0 else 1.0
-        js = pmf.support.astype(np.float64)
-        denom = max(n, 1)
-        gauss = np.exp(-(js**2) / (2 * denom * sigma2)) / math.sqrt(2 * math.pi * denom * sigma2)
-        dev = float(np.abs(pmf.mass - gauss).max() * scaling)
-        peak = scaling * pmf.prob(0)
-        return LcltReport(n=n, sigma2=sigma2, dimension=1, deviation=dev, peak=peak,
-                          scaling=scaling, mass=pmf.total(), asymmetry=pmf.max_asymmetry())
-    if not isinstance(pmf, ProductPmf2D):
-        raise TypeError("2-D deviation needs a ProductPmf2D")
-    scaling = float(max(n, 1))
+def lclt_deviation(pmf: IntegerPmf, n: int, sigma2: float = SIGMA2) -> LcltReport:
+    """Sup over the stored support of sqrt(n) * |p_n(j) - gaussian(j)|."""
+    scaling = math.sqrt(n) if n > 0 else 1.0
+    js = pmf.support.astype(np.float64)
     denom = max(n, 1)
-    radius = int(min(max(abs(pmf.px.offset), pmf.px.offset + pmf.px.mass.size - 1),
-                     math.ceil(10 * math.sqrt(denom * sigma2)) + 2))
-    js = np.arange(-radius, radius + 1)
-    mx = np.array([pmf.px.prob(int(j)) for j in js])
-    my = np.array([pmf.py.prob(int(j)) for j in js])
-    grid_pmf = np.outer(mx, my)
-    jj2 = js[:, None] ** 2 + js[None, :] ** 2
-    gauss = np.exp(-jj2 / (2 * denom * sigma2)) / (2 * math.pi * denom * sigma2)
-    dev = float(np.abs(grid_pmf - gauss).max() * scaling)
-    peak = scaling * pmf.prob((0, 0))
-    return LcltReport(n=n, sigma2=sigma2, dimension=2, deviation=dev, peak=peak,
-                      scaling=scaling, mass=pmf.px.total() * pmf.py.total(),
-                      asymmetry=max(pmf.px.max_asymmetry(), pmf.py.max_asymmetry()))
-
-
-def box_probability(pmf2d: ProductPmf2D, M: int) -> float:
-    """Mass of the sup-norm box |j|_inf <= M (product form)."""
-    if M < 0:
-        raise ValueError("M must be >= 0")
-    return pmf2d.px.interval_mass(-M, M) * pmf2d.py.interval_mass(-M, M)
-
+    gauss = np.exp(-(js**2) / (2 * denom * sigma2)) / math.sqrt(2 * math.pi * denom * sigma2)
+    dev = float(np.abs(pmf.mass - gauss).max() * scaling)
+    peak = scaling * pmf.prob(0)
+    return LcltReport(n=n, sigma2=sigma2, deviation=dev, peak=peak,
+                      scaling=scaling, mass=pmf.total(), asymmetry=pmf.max_asymmetry())

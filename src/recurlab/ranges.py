@@ -10,7 +10,6 @@ cannot decide raise HorizonError instead of guessing.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -280,10 +279,6 @@ class ComplementProfile:
     q_hat: np.ndarray  # shape (N,), q_hat[n-1] estimates q_n
     envelope_c: float  # fitted c with q_n <= pi c / sqrt(n) on the sample
 
-    def stderr(self) -> np.ndarray:
-        q = self.q_hat
-        return np.sqrt(np.maximum(q * (1 - q), 1e-12) / self.samples)
-
 
 # first index of the envelope fit q_n <= pi c / sqrt(n)
 FIT_FROM = 8
@@ -318,14 +313,6 @@ class ChooseKReport:
     tail: float  # integrated envelope beyond the profile
     total: float
     per_k: Dict[int, float]
-
-    def to_json(self) -> str:
-        payload = {
-            "k": self.k, "margin": self.margin, "head": self.head,
-            "tail": self.tail, "total": self.total,
-            "per_k": {str(k): v for k, v in sorted(self.per_k.items())},
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def choose_k(profile: ComplementProfile, margin: float = 0.1,
@@ -369,18 +356,6 @@ class CertificationRun:
     y_floor: int  # minimal observed high-scale increment (undoubled)
     log_event_probability: float
     bound_checks: Tuple[Tuple[int, float, float], ...]  # (k, log m(D_k), -2/p_k)
-
-    def to_json(self) -> str:
-        payload = {
-            "N": self.N, "C": self.C, "M": self.M, "kappa": self.kappa,
-            "K": self.K, "plan_k_max": self.plan_k_max, "samples": self.samples,
-            "goal_failures": self.goal_failures,
-            "distinct_failures": self.distinct_failures,
-            "y_floor": self.y_floor,
-            "log_event_probability": self.log_event_probability,
-            "bound_checks": [list(row) for row in self.bound_checks],
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _lex_less(a, b) -> bool:

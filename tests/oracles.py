@@ -15,10 +15,6 @@ from recurlab.prf import uniform01
 
 
 def _forced_value(spec: FieldSpec, k: int, i: int, j: int) -> Optional[int]:
-    if spec.overrides:
-        v = dict(spec.overrides).get((k, i, j))
-        if v is not None:
-            return v
     for w in spec.windows:
         if w.k == k and w.i == i and w.lo <= j < w.hi:
             return w.value

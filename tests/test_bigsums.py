@@ -6,7 +6,7 @@ import pytest
 
 from recurlab import bigsums
 from recurlab.bigsums import _AxisEval, endpoint_batch_law, schedule_sums
-from recurlab.fields import FieldSpec, default_k_max, scale_params
+from recurlab.fields import FieldSpec, ForcedWindow, default_k_max, scale_params
 from recurlab.pmf import grouped_law, walk_pmf
 
 from oracles import oracle_sums
@@ -144,7 +144,8 @@ class TestAutoMode:
             schedule_sums(spec, [])
         with pytest.raises(ValueError):
             schedule_sums(spec, [0, 5])
-        forced = FieldSpec(seed=4, dimension=1, k_max=4, overrides=(((1, 1, 0), 1),))
+        forced = FieldSpec(seed=4, dimension=1, k_max=4,
+                           windows=(ForcedWindow(k=1, i=1, lo=0, hi=1, value=1),))
         with pytest.raises(ValueError):
             schedule_sums(forced, [5])
 

@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from recurlab import cli
 from recurlab.cli import ConfigError, main, parse_config
+from recurlab.experiments import TripleProbeReport
+from recurlab.ranges import ChooseKReport
 
 
 def run(tmp_path, *args):
@@ -112,6 +115,27 @@ class TestDispatch:
         assert run(tmp_path, "mixing", "--horizon", "32") == 2
         assert "power of two" in capsys.readouterr().err
 
+    def test_mixing_single_grid_point_rejected(self, tmp_path, capsys):
+        # horizon = n_min leaves the one-point grid [64], which cannot show
+        # box decay, so the run could only fail
+        assert run(tmp_path, "mixing", "--horizon", "64", "--samples", "2000") == 2
+        assert "2 * n_min = 128" in capsys.readouterr().err
+        assert not (tmp_path / "mixing.json").exists()
+        assert parse_config(["mixing", "--horizon", "128"])["horizon"] == 128
+
+    def test_seed_outside_uint64_rejected(self, tmp_path, capsys):
+        # field seeds are 64-bit words, and certify-range seeds its samples
+        # with seed, seed + 1, ..., seed + samples - 1
+        assert run(tmp_path, "certify-range", "--seed", "-1", "--samples", "3") == 2
+        assert "seed" in capsys.readouterr().err
+        assert run(tmp_path, "certify-range", "--seed", str(2**64 - 2),
+                   "--samples", "3") == 2
+        assert run(tmp_path, "recur2", "--seed", "-1") == 2
+        assert run(tmp_path, "lclt", "--seed", str(2**64)) == 2
+        assert not (tmp_path / "certify.json").exists()
+        assert run(tmp_path, "certify-range", "--seed", str(2**64 - 3),
+                   "--samples", "3", "--param", "N=1") == 0
+
     def test_mixing_small(self, tmp_path):
         code = run(tmp_path, "mixing", "--horizon", "512", "--samples",
                    "5000", "--param", "M=4")
@@ -125,6 +149,27 @@ class TestDispatch:
         assert code == 0
         payload = json.loads((tmp_path / "certify.json").read_text())
         assert payload["bounds_ok"] is True
+
+
+class TestReportShape:
+    def test_integer_keys_sort_as_strings(self, tmp_path, monkeypatch):
+        # per_k and uncovered are keyed by integers; the report lists their
+        # keys as sorted strings, so "10" comes before "9"
+        per_k = {k: 1.0 / k for k in range(3, 12)}
+        monkeypatch.setattr(cli, "range_view_pool", lambda *args, **kwargs: [])
+        monkeypatch.setattr(cli, "complement_profile", lambda pool: None)
+        monkeypatch.setattr(cli, "choose_k", lambda profile, margin: ChooseKReport(
+            k=11, margin=margin, head=0.5, tail=0.25, total=0.75, per_k=per_k))
+        monkeypatch.setattr(
+            cli, "exp_section3", lambda pool, k, H, samples, seed0: TripleProbeReport(
+                horizon=H, samples=samples, in_surrogate=samples, violations=0,
+                identity_failures=0, uncovered={9: 1, 10: 2, 100: 3}))
+        assert run(tmp_path, "recur3", "--horizon", "20", "--samples", "4") == 0
+        payload = json.loads((tmp_path / "recur3.json").read_text())
+        assert list(payload["choose_k"]["per_k"]) == [
+            "10", "11", "3", "4", "5", "6", "7", "8", "9"]
+        assert list(payload["probe"]["uncovered"]) == ["10", "100", "9"]
+        assert payload["probe"]["uncovered"]["100"] == 3
 
 
 class TestReproducibility:

@@ -54,14 +54,19 @@ class TestScaleParams:
         assert sp.alpha**2 <= 0.5 + 1e-15
 
 
+def _point(k, i, j, value):
+    """A single forced value: a window one value wide."""
+    return ForcedWindow(k=k, i=i, lo=j, hi=j + 1, value=value)
+
+
 class TestFieldValue:
     def test_override_dominates(self):
-        spec = FieldSpec(seed=1, dimension=1, k_max=2, overrides=(((1, 1, 0), 1),))
+        spec = FieldSpec(seed=1, dimension=1, k_max=2, windows=(_point(1, 1, 0, 1),))
         assert field_value(spec, 1, 1, 0) == 1
-        # overrides beat windows, and the first of two overlapping windows wins
+        # the first of overlapping windows wins, one value wide or wider
         spec = FieldSpec(seed=1, dimension=1, k_max=2,
-                         overrides=(((1, 1, 4), 0), ((2, 1, 5), 1)),
-                         windows=(ForcedWindow(k=1, i=1, lo=0, hi=6, value=1),
+                         windows=(_point(1, 1, 4, 0), _point(2, 1, 5, 1),
+                                  ForcedWindow(k=1, i=1, lo=0, hi=6, value=1),
                                   ForcedWindow(k=1, i=1, lo=3, hi=10, value=-1)))
         j = np.arange(-3, 12)
         vec = field_values_vec(spec, 1, 1, j)
@@ -114,11 +119,11 @@ class TestBlockFunction:
 
     def test_single_forced_at_zero(self):
         # k=1 (p=3, d=2): only the field at time 0 is 1, everything else 0
-        spec = FieldSpec(seed=0, dimension=1, k_max=1, zero=True, overrides=(((1, 1, 0), 1),))
+        spec = FieldSpec(seed=0, dimension=1, k_max=1, zero=True, windows=(_point(1, 1, 0, 1),))
         assert f_k_at(spec, 1, 1, 0) == 1
 
     def test_single_forced_at_two_cancels(self):
-        spec = FieldSpec(seed=0, dimension=1, k_max=1, zero=True, overrides=(((1, 1, 2), 1),))
+        spec = FieldSpec(seed=0, dimension=1, k_max=1, zero=True, windows=(_point(1, 1, 2, 1),))
         assert f_k_at(spec, 1, 1, 0) == 0
 
     def test_bounded(self):
@@ -129,10 +134,10 @@ class TestBlockFunction:
 
     def test_f_at_doubling_and_independence(self):
         spec = FieldSpec(seed=0, dimension=2, k_max=1, zero=True, doubling=True,
-                         overrides=(((1, 1, 0), 1),))
+                         windows=(_point(1, 1, 0, 1),))
         assert f_at(spec, 0) == (2, 0)
-        # coordinate 1 unaffected by coordinate-2 overrides
-        spec2 = FieldSpec(seed=11, dimension=2, k_max=2, overrides=(((1, 2, 3), 1),))
+        # coordinate 1 unaffected by values forced on coordinate 2
+        spec2 = FieldSpec(seed=11, dimension=2, k_max=2, windows=(_point(1, 2, 3, 1),))
         spec3 = FieldSpec(seed=11, dimension=2, k_max=2)
         for t in range(-3, 8):
             assert f_at(spec2, t)[0] == f_at(spec3, t)[0]
@@ -179,18 +184,18 @@ class TestPartialSums:
         assert (second.values == oracle_sums(shifted, (0, m))).all()
 
     def test_sign_symmetry(self):
-        # overriding every value the window reads with its negation negates
-        # the whole path
+        # forcing every value the window reads to its negation negates the
+        # whole path
         spec = FieldSpec(seed=77, dimension=1, k_max=2)
         a, b = -4, 12
         flipped = tuple(
-            ((k, 1, j), -field_value(spec, k, 1, j))
+            _point(k, 1, j, -field_value(spec, k, 1, j))
             for k in (1, 2)
             for base in (0, scale_params(k).d)
             for j in range(base + a, base + b + scale_params(k).p - 1))
         pos = partial_sums(spec, (a, b))
         neg = partial_sums(FieldSpec(seed=77, dimension=1, k_max=2,
-                                     overrides=flipped), (a, b))
+                                     windows=flipped), (a, b))
         assert (pos.values == -neg.values).all()
         assert (pos.values != 0).any()
 
@@ -282,7 +287,7 @@ class TestShiftBase:
             assert field_value(s1, 1, 1, j) == field_value(s2, 1, 1, j)
 
     def test_override_reindexed(self):
-        spec = FieldSpec(seed=0, dimension=1, k_max=1, zero=True, overrides=(((1, 1, 5), 1),))
+        spec = FieldSpec(seed=0, dimension=1, k_max=1, zero=True, windows=(_point(1, 1, 5, 1),))
         shifted = shift_base(spec, 2)
         assert field_value(shifted, 1, 1, 3) == 1
         assert field_value(shifted, 1, 1, 5) == 0
@@ -316,6 +321,16 @@ class TestConditioning:
         plan = ConditioningPlan(N=1, C=1, kappa=3, K=3, windows=(w1, w2))
         with pytest.raises(ValueError):
             plan.check_consistent()
+
+    def test_spec_window_conflicting_with_plan_rejected(self):
+        plan = goal_event_plan(N=2, C=1)
+        agree = FieldSpec(seed=10, dimension=2, k_max=3,
+                          windows=(_point(plan.K, 1, 0, 1),))
+        assert conditioned_spec(agree, plan).windows[1:] == plan.windows
+        clash = FieldSpec(seed=10, dimension=2, k_max=3,
+                          windows=(_point(plan.K, 1, 0, 0),))
+        with pytest.raises(ValueError, match="conflicting"):
+            conditioned_spec(clash, plan)
 
     def test_monotone_event_on_conditioned_samples(self):
         # every conditioned sample has strictly increasing first-coordinate sums

@@ -2,21 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh, toeplitz
 
 from recurlab import gaussian
 from recurlab.experiments import exp_gaussian
 from recurlab.gaussian import (
     PsdError,
     SpectralModel,
-    constant_model,
-    covariance_identities,
     power_density_model,
     power_summability,
     sample_paths,
     triple_probability,
     twisted_values,
     upper_tail,
-    validate_psd,
     white_noise_model,
 )
 
@@ -24,6 +22,21 @@ from recurlab.gaussian import (
 @pytest.fixture(scope="module")
 def power03():
     return power_density_model(0.3)
+
+
+class _Constant(SpectralModel):
+    """Degenerate r(n) = 1 model: every Toeplitz section has rank one."""
+
+    def r(self, n):
+        return 1.0
+
+
+CONSTANT = _Constant(family="constant", delta=0.0, C=1.0)
+
+
+def _min_eigenvalue(model, N):
+    """Smallest eigenvalue of the (N+1)x(N+1) Toeplitz covariance section."""
+    return float(eigvalsh(toeplitz(model.r_vector(N)), subset_by_index=(0, 0))[0])
 
 
 class TestSpectralModels:
@@ -59,32 +72,27 @@ class TestSpectralModels:
 
 class TestPsd:
     def test_white_noise_identity(self):
-        rep = validate_psd(white_noise_model(), 16)
-        assert abs(rep.min_eigenvalue - 1.0) < 1e-12
+        assert abs(_min_eigenvalue(white_noise_model(), 16) - 1.0) < 1e-12
 
     def test_power_model_passes(self, power03):
-        rep = validate_psd(power03, 1024)
-        assert rep.min_eigenvalue >= -1e-8
+        assert _min_eigenvalue(power03, 1024) >= -gaussian.PSD_TOL
 
     def test_constant_model_degenerate(self):
-        rep = validate_psd(constant_model(), 32)
-        assert abs(rep.min_eigenvalue) < 1e-10
+        assert abs(_min_eigenvalue(CONSTANT, 32)) < 1e-10
 
-    def test_rejection_carries_eigenvalue(self):
-        bad = SpectralModel(family="white", delta=1.0, C=0.0)
-
+    def test_rejection_carries_eigenvalue(self, monkeypatch):
+        # a covariance that is not positive definite: the sampler's
+        # factorization fails past the largest jitter and says by how much
         class Bad(SpectralModel):
             def r(self, n):
                 return 1.5 if abs(n) == 1 else super().r(n)
 
         bad = Bad(family="white", delta=1.0, C=0.0)
+        monkeypatch.setattr(gaussian, "_circulant_eigs", lambda r: None)
         with pytest.raises(PsdError) as exc:
-            validate_psd(bad, 4)
+            sample_paths(bad, 4, size=2, seed=0)
+        assert exc.value.min_eigenvalue == pytest.approx(_min_eigenvalue(bad, 4))
         assert exc.value.min_eigenvalue < -1e-8
-
-    def test_budget(self, power03):
-        with pytest.raises(ValueError):
-            validate_psd(power03, 5000)
 
 
 class TestSampling:
@@ -112,12 +120,12 @@ class TestSampling:
     def test_constant_model_needs_fallback(self, monkeypatch):
         # the circulant embedding of the rank-one covariance is nonnegative,
         # so it samples exactly constant paths
-        paths = sample_paths(constant_model(), 8, size=50, seed=7)
+        paths = sample_paths(CONSTANT, 8, size=50, seed=7)
         assert (paths == paths[:, :1]).all()
         # without it, plain Cholesky fails on the singular Toeplitz section
         # and the jitter fallback must engage and still give constant paths
         monkeypatch.setattr(gaussian, "_circulant_eigs", lambda r: None)
-        paths = sample_paths(constant_model(), 8, size=50, seed=7)
+        paths = sample_paths(CONSTANT, 8, size=50, seed=7)
         assert np.allclose(paths, paths[:, :1], atol=1e-3)
 
     def test_cholesky_fallback_covariance(self, power03, monkeypatch):
@@ -139,10 +147,15 @@ class TestTwistedPath:
         assert (twisted_values(wn, path)[1:] == -path[1:]).all()
 
     def test_algebraic_identities(self, power03):
-        ids = covariance_identities(power03, 5, 2)
-        assert ids["cov_Y_Y"] == pytest.approx(ids["expected_cov_Y_Y"])
-        assert ids["cov_X_Y"] == pytest.approx(
-            2 * power03.r(5) * power03.r(2) - power03.r(3))
+        # the twist is linear, Y = A X; with T the covariance of X,
+        # Cov(Y) = A T A^T must equal T and Cov(X, Y) = T A^T holds
+        # 2 r(n) r(m) - r(n - m)
+        N = 8
+        A = twisted_values(power03, np.eye(N + 1)).T
+        r = power03.r_vector(N)
+        T = toeplitz(r)
+        assert np.allclose(A @ T @ A.T, T, atol=1e-12)
+        assert (T @ A.T)[5, 2] == pytest.approx(2 * r[5] * r[2] - r[3])
 
     def test_empirical_cov_y1_y3(self, power03):
         paths = sample_paths(power03, 8, size=100_000, seed=4)

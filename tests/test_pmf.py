@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurlab.fields import FieldSpec, scale_params
+from recurlab.experiments import mixing_probe
+from recurlab.fields import FieldSpec, ForcedWindow, scale_params
 from recurlab.pmf import (
     SIGMA2,
     IntegerPmf,
-    ProductPmf2D,
-    box_probability,
     exact_scale_pmf,
     exact_walk_pmf,
     grouped_law,
@@ -213,12 +212,21 @@ class TestFloatAgainstExact:
         assert report.alias_bound < 1e-6 or pmf.total() == pytest.approx(1.0, abs=1e-12)
 
     def test_walk_pmf_2d_doubling(self):
-        spec = FieldSpec(seed=0, dimension=2, k_max=2, doubling=True)
-        law2d, _ = walk_pmf(spec, 2)
-        assert isinstance(law2d, ProductPmf2D)
-        exact = exact_walk_pmf(FieldSpec(seed=0, dimension=1, k_max=2, doubling=True), 2)
-        assert law2d.prob((0, 0)) == pytest.approx(float(exact[0]) ** 2, abs=1e-12)
-        assert law2d.px.prob(1) == 0.0  # doubled walk lives on even sites
+        # walk_pmf gives one coordinate's law; a 2-D walk's law is the
+        # product of two independent copies of it
+        with pytest.raises(ValueError, match="1-D"):
+            walk_pmf(FieldSpec(seed=0, dimension=2, k_max=2, doubling=True), 2)
+        spec = FieldSpec(seed=0, dimension=1, k_max=2, doubling=True)
+        law, _ = walk_pmf(spec, 2)
+        exact = exact_walk_pmf(spec, 2)
+        assert law.prob(0) ** 2 == pytest.approx(float(exact[0]) ** 2, abs=1e-12)
+        assert law.prob(1) == 0.0  # doubled walk lives on even sites
+
+
+def _variance(pmf: IntegerPmf) -> float:
+    js = pmf.support.astype(np.float64)
+    mean = float(js @ pmf.mass)
+    return float((js - mean) ** 2 @ pmf.mass)
 
 
 class TestIntegerPmfOps:
@@ -243,8 +251,9 @@ class TestIntegerPmfOps:
         assert pruned.pruned == pytest.approx(2e-20)
 
     def test_variance_of_rademacher(self):
+        # the variance helper that test_variance_identity relies on
         pmf = IntegerPmf(offset=-1, mass=np.array([0.5, 0.0, 0.5]))
-        assert pmf.variance() == pytest.approx(1.0)
+        assert _variance(pmf) == pytest.approx(1.0)
 
 
 class TestModerateSizeLaw:
@@ -259,7 +268,7 @@ class TestModerateSizeLaw:
         spec = FieldSpec(seed=0, dimension=1, k_max=8, doubling=False)
         pmf, _ = walk_pmf(spec, 64)
         law = grouped_law(1, 8, 64)
-        assert pmf.variance() == pytest.approx(law.variance(), rel=1e-6)
+        assert _variance(pmf) == pytest.approx(law.variance(), rel=1e-6)
 
     def test_variance_band_structure(self):
         # per-step variance sits in the right band: the limit 2 (ln 2)^2 is
@@ -282,7 +291,8 @@ class TestModerateSizeLaw:
         assert pmf0.prob(0) == 1.0
 
     def test_forced_spec_rejected(self):
-        spec = FieldSpec(seed=0, dimension=1, k_max=3, overrides=(((1, 1, 0), 1),))
+        spec = FieldSpec(seed=0, dimension=1, k_max=3,
+                         windows=(ForcedWindow(k=1, i=1, lo=0, hi=1, value=1),))
         with pytest.raises(ValueError):
             walk_pmf(spec, 4)
 
@@ -303,7 +313,7 @@ class TestPeakSweep:
 
 class TestLclt:
     def test_point_mass_deviation(self):
-        report = lclt_deviation(point_mass(0), n=1, dimension=1)
+        report = lclt_deviation(point_mass(0), n=1)
         expected = 1.0 - 1.0 / math.sqrt(2 * math.pi * SIGMA2)
         assert report.deviation == pytest.approx(expected, abs=1e-12)
         assert report.deviation == pytest.approx(0.593, abs=1e-3)
@@ -311,37 +321,27 @@ class TestLclt:
     def test_moderate_n_peak(self):
         spec = FieldSpec(seed=0, dimension=1, k_max=9, doubling=False)
         pmf, _ = walk_pmf(spec, 256)
-        report = lclt_deviation(pmf, n=256, dimension=1)
+        report = lclt_deviation(pmf, n=256)
         assert 0.2 < report.peak < 1.0
         assert report.deviation < 1.0
         assert report.mass == pytest.approx(1.0, abs=1e-9)
 
-    def test_2d_report(self):
-        spec = FieldSpec(seed=0, dimension=2, k_max=7, doubling=True)
-        law2d, _ = walk_pmf(spec, 64)
-        report = lclt_deviation(law2d, n=64, dimension=2)
-        assert report.scaling == 64.0
-        assert report.peak > 0
-        assert report.deviation < 5.0
-
-    def test_type_errors(self):
-        with pytest.raises(TypeError):
-            lclt_deviation(point_mass(0), n=1, dimension=2)
-
 
 class TestBoxProbability:
+    # the mass of the sup-norm box |j|_inf <= M under the 2-D walk is m * m,
+    # with m the mass of one coordinate's law on [-M, M]
+
     def test_monotone_and_total(self):
-        spec = FieldSpec(seed=0, dimension=2, k_max=7, doubling=True)
-        law2d, _ = walk_pmf(spec, 32)
-        vals = [box_probability(law2d, M) for M in (0, 4, 16, 64, 10**6)]
+        spec = FieldSpec(seed=0, dimension=1, k_max=7, doubling=True)
+        law, _ = walk_pmf(spec, 32)
+        vals = [law.interval_mass(-M, M) ** 2 for M in (0, 4, 16, 64, 10**6)]
         assert vals == sorted(vals)
         assert vals[-1] == pytest.approx(1.0, abs=1e-9)
 
     def test_negative_box_rejected(self):
         spec = FieldSpec(seed=0, dimension=2, k_max=3, doubling=True)
-        law2d, _ = walk_pmf(spec, 4)
-        with pytest.raises(ValueError):
-            box_probability(law2d, -1)
+        with pytest.raises(ValueError, match="M must be"):
+            mixing_probe(spec, M=-1, H=128, samples=10, n_min=64)
 
 
 @settings(max_examples=20, deadline=None)

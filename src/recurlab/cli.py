@@ -30,7 +30,7 @@ from .experiments import (
 )
 from .fields import FieldSpec, default_k_max
 from .gaussian import power_density_model, white_noise_model
-from .pmf import lclt_deviation, walk_pmf
+from .pmf import ALIAS_TOL, MASS_TOL, lclt_deviation, walk_pmf
 from .ranges import FIT_FROM, P_CUBE, P_SQUARE, certify_distinct, choose_k, complement_profile
 
 
@@ -221,6 +221,15 @@ def _probe(probe: TripleProbeReport) -> Dict:
             "uncovered": _str_keys(probe.uncovered)}
 
 
+def _alias_ok(grid, bounds) -> bool:
+    """False when an aliasing bound exceeds ALIAS_TOL; names each such n."""
+    bad = [(n, b) for n, b in zip(grid, bounds) if b > ALIAS_TOL]
+    for n, b in bad:
+        print(f"n={n}: aliasing bound {b:.3g} exceeds {ALIAS_TOL:g}",
+              file=sys.stderr)
+    return not bad
+
+
 def _csv(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
@@ -241,30 +250,34 @@ def _run_lclt(cfg: RunConfig) -> int:
             raise ConfigError(f"n_grid entries must be positive, got {n}")
         grid.append(n)
     k_max = cfg["k_max"] or default_k_max(max(grid))
-    reports = []
+    entries = []
     ok = True
     for n in grid:
         pmf, law = walk_pmf(FieldSpec(seed=cfg["seed"], dimension=1,
                                       k_max=k_max, doubling=False), n)
         rep = lclt_deviation(pmf, n)
-        reports.append(rep)
-        if abs(rep.mass - 1.0) > 1e-9 or rep.asymmetry > 0 or rep.peak > 1.0:
+        entries.append({"n": n, "mass": rep.mass, "asymmetry": rep.asymmetry,
+                        "peak": rep.peak, "deviation": rep.deviation,
+                        "alias_bound": law.alias_bound, "pruned": pmf.pruned,
+                        "tail_variance": law.tail_variance})
+        if abs(rep.mass - 1.0) > MASS_TOL or rep.asymmetry > 0 or rep.peak > 1.0:
             ok = False
-    peaks = [rep.peak for rep in reports]
+    if not _alias_ok(grid, [e["alias_bound"] for e in entries]):
+        ok = False
+    peaks = [e["peak"] for e in entries]
     variation = (max(peaks) - min(peaks)) / max(peaks)
     if variation >= 0.5:
         ok = False
     payload = {
         "k_max": k_max,
-        "grid": [{"n": r.n, "mass": r.mass, "asymmetry": r.asymmetry,
-                  "peak": r.peak, "deviation": r.deviation} for r in reports],
+        "grid": entries,
         "peak_variation": variation,
         "pass": ok,
     }
     text = _report(cfg, payload)
     _write(cfg["out"], "lclt.json", text)
     if cfg["emit_plot_data"]:
-        rows = [(r.n, r.peak, r.deviation) for r in reports]
+        rows = [(e["n"], e["peak"], e["deviation"]) for e in entries]
         _write(cfg["out"], "lclt.csv", _csv(["n", "scaled_peak", "deviation"], rows))
     return 0 if ok else 1
 
@@ -325,7 +338,8 @@ def _run_mixing(cfg: RunConfig) -> int:
     rep = mixing_probe(spec, M=cfg["M"], H=cfg["horizon"],
                        samples=cfg["samples"], n_min=cfg["n_min"],
                        seed0=cfg["seed"])
-    ok = rep.decay_ok and rep.correlation_ok
+    ok = (_alias_ok(rep.n_grid, rep.alias_bounds) and rep.decay_ok
+          and rep.correlation_ok)
     payload = {"report": asdict(rep), "pass": ok}
     _write(cfg["out"], "mixing.json", _report(cfg, payload))
     rows = list(zip(rep.n_grid, rep.box_probabilities))

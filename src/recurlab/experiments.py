@@ -37,7 +37,7 @@ from .gaussian import (
     triple_probability,
     twisted_values,
 )
-from .pmf import peak_probability_sweep, walk_pmf
+from .pmf import MASS_TOL, peak_probability_sweep, walk_pmf
 from .prf import hash_words
 from .ranges import PermutationView, PolynomialSpec
 from .shiftspace import OmegaConfig
@@ -365,6 +365,10 @@ class MixingReport:
     M: int
     n_grid: Tuple[int, ...]
     box_probabilities: Tuple[float, ...]  # exact m(|S_n|_inf <= 2M)
+    # error ledger of one coordinate's law, per n of the grid
+    alias_bounds: Tuple[float, ...]
+    pruned: Tuple[float, ...]
+    tail_variances: Tuple[float, ...]
     joint_estimate: float
     product_estimate: float
     correlation: float
@@ -402,12 +406,19 @@ def mixing_probe(spec: FieldSpec, M: int, H: int = 4096,
     if len(grid) < 2 or grid[-1] != H:
         # box decay is read off a grid of at least two horizons
         raise ValueError("H must be n_min times a power of two, at least 2 * n_min")
-    boxes = []
+    boxes, alias, pruned, tails = [], [], [], []
     for n in grid:
         # the two coordinates are independent copies of one law
-        m = walk_pmf(replace(spec, dimension=1), n)[0].interval_mass(-2 * M, 2 * M)
+        pmf, law = walk_pmf(replace(spec, dimension=1), n)
+        m = pmf.interval_mass(-2 * M, 2 * M)
         boxes.append(m * m)
-    decay_ok = boxes[-1] < boxes[0]
+        alias.append(law.alias_bound)
+        pruned.append(pmf.pruned)
+        tails.append(law.tail_variance)
+    # m * m is off by at most 2 (alias + pruned) plus rounding, which
+    # MASS_TOL covers: a smaller drop between the ends is not decay
+    slack = 2 * (alias[0] + pruned[0] + alias[-1] + pruned[-1]) + MASS_TOL
+    decay_ok = boxes[0] - boxes[-1] > slack
 
     n_probe = grid[-1]
     if spec.zero:
@@ -441,6 +452,8 @@ def mixing_probe(spec: FieldSpec, M: int, H: int = 4096,
     correlation_ok = corr <= 4 * se + II_bound
     return MixingReport(M=M, n_grid=tuple(grid),
                         box_probabilities=tuple(boxes),
+                        alias_bounds=tuple(alias), pruned=tuple(pruned),
+                        tail_variances=tuple(tails),
                         joint_estimate=joint, product_estimate=product,
                         correlation=corr, se=se, II_bound=II_bound,
                         samples=samples, decay_ok=decay_ok,

@@ -4,16 +4,21 @@ The scale-k contribution to S_n is a signed integer combination of i.i.d.
 three-valued atoms; grouping equal |coefficients| gives a compact product
 form for the characteristic function, which is evaluated on a power-of-two
 Fourier grid and inverted to the exact pmf (exact up to aliasing, which is
-bounded and reported). A Fraction-based convolution covers toy sizes where
-the amplitudes are rational, for oracle comparisons.
+bounded and reported; Abate and Whitt, "The Fourier-series method for
+inverting transforms of probability distributions", Queueing Systems 10,
+1992). Each scale's log characteristic function comes from one real FFT of
+its |coefficient| -> count histogram, laid on the grid at v mod grid, and
+the cosine expansion of log(1 - q (1 - cos x)) truncated at the first
+order whose remainder bound, summed over the scale's atoms, is below
+SERIES_TOL; a scale with no more distinct values than the series has terms
+takes the product directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +27,14 @@ from .fields import FieldSpec, ScaleParams, scale_params, tail_variance_bound
 SIGMA2 = 2.0 * math.log(2) ** 2
 
 PRUNE_EPS = 1e-16
+
+# the error ledger's tolerances: a law whose aliasing bound exceeds
+# ALIAS_TOL, or whose mass is off 1 by more than MASS_TOL, fails its gate
+ALIAS_TOL = 1e-10
+MASS_TOL = 1e-9
+
+# largest total error the truncated log series may leave in one scale's log phi
+SERIES_TOL = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +185,13 @@ def _alias_bound(values: np.ndarray, counts: np.ndarray, qs: np.ndarray, half: i
 
 @dataclass
 class GroupedLaw:
-    """All (|coefficient|, multiplicity, q) triples of a walk at horizon n."""
+    """All (|coefficient|, multiplicity, q) triples of a walk at horizon n,
+    with the scale ``ks`` each group belongs to."""
 
     values: np.ndarray
     counts: np.ndarray
     qs: np.ndarray
+    ks: np.ndarray
 
     def variance(self) -> float:
         return float((self.counts * self.qs * self.values.astype(np.float64) ** 2).sum())
@@ -187,7 +202,62 @@ def grouped_law(k_min: int, k_max: int, n: int) -> GroupedLaw:
     vals, cnts = zip(*(scale_groups(k, n) for k in ks))
     qs = [np.full(v.size, scale_params(k).q) for k, v in zip(ks, vals)]
     return GroupedLaw(values=np.concatenate(vals), counts=np.concatenate(cnts),
-                      qs=np.concatenate(qs))
+                      qs=np.concatenate(qs),
+                      ks=np.repeat(np.array(ks), [v.size for v in vals]))
+
+
+def _log_series(q: float, atoms: float) -> np.ndarray:
+    """Cosine coefficients b_0..b_M of the truncated series
+    log(1 - q + q cos x) ~ -sum_j b_j cos(j x).
+
+    With y = q (1 - cos x) in [0, 2q], log(1 - y) = -sum_m y^m / m, and
+    (1 - cos x)^m = 2^-m (C(2m, m) + 2 sum_{j=1..m} (-1)^j C(2m, m-j) cos jx).
+    Cutting after order M leaves at most (2q)^(M+1) / ((M+1)(1 - 2q)) per
+    atom; M is the first order at which ``atoms`` atoms leave less than
+    SERIES_TOL in total.
+    """
+    M = 1
+    while atoms * (2 * q) ** (M + 1) / ((M + 1) * (1 - 2 * q)) >= SERIES_TOL:
+        M += 1
+    b = np.zeros(M + 1)
+    for m in range(1, M + 1):
+        w = (q / 2) ** m / m
+        b[0] += w * math.comb(2 * m, m)
+        for j in range(1, m + 1):
+            b[j] += 2 * w * (-1) ** j * math.comb(2 * m, m - j)
+    return b
+
+
+def _log_cf(law: GroupedLaw, grid: int) -> np.ndarray:
+    """log phi(theta_t) at theta_t = 2 pi t / grid, t = 0..grid // 2.
+
+    Per scale, log phi_k = sum_v c_v log(1 - q + q cos v theta). A scale
+    with more distinct values than its log series has terms takes one real
+    FFT of its count histogram laid at v mod grid,
+    C_k(s) = sum_v c_v cos(2 pi v s / grid), and sums the series as
+    -sum_j b_j C_k(j t mod grid); the others take the product directly.
+    """
+    half = grid // 2
+    t = np.arange(half + 1)
+    theta = 2.0 * np.pi * t / grid
+    logphi = np.zeros(half + 1)
+    for k in np.unique(law.ks).tolist():
+        at = law.ks == k
+        values, counts, q = law.values[at], law.counts[at], float(law.qs[at][0])
+        if not 2 * q < 1:
+            raise ValueError(f"scale {k}: the log series needs 2q < 1, got q = {q}")
+        b = _log_series(q, float(counts.sum()))
+        if values.size <= b.size:
+            # log1p keeps the rounding relative to q (1 - cos) <= 2q < 1
+            for v, c in zip(values.tolist(), counts.tolist()):
+                logphi += c * np.log1p(-q * (1.0 - np.cos(v * theta)))
+            continue
+        hist = np.bincount(values % grid, weights=counts, minlength=grid)
+        C = np.fft.rfft(hist).real  # even in s, so C(s) = C(grid - s)
+        for j, bj in enumerate(b.tolist()):
+            s = j * t % grid
+            logphi -= bj * C[np.minimum(s, grid - s)]
+    return logphi
 
 
 def _pmf_from_groups(law: GroupedLaw, grid: Optional[int] = None) -> Tuple[IntegerPmf, float]:
@@ -205,20 +275,10 @@ def _pmf_from_groups(law: GroupedLaw, grid: Optional[int] = None) -> Tuple[Integ
         # computed mass is a probability to well under 1e-9
         cap = min(_next_pow2(exact_width + 8), 1 << 21)
         while grid < cap and _alias_bound(law.values, law.counts, law.qs,
-                                          grid // 2) > 1e-10:
+                                          grid // 2) > ALIAS_TOL:
             grid *= 2
     half = grid // 2
-    theta = 2.0 * np.pi * np.arange(half + 1) / grid
-    logphi = np.zeros(half + 1)
-    block = max(1, (1 << 22) // (half + 1))
-    for start in range(0, law.values.size, block):
-        v = law.values[start : start + block].astype(np.float64)
-        c = law.counts[start : start + block].astype(np.float64)
-        q = law.qs[start : start + block]
-        inner = 1.0 - q[:, None] + q[:, None] * np.cos(v[:, None] * theta[None, :])
-        np.clip(inner, 1e-300, None, out=inner)
-        logphi += (c[:, None] * np.log(inner)).sum(axis=0)
-    phi = np.exp(logphi)
+    phi = np.exp(_log_cf(law, grid))
     dense = np.fft.irfft(phi, n=grid)
     # irfft output index t corresponds to S = t mod grid; recenter on [-half, half)
     mass = np.concatenate([dense[half:], dense[:half]])
@@ -227,7 +287,7 @@ def _pmf_from_groups(law: GroupedLaw, grid: Optional[int] = None) -> Tuple[Integ
     # holds bit-for-bit. The unpaired grid endpoint -half has no mirror at
     # +half, so its (aliasing-range) mass goes to the pruned ledger instead.
     mass[1:] = 0.5 * (mass[1:] + mass[1:][::-1])
-    dropped = mass[0]
+    dropped = float(mass[0])
     mass[0] = 0.0
     pmf = IntegerPmf(offset=-half, mass=mass, pruned=dropped).prune()
     return pmf, _alias_bound(law.values, law.counts, law.qs, half)
@@ -324,53 +384,6 @@ def peak_probability_sweep(n_max: int, k_max: int, k_min: int = 1,
                 logphi += cc * logterm(sp, int(vv))
         out[n - 1] = float(weights @ np.exp(logphi))
     return out
-
-
-# ---------------------------------------------------------------------------
-# exact-rational mode (toy sizes; amplitudes rational only for k <= 2)
-
-
-def rational_q(k: int) -> Fraction:
-    if k == 1:
-        return Fraction(1, 4)
-    if k == 2:
-        return Fraction(1, 32)
-    raise ValueError("amplitude is irrational for k >= 3; rational mode covers k <= 2")
-
-
-def exact_scale_pmf(k: int, n: int, q: Optional[Fraction] = None) -> Dict[int, Fraction]:
-    """Law of the scale-k contribution as exact rationals (atom-by-atom)."""
-    if q is None:
-        q = rational_q(k)
-    if n == 0 or q == 0:
-        return {0: Fraction(1)}
-    law: Dict[int, Fraction] = {0: Fraction(1)}
-    half = q / 2
-    stay = 1 - q
-    # the law of a sum of independent atoms does not depend on their order
-    for c in np.repeat(*scale_groups(k, n)).tolist():
-        new: Dict[int, Fraction] = {}
-        for s, m in law.items():
-            for dv, w in ((0, stay), (c, half), (-c, half)):
-                key = s + dv
-                new[key] = new.get(key, Fraction(0)) + m * w
-        law = new
-    return law
-
-
-def exact_walk_pmf(spec: FieldSpec, n: int) -> Dict[int, Fraction]:
-    """Exact rational law of one coordinate of S_n (k_max <= 2 only)."""
-    law: Dict[int, Fraction] = {0: Fraction(1)}
-    for k in range(spec.k_min, spec.k_max + 1):
-        part = exact_scale_pmf(k, n)
-        new: Dict[int, Fraction] = {}
-        for a, ma in law.items():
-            for b, mb in part.items():
-                new[a + b] = new.get(a + b, Fraction(0)) + ma * mb
-        law = new
-    if spec.doubling:
-        law = {2 * s: m for s, m in law.items()}
-    return law
 
 
 # ---------------------------------------------------------------------------

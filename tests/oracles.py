@@ -1,16 +1,22 @@
-"""Scalar reference implementations of the field, one PRF call per value.
+"""Scalar reference implementations of the field, one PRF call per value,
+the dense product form of the walk's log characteristic function, and the
+walk's exact rational law at toy sizes (amplitudes are rational only for
+k <= 2).
 
 The library evaluates field values and partial sums only through the
-vectorized kernel in ``recurlab.fields``. These functions compute the same
-quantities straight from the definitions, one address at a time, so that
-tests can check the kernel against an independent implementation.
+vectorized kernel in ``recurlab.fields``, and the log characteristic
+function only through the per-scale histogram FFT in ``recurlab.pmf``.
+These functions compute the same quantities straight from the definitions,
+so that tests can check the kernels against an independent implementation.
 """
 
-from typing import Optional, Tuple
+from fractions import Fraction
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from recurlab.fields import TAG_FIELD, FieldSpec, lag_namespace, scale_params
+from recurlab.pmf import GroupedLaw, scale_groups
 from recurlab.prf import uniform01
 
 
@@ -78,3 +84,69 @@ def oracle_sums(spec: FieldSpec, window: Tuple[int, int]) -> np.ndarray:
     cum = np.concatenate([np.zeros((1, spec.dimension), dtype=np.int64),
                           np.cumsum(incr, axis=0)])
     return cum - cum[-a]
+
+
+def oracle_logphi(law: GroupedLaw, grid: int) -> np.ndarray:
+    """log phi(2 pi t / grid), t = 0..grid // 2, as the dense sum of
+    count * log(1 - q + q cos(v theta)) over every (group, grid point) pair.
+
+    Each term is taken as log1p(-q (1 - cos)), whose rounding is relative to
+    the term. Written as log(1 - q + q cos), rounding 1 - q to a double costs
+    up to 1.1e-16 per atom whatever q is; at q ~ 1e-11 and 10^5 atoms that
+    moves the mass by 5e-12 (k_max = 15, n = 64), above the tolerance the
+    kernel is held to.
+    """
+    half = grid // 2
+    theta = 2.0 * np.pi * np.arange(half + 1) / grid
+    logphi = np.zeros(half + 1)
+    block = max(1, (1 << 22) // (half + 1))
+    for start in range(0, law.values.size, block):
+        v = law.values[start : start + block].astype(np.float64)
+        c = law.counts[start : start + block].astype(np.float64)
+        q = law.qs[start : start + block]
+        term = np.log1p(-q[:, None] * (1.0 - np.cos(v[:, None] * theta[None, :])))
+        logphi += (c[:, None] * term).sum(axis=0)
+    return logphi
+
+
+def rational_q(k: int) -> Fraction:
+    if k == 1:
+        return Fraction(1, 4)
+    if k == 2:
+        return Fraction(1, 32)
+    raise ValueError("amplitude is irrational for k >= 3; rational mode covers k <= 2")
+
+
+def exact_scale_pmf(k: int, n: int, q: Optional[Fraction] = None) -> Dict[int, Fraction]:
+    """Law of the scale-k contribution as exact rationals (atom-by-atom)."""
+    if q is None:
+        q = rational_q(k)
+    if n == 0 or q == 0:
+        return {0: Fraction(1)}
+    law: Dict[int, Fraction] = {0: Fraction(1)}
+    half = q / 2
+    stay = 1 - q
+    # the law of a sum of independent atoms does not depend on their order
+    for c in np.repeat(*scale_groups(k, n)).tolist():
+        new: Dict[int, Fraction] = {}
+        for s, m in law.items():
+            for dv, w in ((0, stay), (c, half), (-c, half)):
+                key = s + dv
+                new[key] = new.get(key, Fraction(0)) + m * w
+        law = new
+    return law
+
+
+def exact_walk_pmf(spec: FieldSpec, n: int) -> Dict[int, Fraction]:
+    """Exact rational law of one coordinate of S_n (k_max <= 2 only)."""
+    law: Dict[int, Fraction] = {0: Fraction(1)}
+    for k in range(spec.k_min, spec.k_max + 1):
+        part = exact_scale_pmf(k, n)
+        new: Dict[int, Fraction] = {}
+        for a, ma in law.items():
+            for b, mb in part.items():
+                new[a + b] = new.get(a + b, Fraction(0)) + ma * mb
+        law = new
+    if spec.doubling:
+        law = {2 * s: m for s, m in law.items()}
+    return law

@@ -27,7 +27,6 @@ from recurlab.gaussian import (
     white_noise_model,
 )
 from recurlab.pmf import (
-    exact_walk_pmf,
     lclt_deviation,
     peak_probability_sweep,
     walk_pmf,
@@ -44,6 +43,7 @@ from recurlab.ranges import (
 )
 from recurlab.shiftspace import OmegaConfig
 
+from oracles import exact_walk_pmf
 from test_pmf import _convolve_laws, _oracle_scale_law
 
 
@@ -103,7 +103,7 @@ def test_02_mc_oracle_agreement():
 
 
 def test_03_lclt_sanity():
-    with _Budget(600):
+    with _Budget(30):
         grid = (256, 1024, 4096, 16384)
         k_max = default_k_max(max(grid))
         peaks = []

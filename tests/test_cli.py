@@ -1,11 +1,13 @@
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
-from recurlab import cli
+from recurlab import cli, experiments
 from recurlab.cli import ConfigError, main, parse_config
 from recurlab.experiments import TripleProbeReport
+from recurlab.pmf import walk_pmf
 from recurlab.ranges import ChooseKReport
 
 
@@ -135,6 +137,30 @@ class TestDispatch:
         assert not (tmp_path / "certify.json").exists()
         assert run(tmp_path, "certify-range", "--seed", str(2**64 - 3),
                    "--samples", "3", "--param", "N=1") == 0
+
+    def test_lclt_reports_error_ledger(self, tmp_path):
+        assert run(tmp_path, "lclt", "--param", "n_grid=64,256") == 0
+        for entry in json.loads((tmp_path / "lclt.json").read_text())["grid"]:
+            assert 0.0 <= entry["alias_bound"] <= 1e-10
+            assert 0.0 <= entry["pruned"] < 1e-9
+            assert entry["tail_variance"] > 0.0
+
+    @pytest.mark.parametrize("command,argv", [
+        ("lclt", ["--param", "n_grid=256"]),
+        ("mixing", ["--horizon", "128", "--samples", "200"]),
+    ])
+    def test_alias_bound_over_tolerance_fails(self, tmp_path, capsys,
+                                              monkeypatch, command, argv):
+        # a 64-point grid leaves far more than 1e-10 of wrap-around at these n
+        coarse = functools.partial(walk_pmf, grid=64)
+        monkeypatch.setattr(cli, "walk_pmf", coarse)
+        monkeypatch.setattr(experiments, "walk_pmf", coarse)
+        assert run(tmp_path, command, *argv) == 1
+        err = capsys.readouterr().err
+        assert "aliasing bound" in err
+        assert ("n=256" if command == "lclt" else "n=64") in err
+        name = "lclt.json" if command == "lclt" else "mixing.json"
+        assert json.loads((tmp_path / name).read_text())["pass"] is False
 
     def test_mixing_small(self, tmp_path):
         code = run(tmp_path, "mixing", "--horizon", "512", "--samples",

@@ -200,3 +200,5 @@ class TestMixingProbe:
         payload = json.loads(json.dumps(asdict(rep)))
         assert payload["M"] == 4
         assert payload["n_grid"] == [64, 128]
+        for key in ("alias_bounds", "pruned", "tail_variances"):
+            assert len(payload[key]) == 2

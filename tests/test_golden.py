@@ -8,6 +8,12 @@ unchanged. They were taken on x86-64 Linux with Python 3.11, numpy 2.4 and
 scipy 1.17; reports that hold floating-point results from FFTs and
 quadrature (lclt, mixing, gauss) may differ in the last digits under other
 numpy or scipy builds.
+
+The lclt and mixing digests were re-pinned when the log characteristic
+function moved from a dense product over every (group, grid point) pair to
+a per-scale histogram FFT: their masses and box probabilities changed in
+the last digits, and both reports gained the law's error ledger (aliasing
+bound, pruned mass and truncation tail variance per n).
 """
 
 import hashlib
@@ -33,12 +39,12 @@ GOLDEN = {
     ),
     "lclt": (
         ["lclt", "--param", "n_grid=64,128"],
-        {"lclt.json": "e15ad75cc455711b361ccbeb03b9eea82f5044132f227cde6496e2ed2ef665b7"},
+        {"lclt.json": "ad6dc327eb1af3ef7dcda8bc4670802aeff1d6b52f0cde3ae60d419eef4cdb1c"},
     ),
     "mixing": (
         ["mixing", "--horizon", "128", "--samples", "2000"],
-        {"mixing.json": "a96f0330e21609782304982d76d67337beaf6ff83b7a7c0470d28c58779ac27f",
-         "boxes.csv": "ccdd46cb8cc41adf3580043aaa6c113b1a54b87d03c8e827b5b16ed449c7ee8e"},
+        {"mixing.json": "bcb65d7cd77b3c343927296a93141bdc09edc63a5b811ed4c957f63c6ae2048f",
+         "boxes.csv": "fbf21187594081cca6440bfa67cec80d957ca8e0573817d11c1c67dcbf15fba5"},
     ),
     "gauss": (
         ["gauss", "--horizon", "16", "--samples", "100", "--param", "mc=2000"],

@@ -6,18 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import exact_scale_pmf, exact_walk_pmf, oracle_logphi, rational_q
+from recurlab import pmf as pmf_module
 from recurlab.experiments import mixing_probe
-from recurlab.fields import FieldSpec, ForcedWindow, scale_params
+from recurlab.fields import FieldSpec, ForcedWindow, default_k_max, scale_params
 from recurlab.pmf import (
+    SERIES_TOL,
     SIGMA2,
+    GroupedLaw,
     IntegerPmf,
-    exact_scale_pmf,
-    exact_walk_pmf,
     grouped_law,
     lclt_deviation,
     peak_probability_sweep,
     point_mass,
-    rational_q,
     scale_groups,
     walk_pmf,
 )
@@ -295,6 +296,80 @@ class TestModerateSizeLaw:
                          windows=(ForcedWindow(k=1, i=1, lo=0, hi=1, value=1),))
         with pytest.raises(ValueError):
             walk_pmf(spec, 4)
+
+
+# every k_max from 6 to 16 against the n at which the kernel's cases turn:
+# n = 1, 2 put every scale on the direct product, and between n = 503 and
+# 504 scale 3 (p = 9, d = 512) turns from split into overlapping
+KERNEL_CASES = [(6, 1), (16, 2), (7, 7), (15, 64), (8, 503), (13, 503),
+                (9, 504), (12, 504), (14, 1024), (10, 2048), (11, 4096)]
+
+
+def _remainder(q, atoms, M):
+    return atoms * (2 * q) ** (M + 1) / ((M + 1) * (1 - 2 * q))
+
+
+def _on_one_support(a, b):
+    lo = min(a.offset, b.offset)
+    hi = max(a.offset + a.mass.size, b.offset + b.mass.size)
+    out = np.zeros((2, hi - lo))
+    for row, pmf in zip(out, (a, b)):
+        row[pmf.offset - lo : pmf.offset - lo + pmf.mass.size] = pmf.mass
+    return out
+
+
+class TestLogCfKernel:
+    # the histogram FFT against the dense product over every
+    # (group, grid point) pair, which it replaces
+
+    @pytest.mark.parametrize("k_max,n", KERNEL_CASES)
+    @pytest.mark.parametrize("grid", [64, 4096])
+    def test_log_cf_matches_dense(self, k_max, n, grid):
+        # at grid 64 most coefficients exceed the grid and wrap around it
+        law = grouped_law(1, k_max, n)
+        got = pmf_module._log_cf(law, grid)
+        assert np.abs(got - oracle_logphi(law, grid)).max() <= 1e-11
+
+    @pytest.mark.parametrize("k_max,n", KERNEL_CASES)
+    def test_pmf_matches_dense(self, k_max, n, monkeypatch):
+        spec = FieldSpec(seed=0, dimension=1, k_max=k_max, doubling=False)
+        new, report = walk_pmf(spec, n)
+        monkeypatch.setattr(pmf_module, "_log_cf", oracle_logphi)
+        old, dense_report = walk_pmf(spec, n)
+        assert report == dense_report
+        a, b = _on_one_support(new, old)
+        assert np.abs(a - b).max() <= 1e-13
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    @pytest.mark.parametrize("n", [1, 504, 16384])
+    def test_series_order_meets_remainder_bound(self, k, n):
+        q = scale_params(k).q
+        atoms = float(scale_groups(k, n)[1].sum())
+        b = pmf_module._log_series(q, atoms)
+        M = b.size - 1
+        assert _remainder(q, atoms, M) < SERIES_TOL
+        # and M is the first order that does
+        assert M == 1 or _remainder(q, atoms, M - 1) >= SERIES_TOL
+        # the truncated cosine series is log(1 - q + q cos x) to that bound
+        x = np.linspace(0.0, np.pi, 257)
+        series = -np.cos(np.outer(x, np.arange(M + 1))) @ b
+        exact = np.log1p(-q * (1.0 - np.cos(x)))
+        rounding = 8 * np.finfo(float).eps
+        assert np.abs(series - exact).max() <= SERIES_TOL / atoms + rounding
+
+    def test_series_needs_two_q_below_one(self):
+        law = GroupedLaw(values=np.array([1, 2, 3]), counts=np.array([4, 4, 2]),
+                         qs=np.full(3, 0.5), ks=np.full(3, 5))
+        with pytest.raises(ValueError, match="scale 5"):
+            pmf_module._log_cf(law, 64)
+
+    def test_walk_pmf_at_n_16384(self):
+        spec = FieldSpec(seed=0, dimension=1, k_max=default_k_max(16384),
+                         doubling=False)
+        pmf, report = walk_pmf(spec, 16384)
+        assert abs(pmf.total() - 1.0) <= 1e-9
+        assert pmf.max_asymmetry() == 0.0
+        assert report.alias_bound <= 1e-10
 
 
 class TestPeakSweep:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .prf import uniform01_vec
+from .prf import hash_words_vec
 
 # Address-word tags keep the field family, the omega configuration and any
 # auxiliary streams in disjoint key spaces.
@@ -148,6 +148,19 @@ def _forcing(spec: FieldSpec, k: int, i: int, shift: int):
             if w.k == k and w.i == i]
 
 
+def _thresholds(q: float) -> Tuple[np.uint64, np.uint64]:
+    """Hash thresholds of a field value with P(nonzero) = q: the value is
+    nonzero iff h < the first and +1 iff h < the second.
+
+    The uniform of a hash h is u = m 2^-53 with m = h >> 11, and u < x iff
+    m < ceil(x 2^53) iff h < ceil(x 2^53) << 11: x 2^53 and m 2^-53 are
+    exact, and the 11 low bits of h cannot carry it past a multiple of
+    2^11. So comparing the raw hash is exactly u < q and u < q / 2, with no
+    float conversion; q < 1 keeps both thresholds below 2^64.
+    """
+    return tuple(np.uint64(math.ceil(x * 2.0**53) << 11) for x in (q, q / 2))
+
+
 def field_values_vec(spec: FieldSpec, k: int, i: int, j: np.ndarray,
                      lagged: bool = False, seed=None) -> np.ndarray:
     """Field values of scale k, coordinate i over an int64 coordinate array.
@@ -163,12 +176,18 @@ def field_values_vec(spec: FieldSpec, k: int, i: int, j: np.ndarray,
     if lagged and not lag_namespace(k):
         return field_values_vec(spec, k, i, j + sp.d, seed=seed)
     seed = spec.seed if seed is None else seed
-    out = np.zeros(np.broadcast_shapes(np.shape(seed), j.shape), dtype=np.int64)
-    if not spec.zero:
+    shape = np.broadcast_shapes(np.shape(seed), j.shape)
+    if spec.zero:
+        out = np.zeros(shape, dtype=np.int64)
+    else:
         words = (TAG_FIELD, k, i, 1) if lagged else (TAG_FIELD, k, i)
-        u = uniform01_vec(seed, words, j + spec.origin)
-        out[u < sp.q] = -1
-        out[u < sp.q / 2] = 1
+        h = hash_words_vec(seed, words, j + spec.origin)
+        nonzero, plus = _thresholds(sp.q)
+        # 2 [h < plus] - [h < nonzero]: +1, -1 or 0
+        out = np.empty(shape, dtype=np.int64)
+        np.less(h, plus, out=out)
+        out *= 2
+        out -= h < nonzero
     for lo, hi, v in _forcing(spec, k, i, sp.d if lagged else 0):
         out = np.where((lo <= j) & (j < hi), v, out)
     return out

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import eigvalsh, toeplitz
 from scipy.special import ndtr, zeta
 
 PSD_TOL = 1e-8
@@ -38,8 +36,13 @@ def _power_r(delta: float, n: int) -> float:
     """Covariance of the normalized |t|^(delta-1) density at lag n.
 
     The substitution u = t^delta removes the endpoint singularity, leaving a
-    bounded oscillatory integrand for adaptive quadrature.
+    bounded oscillatory integrand for adaptive quadrature. scipy.integrate
+    is imported here, not at module level, because importing it costs a
+    third of a second that commands which never fit a power model need not
+    pay.
     """
+    from scipy.integrate import quad
+
     hi = math.pi**delta
 
     def integrand(u: float) -> float:
@@ -122,6 +125,9 @@ def _circulant_eigs(r: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _cholesky_with_jitter(r: np.ndarray) -> np.ndarray:
+    # imported here, as in _power_r: only this fallback needs scipy.linalg
+    from scipy.linalg import eigvalsh, toeplitz
+
     T = toeplitz(r)
     jitter = 0.0
     while True:

@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .fields import FieldSpec, ScaleParams, scale_params, tail_variance_bound
+from .fields import FieldSpec, scale_params, tail_variance_bound
 
 SIGMA2 = 2.0 * math.log(2) ** 2
 
@@ -35,6 +35,10 @@ MASS_TOL = 1e-9
 
 # largest total error the truncated log series may leave in one scale's log phi
 SERIES_TOL = 1e-15
+
+# grid values per row chunk of the peak sweep; each chunk also holds a few
+# temporaries of its size
+_SWEEP_ELEMS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -337,52 +341,68 @@ def peak_probability_sweep(n_max: int, k_max: int, k_min: int = 1,
                            grid: int = 4096) -> np.ndarray:
     """p_n(0) for n = 1..n_max in one pass (single coordinate, no doubling).
 
-    The per-scale log characteristic function needs only a running cumulative
-    sum over the weight heights 1..min(n, p) plus one plateau term, so the
-    sweep costs O(scales * grid) per n instead of a full inversion. Scales
-    whose lag is short enough to overlap the lead window are recomputed
-    directly per n (their grouped profiles stay tiny because |c| <= p there).
+    Each scale gets one table T_k(s) = log1p(-q_k (1 - cos(2 pi s / grid)))
+    over the folded residues s = 0..grid // 2, so the term of value v at
+    theta_t is the gather T_k(fold(v t mod grid)), fold(s) = min(s, grid - s),
+    with no transcendental call per (n, group). A split scale's groups are
+    the heights 1..h, h = min(n, p), four times each, plus the plateau h
+    twice |n - p| + 1 times (``scale_groups``), so its log characteristic
+    function is 4 A(h - 1) + 2 (|n - p| + 1) L(h) with L(v) the gathered
+    term and A a running sum of L; a scale whose lag overlaps the lead
+    window for some n <= n_max takes its few groups from ``scale_groups``
+    per n, against a table of L(v) over v <= p. The rows n go through in
+    chunks of at most _SWEEP_ELEMS grid values, which bounds the memory.
     """
     half = grid // 2
-    theta = 2.0 * np.pi * np.arange(half + 1) / grid
+    t = np.arange(half + 1, dtype=np.int64)
     weights = np.full(half + 1, 2.0 / grid)
     weights[0] = 1.0 / grid
     weights[-1] = 1.0 / grid
 
-    split_ks = []
-    overlap_ks = []
+    def fold(v: np.ndarray) -> np.ndarray:
+        """Table index of each (v, t): fold(v t mod grid), shape (v, t)."""
+        s = (v % grid)[:, None] * t % grid
+        return np.minimum(s, grid - s)
+
+    split, overlap = [], []
     for k in range(k_min, k_max + 1):
         sp = scale_params(k)
+        table = np.log1p(-sp.q * (1.0 - np.cos(2.0 * np.pi * t / grid)))
         # overlapping for some n <= n_max iff d < n_max + p
-        (overlap_ks if sp.d < n_max + sp.p else split_ks).append(sp)
-
-    def logterm(sp: ScaleParams, v: int) -> np.ndarray:
-        inner = 1.0 - sp.q + sp.q * np.cos(v * theta)
-        return np.log(np.clip(inner, 1e-300, None))
-
-    cumulative = {sp.k: np.zeros(half + 1) for sp in split_ks}  # A(h-1) per scale
-    heights = {sp.k: 0 for sp in split_ks}
-    last = {sp.k: logterm(sp, 1) for sp in split_ks}  # L(h) cache at h = min(n, p)
+        if sp.d < n_max + sp.p:
+            # an overlapping scale's |coefficients| are at most min(n, p)
+            overlap.append((sp, table[fold(np.arange(sp.p + 1))]))
+        else:
+            split.append((sp, table))
+    carry = {sp.k: np.zeros(half + 1) for sp, _ in split}  # A(h - 1) at the chunk's first h
 
     out = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        logphi = np.zeros(half + 1)
-        for sp in split_ks:
-            h = min(n, sp.p)
-            if h > heights[sp.k] + 1:
-                raise RuntimeError("sweep invariant broken")
-            if h == heights[sp.k] + 1:
-                if heights[sp.k] > 0:
-                    cumulative[sp.k] += last[sp.k]
-                last[sp.k] = logterm(sp, h)
-                heights[sp.k] = h
-            plateau = abs(n - sp.p) + 1
-            logphi += 2.0 * (2.0 * cumulative[sp.k] + plateau * last[sp.k])
-        for sp in overlap_ks:
-            v, c = scale_groups(sp.k, n)
-            for vv, cc in zip(v, c):
-                logphi += cc * logterm(sp, int(vv))
-        out[n - 1] = float(weights @ np.exp(logphi))
+    rows = max(1, _SWEEP_ELEMS // (half + 1))
+    for n0 in range(1, n_max + 1, rows):
+        ns = np.arange(n0, min(n0 + rows, n_max + 1))
+        at_n = fold(ns)
+        logphi = np.zeros((ns.size, half + 1))
+        for sp, table in split:
+            hs = np.arange(min(n0, sp.p), min(ns[-1], sp.p) + 1)
+            terms = table[at_n[: hs.size] if hs[0] == n0 else fold(hs)]  # L(h) per h
+            running = np.empty((hs.size + 1, half + 1))  # running[i] = A(hs[0] - 1 + i)
+            running[0] = carry[sp.k]
+            running[1:] = terms
+            np.cumsum(running, axis=0, out=running)
+            # rows with n <= p read h = n, the rest the plateau row h = p
+            m = int(np.count_nonzero(ns <= sp.p))
+            twice = 2.0 * (np.abs(ns - sp.p) + 1).astype(np.float64)[:, None]
+            logphi[:m] += 4.0 * running[:m] + twice[:m] * terms[:m]
+            logphi[m:] += 4.0 * running[-2] + twice[m:] * terms[-1]
+            carry[sp.k] = running[min(ns[-1] + 1, sp.p) - hs[0]]
+        for sp, terms in overlap:
+            counts = np.zeros((ns.size, sp.p + 1))
+            for r, n in enumerate(ns.tolist()):
+                v, c = scale_groups(sp.k, n)
+                counts[r, v] = c
+            for v in range(1, sp.p + 1):
+                logphi += counts[:, v, None] * terms[v]
+        out[ns - 1] = np.exp(logphi, out=logphi) @ weights
     return out
 
 

@@ -16,6 +16,10 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _GOLD = 0x9E3779B97F4A7C15
 
+# values per block of the vectorized mixer (512 KiB, which with its scratch
+# block fits a 2 MiB L2 cache)
+_MIX_BLOCK = 1 << 16
+
 
 def _mix64(h: int) -> int:
     h &= _MASK
@@ -35,39 +39,41 @@ def hash_words(seed: int, *words: int) -> int:
     return h
 
 
-def uniform01(seed: int, *words: int) -> float:
-    """Deterministic uniform in [0, 1) addressed by (seed, words)."""
-    return (hash_words(seed, *words) >> 11) * 2.0**-53
-
-
 def _mix64_vec(h: np.ndarray) -> np.ndarray:
-    h = h.copy()
-    h ^= h >> np.uint64(30)
-    h *= np.uint64(_M1)
-    h ^= h >> np.uint64(27)
-    h *= np.uint64(_M2)
-    h ^= h >> np.uint64(31)
+    """Finalize the C-contiguous uint64 array ``h`` in place and return it.
+
+    The mixer makes eight passes over its input; taking them one block of
+    _MIX_BLOCK values at a time keeps the block and its scratch in cache
+    through all of them, where whole-array passes would stream a large
+    array through memory eight times.
+    """
+    flat = h.reshape(-1)
+    scratch = np.empty(min(flat.size, _MIX_BLOCK), dtype=np.uint64)
+    for start in range(0, flat.size, _MIX_BLOCK):
+        b = flat[start : start + _MIX_BLOCK]
+        tmp = scratch[: b.size]
+        for shift, mult in ((30, _M1), (27, _M2)):
+            b ^= np.right_shift(b, np.uint64(shift), out=tmp)
+            b *= np.uint64(mult)
+        b ^= np.right_shift(b, np.uint64(31), out=tmp)
     return h
 
 
 def hash_words_vec(seed, words_fixed, j: np.ndarray) -> np.ndarray:
     """Vectorized hash: fixed prefix words, then one array word ``j``.
 
-    ``seed`` may be a scalar or an array broadcastable against ``j``.
+    ``seed`` may be a scalar or an array broadcastable against ``j``; the
+    prefix words are absorbed on the seed array before it broadcasts.
     """
-    seed = np.asarray(seed, dtype=np.uint64)
+    h = np.array(seed, dtype=np.uint64)  # a copy, mixed in place
     with np.errstate(over="ignore"):
-        h = _mix64_vec(seed ^ np.uint64(_GOLD))
+        h ^= np.uint64(_GOLD)
+        _mix64_vec(h)
         for w in words_fixed:
-            h = _mix64_vec(h ^ np.uint64((w + _GOLD) & _MASK))
-        jj = np.asarray(j).astype(np.int64).view(np.uint64)
-        h = _mix64_vec(h ^ (jj + np.uint64(_GOLD)))
-    return h
-
-
-def uniform01_vec(seed, words_fixed, j: np.ndarray) -> np.ndarray:
-    h = hash_words_vec(seed, words_fixed, j)
-    return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+            h ^= np.uint64((w + _GOLD) & _MASK)
+            _mix64_vec(h)
+        jj = np.asarray(j).astype(np.int64, copy=False).view(np.uint64) + np.uint64(_GOLD)
+        return _mix64_vec(np.asarray(h ^ jj))
 
 
 def derive_rng(seed: int, *words: int) -> np.random.Generator:

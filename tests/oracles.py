@@ -1,7 +1,7 @@
 """Scalar reference implementations of the field, one PRF call per value,
-the dense product form of the walk's log characteristic function, and the
-walk's exact rational law at toy sizes (amplitudes are rational only for
-k <= 2).
+its float comparison rule over whole arrays, the dense product form of the
+walk's log characteristic function, and the walk's exact rational law at
+toy sizes (amplitudes are rational only for k <= 2).
 
 The library evaluates field values and partial sums only through the
 vectorized kernel in ``recurlab.fields``, and the log characteristic
@@ -17,7 +17,12 @@ import numpy as np
 
 from recurlab.fields import TAG_FIELD, FieldSpec, lag_namespace, scale_params
 from recurlab.pmf import GroupedLaw, scale_groups
-from recurlab.prf import uniform01
+from recurlab.prf import hash_words, hash_words_vec
+
+
+def uniform01(seed: int, *words: int) -> float:
+    """Deterministic uniform in [0, 1) addressed by (seed, words)."""
+    return (hash_words(seed, *words) >> 11) * 2.0**-53
 
 
 def _forced_value(spec: FieldSpec, k: int, i: int, j: int) -> Optional[int]:
@@ -48,6 +53,33 @@ def field_value(spec: FieldSpec, k: int, i: int, j: int) -> int:
     if u < sp.q:
         return -1
     return 0
+
+
+def field_values_float(spec: FieldSpec, k: int, i: int, j: np.ndarray,
+                       lagged: bool = False, seed=None) -> np.ndarray:
+    """Field values of an unforced spec over an array of coordinates, by the
+    float rule of ``field_value``: the hash becomes the uniform
+    u = (h >> 11) 2^-53, and the value is +1 at u < q / 2, -1 at
+    q / 2 <= u < q, else 0. ``j``, ``lagged`` and ``seed`` are read as by
+    ``recurlab.fields.field_values_vec``.
+    """
+    if spec.windows:
+        raise ValueError("the float-rule oracle takes an unforced spec")
+    sp = scale_params(k)
+    j = np.asarray(j, dtype=np.int64)
+    words = (TAG_FIELD, k, i)
+    if lagged and lag_namespace(k):
+        words = (TAG_FIELD, k, i, 1)
+    elif lagged:
+        j = j + sp.d
+    seed = spec.seed if seed is None else seed
+    h = hash_words_vec(seed, words, j + spec.origin)
+    u = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    out = np.zeros(u.shape, dtype=np.int64)
+    if not spec.zero:
+        out[u < sp.q] = -1
+        out[u < sp.q / 2] = 1
+    return out
 
 
 def f_k_at(spec: FieldSpec, k: int, i: int, t: int) -> int:

@@ -1,9 +1,13 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import recurlab
 from recurlab import cli, experiments
 from recurlab.cli import ConfigError, main, parse_config
 from recurlab.experiments import TripleProbeReport
@@ -213,3 +217,17 @@ class TestReproducibility:
         for out in (a, b):
             assert main(["lclt", "--param", "n_grid=64", "--out", str(out)]) == 0
         assert (a / "lclt.json").read_bytes() == (b / "lclt.json").read_bytes()
+
+
+class TestImportCost:
+    def test_cli_import_leaves_heavy_scipy_out(self):
+        # scipy.integrate and scipy.linalg cost about 0.4 s to import, and
+        # only the power-model quadrature and the Toeplitz fallback use them
+        src = str(Path(recurlab.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+        probe = ("import sys, recurlab.cli; print(sorted(m for m in "
+                 "('scipy.integrate', 'scipy.linalg') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -22,7 +22,7 @@ from recurlab.fields import (
     tail_variance_bound,
 )
 
-from oracles import f_at, f_k_at, field_value, oracle_sums
+from oracles import f_at, f_k_at, field_value, field_values_float, oracle_sums
 
 
 class TestScaleParams:
@@ -110,6 +110,50 @@ class TestFieldValue:
     def test_zero_spec(self):
         spec = FieldSpec(seed=7, dimension=1, k_max=3, zero=True)
         assert all(field_value(spec, 1, 1, j) == 0 for j in range(-5, 50))
+
+
+class TestHashThresholds:
+    # field_values_vec compares the raw hash against integer thresholds; it
+    # must equal the float rule u = (h >> 11) 2^-53 < q of field_value
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_vec_equals_float_rule(self, k):
+        spec = FieldSpec(seed=5, dimension=2, k_max=16)
+        seeds = np.array([[3], [2**63 + 11], [2**64 - 1]], dtype=np.uint64)
+        j = np.arange(-64, 1 << 14)
+        for i in (1, 2):
+            for lagged in (False, True):
+                vec = field_values_vec(spec, k, i, j, lagged, seed=seeds)
+                assert vec.shape == (3, j.size)
+                assert np.array_equal(
+                    vec, field_values_float(spec, k, i, j, lagged, seed=seeds))
+        assert fields.lag_namespace(k) == (k >= 8)
+
+    def test_float_oracle_matches_scalar(self):
+        spec = FieldSpec(seed=5, dimension=2, k_max=9)
+        sp = scale_params(9)
+        j = np.arange(-8, 24)
+        for k, lagged, shift in ((2, False, 0), (3, True, scale_params(3).d),
+                                 (9, True, sp.d)):
+            float_rule = field_values_float(spec, k, 2, j, lagged)
+            assert float_rule.tolist() == [field_value(spec, k, 2, int(x) + shift)
+                                           for x in j]
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_threshold_rule_at_its_edge(self, k):
+        # m = h >> 11 is the 53-bit mantissa of u; at m = ceil(x 2^53) - 1 the
+        # float rule still says u < x, at ceil(x 2^53) it no longer does,
+        # whatever the 11 low bits of the hash
+        q = scale_params(k).q
+        thresholds = fields._thresholds(q)
+        for x, threshold in zip((q, q / 2), thresholds):
+            edge = math.ceil(x * 2.0**53)
+            for m in (edge - 1, edge):
+                for low in (0, 1, 2047):
+                    h = (m << 11) | low
+                    u = (h >> 11) * 2.0**-53
+                    assert (u < x) == (m == edge - 1)
+                    assert (np.uint64(h) < threshold) == (u < x)
 
 
 class TestBlockFunction:

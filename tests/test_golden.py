@@ -14,6 +14,13 @@ function moved from a dense product over every (group, grid point) pair to
 a per-scale histogram FFT: their masses and box probabilities changed in
 the last digits, and both reports gained the law's error ledger (aliasing
 bound, pruned mass and truncation tail variance per n).
+
+The recur2 digests (report.json and decay.csv) were re-pinned when the peak
+sweep moved from log(1 - q + q cos) per (n, group) to per-scale log1p
+tables: the old form rounded 1 - q to a double and was up to 3.8e-13
+relative off the exact p_n(0), the new one is within 1e-14
+(``test_pmf.py::TestPeakSweep``). At this seed the a_n, partial sums,
+``envelope_c``, ``tail`` and ``total`` moved by at most 2.4e-13 relative.
 """
 
 import hashlib
@@ -25,8 +32,8 @@ from recurlab.cli import main
 GOLDEN = {
     "recur2": (
         ["recur2", "--horizon", "120", "--samples", "40"],
-        {"report.json": "6ea7e0ceba52156f7215d6d12302ed720414c78cffa57bf00cf05c2464d837bf",
-         "decay.csv": "8ed1ce5e4e6922c6d0378e1d6c9e8561dcbfce6bc5438aa897672d4dfbc67e9a"},
+        {"report.json": "9ef9223ef81e1e87fb9ac72a8cd806803f021b76adfd805110f34c0165842bcd",
+         "decay.csv": "ceec716e80da6a346205fd96a811a7baa61d531c42d348423c5194eceaf1862a"},
     ),
     "recur3": (
         ["recur3", "--horizon", "40", "--samples", "20",

@@ -385,6 +385,23 @@ class TestPeakSweep:
         assert sweep[-1] < sweep[0]
         assert (sweep > 0).all() and (sweep <= 1).all()
 
+    def test_matches_walk_pmf_to_1e_14(self):
+        # the log tables keep log1p's rounding, relative to q (1 - cos); the
+        # old log(1 - q + q cos) form was 3.8e-13 off here
+        H, k_max, grid = 600, 12, 4096
+        sweep = peak_probability_sweep(H, k_max=k_max, grid=grid)
+        rows = pmf_module._SWEEP_ELEMS // (grid // 2 + 1)
+        ns = {1, 2, H}
+        ns |= {n for start in range(1, H + 1, rows) for n in (start - 1, start)}
+        for k in range(1, k_max + 1):
+            sp = scale_params(k)
+            if sp.d >= H + sp.p:  # split over the whole sweep
+                ns |= {sp.p - 1, sp.p, sp.p + 1}
+        spec = FieldSpec(seed=0, dimension=1, k_max=k_max, doubling=False)
+        for n in sorted(n for n in ns if 1 <= n <= H):
+            exact = walk_pmf(spec, n)[0].prob(0)
+            assert abs(sweep[n - 1] - exact) <= 1e-14 * exact, n
+
 
 class TestLclt:
     def test_point_mass_deviation(self):

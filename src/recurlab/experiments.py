@@ -313,7 +313,7 @@ def exp_gaussian(model: SpectralModel, k: int, c: int = 1, d: int = 1,
     if 2 * k * model.delta <= 1.0:
         raise ValueError("summability hypothesis 2 k delta > 1 fails")
     # the estimates, the paths and the twist all read r(0..H): tabulate it
-    # once, so a lag beyond the model's own table takes one quadrature
+    # once, so lags beyond the model's own table are computed in one call
     model = replace(model, table=tuple(model.r_vector(H)))
     ests = []
     env_viol = 0

@@ -8,6 +8,14 @@ density proportional to |t|^(delta-1) (the decay mechanism only needs
 singularity or zero-entropy claim is modeled) and a white-noise control.
 The twisted process is the closed form Y_n = 2 r(n) X_0 - X_n, which keeps
 the marginal law of the path while anti-correlating the non-projected part.
+
+The power family's r(n) comes from one fixed composite Gauss-Legendre rule
+applied to a whole vector of lags at once (``_power_cov``), in the variable
+u = t^delta that removes the density's endpoint singularity. Its error is
+estimated by a second node count and must stay below 1e-10, or the fit
+raises RuntimeError; it matches adaptive quadrature to 1e-13. No part of the
+module imports scipy.integrate; scipy.linalg is imported only by the
+sampler's Cholesky fallback.
 """
 
 from __future__ import annotations
@@ -22,6 +30,16 @@ from scipy.special import ndtr, zeta
 PSD_TOL = 1e-8
 MAX_JITTER = 1e-8
 
+# the power-model covariance rule (see _power_cov): Gauss-Legendre node
+# counts per panel, the coarser one giving the error estimate; the geometric
+# split of the first panel; values per block of the (lags x nodes) cosine
+# matrix (4 MiB, 35 lags of the 512-panel rule); the error gate
+_GL_NODES = (12, 16)
+_GRADE_RATIO = 0.2
+_GRADE_LEVELS = 20
+_COS_BLOCK = 1 << 19
+_RULE_TOL = 1e-10
+
 
 class PsdError(ValueError):
     """Toeplitz section dipped below the PSD tolerance."""
@@ -32,26 +50,57 @@ class PsdError(ValueError):
         super().__init__(f"min eigenvalue {min_eigenvalue:.3e} at N={N}")
 
 
-def _power_r(delta: float, n: int) -> float:
-    """Covariance of the normalized |t|^(delta-1) density at lag n.
+def _power_rule(delta: float, panels: int, nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes t_i and weights w_i with r(n) ~ sum_i w_i cos(n t_i).
 
-    The substitution u = t^delta removes the endpoint singularity, leaving a
-    bounded oscillatory integrand for adaptive quadrature. scipy.integrate
-    is imported here, not at module level, because importing it costs a
-    third of a second that commands which never fit a power model need not
-    pay.
+    r(n) is the cosine transform of the normalized density
+    (delta / pi^delta) t^(delta-1) on [0, pi]. Each panel of the breakpoint
+    list is mapped to u = t^delta, where the density is constant and the
+    integrand cos(n u^(1/delta)) is bounded, and carries ``nodes``
+    Gauss-Legendre nodes. The weights sum to 1, so r(0) = 1 up to rounding.
     """
-    from scipy.integrate import quad
+    h = math.pi / panels
+    graded = h * _GRADE_RATIO ** np.arange(_GRADE_LEVELS, 0, -1)
+    u = np.concatenate([[0.0], graded, h * np.arange(1, panels + 1)]) ** delta
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = np.diff(u)[:, None] / 2.0
+    un = u[:-1, None] + half * (x + 1.0)
+    return (un ** (1.0 / delta)).ravel(), (half * (w / math.pi**delta)).ravel()
 
-    hi = math.pi**delta
 
-    def integrand(u: float) -> float:
-        return math.cos(n * u ** (1.0 / delta)) / delta
+def _power_cov(delta: float, lags: np.ndarray) -> np.ndarray:
+    """r(n) of the |t|^(delta-1) density at every lag n >= 1 of ``lags``.
 
-    val, err = quad(integrand, 0.0, hi, epsabs=1e-12, epsrel=1e-12, limit=2000)
-    if err > 1e-10:
-        raise RuntimeError(f"quadrature error {err:.2e} too large at n={n}")
-    return 2.0 * val / (2.0 * hi / delta)
+    Composite Gauss-Legendre over panels uniform in t, at least as many as
+    the largest lag, so cos(n t) turns by at most pi within a panel; the
+    first panel is split geometrically toward the singular endpoint. Lags
+    are taken in blocks of at most _COS_BLOCK cosine values, whatever the
+    number of lags or nodes.
+    Both node counts of _GL_NODES are applied; their largest difference
+    estimates the error of the coarser rule and must stay below _RULE_TOL.
+    The finer rule's value is returned.
+    """
+    lags = np.asarray(lags, dtype=np.float64)
+    if lags.size == 0:
+        return lags
+    panels = int(lags.max())
+    (t0, w0), (t1, w1) = (_power_rule(delta, panels, m) for m in _GL_NODES)
+    t, w = np.concatenate([t0, t1]), np.concatenate([w0, w1])
+    out = np.empty((lags.size, 2))
+    rows = max(1, _COS_BLOCK // t.size)
+    for start in range(0, lags.size, rows):
+        c = np.multiply.outer(lags[start : start + rows], t)
+        np.cos(c, out=c)
+        c *= w
+        # numpy's row sums, unlike a BLAS product, do not depend on the
+        # block's shape, so a lag's value does not depend on its block
+        out[start : start + rows, 0] = c[:, : t0.size].sum(axis=1)
+        out[start : start + rows, 1] = c[:, t0.size :].sum(axis=1)
+    err = np.abs(out[:, 0] - out[:, 1])
+    if err.max() > _RULE_TOL:
+        i = int(np.argmax(err))
+        raise RuntimeError(f"quadrature error {err[i]:.2e} too large at n={int(lags[i])}")
+    return out[:, 1]
 
 
 @dataclass(frozen=True)
@@ -59,7 +108,8 @@ class SpectralModel:
     """Covariance sequence r with r(0) = 1 and |r(n)| <= C n^-delta.
 
     ``table`` holds r(0), r(1), ... as computed when the model was fitted;
-    a power-family lag beyond it is computed by quadrature on each call.
+    a lag beyond it is computed from the family on each call, and
+    ``r_vector`` computes all the lags it is missing in one call.
     """
 
     family: str
@@ -72,16 +122,21 @@ class SpectralModel:
         n = abs(int(n))
         if n < len(self.table):
             return self.table[n]
-        if n == 0:
-            return 1.0
-        if self.family == "white":
-            return 0.0
-        if self.family == "power":
-            return _power_r(self.delta, n)
-        raise ValueError(f"unknown family {self.family!r}")
+        return float(self._beyond_table(np.array([n]))[0])
 
     def r_vector(self, N: int) -> np.ndarray:
-        return np.array([self.r(n) for n in range(N + 1)])
+        head = np.array(self.table[: N + 1], dtype=np.float64)
+        if head.size == N + 1:
+            return head
+        return np.concatenate([head, self._beyond_table(np.arange(head.size, N + 1))])
+
+    def _beyond_table(self, lags: np.ndarray) -> np.ndarray:
+        out = (lags == 0).astype(np.float64)
+        if self.family == "power":
+            out[lags > 0] = _power_cov(self.delta, lags[lags > 0])
+        elif self.family != "white":
+            raise ValueError(f"unknown family {self.family!r}")
+        return out
 
 
 def power_density_model(delta: float, probe: int = 512) -> SpectralModel:
@@ -94,7 +149,7 @@ def power_density_model(delta: float, probe: int = 512) -> SpectralModel:
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     ns = np.arange(1, probe + 1)
-    rs = np.array([_power_r(delta, int(n)) for n in ns])
+    rs = _power_cov(delta, ns)
     C = float(np.max(np.abs(rs) * ns**delta))
     lo = min(16, probe)
     slope = float(np.polyfit(np.log(ns[lo - 1:]), np.log(np.abs(rs[lo - 1:])), 1)[0])
@@ -125,7 +180,7 @@ def _circulant_eigs(r: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _cholesky_with_jitter(r: np.ndarray) -> np.ndarray:
-    # imported here, as in _power_r: only this fallback needs scipy.linalg
+    # imported here: only this fallback needs scipy.linalg
     from scipy.linalg import eigvalsh, toeplitz
 
     T = toeplitz(r)
@@ -172,7 +227,7 @@ def twisted_values(model: SpectralModel, paths: np.ndarray) -> np.ndarray:
 
 def upper_tail(x: float) -> float:
     """Standard normal upper tail P(Z > x)."""
-    return float(1.0 - ndtr(x))
+    return float(ndtr(-x))
 
 
 @dataclass(frozen=True)

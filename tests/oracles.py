@@ -1,15 +1,19 @@
 """Scalar reference implementations of the field, one PRF call per value,
 its float comparison rule over whole arrays, the dense product form of the
-walk's log characteristic function, and the walk's exact rational law at
-toy sizes (amplitudes are rational only for k <= 2).
+walk's log characteristic function, the walk's exact rational law at
+toy sizes (amplitudes are rational only for k <= 2), and the power spectral
+model's covariance by adaptive quadrature, one lag per call.
 
 The library evaluates field values and partial sums only through the
-vectorized kernel in ``recurlab.fields``, and the log characteristic
-function only through the per-scale histogram FFT in ``recurlab.pmf``.
+vectorized kernel in ``recurlab.fields``, the log characteristic
+function only through the per-scale histogram FFT in ``recurlab.pmf``, and
+the power covariance only through the fixed Gauss-Legendre rule in
+``recurlab.gaussian``.
 These functions compute the same quantities straight from the definitions,
 so that tests can check the kernels against an independent implementation.
 """
 
+import math
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -182,3 +186,24 @@ def exact_walk_pmf(spec: FieldSpec, n: int) -> Dict[int, Fraction]:
     if spec.doubling:
         law = {2 * s: m for s, m in law.items()}
     return law
+
+
+def oracle_power_r(delta: float, n: int) -> float:
+    """Covariance of the normalized |t|^(delta-1) density at lag n.
+
+    The substitution u = t^delta removes the endpoint singularity, leaving a
+    bounded oscillatory integrand for adaptive quadrature. scipy.integrate
+    is imported here, not at module level, so that importing the oracles
+    does not load it.
+    """
+    from scipy.integrate import quad
+
+    hi = math.pi**delta
+
+    def integrand(u: float) -> float:
+        return math.cos(n * u ** (1.0 / delta)) / delta
+
+    val, err = quad(integrand, 0.0, hi, epsabs=1e-12, epsrel=1e-12, limit=2000)
+    if err > 1e-10:
+        raise RuntimeError(f"quadrature error {err:.2e} too large at n={n}")
+    return 2.0 * val / (2.0 * hi / delta)

@@ -220,14 +220,30 @@ class TestReproducibility:
 
 
 class TestImportCost:
-    def test_cli_import_leaves_heavy_scipy_out(self):
-        # scipy.integrate and scipy.linalg cost about 0.4 s to import, and
-        # only the power-model quadrature and the Toeplitz fallback use them
+    @staticmethod
+    def _loaded_after(statements):
+        """The heavy scipy modules a fresh interpreter holds after running
+        ``statements``."""
         src = str(Path(recurlab.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
-        probe = ("import sys, recurlab.cli; print(sorted(m for m in "
+        probe = (f"import sys; {statements}; print(sorted(m for m in "
                  "('scipy.integrate', 'scipy.linalg') if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip()
+
+    def test_cli_import_leaves_heavy_scipy_out(self):
+        # after import recurlab.cli, importing scipy.integrate and
+        # scipy.linalg took 0.26-0.38 s (five runs, 2-vCPU x86-64 VM), and
+        # scipy.linalg alone 0.05-0.07 s; only the sampler's Toeplitz
+        # fallback uses scipy.linalg
+        assert self._loaded_after("import recurlab.cli") == "[]"
+
+    def test_power_model_needs_no_integrate(self):
+        # the covariance table is a fixed Gauss-Legendre rule, and the
+        # circulant embedding samples this model without the fallback
+        loaded = self._loaded_after(
+            "from recurlab.gaussian import power_density_model, sample_paths; "
+            "sample_paths(power_density_model(0.3), 64, size=4, seed=0)")
+        assert loaded == "[]"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh, toeplitz
 
+from oracles import oracle_power_r
 from recurlab import gaussian
 from recurlab.experiments import exp_gaussian
 from recurlab.gaussian import (
@@ -24,14 +25,9 @@ def power03():
     return power_density_model(0.3)
 
 
-class _Constant(SpectralModel):
-    """Degenerate r(n) = 1 model: every Toeplitz section has rank one."""
-
-    def r(self, n):
-        return 1.0
-
-
-CONSTANT = _Constant(family="constant", delta=0.0, C=1.0)
+# degenerate r(n) = 1 on every lag the tests read: every Toeplitz section
+# has rank one
+CONSTANT = SpectralModel(family="constant", delta=0.0, C=1.0, table=(1.0,) * 33)
 
 
 def _min_eigenvalue(model, N):
@@ -70,6 +66,36 @@ class TestSpectralModels:
             SpectralModel(family="mystery", delta=0.5, C=1.0).r(3)
 
 
+class TestPowerTable:
+    # lags at and around the panel count, powers of two and small lags
+    LAGS = (1, 2, 3, 7, 64, 257, 511, 512)
+
+    @pytest.mark.parametrize("delta", [0.05, 0.3, 0.5, 0.7, 0.95])
+    def test_table_matches_oracle(self, delta):
+        table = power_density_model(delta).table
+        for n in self.LAGS:
+            assert abs(table[n] - oracle_power_r(delta, n)) <= 1e-13, n
+
+    def test_lags_beyond_table_match_oracle(self, power03):
+        r = power03.r_vector(1024)
+        assert len(power03.table) == 513
+        assert r[:513].tolist() == list(power03.table)
+        ref = np.array([oracle_power_r(0.3, n) for n in range(513, 1025)])
+        assert np.abs(r[513:] - ref).max() <= 1e-13
+        assert power03.r(700) == pytest.approx(ref[700 - 513], abs=1e-13)
+
+    def test_table_independent_of_block_size(self, power03, monkeypatch):
+        # one lag per block, and every lag in one block
+        for block in (1, 1 << 24):
+            monkeypatch.setattr(gaussian, "_COS_BLOCK", block)
+            assert power_density_model(0.3).table == power03.table
+
+    def test_under_resolved_rule_raises(self, monkeypatch):
+        monkeypatch.setattr(gaussian, "_GL_NODES", (2, 3))
+        with pytest.raises(RuntimeError, match="quadrature error"):
+            power_density_model(0.3)
+
+
 class TestPsd:
     def test_white_noise_identity(self):
         assert abs(_min_eigenvalue(white_noise_model(), 16) - 1.0) < 1e-12
@@ -83,11 +109,7 @@ class TestPsd:
     def test_rejection_carries_eigenvalue(self, monkeypatch):
         # a covariance that is not positive definite: the sampler's
         # factorization fails past the largest jitter and says by how much
-        class Bad(SpectralModel):
-            def r(self, n):
-                return 1.5 if abs(n) == 1 else super().r(n)
-
-        bad = Bad(family="white", delta=1.0, C=0.0)
+        bad = SpectralModel(family="white", delta=1.0, C=0.0, table=(1.0, 1.5))
         monkeypatch.setattr(gaussian, "_circulant_eigs", lambda r: None)
         with pytest.raises(PsdError) as exc:
             sample_paths(bad, 4, size=2, seed=0)
@@ -173,6 +195,18 @@ class TestTwistedPath:
         assert abs(a - b) < 5 * math.sqrt(a * (1 - a) / 100_000) + 1e-3
 
 
+class TestUpperTail:
+    @pytest.mark.parametrize("x, tail", [
+        (5.0, 2.8665157187919391167e-7),
+        (9.0, 1.1285884059538406477e-19),
+        (20.0, 2.7536241186062336951e-89),
+    ])
+    def test_far_tail_relative_precision(self, x, tail):
+        # P(Z > x) = erfc(x / sqrt 2) / 2, to 20 digits; no absolute slack,
+        # which would let 0.0 pass for the far tails
+        assert abs(upper_tail(x) - tail) <= 1e-12 * tail
+
+
 class TestTripleProbability:
     def test_white_noise_exact_zero(self):
         est = triple_probability(white_noise_model(), 7, samples=50_000)
@@ -192,11 +226,8 @@ class TestTripleProbability:
             assert b.estimate <= a.estimate + 4 * (a.se + b.se)
 
     def test_negative_correlation_zero_envelope(self):
-        class NegModel(SpectralModel):
-            def r(self, n):
-                return -0.4 if abs(n) == 3 else super().r(n)
-
-        model = NegModel(family="white", delta=1.0, C=0.4)
+        model = SpectralModel(family="white", delta=1.0, C=0.4,
+                              table=(1.0, 0.0, 0.0, -0.4))
         est = triple_probability(model, 3, samples=50_000)
         assert est.env_tail == 0.0
         assert est.estimate == 0.0  # requires r(n) X_0 > 1 with r < 0

@@ -6,8 +6,9 @@ cannot see a change between versions of the code. These digests can: a
 refactor that claims to keep every report byte-identical must pass them
 unchanged. They were taken on x86-64 Linux with Python 3.11, numpy 2.4 and
 scipy 1.17; reports that hold floating-point results from FFTs and
-quadrature (lclt, mixing, gauss) may differ in the last digits under other
-numpy or scipy builds.
+vectorized numpy kernels (lclt, mixing, gauss) may differ in the last
+digits under other numpy builds. gauss no longer depends on QUADPACK: its
+covariance table is a fixed Gauss-Legendre rule evaluated by numpy.
 
 The lclt and mixing digests were re-pinned when the log characteristic
 function moved from a dense product over every (group, grid point) pair to

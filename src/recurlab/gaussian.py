@@ -27,6 +27,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import ndtr, zeta
 
+from .prf import derive_rng
+
 PSD_TOL = 1e-8
 MAX_JITTER = 1e-8
 
@@ -39,6 +41,8 @@ _GRADE_RATIO = 0.2
 _GRADE_LEVELS = 20
 _COS_BLOCK = 1 << 19
 _RULE_TOL = 1e-10
+
+_TAG_TRIPLE = 71  # keyed stream of triple_probability's draws
 
 
 class PsdError(ValueError):
@@ -255,7 +259,7 @@ def triple_probability(model: SpectralModel, n: int, samples: int,
     if n < 0 or samples < 1:
         raise ValueError("need n >= 0 and samples >= 1")
     rn = model.r(n)
-    rng = np.random.default_rng((seed << 20) ^ n)
+    rng = derive_rng(seed, _TAG_TRIPLE, n)
     z0 = rng.standard_normal(samples)
     z1 = rng.standard_normal(samples)
     x0 = z0

@@ -22,6 +22,15 @@ tables: the old form rounded 1 - q to a double and was up to 3.8e-13
 relative off the exact p_n(0), the new one is within 1e-14
 (``test_pmf.py::TestPeakSweep``). At this seed the a_n, partial sums,
 ``envelope_c``, ``tail`` and ``total`` moved by at most 2.4e-13 relative.
+
+The gauss digest was re-pinned once, after two changes. The covariance
+table moved from one adaptive quadrature per lag to one fixed
+Gauss-Legendre rule over all lags; alone, that left gauss.json
+byte-identical at seeds 0 and 3. Then ``triple_probability`` took its
+draws from ``prf.derive_rng`` keyed by (seed, tag, n) instead of
+``default_rng((seed << 20) ^ n)``, which changes the Monte Carlo estimates
+themselves; all 30 seeds 0..29 of ``gauss --param mc=20000`` still report
+verdict ``ok``.
 """
 
 import hashlib
@@ -56,7 +65,7 @@ GOLDEN = {
     ),
     "gauss": (
         ["gauss", "--horizon", "16", "--samples", "100", "--param", "mc=2000"],
-        {"gauss.json": "f9f756d46a7a12fd8dbeb14e2002e09927a4174bc0d2b7c1d9dec177fd753193"},
+        {"gauss.json": "bfbbc5f8baa10d1c0163d6543696940aac9e2372a5ef13e2e2d63d9ee15074c9"},
     ),
 }
 

@@ -79,10 +79,9 @@ def _power_cov(delta: float, lags: np.ndarray) -> np.ndarray:
     the largest lag, so cos(n t) turns by at most pi within a panel; the
     first panel is split geometrically toward the singular endpoint. Lags
     are taken in blocks of at most _COS_BLOCK cosine values, whatever the
-    number of lags or nodes.
-    Both node counts of _GL_NODES are applied; their largest difference
-    estimates the error of the coarser rule and must stay below _RULE_TOL.
-    The finer rule's value is returned.
+    number of lags or nodes. Both node counts of _GL_NODES are applied;
+    their largest difference estimates the error of the coarser rule and
+    must stay below _RULE_TOL. The finer rule's value is returned.
     """
     lags = np.asarray(lags, dtype=np.float64)
     if lags.size == 0:

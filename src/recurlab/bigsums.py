@@ -17,6 +17,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from . import PreconditionError
 from .prf import derive_rng
 from .fields import (
     COORD_BOUND,
@@ -147,7 +148,7 @@ def schedule_sums(spec: FieldSpec, times: Sequence[int]) -> EndpointSums:
     if not times or times[0] < 1:
         raise ValueError("schedule times must be positive integers")
     if times[-1] >= COORD_BOUND // 4:
-        raise ValueError("schedule exceeds the coordinate bound")
+        raise PreconditionError("schedule exceeds the coordinate bound")
     if spec.windows or spec.origin != 0:
         raise ValueError("schedule_sums needs an unconditioned, unshifted spec")
     dim = spec.dimension
@@ -192,7 +193,7 @@ def _scale_endpoints(spec: FieldSpec, sp: ScaleParams, i: int,
 
 def endpoint_batch_law(seed: int, n: int, size: int, k_min: int = 1,
                        k_max: int = 8, dimension: int = 1,
-                       doubling: bool = False, stream: int = 0) -> np.ndarray:
+                       doubling: bool = False) -> np.ndarray:
     """i.i.d. samples of S_n drawn from its law (not tied to a field path).
 
     Uses the grouped atom structure: per scale the number of firing atoms is
@@ -207,7 +208,8 @@ def endpoint_batch_law(seed: int, n: int, size: int, k_min: int = 1,
         return out
     mult = 2 if doubling else 1
     for i in range(dimension):
-        rng = derive_rng(seed, _TAG_LAW, n, i, stream)
+        # the trailing 0 is a fixed key word; every draw depends on it
+        rng = derive_rng(seed, _TAG_LAW, n, i, 0)
         for k in range(k_min, k_max + 1):
             values, counts = scale_groups(k, n)
             total_atoms = int(counts.sum())

@@ -2,8 +2,9 @@
 
 Commands: lclt | recur2 | recur3 | gauss | mixing | certify-range.
 Configuration comes from a flat ``key = value`` file plus flags (flags win).
-Exit codes: 0 all assertions passed, 1 an assertion or bound was violated,
-2 usage/config error. Outputs are deterministic given the config: JSON
+Exit codes: 0 all assertions passed, 1 an assertion or bound was violated
+(or an engine fault, with its traceback), 2 usage/config error: an unknown
+key, a bad value, or an input outside an engine's validated range. Outputs are deterministic given the config: JSON
 reports with sorted keys, CSV with fixed column order, and the resolved
 config embedded in every file.
 """
@@ -16,9 +17,9 @@ import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from . import __version__
+from . import PreconditionError, __version__
 from .experiments import (
     Extraction,
     TripleProbeReport,
@@ -38,35 +39,30 @@ class ConfigError(Exception):
     pass
 
 
-_COMMON = {
-    "seed": int,
-    "samples": int,
-    "horizon": int,
-    "out": str,
-    "emit_plot_data": bool,
+# command -> {key: (type, default)}: the keys each command's runner reads,
+# and nothing else. ``out`` names the output directory and is left out of
+# the resolved config.
+_BASE = {"seed": (int, 0), "out": (str, ".")}
+
+_KEYS: Dict[str, Dict[str, Tuple[type, object]]] = {
+    "lclt": {**_BASE, "n_grid": (str, "256,1024,4096,16384"), "k_max": (int, 0)},
+    "recur2": {**_BASE, "horizon": (int, 2000), "samples": (int, 1000),
+               "k_max": (int, 0), "zero": (bool, False)},
+    "recur3": {**_BASE, "horizon": (int, 500), "samples": (int, 1000),
+               "k": (int, 0), "pool_size": (int, 150), "k_max": (int, 0),
+               "margin": (float, 0.1)},
+    "gauss": {**_BASE, "horizon": (int, 64), "samples": (int, 1000),
+              "delta": (float, 0.3), "k": (int, 2), "mc": (int, 100_000),
+              "white": (bool, False)},
+    "mixing": {**_BASE, "horizon": (int, 4096), "samples": (int, 100_000),
+               "M": (int, 5), "k_max": (int, 0), "zero": (bool, False),
+               "n_min": (int, 64)},
+    "certify-range": {**_BASE, "samples": (int, 1000), "N": (int, 8),
+                      "C": (int, 0)},
 }
 
-_SCHEMAS: Dict[str, Dict[str, type]] = {
-    "lclt": {"n_grid": str, "k_max": int},
-    "recur2": {"k_max": int, "zero": bool},
-    "recur3": {"k": int, "pool_size": int, "k_max": int, "margin": float},
-    "gauss": {"delta": float, "k": int, "c": int, "d": int, "mc": int,
-              "white": bool},
-    "mixing": {"M": int, "k_max": int, "zero": bool, "n_min": int},
-    "certify-range": {"N": int, "C": int},
-}
-
-_DEFAULTS: Dict[str, Dict] = {
-    "lclt": {"n_grid": "256,1024,4096,16384", "k_max": 0},
-    "recur2": {"horizon": 2000, "samples": 1000, "k_max": 0, "zero": False},
-    "recur3": {"horizon": 500, "samples": 1000, "k": 0, "pool_size": 150,
-               "k_max": 0, "margin": 0.1},
-    "gauss": {"delta": 0.3, "k": 2, "c": 1, "d": 1, "horizon": 64,
-              "samples": 1000, "mc": 100_000, "white": False},
-    "mixing": {"M": 5, "horizon": 4096, "samples": 100_000, "k_max": 0,
-               "zero": False, "n_min": 64},
-    "certify-range": {"N": 8, "C": 0, "samples": 1000},
-}
+# keys with a flag of their own; every key can be set by --param KEY=VALUE
+_FLAGS = ("seed", "out", "samples", "horizon")
 
 
 def _parse_value(key: str, raw: str, typ: type):
@@ -101,13 +97,9 @@ class RunConfig:
 
 def parse_config(argv) -> RunConfig:
     parser = argparse.ArgumentParser(prog="recurlab", add_help=True)
-    parser.add_argument("command", choices=sorted(_SCHEMAS))
-    parser.add_argument("--config", default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--horizon", type=int, default=None)
-    parser.add_argument("--emit-plot-data", action="store_true", default=None)
+    parser.add_argument("command", choices=sorted(_KEYS))
+    for flag in ("config", *_FLAGS):
+        parser.add_argument(f"--{flag}")
     parser.add_argument("--param", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="set a command-specific key")
@@ -116,9 +108,13 @@ def parse_config(argv) -> RunConfig:
     except SystemExit:
         raise ConfigError("invalid command line")
 
-    schema = {**_COMMON, **_SCHEMAS[args.command]}
-    values: Dict = {"seed": 0, "out": ".", "emit_plot_data": False}
-    values.update(_DEFAULTS[args.command])
+    keys = _KEYS[args.command]
+    values: Dict = {key: default for key, (_, default) in keys.items()}
+
+    def set_key(key: str, raw: str) -> None:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} for {args.command}")
+        values[key] = _parse_value(key, raw, keys[key][0])
 
     if args.config is not None:
         path = Path(args.config)
@@ -131,26 +127,16 @@ def parse_config(argv) -> RunConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in schema:
-                raise ConfigError(f"unknown key {key!r} for {args.command}")
-            values[key] = _parse_value(key, raw, schema[key])
+            set_key(key, raw)
 
-    for flag in ("seed", "out", "samples", "horizon"):
-        v = getattr(args, flag)
-        if v is not None:
-            if flag not in schema:
-                raise ConfigError(f"unknown key {flag!r} for {args.command}")
-            values[flag] = v
-    if args.emit_plot_data:
-        values["emit_plot_data"] = True
+    for flag in _FLAGS:
+        if getattr(args, flag) is not None:
+            set_key(flag, getattr(args, flag))
     for item in args.param:
         if "=" not in item:
             raise ConfigError(f"--param needs KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
-        key = key.strip()
-        if key not in schema:
-            raise ConfigError(f"unknown key {key!r} for {args.command}")
-        values[key] = _parse_value(key, raw, schema[key])
+        set_key(key.strip(), raw)
 
     _validate(args.command, values)
     return RunConfig(args.command, values)
@@ -168,8 +154,6 @@ def _validate(command: str, v: Dict) -> None:
     if command == "gauss":
         if not (0.0 < v["delta"] < 1.0):
             raise ConfigError(f"delta must lie in (0, 1), got {v['delta']}")
-        if v["c"] == 0 or v["d"] == 0:
-            raise ConfigError("c and d must be nonzero")
         if 2 * v["k"] * v["delta"] <= 1.0 and not v["white"]:
             raise ConfigError(
                 f"summability needs 2*k*delta > 1, got {2 * v['k'] * v['delta']}")
@@ -179,8 +163,6 @@ def _validate(command: str, v: Dict) -> None:
         raise ConfigError(f"horizon must be >= {FIT_FROM} for recur3 (the "
                           f"complement envelope is fitted from n = {FIT_FROM}), "
                           f"got {v['horizon']}")
-    if command == "mixing" and v["M"] < 0:
-        raise ConfigError("M must be >= 0")
     if command == "mixing" and v["horizon"] < 2 * v["n_min"]:
         raise ConfigError(f"horizon must be n_min times a power of two, at "
                           f"least 2 * n_min = {2 * v['n_min']}, got {v['horizon']}")
@@ -239,16 +221,13 @@ def _csv(header, rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command runners (each returns (exit_code, payload, plot_rows))
+# command runners (each writes its reports and returns the exit code)
 
 
 def _run_lclt(cfg: RunConfig) -> int:
-    grid = []
-    for tok in cfg["n_grid"].split(","):
-        n = int(tok.strip())
-        if n < 1:
-            raise ConfigError(f"n_grid entries must be positive, got {n}")
-        grid.append(n)
+    grid = [_parse_value("n_grid", tok, int) for tok in cfg["n_grid"].split(",")]
+    if min(grid) < 1:
+        raise ConfigError(f"n_grid entries must be positive, got {min(grid)}")
     k_max = cfg["k_max"] or default_k_max(max(grid))
     entries = []
     ok = True
@@ -276,9 +255,8 @@ def _run_lclt(cfg: RunConfig) -> int:
     }
     text = _report(cfg, payload)
     _write(cfg["out"], "lclt.json", text)
-    if cfg["emit_plot_data"]:
-        rows = [(e["n"], e["peak"], e["deviation"]) for e in entries]
-        _write(cfg["out"], "lclt.csv", _csv(["n", "scaled_peak", "deviation"], rows))
+    rows = [(e["n"], e["peak"], e["deviation"]) for e in entries]
+    _write(cfg["out"], "lclt.csv", _csv(["n", "scaled_peak", "deviation"], rows))
     return 0 if ok else 1
 
 
@@ -317,17 +295,15 @@ def _run_recur3(cfg: RunConfig) -> int:
 
 def _run_gauss(cfg: RunConfig) -> int:
     model = white_noise_model() if cfg["white"] else power_density_model(cfg["delta"])
-    rep = exp_gaussian(model, k=cfg["k"], c=cfg["c"], d=cfg["d"],
-                       H=cfg["horizon"], samples=cfg["samples"],
-                       mc=cfg["mc"], seed0=cfg["seed"])
+    rep = exp_gaussian(model, k=cfg["k"], H=cfg["horizon"],
+                       samples=cfg["samples"], mc=cfg["mc"], seed0=cfg["seed"])
     ok = rep.verdict == "ok" and math.isfinite(rep.summability_total)
     report = {**asdict(rep), **_extraction(rep.extraction, rep.verdict)}
     del report["extraction"]
     payload = {"report": report, "pass": ok}
     _write(cfg["out"], "gauss.json", _report(cfg, payload))
-    if cfg["emit_plot_data"]:
-        rows = [(n + 1, e) for n, e in enumerate(rep.estimates)]
-        _write(cfg["out"], "gauss_decay.csv", _csv(["n", "estimate"], rows))
+    rows = [(n + 1, e) for n, e in enumerate(rep.estimates)]
+    _write(cfg["out"], "gauss_decay.csv", _csv(["n", "estimate"], rows))
     return 0 if ok else 1
 
 
@@ -372,10 +348,9 @@ _RUNNERS = {
 def dispatch(config: RunConfig) -> int:
     try:
         return _RUNNERS[config.command](config)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        # precondition violations surfaced by the engines are config errors
+    except PreconditionError as exc:
+        # an input outside an engine's validated range is a config error;
+        # any other exception is a fault and keeps its traceback
         raise ConfigError(str(exc))
 
 

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import PreconditionError
 from .prf import hash_words_vec
 
 # Address-word tags keep the field family, the omega configuration and any
@@ -101,7 +102,7 @@ class FieldSpec:
         if self.dimension not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
         if not (1 <= self.k_min <= self.k_max):
-            raise ValueError("need 1 <= k_min <= k_max")
+            raise PreconditionError("need 1 <= k_min <= k_max")
         for w in self.windows:
             if w.value not in (-1, 0, 1):
                 raise ValueError(f"forced value {w.value} not in {{-1,0,1}}")
@@ -318,7 +319,7 @@ def goal_event_plan(N: int, C: int, k_max: Optional[int] = None) -> Conditioning
     (requires p_k + 2N < 2 p_k <= d_k).
     """
     if N < 1 or C < 1:
-        raise ValueError("need N >= 1 and C >= 1")
+        raise PreconditionError("need N >= 1 and C >= 1")
     kappa = 1
     while scale_params(kappa).p <= 2 * N:
         kappa += 1
@@ -339,7 +340,7 @@ def goal_event_plan(N: int, C: int, k_max: Optional[int] = None) -> Conditioning
         sp = scale_params(k)
         span = sp.p + 2 * N
         if span >= 2 * sp.p:
-            raise ValueError(
+            raise PreconditionError(
                 f"conditioning collision at scale {k}: p_k + 2N = {span} >= 2 p_k"
             )
         if K <= k < K + C:

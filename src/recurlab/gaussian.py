@@ -27,6 +27,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import ndtr, zeta
 
+from . import PreconditionError
 from .prf import derive_rng
 
 PSD_TOL = 1e-8
@@ -142,7 +143,11 @@ class SpectralModel:
         return out
 
 
-def power_density_model(delta: float, probe: int = 512) -> SpectralModel:
+# lags 1..FIT_LAGS on which power_density_model fits C and the decay slope
+FIT_LAGS = 512
+
+
+def power_density_model(delta: float) -> SpectralModel:
     """Model with spectral density proportional to |t|^(delta-1).
 
     C is fitted as the smallest constant with |r(n)| <= C n^-delta on the
@@ -150,16 +155,16 @@ def power_density_model(delta: float, probe: int = 512) -> SpectralModel:
     within 0.1 of -delta.
     """
     if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    ns = np.arange(1, probe + 1)
+        raise PreconditionError(f"delta must lie in (0, 1), got {delta}")
+    ns = np.arange(1, FIT_LAGS + 1)
     rs = _power_cov(delta, ns)
     C = float(np.max(np.abs(rs) * ns**delta))
-    lo = min(16, probe)
-    slope = float(np.polyfit(np.log(ns[lo - 1:]), np.log(np.abs(rs[lo - 1:])), 1)[0])
+    # the slope is fitted from lag 16 on
+    slope = float(np.polyfit(np.log(ns[15:]), np.log(np.abs(rs[15:])), 1)[0])
     if abs(slope + delta) > 0.1:
         raise RuntimeError(f"fitted decay slope {slope:.3f} far from -{delta}")
     return SpectralModel(family="power", delta=delta, C=C,
-                         params=(("slope", slope), ("probe", float(probe))),
+                         params=(("slope", slope), ("probe", float(FIT_LAGS))),
                          table=(1.0, *rs.tolist()))
 
 

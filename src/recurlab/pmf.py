@@ -114,8 +114,8 @@ class IntegerPmf:
         out[::factor] = self.mass
         return IntegerPmf(offset=self.offset * factor, mass=out, pruned=self.pruned)
 
-    def prune(self, eps: float = PRUNE_EPS) -> "IntegerPmf":
-        small = self.mass < eps
+    def prune(self) -> "IntegerPmf":
+        small = self.mass < PRUNE_EPS
         lost = float(self.mass[small].sum())
         mass = self.mass.copy()
         mass[small] = 0.0
@@ -413,7 +413,6 @@ def peak_probability_sweep(n_max: int, k_max: int, k_min: int = 1,
 @dataclass
 class LcltReport:
     n: int
-    sigma2: float
     deviation: float
     peak: float
     scaling: float
@@ -421,13 +420,13 @@ class LcltReport:
     asymmetry: float
 
 
-def lclt_deviation(pmf: IntegerPmf, n: int, sigma2: float = SIGMA2) -> LcltReport:
+def lclt_deviation(pmf: IntegerPmf, n: int) -> LcltReport:
     """Sup over the stored support of sqrt(n) * |p_n(j) - gaussian(j)|."""
     scaling = math.sqrt(n) if n > 0 else 1.0
     js = pmf.support.astype(np.float64)
     denom = max(n, 1)
-    gauss = np.exp(-(js**2) / (2 * denom * sigma2)) / math.sqrt(2 * math.pi * denom * sigma2)
+    gauss = np.exp(-(js**2) / (2 * denom * SIGMA2)) / math.sqrt(2 * math.pi * denom * SIGMA2)
     dev = float(np.abs(pmf.mass - gauss).max() * scaling)
     peak = scaling * pmf.prob(0)
-    return LcltReport(n=n, sigma2=sigma2, deviation=dev, peak=peak,
+    return LcltReport(n=n, deviation=dev, peak=peak,
                       scaling=scaling, mass=pmf.total(), asymmetry=pmf.max_asymmetry())

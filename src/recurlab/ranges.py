@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import PreconditionError
 from .bigsums import schedule_sums
 from .fields import (
     FieldSpec,
@@ -358,12 +359,17 @@ class CertificationRun:
     bound_checks: Tuple[Tuple[int, float, float], ...]  # (k, log m(D_k), -2/p_k)
 
 
+# unforced scales k = K + C, ..., K + C + BOUND_SCALES - 1 whose factor bound
+# m(D_k) >= exp(-2/p_k) each certification checks
+BOUND_SCALES = 40
+
+
 def _lex_less(a, b) -> bool:
     return (a[0], a[1]) < (b[0], b[1])
 
 
 def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
-                     samples: int = 1000, bound_scales: int = 40) -> CertificationRun:
+                     samples: int = 1000) -> CertificationRun:
     """Sample the conditioned cylinder and certify the strict-increase window.
 
     The conditioning forces a band of scales to contribute +p_k each step on
@@ -379,7 +385,7 @@ def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
     if C is None:
         C = -M + 1
     if C < -M:
-        raise ValueError("C must dominate the low-band worst case -M")
+        raise PreconditionError("C must dominate the low-band worst case -M")
     plan = goal_event_plan(N=N, C=C)
     plan_k_max = max(w.k for w in plan.windows)
     goal_failures = 0
@@ -414,7 +420,7 @@ def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
         else:
             log_prob += span * math.log(sp.q / 2.0)
     checks = []
-    for k in range(plan.K + C, plan.K + C + bound_scales):
+    for k in range(plan.K + C, plan.K + C + BOUND_SCALES):
         sp = scale_params(k)
         log_mdk = 2 * (sp.p + 2 * N) * math.log1p(-sp.q)
         checks.append((k, log_mdk, -2.0 / sp.p))

@@ -32,18 +32,18 @@ class OmegaConfig:
 
     seed: int
     dimension: int = 1
-    stream: int = 0
 
     def bit(self, u: Site) -> int:
         coords = _as_tuple(u)
         if len(coords) != self.dimension:
             raise ValueError(f"site {u} has wrong dimension")
-        return hash_words(self.seed, TAG_OMEGA, self.stream, *coords) & 1
+        # the 0 after the tag is a fixed address word; every bit depends on it
+        return hash_words(self.seed, TAG_OMEGA, 0, *coords) & 1
 
     def bits_1d(self, u: np.ndarray) -> np.ndarray:
         """Vectorized bits along the line (dimension 1 only)."""
         if self.dimension != 1:
             raise ValueError("bits_1d needs a one-dimensional configuration")
-        h = hash_words_vec(self.seed, (TAG_OMEGA, self.stream),
+        h = hash_words_vec(self.seed, (TAG_OMEGA, 0),
                            np.asarray(u, dtype=np.int64))
         return (h & np.uint64(1)).astype(np.int64)

@@ -186,8 +186,3 @@ class TestEndpointLawSampler:
                                      dimension=2, doubling=True)
         assert samples.shape == (100, 2)
         assert (samples % 2 == 0).all()
-
-    def test_streams_independent(self):
-        a = endpoint_batch_law(seed=5, n=32, size=1000, k_max=6, stream=0)
-        b = endpoint_batch_law(seed=5, n=32, size=1000, k_max=6, stream=1)
-        assert (a != b).any()

@@ -72,11 +72,32 @@ class TestParseConfig:
     def test_bad_command(self):
         assert main(["dance"]) == 2
 
+    @pytest.mark.parametrize("command,argv,message", [
+        ("lclt", ["--horizon", "5"], "unknown key 'horizon' for lclt"),
+        ("lclt", ["--samples", "3"], "unknown key 'samples' for lclt"),
+        ("certify-range", ["--horizon", "99"],
+         "unknown key 'horizon' for certify-range"),
+        ("gauss", ["--param", "c=2"], "unknown key 'c' for gauss"),
+        ("gauss", ["--param", "d=-3"], "unknown key 'd' for gauss"),
+        ("recur2", ["--param", "emit_plot_data=true"],
+         "unknown key 'emit_plot_data' for recur2"),
+        ("lclt", ["--emit-plot-data"], "unrecognized arguments: --emit-plot-data"),
+    ])
+    def test_removed_key_rejected(self, tmp_path, capsys, command, argv, message):
+        # a key that no runner reads is unknown, not echoed into the report
+        assert run(tmp_path, command, *argv) == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", sorted(cli._KEYS))
+    def test_resolved_config_is_the_key_table(self, command):
+        resolved = parse_config([command]).resolved()
+        assert set(resolved) - {"command", "version"} == set(cli._KEYS[command]) - {"out"}
+
 
 class TestDispatch:
     def test_lclt_small_grid(self, tmp_path):
-        code = run(tmp_path, "lclt", "--param", "n_grid=64,256",
-                   "--emit-plot-data")
+        code = run(tmp_path, "lclt", "--param", "n_grid=64,256")
         assert code == 0
         payload = json.loads((tmp_path / "lclt.json").read_text())
         assert payload["pass"] is True
@@ -110,6 +131,9 @@ class TestDispatch:
         assert code == 0
         payload = json.loads((tmp_path / "gauss.json").read_text())
         assert max(payload["report"]["estimates"]) == 0.0
+        decay = (tmp_path / "gauss_decay.csv").read_text().splitlines()
+        assert decay[0] == "n,estimate"
+        assert len(decay) == 17
 
     def test_mixing_negative_control_exits_1(self, tmp_path):
         code = run(tmp_path, "mixing", "--param", "zero=true", "--horizon",
@@ -141,6 +165,37 @@ class TestDispatch:
         assert not (tmp_path / "certify.json").exists()
         assert run(tmp_path, "certify-range", "--seed", str(2**64 - 3),
                    "--samples", "3", "--param", "N=1") == 0
+
+    @pytest.mark.parametrize("argv,message", [
+        (["recur2", "--horizon", "10"], "need H >= 16"),
+        (["mixing", "--horizon", "192"], "H must be n_min times a power of two"),
+        (["certify-range", "--param", "N=0"], "N must be >= 1"),
+        (["certify-range", "--param", "C=1"], "C must dominate"),
+        (["recur2", "--param", "k_max=-1"], "need 1 <= k_min <= k_max"),
+        (["gauss", "--param", "white=true", "--param", "k=0"],
+         "summability hypothesis 2 k delta > 1 fails"),
+        (["lclt", "--param", "k_max=-2"], "need 1 <= k_min <= k_max"),
+    ])
+    def test_precondition_exits_2(self, tmp_path, capsys, argv, message):
+        assert run(tmp_path, *argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_grid,message", [
+        ("64,x", "bad value for 'n_grid': 'x'"),
+        ("64,0", "n_grid entries must be positive, got 0"),
+    ])
+    def test_bad_n_grid_exits_2(self, tmp_path, capsys, n_grid, message):
+        assert run(tmp_path, "lclt", "--param", f"n_grid={n_grid}") == 2
+        assert message in capsys.readouterr().err
+
+    def test_engine_fault_is_not_a_config_error(self, tmp_path, monkeypatch):
+        # only a PreconditionError is a configuration error; any other
+        # exception keeps its traceback and exits 1
+        def fault(*args, **kwargs):
+            raise ValueError("engine fault")
+        monkeypatch.setattr(cli, "certify_distinct", fault)
+        with pytest.raises(ValueError, match="engine fault"):
+            run(tmp_path, "certify-range", "--samples", "1")
 
     def test_lclt_reports_error_ledger(self, tmp_path):
         assert run(tmp_path, "lclt", "--param", "n_grid=64,256") == 0

@@ -130,18 +130,11 @@ class TestSection3:
 
 class TestGaussianExperiment:
     def test_power_model_run(self, power03):
-        rep = exp_gaussian(power03, k=2, c=2, d=-3, H=32, samples=200,
-                           mc=20_000, seed0=0)
+        rep = exp_gaussian(power03, k=2, H=32, samples=200, mc=20_000,
+                           seed0=0)
         assert rep.verdict == "ok"
         assert rep.envelope_violations == 0
         assert math.isfinite(rep.summability_total)
-        assert (rep.c, rep.d) == (2, -3)
-
-    def test_cd_reduction_identical_content(self, power03):
-        a = exp_gaussian(power03, k=2, c=1, d=1, H=16, samples=100, mc=5000)
-        b = exp_gaussian(power03, k=2, c=2, d=-3, H=16, samples=100, mc=5000)
-        assert a.estimates == b.estimates
-        assert a.summability_total == b.summability_total
 
     def test_white_noise_trivial(self):
         rep = exp_gaussian(white_noise_model(), k=2, H=16, samples=100, mc=5000)

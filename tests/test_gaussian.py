@@ -6,7 +6,6 @@ from scipy.linalg import eigvalsh, toeplitz
 
 from oracles import oracle_power_r
 from recurlab import gaussian
-from recurlab.experiments import exp_gaussian
 from recurlab.gaussian import (
     PsdError,
     SpectralModel,
@@ -258,11 +257,3 @@ class TestSummability:
     def test_too_many_estimates(self):
         with pytest.raises(ValueError):
             power_summability([0.1] * 5, k=2, delta=0.3, C=0.5, H=3)
-
-
-class TestLinearTimes:
-    def test_zero_rejected(self, power03):
-        with pytest.raises(ValueError, match="nonzero"):
-            exp_gaussian(power03, k=2, c=0, d=1, H=4, samples=10, mc=100)
-        with pytest.raises(ValueError, match="nonzero"):
-            exp_gaussian(power03, k=2, c=2, d=0, H=4, samples=10, mc=100)

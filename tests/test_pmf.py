@@ -249,7 +249,9 @@ class TestIntegerPmfOps:
         pmf = IntegerPmf(offset=0, mass=np.array([1e-20, 0.5, 0.5, 1e-20]))
         pruned = pmf.prune()
         assert pruned.mass.size == 2
-        assert pruned.pruned == pytest.approx(2e-20)
+        # pytest.approx keeps a 1e-12 absolute tolerance by default, which
+        # would also pass pruned == 0
+        assert pruned.pruned == pytest.approx(2e-20, rel=1e-12, abs=0)
 
     def test_variance_of_rademacher(self):
         # the variance helper that test_variance_identity relies on

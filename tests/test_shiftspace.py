@@ -105,11 +105,6 @@ class TestOmegaConfig:
         cfg = OmegaConfig(seed=1, dimension=2)
         assert cfg.bit((3, -4)) == cfg.bit((3, -4))
 
-    def test_streams_differ(self):
-        a = OmegaConfig(seed=1, dimension=1, stream=0)
-        b = OmegaConfig(seed=1, dimension=1, stream=1)
-        assert any(a.bit(u) != b.bit(u) for u in range(64))
-
     def test_fair_marginal(self):
         cfg = OmegaConfig(seed=7, dimension=1)
         bits = cfg.bits_1d(np.arange(10**6))

@@ -4,9 +4,10 @@ Commands: lclt | recur2 | recur3 | gauss | mixing | certify-range.
 Configuration comes from a flat ``key = value`` file plus flags (flags win).
 Exit codes: 0 all assertions passed, 1 an assertion or bound was violated
 (or an engine fault, with its traceback), 2 usage/config error: an unknown
-key, a bad value, or an input outside an engine's validated range. Outputs are deterministic given the config: JSON
-reports with sorted keys, CSV with fixed column order, and the resolved
-config embedded in every file.
+key, a bad value, a key that a mode switch leaves unread, or an input
+outside an engine's validated range. Outputs are deterministic given the
+config: JSON reports with sorted keys, CSV with fixed column order, and the
+resolved config embedded in every file.
 """
 
 from __future__ import annotations
@@ -64,6 +65,14 @@ _KEYS: Dict[str, Dict[str, Tuple[type, object]]] = {
 # keys with a flag of their own; every key can be set by --param KEY=VALUE
 _FLAGS = ("seed", "out", "samples", "horizon")
 
+# command -> {mode switch: keys that the switch, when true, leaves unread}:
+# the white-noise model has no delta, and a zero field no scales
+_DISABLED_BY: Dict[str, Dict[str, Tuple[str, ...]]] = {
+    "gauss": {"white": ("delta",)},
+    "recur2": {"zero": ("k_max",)},
+    "mixing": {"zero": ("k_max",)},
+}
+
 
 def _parse_value(key: str, raw: str, typ: type):
     raw = raw.strip()
@@ -110,11 +119,13 @@ def parse_config(argv) -> RunConfig:
 
     keys = _KEYS[args.command]
     values: Dict = {key: default for key, (_, default) in keys.items()}
+    explicit = set()
 
     def set_key(key: str, raw: str) -> None:
         if key not in keys:
             raise ConfigError(f"unknown key {key!r} for {args.command}")
         values[key] = _parse_value(key, raw, keys[key][0])
+        explicit.add(key)
 
     if args.config is not None:
         path = Path(args.config)
@@ -138,11 +149,16 @@ def parse_config(argv) -> RunConfig:
         key, raw = item.split("=", 1)
         set_key(key.strip(), raw)
 
-    _validate(args.command, values)
+    _validate(args.command, values, explicit)
     return RunConfig(args.command, values)
 
 
-def _validate(command: str, v: Dict) -> None:
+def _validate(command: str, v: Dict, explicit: set) -> None:
+    for switch, disabled in _DISABLED_BY.get(command, {}).items():
+        for key in disabled:
+            if v[switch] and key in explicit:
+                raise PreconditionError(
+                    f"{key!r} is not read when {switch} is true; leave it unset")
     for key in ("samples", "horizon", "mc", "pool_size", "n_min"):
         if key in v and v[key] <= 0:
             raise ConfigError(f"{key} must be positive, got {v[key]}")
@@ -359,7 +375,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         config = parse_config(argv)
         return dispatch(config)
-    except ConfigError as exc:
+    except (ConfigError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

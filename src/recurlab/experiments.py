@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import zeta
 
 from . import PreconditionError
 from .bigsums import endpoint_batch_law
@@ -39,11 +38,14 @@ from .gaussian import (
     twisted_values,
 )
 from .pmf import MASS_TOL, peak_probability_sweep, walk_pmf
-from .prf import hash_words
+from .prf import hash_words, hash_words_vec
 from .ranges import PermutationView, PolynomialSpec
 from .shiftspace import OmegaConfig
 
 _TAG_EXP = 67
+
+# (sample, coordinate, n) entries per block of the section-3 probe
+_PROBE_BLOCK_ELEMS = 1 << 20
 
 
 def _child_seed(seed0: int, *words: int) -> int:
@@ -143,17 +145,6 @@ class TripleProbeReport:
         return self.in_surrogate / self.samples
 
 
-def _omega_seed_with_origin_bit(seed0: int, tag: Sequence[int], dimension: int,
-                                want: int) -> int:
-    origin = 0 if dimension == 1 else (0,) * dimension
-    attempt = 0
-    while True:
-        w = _child_seed(seed0, *tag, attempt)
-        if OmegaConfig(seed=w, dimension=dimension).bit(origin) == want:
-            return w
-        attempt += 1
-
-
 def exp_section2(spec: FieldSpec, H: int = 2000, samples: int = 1000,
                  seed0: int = 0) -> Tuple[BCReport, TripleProbeReport]:
     """Equal-times triple-intersection decay and surrogate extraction.
@@ -177,7 +168,6 @@ def exp_section2(spec: FieldSpec, H: int = 2000, samples: int = 1000,
     partial = np.cumsum(a_n)
     ns = np.arange(1, H + 1)
     c = float(np.max(p0 * np.sqrt(ns)))
-    tail = (c / 2.0) ** 3 * float(zeta(1.5, H + 1))
 
     if spec.zero:
         vals = np.zeros((samples, 3, H), dtype=np.int64)
@@ -193,6 +183,12 @@ def exp_section2(spec: FieldSpec, H: int = 2000, samples: int = 1000,
     # the omega coordinates are conditioned on bit(0) = 1, and joint returns
     # only ever re-read the origin bit, so they need no further sampling
     extraction = _extract(return_sets, H)
+    # imported here, after the path sums have freed their working memory:
+    # only this tail needs scipy.special, and loading it earlier adds its
+    # memory to the run's peak
+    from scipy.special import zeta
+
+    tail = (c / 2.0) ** 3 * float(zeta(1.5, H + 1))
     bc = BCReport(H=H, a_n=a_n, partial_sums=partial, envelope_c=c, tail=tail,
                   extraction=extraction)
     probe = TripleProbeReport(horizon=H, samples=samples,
@@ -211,19 +207,47 @@ def range_view_pool(p1: PolynomialSpec, p2: PolynomialSpec, N: int, size: int,
                     ) -> List[PermutationView]:
     """Pool of independent permutation views, one field realization each.
 
-    Building a view is the expensive step (one union schedule evaluation),
-    so experiments draw sample tuples from a shared pool; the per-sample
-    assertions are structural, not statistical, so reuse across tuples does
-    not bias them.
+    Building the views is the expensive step, so experiments draw sample
+    tuples from a shared pool; the per-sample assertions are structural,
+    not statistical, so reuse across tuples does not bias them. The views
+    share their schedule, so they come from one pool-wide evaluation
+    (``PermutationView.build_pool``).
     """
     if k_max is None:
         k_max = default_k_max(max(p1(N), p2(N)))
-    pool = []
-    for i in range(size):
-        spec = FieldSpec(seed=_child_seed(seed0, 2, i), dimension=2,
-                         k_max=k_max, doubling=True)
-        pool.append(PermutationView.build(spec, p1, p2, N))
-    return pool
+    seeds = [_child_seed(seed0, 2, i) for i in range(size)]
+    spec = FieldSpec(seed=0, dimension=2, k_max=k_max, doubling=True)
+    return PermutationView.build_pool(spec, seeds, p1, p2, N)
+
+
+def _omega_seeds_with_origin_bit(seed0: int, samples: int, k: int,
+                                 want: int) -> np.ndarray:
+    """Configuration seeds of shape (samples, k): entry (s, t) is the first
+    of _child_seed(seed0, 4, s, t, attempt), attempt = 0, 1, ..., whose
+    two-dimensional configuration has origin bit ``want``. Every entry
+    tries attempt 0; only the misses are hashed again."""
+    s, t = (np.broadcast_to(a, (samples, k)) for a in np.ogrid[:samples, :k])
+    attempt = np.zeros((samples, k), dtype=np.int64)
+    seeds = hash_words_vec(seed0, (_TAG_EXP, 4), s, t, attempt)
+    miss = OmegaConfig.bits(seeds, np.zeros((samples, k, 2), dtype=np.int64)) != want
+    while miss.any():
+        attempt[miss] += 1
+        retry = hash_words_vec(seed0, (_TAG_EXP, 4), s[miss], t[miss], attempt[miss])
+        seeds[miss] = retry
+        miss[miss] = OmegaConfig.bits(retry, np.zeros((retry.size, 2), dtype=np.int64)) != want
+    return seeds
+
+
+def _witness_sites(view: PermutationView, H: int):
+    """Arrays over the view's shared fresh indices n <= H: n, the site of
+    the plain origin bit after p1(n) steps, and the site and complement
+    flag that the twist reads for the origin bit after p2(n) steps, taken
+    from table2's endpoint through ``classify`` and the permutation."""
+    ns = np.array([n for n in view.curly if n <= H], dtype=np.int64)
+    twist = [view.twist_site(view.table2.endpoint(n)) for n in ns.tolist()]
+    s_sites = np.array([site for site, _ in twist], dtype=np.int64).reshape(-1, 2)
+    flips = np.array([flip for _, flip in twist], dtype=np.int64)
+    return ns, view.table1.endpoints[ns - 1], s_sites, flips
 
 
 def exp_section3(pool: Sequence[PermutationView], k: int, H: int,
@@ -237,44 +261,61 @@ def exp_section3(pool: Sequence[PermutationView], k: int, H: int,
     is the complement of the plain one, so the two returns can never both
     present a 0 origin bit; the run asserts both that identity and the
     resulting absence of joint returns.
+
+    The witness of n is the first coordinate whose view holds n, read off
+    a (views x H) membership matrix; the bits of every witness are hashed
+    as arrays, with the samples taken in blocks of at most
+    _PROBE_BLOCK_ELEMS (sample, coordinate, n) entries.
     """
     if H > pool[0].N:
         raise ValueError("horizon exceeds the pool's range horizon")
     if k < 1:
         raise ValueError("need k >= 1")
     rng = np.random.default_rng(_child_seed(seed0, 3))
-    curly_sets = [set(view.curly) for view in pool]
+    # one call per sample, so the stream is consumed as it always has been
+    idx = np.array([rng.integers(0, len(pool), size=k) for _ in range(samples)],
+                   dtype=np.int64).reshape(samples, k)
+    omega = _omega_seeds_with_origin_bit(seed0, samples, k, want=0)
+    member = np.zeros((len(pool), H), dtype=bool)
+    t_site = np.zeros((len(pool), H, 2), dtype=np.int64)
+    s_site = np.zeros((len(pool), H, 2), dtype=np.int64)
+    s_flip = np.zeros((len(pool), H), dtype=np.int64)
+    for v in np.unique(idx).tolist():
+        ns, t_sites, s_sites, flips = _witness_sites(pool[v], H)
+        member[v, ns - 1] = True
+        t_site[v, ns - 1] = t_sites
+        s_site[v, ns - 1] = s_sites
+        s_flip[v, ns - 1] = flips
     in_surrogate = 0
     violations = 0
     identity_failures = 0
     uncovered: Dict[int, int] = {}
-    for s in range(samples):
-        idx = rng.integers(0, len(pool), size=k)
-        configs = [OmegaConfig(
-            seed=_omega_seed_with_origin_bit(seed0, (4, s, t), 2, want=0),
-            dimension=2) for t in range(k)]
-        witness = {}
-        covered = True
-        for n in range(1, H + 1):
-            t = next((t for t in range(k) if n in curly_sets[idx[t]]), None)
-            if t is None:
-                covered = False
-                uncovered[n] = uncovered.get(n, 0) + 1
-            else:
-                witness[n] = t
-        if not covered:
-            continue
-        in_surrogate += 1
-        for n in range(1, H + 1):
-            t = witness[n]
-            view = pool[idx[t]]
-            cfg = configs[t]
-            t_bit = view.t_origin_bit(cfg, n)
-            s_bit = view.tilde_S_origin_bit(cfg, n)
-            if s_bit != 1 - t_bit:
-                identity_failures += 1
-            if t_bit == 0 and s_bit == 0:
-                violations += 1
+    missed = np.zeros(H, dtype=np.int64)
+    block = max(1, _PROBE_BLOCK_ELEMS // (k * H))
+    for s0 in range(0, samples, block):
+        idx_b, omega_b = idx[s0 : s0 + block], omega[s0 : s0 + block]
+        hit = member[idx_b]  # (samples, k, H)
+        miss = ~hit.any(axis=1)
+        # uncovered lists each n in the order of its first miss, by sample
+        # and then by n
+        new = miss.any(axis=0) & (missed == 0)
+        first = miss.argmax(axis=0)
+        for n in np.flatnonzero(new)[np.argsort(first[new], kind="stable")].tolist():
+            uncovered[n + 1] = 0
+        missed += miss.sum(axis=0)
+        covered = ~miss.any(axis=1)
+        in_surrogate += int(covered.sum())
+        wit = hit[covered].argmax(axis=1)  # first witness coordinate, (covered, H)
+        rows = np.arange(wit.shape[0])[:, None]
+        view = idx_b[covered][rows, wit]
+        seeds = omega_b[covered][rows, wit]
+        col = np.arange(H)
+        t_bit = OmegaConfig.bits(seeds, t_site[view, col])
+        s_bit = s_flip[view, col] ^ OmegaConfig.bits(seeds, s_site[view, col])
+        identity_failures += int(np.count_nonzero(s_bit != 1 - t_bit))
+        violations += int(np.count_nonzero((t_bit == 0) & (s_bit == 0)))
+    for n in uncovered:
+        uncovered[n] = int(missed[n - 1])
     if in_surrogate == 0:
         raise RuntimeError(
             f"no sample covered [1, {H}]; per-n failures: {uncovered}")

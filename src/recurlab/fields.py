@@ -162,6 +162,15 @@ def _thresholds(q: float) -> Tuple[np.uint64, np.uint64]:
     return tuple(np.uint64(math.ceil(x * 2.0**53) << 11) for x in (q, q / 2))
 
 
+def _field_hash(spec: FieldSpec, k: int, i: int, j: np.ndarray, lagged: bool,
+                seed) -> np.ndarray:
+    """The hash behind each field value of scale k, coordinate i over the
+    int64 coordinates ``j``; ``lagged`` selects the lag's own address
+    namespace, which only scales with ``lag_namespace(k)`` use."""
+    words = (TAG_FIELD, k, i, 1) if lagged else (TAG_FIELD, k, i)
+    return hash_words_vec(seed, words, j + spec.origin if spec.origin else j)
+
+
 def field_values_vec(spec: FieldSpec, k: int, i: int, j: np.ndarray,
                      lagged: bool = False, seed=None) -> np.ndarray:
     """Field values of scale k, coordinate i over an int64 coordinate array.
@@ -181,17 +190,38 @@ def field_values_vec(spec: FieldSpec, k: int, i: int, j: np.ndarray,
     if spec.zero:
         out = np.zeros(shape, dtype=np.int64)
     else:
-        words = (TAG_FIELD, k, i, 1) if lagged else (TAG_FIELD, k, i)
-        h = hash_words_vec(seed, words, j + spec.origin)
+        h = _field_hash(spec, k, i, j, lagged, seed)
         nonzero, plus = _thresholds(sp.q)
-        # 2 [h < plus] - [h < nonzero]: +1, -1 or 0
-        out = np.empty(shape, dtype=np.int64)
-        np.less(h, plus, out=out)
-        out *= 2
-        out -= h < nonzero
+        # 2 [h < plus] - [h < nonzero]: +1, -1 or 0, formed in one-byte
+        # integers (the comparisons' bytes) and widened once
+        plus1 = np.less(h, plus).view(np.int8)
+        out = plus1 + plus1
+        out -= np.less(h, nonzero).view(np.int8)
+        out = out.astype(np.int64)
     for lo, hi, v in _forcing(spec, k, i, sp.d if lagged else 0):
         out = np.where((lo <= j) & (j < hi), v, out)
     return out
+
+
+def field_nonzeros(spec: FieldSpec, k: int, i: int, j: np.ndarray,
+                   lagged: bool = False, seed=None) -> Tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of ``field_values_vec(spec, k, i, j, lagged,
+    seed)`` for a spec without forced windows: their flat indices into its
+    result, ascending, and their values, +1 or -1. Only the hash and one
+    threshold comparison touch every entry, so this is the cheaper form
+    where nonzero values are rare."""
+    if spec.windows:
+        raise ValueError("field_nonzeros takes an unforced spec")
+    sp = scale_params(k)
+    j = np.asarray(j, dtype=np.int64)
+    if lagged and not lag_namespace(k):
+        return field_nonzeros(spec, k, i, j + sp.d, seed=seed)
+    if spec.zero:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    h = _field_hash(spec, k, i, j, lagged, spec.seed if seed is None else seed)
+    nonzero, plus = _thresholds(sp.q)
+    at = np.flatnonzero(h < nonzero)
+    return at, np.where(h.reshape(-1)[at] < plus, 1, -1)
 
 
 def shift_base(spec: FieldSpec, n: int) -> FieldSpec:

@@ -15,7 +15,8 @@ u = t^delta that removes the density's endpoint singularity. Its error is
 estimated by a second node count and must stay below 1e-10, or the fit
 raises RuntimeError; it matches adaptive quadrature to 1e-13. No part of the
 module imports scipy.integrate; scipy.linalg is imported only by the
-sampler's Cholesky fallback.
+sampler's Cholesky fallback, and scipy.special only by ``upper_tail`` and
+``power_summability``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr, zeta
 
 from . import PreconditionError
 from .prf import derive_rng
@@ -235,6 +235,10 @@ def twisted_values(model: SpectralModel, paths: np.ndarray) -> np.ndarray:
 
 def upper_tail(x: float) -> float:
     """Standard normal upper tail P(Z > x)."""
+    # imported here, as in power_summability, so that commands which never
+    # take a tail or a zeta sum do not load scipy.special
+    from scipy.special import ndtr
+
     return float(ndtr(-x))
 
 
@@ -295,6 +299,8 @@ def power_summability(estimates: Sequence[float], k: int, delta: float,
                       C: float, H: int) -> SummabilityReport:
     """Sum of k-th powers of the estimates plus the analytic C^2k n^-2k*delta
     tail beyond H; requires the summability hypothesis 2 k delta > 1."""
+    from scipy.special import zeta
+
     if 2 * k * delta <= 1.0:
         raise ValueError(f"need 2 k delta > 1, got {2 * k * delta}")
     if len(estimates) > H:

@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .fields import FieldSpec, scale_params, tail_variance_bound
+from .fields import FieldSpec, ScaleParams, scale_params, tail_variance_bound
 
 SIGMA2 = 2.0 * math.log(2) ** 2
 
@@ -337,6 +337,33 @@ def walk_pmf(spec: FieldSpec, n: int,
 # fast sweep of the return probability p_n(0) over a whole range of n
 
 
+def _overlap_counts(sp: ScaleParams, ns: np.ndarray) -> np.ndarray:
+    """Group multiplicities of scale k at every n of the ascending ``ns``:
+    counts[r, v] is the number of atoms of S_n, n = ns[r], whose
+    coefficient has absolute value v, for v = 0..p (row r holds the groups
+    of ``scale_groups(k, n)``; column 0 counts the zero coefficients up to
+    the longest row). The coefficient rows, the lead window's trapezoid
+    weight minus the same weight d_k later, are built for blocks of n at
+    once, at most _SWEEP_ELEMS coefficients per block.
+    """
+    p, d = sp.p, sp.d
+    width = d + int(ns[-1]) + p - 1
+    m = np.arange(width, dtype=np.int64)
+    counts = np.empty((ns.size, p + 1), dtype=np.int64)
+    step = max(1, _SWEEP_ELEMS // width)
+    for r0 in range(0, ns.size, step):
+        n = ns[r0 : r0 + step, None].astype(np.int64)
+        w = np.minimum(np.minimum(m + 1, n + p - 1 - m), np.minimum(n, p))
+        np.maximum(w, 0, out=w)
+        c = w.copy()
+        c[:, d:] -= w[:, : width - d]
+        # |c| <= p, so row r's values land in [r (p + 1), (r + 1) (p + 1))
+        flat = np.abs(c) + (p + 1) * np.arange(n.shape[0])[:, None]
+        counts[r0 : r0 + step] = np.bincount(
+            flat.ravel(), minlength=n.shape[0] * (p + 1)).reshape(-1, p + 1)
+    return counts
+
+
 def peak_probability_sweep(n_max: int, k_max: int, k_min: int = 1,
                            grid: int = 4096) -> np.ndarray:
     """p_n(0) for n = 1..n_max in one pass (single coordinate, no doubling).
@@ -349,9 +376,10 @@ def peak_probability_sweep(n_max: int, k_max: int, k_min: int = 1,
     twice |n - p| + 1 times (``scale_groups``), so its log characteristic
     function is 4 A(h - 1) + 2 (|n - p| + 1) L(h) with L(v) the gathered
     term and A a running sum of L; a scale whose lag overlaps the lead
-    window for some n <= n_max takes its few groups from ``scale_groups``
-    per n, against a table of L(v) over v <= p. The rows n go through in
-    chunks of at most _SWEEP_ELEMS grid values, which bounds the memory.
+    window for some n <= n_max takes its few groups for a whole chunk of n
+    at once (``_overlap_counts``), against a table of L(v) over v <= p. The
+    rows n go through in chunks of at most _SWEEP_ELEMS grid values, which
+    bounds the memory.
     """
     half = grid // 2
     t = np.arange(half + 1, dtype=np.int64)
@@ -396,10 +424,7 @@ def peak_probability_sweep(n_max: int, k_max: int, k_min: int = 1,
             logphi[m:] += 4.0 * running[-2] + twice[m:] * terms[-1]
             carry[sp.k] = running[min(ns[-1] + 1, sp.p) - hs[0]]
         for sp, terms in overlap:
-            counts = np.zeros((ns.size, sp.p + 1))
-            for r, n in enumerate(ns.tolist()):
-                v, c = scale_groups(sp.k, n)
-                counts[r, v] = c
+            counts = _overlap_counts(sp, ns).astype(np.float64)
             for v in range(1, sp.p + 1):
                 logphi += counts[:, v, None] * terms[v]
         out[ns - 1] = np.exp(logphi, out=logphi) @ weights

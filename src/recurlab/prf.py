@@ -59,11 +59,12 @@ def _mix64_vec(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def hash_words_vec(seed, words_fixed, j: np.ndarray) -> np.ndarray:
-    """Vectorized hash: fixed prefix words, then one array word ``j``.
+def hash_words_vec(seed, words_fixed, *js: np.ndarray) -> np.ndarray:
+    """Vectorized hash: fixed prefix words, then the array words ``js``.
 
-    ``seed`` may be a scalar or an array broadcastable against ``j``; the
-    prefix words are absorbed on the seed array before it broadcasts.
+    Element-wise equal to ``hash_words(seed, *words_fixed, *js)``. ``seed``
+    and the arrays broadcast against each other; the prefix words are
+    absorbed on the seed array before it broadcasts.
     """
     h = np.array(seed, dtype=np.uint64)  # a copy, mixed in place
     with np.errstate(over="ignore"):
@@ -72,11 +73,22 @@ def hash_words_vec(seed, words_fixed, j: np.ndarray) -> np.ndarray:
         for w in words_fixed:
             h ^= np.uint64((w + _GOLD) & _MASK)
             _mix64_vec(h)
-        jj = np.asarray(j).astype(np.int64, copy=False).view(np.uint64) + np.uint64(_GOLD)
-        return _mix64_vec(np.asarray(h ^ jj))
+        for j in js:
+            j = np.asarray(j).astype(np.int64, copy=False).view(np.uint64)
+            # h ^ (j + GOLD) in one new array of the broadcast shape
+            out = np.empty(np.broadcast_shapes(h.shape, j.shape), dtype=np.uint64)
+            np.add(j, np.uint64(_GOLD), out=out)
+            out ^= h
+            h = _mix64_vec(out)
+        return h
 
 
 def derive_rng(seed: int, *words: int) -> np.random.Generator:
-    """A numpy Generator deterministically keyed by (seed, words)."""
-    key = [hash_words(seed, *words, t) for t in range(4)]
+    """A numpy Generator deterministically keyed by (seed, words).
+
+    Its key is hash_words(seed, *words, t) for t = 0..3; the four share the
+    state after absorbing (seed, words), which is computed once.
+    """
+    h = hash_words(seed, *words)
+    key = [_mix64(h ^ ((t + _GOLD) & _MASK)) for t in range(4)]
     return np.random.Generator(np.random.PCG64(key))

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import PreconditionError
-from .bigsums import schedule_sums
+from .bigsums import pool_schedule_sums
 from .fields import (
     FieldSpec,
     conditioned_spec,
@@ -92,29 +92,42 @@ def build_range_tables(spec: FieldSpec, polys: Sequence[PolynomialSpec],
     All endpoint times go into a single union schedule, so the tables are
     mutually consistent (chunk aggregation draws depend on the schedule).
     """
+    return pool_range_tables(spec, [spec.seed], polys, N)[0]
+
+
+def pool_range_tables(spec: FieldSpec, seeds: Sequence[int],
+                      polys: Sequence[PolynomialSpec],
+                      N: int) -> List[List[RangeTable]]:
+    """``build_range_tables`` for every seed of a pool, from one pool-wide
+    schedule evaluation: entry r equals
+    ``build_range_tables(replace(spec, seed=seeds[r]), polys, N)``."""
     if N < 1:
         raise ValueError("need N >= 1")
     for poly in polys:
         poly.check_injective(N)
         if poly(1) < 1:
             raise ValueError("schedule values must be positive on [1, N]")
+    if not seeds:
+        return []
     times = sorted({poly(n) for poly in polys for n in range(1, N + 1)})
-    sums = schedule_sums(spec, times)
-    row = {t: idx for idx, t in enumerate(sums.times)}
-    out = []
-    for poly in polys:
-        endpoints = np.stack([sums.values[row[poly(n)]] for n in range(1, N + 1)])
-        zero = (0,) * spec.dimension
-        seen = set()
-        fresh = []
-        for n in range(1, N + 1):
-            v = tuple(int(x) for x in endpoints[n - 1])
-            if v != zero and v not in seen:
-                fresh.append(n)
-            seen.add(v)
-        out.append(RangeTable(poly=poly, N=N, endpoints=endpoints,
-                              fresh=tuple(fresh), range_set=frozenset(seen)))
-    return out
+    values = pool_schedule_sums(spec, seeds, times)
+    rows = [np.searchsorted(times, [poly(n) for n in range(1, N + 1)])
+            for poly in polys]
+    return [[_range_table(poly, N, view[row]) for poly, row in zip(polys, rows)]
+            for view in values]
+
+
+def _range_table(poly: PolynomialSpec, N: int, endpoints: np.ndarray) -> RangeTable:
+    """The table of one polynomial from its endpoints S_{p(1)}, ..., S_{p(N)}."""
+    zero = (0,) * endpoints.shape[1]
+    seen = set()
+    fresh = []
+    for n, v in enumerate(map(tuple, endpoints.tolist()), start=1):
+        if v != zero and v not in seen:
+            fresh.append(n)
+        seen.add(v)
+    return RangeTable(poly=poly, N=N, endpoints=endpoints, fresh=tuple(fresh),
+                      range_set=frozenset(seen))
 
 
 def build_range(spec: FieldSpec, poly: PolynomialSpec, N: int) -> RangeTable:
@@ -198,9 +211,24 @@ class PermutationView:
     @classmethod
     def build(cls, spec: FieldSpec, p1: PolynomialSpec, p2: PolynomialSpec,
               N: int) -> "PermutationView":
+        return cls.build_pool(spec, [spec.seed], p1, p2, N)[0]
+
+    @classmethod
+    def build_pool(cls, spec: FieldSpec, seeds: Sequence[int],
+                   p1: PolynomialSpec, p2: PolynomialSpec,
+                   N: int) -> List["PermutationView"]:
+        """One view per seed, from one pool-wide schedule evaluation: view
+        r equals ``build(replace(spec, seed=seeds[r]), p1, p2, N)``."""
         if spec.dimension != 2:
             raise ValueError("permutation view needs a 2-D walk")
-        t1, t2 = build_range_tables(spec, [p1, p2], N)
+        return [cls._from_tables(replace(spec, seed=int(seed)), p1, p2, N, t1, t2)
+                for seed, (t1, t2) in zip(seeds, pool_range_tables(
+                    spec, seeds, [p1, p2], N))]
+
+    @classmethod
+    def _from_tables(cls, spec: FieldSpec, p1: PolynomialSpec,
+                     p2: PolynomialSpec, N: int, t1: RangeTable,
+                     t2: RangeTable) -> "PermutationView":
         curly = tuple(sorted(set(t1.fresh) & set(t2.fresh)))
         s1 = tuple(t1.endpoint(n) for n in curly)
         s2 = tuple(t2.endpoint(n) for n in curly)
@@ -245,15 +273,21 @@ class PermutationView:
 
     # -- the twist ----------------------------------------------------------
 
-    def twist_bit(self, config: OmegaConfig, v: Tuple[int, int]) -> int:
+    def twist_site(self, v: Tuple[int, int]) -> Tuple[Tuple[int, int], int]:
+        """The base site whose bit the twisted configuration shows at v, and
+        1 where it shows that bit complemented (at the visit points)."""
         kind, i = self.classify(v)
         if kind == "origin":
-            return config.bit((0, 0))
+            return (0, 0), 0
         if kind == "s2":
-            return 1 - config.bit(self.s1_points[i - 1])
+            return self.s1_points[i - 1], 1
         if kind == "other":
-            return config.bit(self.pi_forward(v))
+            return self.pi_forward(v), 0
         raise HorizonError(f"{v} not resolved within horizon {self.N}")
+
+    def twist_bit(self, config: OmegaConfig, v: Tuple[int, int]) -> int:
+        site, flip = self.twist_site(v)
+        return flip ^ config.bit(site)
 
     def t_origin_bit(self, config: OmegaConfig, n: int) -> int:
         """Origin bit of the configuration after p1(n) steps of the plain

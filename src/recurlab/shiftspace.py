@@ -44,6 +44,15 @@ class OmegaConfig:
         """Vectorized bits along the line (dimension 1 only)."""
         if self.dimension != 1:
             raise ValueError("bits_1d needs a one-dimensional configuration")
-        h = hash_words_vec(self.seed, (TAG_OMEGA, 0),
-                           np.asarray(u, dtype=np.int64))
+        return self.bits(self.seed, np.asarray(u, dtype=np.int64)[..., None])
+
+    @staticmethod
+    def bits(seeds, sites: np.ndarray) -> np.ndarray:
+        """Bits of many configurations at once: entry e is
+        ``OmegaConfig(seeds[e], d).bit(sites[e])``, where ``sites`` is an
+        int64 array of shape (..., d) and ``seeds`` broadcasts against
+        ``sites.shape[:-1]``."""
+        sites = np.asarray(sites, dtype=np.int64)
+        h = hash_words_vec(np.asarray(seeds, dtype=np.uint64), (TAG_OMEGA, 0),
+                           *np.moveaxis(sites, -1, 0))
         return (h & np.uint64(1)).astype(np.int64)

@@ -1,27 +1,32 @@
 """Scalar reference implementations of the field, one PRF call per value,
 its float comparison rule over whole arrays, the dense product form of the
 walk's log characteristic function, the walk's exact rational law at
-toy sizes (amplitudes are rational only for k <= 2), and the power spectral
-model's covariance by adaptive quadrature, one lag per call.
+toy sizes (amplitudes are rational only for k <= 2), the power spectral
+model's covariance by adaptive quadrature, one lag per call, and the
+section-3 probe one sample, one n and one scalar bit at a time.
 
 The library evaluates field values and partial sums only through the
 vectorized kernel in ``recurlab.fields``, the log characteristic
 function only through the per-scale histogram FFT in ``recurlab.pmf``, and
 the power covariance only through the fixed Gauss-Legendre rule in
-``recurlab.gaussian``.
+``recurlab.gaussian``, and the section-3 probe only over a membership
+matrix with its bits hashed as arrays in ``recurlab.experiments``.
 These functions compute the same quantities straight from the definitions,
 so that tests can check the kernels against an independent implementation.
 """
 
 import math
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from recurlab.experiments import TripleProbeReport, _child_seed
 from recurlab.fields import TAG_FIELD, FieldSpec, lag_namespace, scale_params
 from recurlab.pmf import GroupedLaw, scale_groups
 from recurlab.prf import hash_words, hash_words_vec
+from recurlab.ranges import PermutationView
+from recurlab.shiftspace import OmegaConfig
 
 
 def uniform01(seed: int, *words: int) -> float:
@@ -207,3 +212,66 @@ def oracle_power_r(delta: float, n: int) -> float:
     if err > 1e-10:
         raise RuntimeError(f"quadrature error {err:.2e} too large at n={n}")
     return 2.0 * val / (2.0 * hi / delta)
+
+
+def _omega_seed_with_origin_bit(seed0: int, tag: Sequence[int], dimension: int,
+                                want: int) -> int:
+    origin = 0 if dimension == 1 else (0,) * dimension
+    attempt = 0
+    while True:
+        w = _child_seed(seed0, *tag, attempt)
+        if OmegaConfig(seed=w, dimension=dimension).bit(origin) == want:
+            return w
+        attempt += 1
+
+
+def oracle_section3(pool: Sequence[PermutationView], k: int, H: int,
+                    samples: int = 1000, seed0: int = 0) -> TripleProbeReport:
+    """``recurlab.experiments.exp_section3`` one sample at a time: the
+    witness of each n is the first coordinate whose view has n among its
+    shared fresh indices, and each bit is one scalar ``OmegaConfig.bit``
+    read through the view's ``t_origin_bit`` and ``tilde_S_origin_bit``."""
+    if H > pool[0].N:
+        raise ValueError("horizon exceeds the pool's range horizon")
+    if k < 1:
+        raise ValueError("need k >= 1")
+    rng = np.random.default_rng(_child_seed(seed0, 3))
+    curly_sets = [set(view.curly) for view in pool]
+    in_surrogate = 0
+    violations = 0
+    identity_failures = 0
+    uncovered: Dict[int, int] = {}
+    for s in range(samples):
+        idx = rng.integers(0, len(pool), size=k)
+        configs = [OmegaConfig(
+            seed=_omega_seed_with_origin_bit(seed0, (4, s, t), 2, want=0),
+            dimension=2) for t in range(k)]
+        witness = {}
+        covered = True
+        for n in range(1, H + 1):
+            t = next((t for t in range(k) if n in curly_sets[idx[t]]), None)
+            if t is None:
+                covered = False
+                uncovered[n] = uncovered.get(n, 0) + 1
+            else:
+                witness[n] = t
+        if not covered:
+            continue
+        in_surrogate += 1
+        for n in range(1, H + 1):
+            t = witness[n]
+            view = pool[idx[t]]
+            cfg = configs[t]
+            t_bit = view.t_origin_bit(cfg, n)
+            s_bit = view.tilde_S_origin_bit(cfg, n)
+            if s_bit != 1 - t_bit:
+                identity_failures += 1
+            if t_bit == 0 and s_bit == 0:
+                violations += 1
+    if in_surrogate == 0:
+        raise RuntimeError(
+            f"no sample covered [1, {H}]; per-n failures: {uncovered}")
+    return TripleProbeReport(horizon=H, samples=samples,
+                             in_surrogate=in_surrogate, violations=violations,
+                             identity_failures=identity_failures,
+                             uncovered=uncovered)

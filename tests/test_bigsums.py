@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,26 +52,29 @@ def _digest(spec, times):
 
 
 class TestPinnedRealizations:
-    # sha256 of the endpoint tables, taken from the per-segment engine that
-    # preceded the vectorized one; they pin every value, the keyed
+    # sha256 of the endpoint tables; they pin every value, the keyed
     # aggregate draws and the sparse position sampler, so any change to the
-    # order in which the axis streams are consumed shows up here
+    # order in which the axis streams are consumed shows up here. They were
+    # re-pinned once, when each axis came to draw its gap aggregates in one
+    # array call, a multinomial count of the gap's +1 and -1 values per
+    # gap, in place of a binomial count and a binomial of its signs per gap
+    # in a loop: the same law, consumed from the stream in another way
 
     # dim 2, k_max 22 over {n^2, n^3 : n <= 100}: the shared axis (k <= 4),
     # split axes, the lag namespace (k >= 8) and sparse scales (k >= 11)
     @pytest.mark.parametrize("seed,digest", [
-        (0, "7bac6d180bea77a720031c5e36a7ac3fcf6955198a33212cd77eb73ae49ccba6"),
-        (1, "a95014c250524e09f04613944f4cf4518815c93a9b0d514de12db2ef578e65bf"),
-        (2, "aa4db5d9673b6908b863bae5a59759e09e26af0a11dcc40803bb3916fc63f615"),
+        (0, "73280cab97f5fe08e32ecd034998ab62a99f9a3fc7371e8dbce076f05547a09a"),
+        (1, "b744a2a24e1d776ecb9049f451b31833e25a3cff9e957a06118aab0ca2c19de6"),
+        (2, "6bf302a4f1469172da4535a31e7ae28f5293a3ad796742254bf02082afbef590"),
     ])
     def test_square_and_cube_schedule(self, seed, digest):
         assert _digest(FieldSpec(seed=seed, dimension=2, k_max=22), SQUARES_AND_CUBES) == digest
 
     # the same with every scale on the sparse sampler and its redraw loop
     @pytest.mark.parametrize("seed,digest", [
-        (0, "44a6fc09c97894063e4342e9a79e677a9f7b28a08b024283ec8bc533ecf879d0"),
-        (1, "c34e18eb55658cd2fdf749b968c9edb080d7de9879849be0122cf7cc12dd4f57"),
-        (2, "af373873029c67f606eecf7cb10db9bf00452db3847b5941730485292768d6ae"),
+        (0, "3a5cf5fea10178aa0993277f1758c5faa97cdbc87fa37d954c374013b7a6bce7"),
+        (1, "ade0cce83d8a3dfeafffef0e2784a8eecfa0d7d8d806f9aa1ae432dc5e2f7598"),
+        (2, "0850f5bea7bba60da32ea538c04992ff8c9552f521de1e01db7d044fae66fd16"),
     ])
     def test_all_scales_sparse(self, seed, digest, monkeypatch):
         monkeypatch.setattr(bigsums, "DENSE_P_THRESHOLD", 1)
@@ -79,9 +83,9 @@ class TestPinnedRealizations:
     # times up to 2^57, where absolute coordinates would overflow any
     # weighted sum taken on the axis itself
     @pytest.mark.parametrize("seed,digest", [
-        (0, "2bf4d7ca6c2c41f41565d7f41c4122285f76cb7d1df4642334ca4b91122e20e6"),
-        (1, "0e31db8348765ad5da7f2e44c82f887d40f902e038b8bd8c47992770618284d1"),
-        (2, "4aa75077b5fef56de9c97737fe9f9186375eac167a912e094a32dccef716e34a"),
+        (0, "3bb6f6c785087625f473ad02f678a77e5caae90f8e34550b6ef9c5213f681a64"),
+        (1, "cfee10f1f706c49842471237cbe946908b876a8f0358aff6b5f31c95400402b5"),
+        (2, "0412f99eb20eff72a43d4b67f9590361b1b17c4380eb786dfeb15342c2e3d6d2"),
     ])
     def test_large_times(self, seed, digest):
         spec = FieldSpec(seed=seed, dimension=1, k_max=30, doubling=False)
@@ -91,7 +95,8 @@ class TestPinnedRealizations:
     def test_query_off_anchors_rejected(self, dense):
         sp = scale_params(3)
         spec = FieldSpec(seed=1, dimension=1, k_max=3)
-        axis = _AxisEval(spec, sp, 1, [0, 1000], lag=False, dense=dense)
+        axis = _AxisEval(spec, sp, 1, [0, 1000], lag=False, dense=dense,
+                         seeds=[spec.seed])
         axis.running_sum([0, 1000, 1000 + sp.p - 2])
         axis.ramp([0, 1000])
         for offset in (sp.p - 1, 500, 1000 + sp.p - 1, -1):
@@ -99,6 +104,56 @@ class TestPinnedRealizations:
                 axis.running_sum([offset])
         with pytest.raises(ValueError, match="not an anchor"):
             axis.ramp([1])  # its window runs past the end of the segment
+
+
+class TestPoolSchedule:
+    # one schedule evaluation for a pool of seeds: row r must equal the
+    # single-seed evaluation of seed r, value for value
+
+    SEEDS = [0, 9, 2**63 + 4, 2**64 - 1]
+
+    @pytest.mark.parametrize("spec,times", [
+        (FieldSpec(seed=0, dimension=2, k_max=22), SQUARES_AND_CUBES),
+        (FieldSpec(seed=0, dimension=1, k_max=30, doubling=False),
+         [10, 10**7, 10**12, 2**57]),
+        # block lengths near 2^60 leave room for one seed per key array,
+        # so the pool goes through one seed at a time
+        (FieldSpec(seed=0, dimension=1, k_min=55, k_max=60, doubling=False),
+         [3, 1000, 10**9]),
+    ])
+    def test_rows_equal_single_seed_sums(self, spec, times):
+        pooled = bigsums.pool_schedule_sums(spec, self.SEEDS, times)
+        assert pooled.shape == (len(self.SEEDS), len(set(times)), spec.dimension)
+        for seed, row in zip(self.SEEDS, pooled):
+            alone = schedule_sums(replace(spec, seed=seed), times).values
+            assert np.array_equal(row, alone)
+
+    def test_sparse_batch_draws_equal_per_segment_draws(self):
+        # the sparse sampler draws the counts of many segments in one call
+        # and rewinds the generator at the first nonempty one; the stream
+        # must be consumed exactly as one scalar count per segment
+        def per_segment(rng, q, start, lengths):
+            cs, xs = [], []
+            for st, length in zip(start.tolist(), lengths.tolist()):
+                count = int(rng.binomial(length, q))
+                if count == 0:
+                    continue
+                pos = set()
+                while len(pos) < count:
+                    pos.update(rng.integers(0, length, count - len(pos)).tolist())
+                cs.extend(st + np.sort(np.fromiter(pos, dtype=np.int64, count=count)))
+                xs.extend(rng.integers(0, 2, size=count) * 2 - 1)
+            return cs, xs
+
+        lengths = np.random.default_rng(0).integers(1, 400, size=300)
+        start = np.cumsum(lengths) - lengths
+        for q in (1e-6, 1e-3, 0.02, 0.3):
+            rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+            c, x = bigsums._sparse_draws(rng, q, start, lengths)
+            rc, rx = per_segment(ref, q, start, lengths)
+            assert c.tolist() == rc and x.tolist() == rx
+            # and leaves the stream where the scalar draws leave it
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestAutoMode:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import recurlab
-from recurlab import cli, experiments
+from recurlab import PreconditionError, cli, experiments
 from recurlab.cli import ConfigError, main, parse_config
 from recurlab.experiments import TripleProbeReport
 from recurlab.pmf import walk_pmf
@@ -180,6 +180,34 @@ class TestDispatch:
         assert run(tmp_path, *argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,key,switch", [
+        (["gauss", "--param", "white=true", "--param", "delta=0.4"], "delta", "white"),
+        (["recur2", "--param", "zero=true", "--param", "k_max=9"], "k_max", "zero"),
+        (["mixing", "--param", "zero=true", "--param", "k_max=9"], "k_max", "zero"),
+    ])
+    def test_key_disabled_by_switch_exits_2(self, tmp_path, capsys, argv, key,
+                                            switch):
+        # the white-noise model has no delta and a zero field no scales, so
+        # setting the key next to its switch sets nothing
+        with pytest.raises(PreconditionError, match=f"'{key}' is not read"):
+            parse_config(argv)
+        assert run(tmp_path, *argv) == 2
+        assert f"'{key}' is not read when {switch} is true" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_disabled_key_in_config_file_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("white = true\ndelta = 0.3\n")
+        with pytest.raises(PreconditionError, match="delta"):
+            parse_config(["gauss", "--config", str(path)])
+
+    def test_disabled_key_left_unset_keeps_its_default(self):
+        # default runs are unchanged: the key stays in the resolved config
+        assert parse_config(["gauss", "--param", "white=true"])["delta"] == 0.3
+        assert parse_config(["recur2", "--param", "zero=true"])["k_max"] == 0
+        assert parse_config(["gauss", "--param", "delta=0.4"])["delta"] == 0.4
+        assert parse_config(["recur2", "--param", "k_max=9"])["k_max"] == 9
+
     @pytest.mark.parametrize("n_grid,message", [
         ("64,x", "bad value for 'n_grid': 'x'"),
         ("64,0", "n_grid entries must be positive, got 0"),
@@ -283,7 +311,8 @@ class TestImportCost:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
         probe = (f"import sys; {statements}; print(sorted(m for m in "
-                 "('scipy.integrate', 'scipy.linalg') if m in sys.modules))")
+                 "('scipy.integrate', 'scipy.linalg', 'scipy.special') "
+                 "if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True)
         return out.stdout.strip()
@@ -292,8 +321,28 @@ class TestImportCost:
         # after import recurlab.cli, importing scipy.integrate and
         # scipy.linalg took 0.26-0.38 s (five runs, 2-vCPU x86-64 VM), and
         # scipy.linalg alone 0.05-0.07 s; only the sampler's Toeplitz
-        # fallback uses scipy.linalg
+        # fallback uses scipy.linalg. scipy.special, 0.25-0.3 s on its own,
+        # is imported only where a zeta sum or a normal tail is taken
         assert self._loaded_after("import recurlab.cli") == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["recur3", "--horizon", "20", "--samples", "10", "--param", "pool_size=3",
+         "--param", "k=3"],
+        ["lclt", "--param", "n_grid=64"],
+        ["mixing", "--horizon", "128", "--samples", "200"],
+        ["certify-range", "--samples", "2"],
+    ])
+    def test_runs_without_special_functions_leave_scipy_out(self, tmp_path, argv):
+        # none of these commands takes a zeta sum or a normal tail
+        run = f"from recurlab.cli import main; main({argv + ['--out', str(tmp_path)]!r})"
+        assert self._loaded_after(run) == "[]"
+        assert any(tmp_path.iterdir())
+
+    def test_recur2_loads_special_for_its_tail(self, tmp_path):
+        # the control: the section-2 tail is a Hurwitz zeta sum
+        run = ("from recurlab.cli import main; main(['recur2', '--horizon', "
+               f"'32', '--samples', '4', '--out', {str(tmp_path)!r}])")
+        assert self._loaded_after(run) == "['scipy.special']"
 
     def test_power_model_needs_no_integrate(self):
         # the covariance table is a fixed Gauss-Legendre rule, and the

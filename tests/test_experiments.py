@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from recurlab import experiments
 from recurlab.cli import _probe
 from recurlab.experiments import (
     _extract,
@@ -16,7 +17,15 @@ from recurlab.experiments import (
 )
 from recurlab.fields import FieldSpec
 from recurlab.gaussian import power_density_model, white_noise_model
-from recurlab.ranges import P_CUBE, P_SQUARE, choose_k, complement_profile
+from recurlab.ranges import (
+    P_CUBE,
+    P_SQUARE,
+    PermutationView,
+    choose_k,
+    complement_profile,
+)
+
+from oracles import oracle_section3
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +135,49 @@ class TestSection3:
         payload = json.loads(json.dumps(_probe(probe)))
         assert payload["violations"] == 0
         assert payload["surrogate_measure"] == probe.in_surrogate / 50
+
+
+class TestSection3Oracle:
+    # the probe over a membership matrix with array-hashed bits must equal
+    # the scalar loop, field for field, with uncovered listed in the order
+    # of each n's first miss
+
+    @staticmethod
+    def _assert_same(pool, k, samples, seed0, H=100):
+        got = exp_section3(pool, k=k, H=H, samples=samples, seed0=seed0)
+        want = oracle_section3(pool, k=k, H=H, samples=samples, seed0=seed0)
+        assert asdict(got) == asdict(want)
+        assert list(got.uncovered.items()) == list(want.uncovered.items())
+        assert all(type(v) is int for v in (got.in_surrogate, got.violations,
+                                            got.identity_failures))
+        return got
+
+    @pytest.mark.parametrize("seed0", [0, 1, 7])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_equals_scalar_oracle(self, pool, seed0, k):
+        got = self._assert_same(pool[:9], k, 120, seed0)
+        assert got.in_surrogate > 0
+
+    def test_sample_blocks_keep_the_report(self, pool, monkeypatch):
+        # one sample per block: uncovered's order spans the blocks
+        monkeypatch.setattr(experiments, "_PROBE_BLOCK_ELEMS", 1)
+        got = self._assert_same(pool[:4], 3, 60, 2)
+        assert got.uncovered
+
+    def test_uncovered_failure_matches_oracle(self, pool):
+        with pytest.raises(RuntimeError) as got:
+            exp_section3(pool[:1], k=1, H=100, samples=5, seed0=9)
+        with pytest.raises(RuntimeError) as want:
+            oracle_section3(pool[:1], k=1, H=100, samples=5, seed0=9)
+        assert str(got.value) == str(want.value)
+
+    def test_identity_is_checked(self, pool, monkeypatch):
+        # the twisted bit is read through table2's endpoint, so a twist
+        # that stops complementing shows up as identity failures
+        monkeypatch.setattr(PermutationView, "twist_site",
+                            lambda self, v: ((0, 0), 0))
+        got = exp_section3(pool, k=3, H=50, samples=40, seed0=3)
+        assert got.identity_failures > 0
 
 
 class TestGaussianExperiment:

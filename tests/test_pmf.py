@@ -106,6 +106,23 @@ class TestScaleGroups:
                 _assert_groups(k, n, *(x.tolist() for x in _brute_groups(k, n)))
 
 
+    @pytest.mark.parametrize("k,ns", [
+        (1, range(1, 40)), (2, range(1, 60)), (3, range(1, 700)),
+        (4, range(65500, 65560)),
+    ])
+    def test_sweep_chunk_counts_match(self, k, ns, monkeypatch):
+        # the sweep builds an overlapping scale's groups for a chunk of n at
+        # once; in blocks of a few rows too, each row must be scale_groups'
+        ns = np.array(list(ns))
+        for block in (1 << 18, 3 * (scale_params(k).d + ns[-1] + scale_params(k).p)):
+            monkeypatch.setattr(pmf_module, "_SWEEP_ELEMS", block)
+            counts = pmf_module._overlap_counts(scale_params(k), ns)
+            for row, n in zip(counts, ns.tolist()):
+                values, cnt = scale_groups(k, n)
+                assert np.flatnonzero(row[1:]).tolist() == (values - 1).tolist()
+                assert row[values].tolist() == cnt.tolist()
+
+
 class TestWeightProfile:
     """Split scales: the groups are the histogram of the trapezoid weight
     profile, once for the lead window and once for the lag window."""

@@ -27,3 +27,17 @@ class TestHashWordsVec:
         seed = np.array([4], dtype=np.uint64)
         hash_words_vec(seed, (1, 2), np.arange(5))
         assert seed.tolist() == [4]  # the caller's seed array is not mixed
+
+    def test_several_array_words(self):
+        # each trailing array word is absorbed in turn, broadcast against
+        # the seed and the other words, as the scalar hash absorbs it
+        rng = np.random.default_rng(1)
+        seeds = rng.integers(0, 2**63, size=(4, 1, 1), dtype=np.uint64) * 2 + 1
+        a = rng.integers(-2**62, 2**62, size=(1, 5, 1))
+        b = np.array([-(2**62), -1, 0, 7, 2**62])
+        h = hash_words_vec(seeds, (23, 0), a, b)
+        assert h.shape == (4, 5, 5)
+        for s, x, y in np.ndindex(h.shape):
+            assert int(h[s, x, y]) == hash_words(
+                int(seeds[s, 0, 0]), 23, 0, int(a[0, x, 0]), int(b[y]))
+        assert int(hash_words_vec(3, (1,))) == hash_words(3, 1)

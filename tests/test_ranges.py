@@ -1,11 +1,13 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recurlab.bigsums
 import recurlab.ranges
 from recurlab.fields import FieldSpec, PathSample, default_k_max, partial_sums
 from recurlab.ranges import (
@@ -221,6 +223,52 @@ class TestPermutationView:
         spec = FieldSpec(seed=0, dimension=1, k_max=8, doubling=False)
         with pytest.raises(ValueError):
             PermutationView.build(spec, P_SQUARE, P_CUBE, 5)
+
+
+def _same_view(a: PermutationView, b: PermutationView) -> bool:
+    return (a.spec == b.spec and a.curly == b.curly
+            and a.s1_points == b.s1_points and a.s2_points == b.s2_points
+            and a.s2_ordinal == b.s2_ordinal
+            and all(np.array_equal(x.endpoints, y.endpoints)
+                    and x.endpoints.dtype == y.endpoints.dtype
+                    and x.fresh == y.fresh and x.range_set == y.range_set
+                    for x, y in ((a.table1, b.table1), (a.table2, b.table2))))
+
+
+class TestViewPool:
+    # a pool shares each axis's layout and hashes its dense axes as one
+    # (views x coordinates) array; each view must still be exactly the view
+    # its own spec builds alone
+
+    SPEC = FieldSpec(seed=0, dimension=2, k_max=default_k_max(60**3))
+    SEEDS = [5, 2**63 + 1, 17, 2**64 - 1, 0]
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        return PermutationView.build_pool(self.SPEC, self.SEEDS, P_SQUARE, P_CUBE, 60)
+
+    def test_each_view_equals_its_own_build(self, pool):
+        for seed, view in zip(self.SEEDS, pool):
+            alone = PermutationView.build(replace(self.SPEC, seed=seed),
+                                          P_SQUARE, P_CUBE, 60)
+            assert _same_view(view, alone)
+
+    def test_prefix_pool_equals_prefix(self, pool):
+        three = PermutationView.build_pool(self.SPEC, self.SEEDS[:3], P_SQUARE,
+                                           P_CUBE, 60)
+        assert len(three) == 3
+        assert all(_same_view(a, b) for a, b in zip(three, pool))
+
+    def test_hashing_blocks_do_not_change_views(self, pool, monkeypatch):
+        # blocks of a few hundred values split every dense axis into rows
+        # and column blocks
+        monkeypatch.setattr(recurlab.bigsums, "_POOL_BLOCK_ELEMS", 300)
+        small = PermutationView.build_pool(self.SPEC, self.SEEDS, P_SQUARE,
+                                           P_CUBE, 60)
+        assert all(_same_view(a, b) for a, b in zip(small, pool))
+
+    def test_empty_pool(self):
+        assert PermutationView.build_pool(self.SPEC, [], P_SQUARE, P_CUBE, 60) == []
 
 
 class TestComplementProfile:

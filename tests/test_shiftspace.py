@@ -117,6 +117,23 @@ class TestOmegaConfig:
         vec = cfg.bits_1d(u)
         assert all(vec[i] == cfg.bit(int(x)) for i, x in enumerate(u))
 
+    def test_bits_match_scalar_on_2d_sites(self):
+        # one seed per site, negative coordinates and +-2^62 included
+        rng = np.random.default_rng(4)
+        sites = rng.integers(-2**40, 2**40, size=(300, 2))
+        sites[:8] = [[0, 0], [-1, 1], [2**62, -(2**62)], [-(2**62), 2**62],
+                     [2**62, 2**62], [-(2**62), -(2**62)], [-3, -5], [1, 0]]
+        seeds = rng.integers(0, 2**64, size=300, dtype=np.uint64)
+        bits = OmegaConfig.bits(seeds, sites)
+        assert bits.shape == (300,)
+        for seed, site, b in zip(seeds.tolist(), sites.tolist(), bits.tolist()):
+            assert b == OmegaConfig(seed=seed, dimension=2).bit(tuple(site))
+        # a scalar seed broadcasts against every site
+        one = OmegaConfig.bits(11, sites.reshape(30, 10, 2))
+        cfg = OmegaConfig(seed=11, dimension=2)
+        assert one.shape == (30, 10)
+        assert one.ravel().tolist() == [cfg.bit(tuple(u)) for u in sites.tolist()]
+
     def test_dimension_checked(self):
         cfg = OmegaConfig(seed=3, dimension=2)
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ position. Times up to ~10^9 then cost seconds instead of days.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -27,7 +26,6 @@ from .fields import (
     field_nonzeros,
     lag_namespace,
     scale_params,
-    tail_variance_bound,
 )
 from .pmf import scale_groups
 
@@ -184,56 +182,33 @@ class _AxisEval:
                 - (self.s1[right] - self.s1[left]))
 
 
-@dataclass
-class EndpointSums:
-    """Values of S_t at the scheduled times, with truncation diagnostics."""
-
-    times: Tuple[int, ...]
-    values: np.ndarray  # (len(times), dimension), int64
-    k_max: int
-    tail_variance: float
-
-
-def _schedule_times(spec: FieldSpec, times: Sequence[int]) -> Tuple[int, ...]:
-    times = tuple(sorted(set(int(t) for t in times)))
-    if not times or times[0] < 1:
-        raise ValueError("schedule times must be positive integers")
-    if times[-1] >= COORD_BOUND // 4:
-        raise PreconditionError("schedule exceeds the coordinate bound")
-    if spec.windows or spec.origin != 0:
-        raise ValueError("schedule_sums needs an unconditioned, unshifted spec")
-    return times
-
-
-def schedule_sums(spec: FieldSpec, times: Sequence[int]) -> EndpointSums:
-    """Evaluate S_t for every t in ``times`` under ``spec``.
+def pool_schedule_sums(spec: FieldSpec, seeds: Sequence[int],
+                       times: Sequence[int]) -> np.ndarray:
+    """S_t at the sorted distinct ``times`` for every seed of a pool:
+    shape (seeds, times, dimension), int64.
 
     Scales with p_k <= DENSE_P_THRESHOLD read every field value in their
     ramp windows; larger scales sample the nonzero positions of those
     windows sparsely. When the schedule has no gaps and every scale is
     dense, no aggregate is drawn and the result equals the exact partial
     sums. The realization depends on the schedule through the chunk
-    partition, so results meant to share one field realization must be
-    produced by a single call with the union of their times.
-    """
-    times = _schedule_times(spec, times)
-    values = pool_schedule_sums(spec, [spec.seed], times)[0]
-    return EndpointSums(times=times, values=values, k_max=spec.k_max,
-                        tail_variance=tail_variance_bound(times[-1], spec.k_max))
+    partition, so results meant to share one field realization must come
+    from a single call with the union of their times. Row r depends only
+    on ``seeds[r]``, not on the rest of the pool.
 
-
-def pool_schedule_sums(spec: FieldSpec, seeds: Sequence[int],
-                       times: Sequence[int]) -> np.ndarray:
-    """S_t at the sorted distinct ``times`` for every seed of a pool:
-    shape (seeds, times, dimension), int64.
-
-    Row r equals ``schedule_sums(replace(spec, seed=seeds[r]), times)``.
     Every axis is laid out once for the whole pool; the pool goes through
     in groups small enough that an axis's (row, packed coordinate) keys
     stay within int64 (a packed axis is shorter than 2 (t + p) for the
     last time t and the largest block length p).
     """
-    t = np.array(_schedule_times(spec, times), dtype=np.int64)
+    times = sorted({int(t) for t in times})
+    if not times or times[0] < 1:
+        raise ValueError("schedule times must be positive integers")
+    if times[-1] >= COORD_BOUND // 4:
+        raise PreconditionError("schedule exceeds the coordinate bound")
+    if spec.windows:
+        raise ValueError("the schedule engine needs an unconditioned spec")
+    t = np.array(times, dtype=np.int64)
     seeds = [int(s) for s in seeds]
     values = np.zeros((len(seeds), t.size, spec.dimension), dtype=np.int64)
     if spec.zero:

@@ -158,7 +158,7 @@ def exp_section2(spec: FieldSpec, H: int = 2000, samples: int = 1000,
     """
     if H < 16:
         raise PreconditionError("need H >= 16")
-    if spec.dimension != 1 or spec.windows or spec.origin != 0:
+    if spec.dimension != 1 or spec.windows:
         raise ValueError("section-2 experiment needs a plain 1-D spec")
     if spec.zero:
         p0 = np.ones(H)

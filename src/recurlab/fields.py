@@ -85,8 +85,7 @@ class FieldSpec:
     """Addressable realization of the multi-scale field.
 
     ``windows`` force coordinate ranges to values in {-1, 0, +1}; where two
-    overlap, the first wins. ``origin`` shifts the time axis: evaluation at
-    j reads the base realization at j + origin.
+    overlap, the first wins.
     """
 
     seed: int
@@ -94,7 +93,6 @@ class FieldSpec:
     k_min: int = 1
     k_max: int = 8
     doubling: bool = True
-    origin: int = 0
     zero: bool = False
     windows: Tuple[ForcedWindow, ...] = ()
 
@@ -162,13 +160,12 @@ def _thresholds(q: float) -> Tuple[np.uint64, np.uint64]:
     return tuple(np.uint64(math.ceil(x * 2.0**53) << 11) for x in (q, q / 2))
 
 
-def _field_hash(spec: FieldSpec, k: int, i: int, j: np.ndarray, lagged: bool,
-                seed) -> np.ndarray:
+def _field_hash(k: int, i: int, j: np.ndarray, lagged: bool, seed) -> np.ndarray:
     """The hash behind each field value of scale k, coordinate i over the
     int64 coordinates ``j``; ``lagged`` selects the lag's own address
     namespace, which only scales with ``lag_namespace(k)`` use."""
     words = (TAG_FIELD, k, i, 1) if lagged else (TAG_FIELD, k, i)
-    return hash_words_vec(seed, words, j + spec.origin if spec.origin else j)
+    return hash_words_vec(seed, words, j)
 
 
 def field_values_vec(spec: FieldSpec, k: int, i: int, j: np.ndarray,
@@ -190,7 +187,7 @@ def field_values_vec(spec: FieldSpec, k: int, i: int, j: np.ndarray,
     if spec.zero:
         out = np.zeros(shape, dtype=np.int64)
     else:
-        h = _field_hash(spec, k, i, j, lagged, seed)
+        h = _field_hash(k, i, j, lagged, seed)
         nonzero, plus = _thresholds(sp.q)
         # 2 [h < plus] - [h < nonzero]: +1, -1 or 0, formed in one-byte
         # integers (the comparisons' bytes) and widened once
@@ -218,38 +215,19 @@ def field_nonzeros(spec: FieldSpec, k: int, i: int, j: np.ndarray,
         return field_nonzeros(spec, k, i, j + sp.d, seed=seed)
     if spec.zero:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    h = _field_hash(spec, k, i, j, lagged, spec.seed if seed is None else seed)
+    h = _field_hash(k, i, j, lagged, spec.seed if seed is None else seed)
     nonzero, plus = _thresholds(sp.q)
     at = np.flatnonzero(h < nonzero)
     return at, np.where(h.reshape(-1)[at] < plus, 1, -1)
 
 
-def shift_base(spec: FieldSpec, n: int) -> FieldSpec:
-    """Time shift of the whole field: shifted(j) == original(j + n)."""
-    if n == 0:
-        return spec
-    new_win = tuple(replace(w, lo=w.lo - n, hi=w.hi - n) for w in spec.windows)
-    return replace(spec, origin=spec.origin + n, windows=new_win)
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """Bilateral partial sums S_t over an integer window [a, b]."""
-
-    spec: FieldSpec
-    window: Tuple[int, int]
-    values: np.ndarray  # shape (b - a + 1, dimension), int64
-
-    def at(self, t: int) -> np.ndarray:
-        a, b = self.window
-        if not (a <= t <= b):
-            raise ValueError(f"time {t} outside window [{a}, {b}]")
-        return self.values[t - a]
-
-
 def _window_sums(spec: FieldSpec, seeds: np.ndarray,
                  window: Tuple[int, int]) -> np.ndarray:
     """S_t for t in [a, b] and every seed: shape (seeds, b - a + 1, dimension).
+
+    The window must satisfy a <= 0 <= b; S_t sums the increments over
+    [0, t) for t >= 0 and minus those over [t, 0) for t < 0. ``seeds``
+    replace ``spec.seed``, and every seed shares the spec's forced windows.
 
     Per scale, the field values over [a, b + p - 1) on the lead axis and on
     the lag axis each take one prefix sum; the block sum over [t, t + p) is
@@ -280,14 +258,6 @@ def _window_sums(spec: FieldSpec, seeds: np.ndarray,
     return cum - cum[:, [-a], :]
 
 
-def partial_sums(spec: FieldSpec, window: Tuple[int, int]) -> PathSample:
-    """Exact partial sums of one realization over ``window`` = [a, b] with
-    a <= 0 <= b; S_t sums the increments over [0, t) for t >= 0 and minus
-    those over [t, 0) for t < 0."""
-    values = _window_sums(spec, [spec.seed], window)
-    return PathSample(spec=spec, window=tuple(window), values=values[0])
-
-
 def partial_sums_batch(
     seeds: np.ndarray,
     window: Tuple[int, int],
@@ -299,7 +269,9 @@ def partial_sums_batch(
     """Partial sums for many independent seeds at once.
 
     Returns an int64 array of shape (n_seeds, b - a + 1, dimension).
-    Matches partial_sums(FieldSpec(seed=s, ...), window) for each seed s.
+    Row r is S_t of the unforced ``FieldSpec(seed=seeds[r], ...)``: the sum
+    of the increments over [0, t) for t >= 0 and minus the sum over [t, 0)
+    for t < 0.
     """
     a, b = window
     if k_max is None:

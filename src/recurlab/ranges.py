@@ -19,11 +19,12 @@ import numpy as np
 from . import PreconditionError
 from .bigsums import pool_schedule_sums
 from .fields import (
+    _BLOCK_ELEMS,
     FieldSpec,
+    _window_sums,
     conditioned_spec,
     goal_event_plan,
     min_low_scale_increment,
-    partial_sums,
     scale_params,
 )
 from .shiftspace import OmegaConfig
@@ -85,22 +86,17 @@ class RangeTable:
         return tuple(int(x) for x in self.endpoints[n - 1])
 
 
-def build_range_tables(spec: FieldSpec, polys: Sequence[PolynomialSpec],
-                       N: int) -> List[RangeTable]:
-    """Range tables for several polynomials over one shared field realization.
-
-    All endpoint times go into a single union schedule, so the tables are
-    mutually consistent (chunk aggregation draws depend on the schedule).
-    """
-    return pool_range_tables(spec, [spec.seed], polys, N)[0]
-
-
 def pool_range_tables(spec: FieldSpec, seeds: Sequence[int],
                       polys: Sequence[PolynomialSpec],
                       N: int) -> List[List[RangeTable]]:
-    """``build_range_tables`` for every seed of a pool, from one pool-wide
-    schedule evaluation: entry r equals
-    ``build_range_tables(replace(spec, seed=seeds[r]), polys, N)``."""
+    """Range tables of several polynomials for every seed of a pool: entry
+    r holds seed r's tables, one per polynomial.
+
+    All endpoint times go into a single union schedule, evaluated once for
+    the whole pool, so each seed's tables share one field realization
+    (chunk aggregation draws depend on the schedule) and do not depend on
+    the other seeds.
+    """
     if N < 1:
         raise ValueError("need N >= 1")
     for poly in polys:
@@ -131,7 +127,7 @@ def _range_table(poly: PolynomialSpec, N: int, endpoints: np.ndarray) -> RangeTa
 
 
 def build_range(spec: FieldSpec, poly: PolynomialSpec, N: int) -> RangeTable:
-    return build_range_tables(spec, [poly], N)[0]
+    return pool_range_tables(spec, [spec.seed], [poly], N)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +285,6 @@ class PermutationView:
         site, flip = self.twist_site(v)
         return flip ^ config.bit(site)
 
-    def t_origin_bit(self, config: OmegaConfig, n: int) -> int:
-        """Origin bit of the configuration after p1(n) steps of the plain
-        skew product: omega evaluated at S_{p1(n)}."""
-        return config.bit(self.table1.endpoint(n))
-
     def tilde_S_origin_bit(self, config: OmegaConfig, n: int) -> int:
         """Origin bit of the configuration after p2(n) steps of the twisted
         transformation: the outer inverse twist fixes the origin, leaving
@@ -328,13 +319,9 @@ def complement_profile(pool: Sequence[PermutationView],
     if N < fit_from:
         raise ValueError(f"profile horizon N={N} is below the envelope fit "
                          f"start {fit_from}")
-    miss = np.zeros(N, dtype=np.int64)
-    for view in pool:
-        ks = set(view.curly)
-        for n in range(1, N + 1):
-            if n not in ks:
-                miss[n - 1] += 1
-    q_hat = miss / len(pool)
+    # each view's shared fresh indices are distinct and lie in [1, N]
+    hits = np.concatenate([np.asarray(view.curly, dtype=np.int64) for view in pool])
+    q_hat = (len(pool) - np.bincount(hits - 1, minlength=N)) / len(pool)
     ns = np.arange(fit_from, N + 1)
     c = float(np.max(q_hat[fit_from - 1:] * np.sqrt(ns) / math.pi))
     return ComplementProfile(N=N, samples=len(pool), q_hat=q_hat, envelope_c=c)
@@ -398,10 +385,6 @@ class CertificationRun:
 BOUND_SCALES = 40
 
 
-def _lex_less(a, b) -> bool:
-    return (a[0], a[1]) < (b[0], b[1])
-
-
 def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
                      samples: int = 1000) -> CertificationRun:
     """Sample the conditioned cylinder and certify the strict-increase window.
@@ -410,10 +393,14 @@ def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
     the first coordinate while zeroing every other scale above the low band,
     so each increment is at least (band sum) + M > 0 with M the worst-case
     low-band contribution. Checks, per sample: the lexicographic chain
-    (0,0) < S_1 < ... < S_{2N}, the 2N+1 distinct recentred window values,
-    and the per-step high-scale floor. Also reports the exact cylinder
+    (0,0) < S_1 < ... < S_{2N}, the 2N+1 distinct window values, and the
+    per-step high-scale floor. Also reports the exact cylinder
     log-probability and verifies the per-scale factor bound
     m(D_k) >= exp(-2/p_k) for unforced scales k >= K + C.
+
+    Sample s has seed seed0 + s. The forced windows do not depend on the
+    seed, so the samples go through the seed-axis kernel in blocks of
+    rows, and each check is a reduction over a row.
     """
     M = min_low_scale_increment(N)
     if C is None:
@@ -422,28 +409,33 @@ def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
         raise PreconditionError("C must dominate the low-band worst case -M")
     plan = goal_event_plan(N=N, C=C)
     plan_k_max = max(w.k for w in plan.windows)
+    spec = conditioned_spec(FieldSpec(seed=0, dimension=2, doubling=True,
+                                      k_max=plan_k_max), plan)
+    # the plan forces only the first coordinate, whose values a 1-D spec
+    # reads at the same addresses
+    high = replace(spec, k_min=plan.kappa, doubling=False, dimension=1)
+    window = (0, 2 * N)
     goal_failures = 0
     distinct_failures = 0
     y_floor = None
-    for s in range(samples):
-        base = FieldSpec(seed=seed0 + s, dimension=2, doubling=True,
-                         k_max=plan_k_max)
-        spec = conditioned_spec(base, plan)
-        path = partial_sums(spec, (0, 2 * N))
-        chain = [tuple(int(x) for x in path.at(t)) for t in range(0, 2 * N + 1)]
-        ok = all(_lex_less(chain[t], chain[t + 1]) for t in range(2 * N))
-        center = np.array(chain[N])
-        window = {tuple(int(x) for x in (np.array(c) - center)) for c in chain}
-        if len(window) != 2 * N + 1:
-            distinct_failures += 1
-        high = partial_sums(replace(spec, k_min=plan.kappa, doubling=False),
-                            (0, 2 * N))
-        incr = np.diff(high.values[:, 0])
-        floor = int(incr.min())
-        y_floor = floor if y_floor is None else min(y_floor, floor)
+    rows = max(1, _BLOCK_ELEMS // (2 * N + 1))
+    for lo in range(seed0, seed0 + samples, rows):
+        # a seed past 2^64 - 1 raises OverflowError here instead of wrapping
+        seeds = np.array(range(lo, min(lo + rows, seed0 + samples)), dtype=np.uint64)
+        path = _window_sums(spec, seeds, window)
+        d0, d1 = np.moveaxis(np.diff(path, axis=1), 2, 0)
+        chain = ((d0 > 0) | ((d0 == 0) & (d1 > 0))).all(axis=1)
+        # sorted lexicographically, a row's values are distinct iff no two
+        # neighbours are equal
+        order = np.lexsort((path[:, :, 1], path[:, :, 0]), axis=1)
+        ranked = np.take_along_axis(path, order[:, :, None], axis=1)
+        repeat = (np.diff(ranked, axis=1) == 0).all(axis=2).any(axis=1)
+        distinct_failures += int(repeat.sum())
+        floor = np.diff(_window_sums(high, seeds, window)[:, :, 0], axis=1).min(axis=1)
+        low = int(floor.min())
+        y_floor = low if y_floor is None else min(y_floor, low)
         # counted once per sample, so goal_failures <= samples
-        if not ok or floor <= C:
-            goal_failures += 1
+        goal_failures += int((~chain | (floor <= C)).sum())
     # exact cylinder probability (log space) over the forced scales
     log_prob = 0.0
     for w in plan.windows:

@@ -2,30 +2,42 @@
 its float comparison rule over whole arrays, the dense product form of the
 walk's log characteristic function, the walk's exact rational law at
 toy sizes (amplitudes are rational only for k <= 2), the power spectral
-model's covariance by adaptive quadrature, one lag per call, and the
-section-3 probe one sample, one n and one scalar bit at a time.
+model's covariance by adaptive quadrature, one lag per call, the
+section-3 probe one sample, one n and one scalar bit at a time, and the
+distinct-window certification one sample at a time over scalar sums.
 
 The library evaluates field values and partial sums only through the
 vectorized kernel in ``recurlab.fields``, the log characteristic
-function only through the per-scale histogram FFT in ``recurlab.pmf``, and
+function only through the per-scale histogram FFT in ``recurlab.pmf``,
 the power covariance only through the fixed Gauss-Legendre rule in
-``recurlab.gaussian``, and the section-3 probe only over a membership
-matrix with its bits hashed as arrays in ``recurlab.experiments``.
+``recurlab.gaussian``, the section-3 probe only over a membership
+matrix with its bits hashed as arrays in ``recurlab.experiments``, and
+the certification only as reductions over rows of the seed-axis kernel
+in ``recurlab.ranges``.
 These functions compute the same quantities straight from the definitions,
 so that tests can check the kernels against an independent implementation.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from recurlab.experiments import TripleProbeReport, _child_seed
-from recurlab.fields import TAG_FIELD, FieldSpec, lag_namespace, scale_params
+from recurlab.fields import (
+    TAG_FIELD,
+    FieldSpec,
+    conditioned_spec,
+    goal_event_plan,
+    lag_namespace,
+    min_low_scale_increment,
+    scale_params,
+)
 from recurlab.pmf import GroupedLaw, scale_groups
 from recurlab.prf import hash_words, hash_words_vec
-from recurlab.ranges import PermutationView
+from recurlab.ranges import BOUND_SCALES, CertificationRun, PermutationView
 from recurlab.shiftspace import OmegaConfig
 
 
@@ -54,9 +66,9 @@ def field_value(spec: FieldSpec, k: int, i: int, j: int) -> int:
         return 0
     sp = scale_params(k)
     if lag_namespace(k) and j >= sp.d // 2:
-        u = uniform01(spec.seed, TAG_FIELD, k, i, 1, j - sp.d + spec.origin)
+        u = uniform01(spec.seed, TAG_FIELD, k, i, 1, j - sp.d)
     else:
-        u = uniform01(spec.seed, TAG_FIELD, k, i, j + spec.origin)
+        u = uniform01(spec.seed, TAG_FIELD, k, i, j)
     if u < sp.q / 2:
         return 1
     if u < sp.q:
@@ -82,7 +94,7 @@ def field_values_float(spec: FieldSpec, k: int, i: int, j: np.ndarray,
     elif lagged:
         j = j + sp.d
     seed = spec.seed if seed is None else seed
-    h = hash_words_vec(seed, words, j + spec.origin)
+    h = hash_words_vec(seed, words, j)
     u = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
     out = np.zeros(u.shape, dtype=np.int64)
     if not spec.zero:
@@ -229,8 +241,9 @@ def oracle_section3(pool: Sequence[PermutationView], k: int, H: int,
                     samples: int = 1000, seed0: int = 0) -> TripleProbeReport:
     """``recurlab.experiments.exp_section3`` one sample at a time: the
     witness of each n is the first coordinate whose view has n among its
-    shared fresh indices, and each bit is one scalar ``OmegaConfig.bit``
-    read through the view's ``t_origin_bit`` and ``tilde_S_origin_bit``."""
+    shared fresh indices, and each bit is one scalar ``OmegaConfig.bit``:
+    the plain origin bit at the endpoint S_{p1(n)} of the view's first
+    table, the twisted one through ``tilde_S_origin_bit``."""
     if H > pool[0].N:
         raise ValueError("horizon exceeds the pool's range horizon")
     if k < 1:
@@ -262,7 +275,7 @@ def oracle_section3(pool: Sequence[PermutationView], k: int, H: int,
             t = witness[n]
             view = pool[idx[t]]
             cfg = configs[t]
-            t_bit = view.t_origin_bit(cfg, n)
+            t_bit = cfg.bit(view.table1.endpoint(n))
             s_bit = view.tilde_S_origin_bit(cfg, n)
             if s_bit != 1 - t_bit:
                 identity_failures += 1
@@ -275,3 +288,44 @@ def oracle_section3(pool: Sequence[PermutationView], k: int, H: int,
                              in_surrogate=in_surrogate, violations=violations,
                              identity_failures=identity_failures,
                              uncovered=uncovered)
+
+
+def oracle_certify(seed0: int, N: int, C: Optional[int] = None,
+                   samples: int = 1000) -> CertificationRun:
+    """``recurlab.ranges.certify_distinct`` one sample at a time: each
+    sample's window and high band are summed by ``oracle_sums`` and checked
+    as tuples, and the cylinder probability and factor bounds are taken
+    straight from the plan."""
+    M = min_low_scale_increment(N)
+    if C is None:
+        C = -M + 1
+    plan = goal_event_plan(N=N, C=C)
+    plan_k_max = max(w.k for w in plan.windows)
+    goal_failures = 0
+    distinct_failures = 0
+    y_floor = None
+    for s in range(samples):
+        spec = conditioned_spec(FieldSpec(seed=seed0 + s, dimension=2, doubling=True,
+                                          k_max=plan_k_max), plan)
+        chain = [tuple(int(x) for x in row) for row in oracle_sums(spec, (0, 2 * N))]
+        ok = all(chain[t] < chain[t + 1] for t in range(2 * N))
+        if len(set(chain)) != 2 * N + 1:
+            distinct_failures += 1
+        high = oracle_sums(replace(spec, k_min=plan.kappa, doubling=False), (0, 2 * N))
+        floor = int(np.diff(high[:, 0]).min())
+        y_floor = floor if y_floor is None else min(y_floor, floor)
+        if not ok or floor <= C:
+            goal_failures += 1
+    log_prob = 0.0
+    for w in plan.windows:
+        q = scale_params(w.k).q
+        log_prob += (w.hi - w.lo) * (math.log1p(-q) if w.value == 0 else math.log(q / 2.0))
+    checks = tuple(
+        (k, 2 * (scale_params(k).p + 2 * N) * math.log1p(-scale_params(k).q),
+         -2.0 / scale_params(k).p)
+        for k in range(plan.K + C, plan.K + C + BOUND_SCALES))
+    return CertificationRun(
+        N=N, C=C, M=M, kappa=plan.kappa, K=plan.K, plan_k_max=plan_k_max,
+        samples=samples, goal_failures=goal_failures,
+        distinct_failures=distinct_failures, y_floor=y_floor,
+        log_event_probability=log_prob, bound_checks=checks)

@@ -1,12 +1,11 @@
 import hashlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from recurlab import bigsums
-from recurlab.bigsums import _AxisEval, endpoint_batch_law, schedule_sums
+from recurlab.bigsums import _AxisEval, endpoint_batch_law, pool_schedule_sums
 from recurlab.fields import FieldSpec, ForcedWindow, default_k_max, scale_params
 from recurlab.pmf import grouped_law, walk_pmf
 
@@ -21,34 +20,35 @@ class TestExplicitAgreesWithStepping:
     @pytest.mark.parametrize("dim,doubling", [(1, False), (2, True)])
     def test_consecutive_times(self, dim, doubling):
         spec = FieldSpec(seed=1234, dimension=dim, k_max=8, doubling=doubling)
-        sums = schedule_sums(spec, list(range(1, 41)))
-        assert (sums.values == oracle_sums(spec, (0, 40))[1:]).all()
+        sums = pool_schedule_sums(spec, [spec.seed], list(range(1, 41)))[0]
+        assert (sums == oracle_sums(spec, (0, 40))[1:]).all()
 
     def test_sparse_request_consecutive_anchoring(self):
         # the times of interest are read from a gap-free schedule
         spec = FieldSpec(seed=77, dimension=1, k_max=8, doubling=False)
-        sums = schedule_sums(spec, list(range(1, 37)))
+        sums = pool_schedule_sums(spec, [spec.seed], list(range(1, 37)))[0]
         path = oracle_sums(spec, (0, 36))
         for t in (3, 17, 36):
-            assert (sums.values[sums.times.index(t)] == path[t]).all()
+            assert (sums[t - 1] == path[t]).all()
 
     def test_auto_equals_explicit_without_chunks(self):
         spec = FieldSpec(seed=5, dimension=2, k_max=7, doubling=True)
-        sums = schedule_sums(spec, list(range(1, 30)))
-        assert (sums.values == oracle_sums(spec, (0, 29))[1:]).all()
+        sums = pool_schedule_sums(spec, [spec.seed], list(range(1, 30)))[0]
+        assert (sums == oracle_sums(spec, (0, 29))[1:]).all()
 
     def test_crosses_small_lag(self):
         # scale 2 has lag 16; times straddling it exercise the shared axis
         spec = FieldSpec(seed=9, dimension=1, k_min=2, k_max=2, doubling=False)
-        sums = schedule_sums(spec, list(range(1, 25)))
-        assert (sums.values == oracle_sums(spec, (0, 24))[1:]).all()
+        sums = pool_schedule_sums(spec, [spec.seed], list(range(1, 25)))[0]
+        assert (sums == oracle_sums(spec, (0, 24))[1:]).all()
 
 
 SQUARES_AND_CUBES = sorted({n**e for n in range(1, 101) for e in (2, 3)})
 
 
 def _digest(spec, times):
-    return hashlib.sha256(schedule_sums(spec, times).values.tobytes()).hexdigest()
+    values = pool_schedule_sums(spec, [spec.seed], times)[0]
+    return hashlib.sha256(values.tobytes()).hexdigest()
 
 
 class TestPinnedRealizations:
@@ -122,10 +122,10 @@ class TestPoolSchedule:
          [3, 1000, 10**9]),
     ])
     def test_rows_equal_single_seed_sums(self, spec, times):
-        pooled = bigsums.pool_schedule_sums(spec, self.SEEDS, times)
+        pooled = pool_schedule_sums(spec, self.SEEDS, times)
         assert pooled.shape == (len(self.SEEDS), len(set(times)), spec.dimension)
         for seed, row in zip(self.SEEDS, pooled):
-            alone = schedule_sums(replace(spec, seed=seed), times).values
+            alone = pool_schedule_sums(spec, [seed], times)[0]
             assert np.array_equal(row, alone)
 
     def test_sparse_batch_draws_equal_per_segment_draws(self):
@@ -159,16 +159,14 @@ class TestPoolSchedule:
 class TestAutoMode:
     def test_deterministic(self):
         spec = FieldSpec(seed=31, dimension=2, k_max=12, doubling=True)
-        times = [8, 27, 64, 125, 10**6]
-        a = schedule_sums(spec, times)
-        b = schedule_sums(spec, times)
-        assert (a.values == b.values).all()
-        assert a.times == (8, 27, 64, 125, 10**6)
+        a = pool_schedule_sums(spec, [spec.seed], [10**6, 8, 27, 64, 125, 64])
+        b = pool_schedule_sums(spec, [spec.seed], [8, 27, 64, 125, 10**6])
+        assert a.shape == (1, 5, 2)
+        assert (a == b).all()
 
     def test_zero_spec(self):
         spec = FieldSpec(seed=31, dimension=2, k_max=10, zero=True)
-        sums = schedule_sums(spec, [10, 10**7])
-        assert (sums.values == 0).all()
+        assert (pool_schedule_sums(spec, [spec.seed], [10, 10**7]) == 0).all()
 
     def test_large_time_variance(self):
         # endpoint variance across seeds matches the analytic atom variance
@@ -177,32 +175,27 @@ class TestAutoMode:
         vals = []
         for seed in range(250):
             spec = FieldSpec(seed=seed, dimension=1, k_max=k_max, doubling=False)
-            vals.append(schedule_sums(spec, [n]).values[0, 0])
+            vals.append(pool_schedule_sums(spec, [seed], [n])[0, 0, 0])
         emp = np.var(np.array(vals, dtype=np.float64))
         ana = grouped_law(1, k_max, n).variance()
         assert 0.55 * ana < emp < 1.45 * ana  # ~4 SE of a variance at 250 draws
 
     def test_doubling_and_dimension_shape(self):
         spec = FieldSpec(seed=4, dimension=2, k_max=9, doubling=True)
-        sums = schedule_sums(spec, [1000])
-        assert sums.values.shape == (1, 2)
-        assert (sums.values % 2 == 0).all()
-
-    def test_tail_variance_reported(self):
-        spec = FieldSpec(seed=4, dimension=1, k_max=6, doubling=False)
-        sums = schedule_sums(spec, [500])
-        assert sums.tail_variance > 0
+        sums = pool_schedule_sums(spec, [spec.seed], [1000])[0]
+        assert sums.shape == (1, 2)
+        assert (sums % 2 == 0).all()
 
     def test_rejects_bad_input(self):
         spec = FieldSpec(seed=4, dimension=1, k_max=4)
         with pytest.raises(ValueError):
-            schedule_sums(spec, [])
+            pool_schedule_sums(spec, [spec.seed], [])
         with pytest.raises(ValueError):
-            schedule_sums(spec, [0, 5])
+            pool_schedule_sums(spec, [spec.seed], [0, 5])
         forced = FieldSpec(seed=4, dimension=1, k_max=4,
                            windows=(ForcedWindow(k=1, i=1, lo=0, hi=1, value=1),))
         with pytest.raises(ValueError):
-            schedule_sums(forced, [5])
+            pool_schedule_sums(forced, [forced.seed], [5])
 
 
 class TestEndpointLawSampler:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +16,8 @@ from recurlab.fields import (
     field_values_vec,
     goal_event_plan,
     min_low_scale_increment,
-    partial_sums,
     partial_sums_batch,
     scale_params,
-    shift_base,
     tail_variance_bound,
 )
 
@@ -190,42 +189,43 @@ class TestBlockFunction:
 class TestPartialSums:
     def test_trivial_window(self):
         spec = FieldSpec(seed=3, dimension=2, k_max=2)
-        path = partial_sums(spec, (0, 0))
-        assert path.values.shape == (1, 2)
-        assert (path.at(0) == 0).all()
+        path = fields._window_sums(spec, [spec.seed], (0, 0))[0]
+        assert path.shape == (1, 2)
+        assert (path[0] == 0).all()
 
     def test_zero_field(self):
         spec = FieldSpec(seed=3, dimension=2, k_max=3, zero=True)
-        path = partial_sums(spec, (-4, 6))
-        assert (path.values == 0).all()
+        path = fields._window_sums(spec, [spec.seed], (-4, 6))[0]
+        assert (path == 0).all()
 
     def test_matches_direct_sum(self):
         spec = FieldSpec(seed=42, dimension=2, k_max=3, doubling=True)
-        path = partial_sums(spec, (-6, 10))
+        path = fields._window_sums(spec, [spec.seed], (-6, 10))[0]
         for n in range(0, 11):
             direct = np.sum([f_at(spec, t) for t in range(n)], axis=0) if n else np.zeros(2)
-            assert (path.at(n) == direct).all()
+            assert (path[n + 6] == direct).all()
         for n in range(-6, 0):
             direct = -np.sum([f_at(spec, t) for t in range(n, 0)], axis=0)
-            assert (path.at(n) == direct).all()
+            assert (path[n + 6] == direct).all()
 
     def test_parity_under_doubling(self):
         spec = FieldSpec(seed=13, dimension=2, k_max=3, doubling=True)
-        path = partial_sums(spec, (-5, 20))
-        assert (path.values % 2 == 0).all()
+        path = fields._window_sums(spec, [spec.seed], (-5, 20))[0]
+        assert (path % 2 == 0).all()
 
     @given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8),
            st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=15, deadline=None)
     def test_cocycle_identity(self, n, m, seed):
+        # S_{n+m} = S_n + (the increments over [n, n + m)), whatever window
+        # the sums are read from
         spec = FieldSpec(seed=seed, dimension=1, k_max=2, doubling=False)
-        full = partial_sums(spec, (0, n + m))
-        first = partial_sums(spec, (0, n))
-        shifted = shift_base(spec, n)
-        second = partial_sums(shifted, (0, m))
-        assert (full.at(n + m) == first.at(n) + second.at(m)).all()
-        assert (full.values == oracle_sums(spec, (0, n + m))).all()
-        assert (second.values == oracle_sums(shifted, (0, m))).all()
+        full = fields._window_sums(spec, [spec.seed], (-m, n + m))[0]
+        steps = [f_at(spec, t) for t in range(n, n + m)]
+        later = np.sum(steps, axis=0) if m else np.zeros(1)
+        assert (full[m + n + m] == full[m + n] + later).all()
+        assert (full[m:] == fields._window_sums(spec, [spec.seed], (0, n + m))[0]).all()
+        assert (full == oracle_sums(spec, (-m, n + m))).all()
 
     def test_sign_symmetry(self):
         # forcing every value the window reads to its negation negates the
@@ -237,25 +237,24 @@ class TestPartialSums:
             for k in (1, 2)
             for base in (0, scale_params(k).d)
             for j in range(base + a, base + b + scale_params(k).p - 1))
-        pos = partial_sums(spec, (a, b))
-        neg = partial_sums(FieldSpec(seed=77, dimension=1, k_max=2,
-                                     windows=flipped), (a, b))
-        assert (pos.values == -neg.values).all()
-        assert (pos.values != 0).any()
+        pos = fields._window_sums(spec, [spec.seed], (a, b))[0]
+        neg = fields._window_sums(replace(spec, windows=flipped), [77], (a, b))[0]
+        assert (pos == -neg).all()
+        assert (pos != 0).any()
 
     def test_bad_window(self):
         spec = FieldSpec(seed=1, dimension=1, k_max=1)
         with pytest.raises(ValueError):
-            partial_sums(spec, (3, 1))
+            fields._window_sums(spec, [spec.seed], (3, 1))
 
     def test_batch_matches_single(self):
         seeds = np.array([5, 6, 7], dtype=np.uint64)
         batch = partial_sums_batch(seeds, (-3, 12), dimension=2, k_max=3, doubling=True)
         for idx, s in enumerate(seeds):
             spec = FieldSpec(seed=int(s), dimension=2, k_max=3, doubling=True)
-            single = partial_sums(spec, (-3, 12))
-            assert (batch[idx] == single.values).all()
-            assert (single.values == oracle_sums(spec, (-3, 12))).all()
+            single = fields._window_sums(spec, [s], (-3, 12))[0]
+            assert (batch[idx] == single).all()
+            assert (single == oracle_sums(spec, (-3, 12))).all()
 
     def test_batch_chunks_match_whole_block(self, monkeypatch):
         # 7 seeds over (-3, 20): scale 1 reads 25 values per seed, so an
@@ -303,9 +302,9 @@ class TestHugeLagScales:
         batch = partial_sums_batch(seeds, (0, 6), dimension=1, k_max=8)
         for idx, s in enumerate(seeds):
             spec = FieldSpec(seed=int(s), dimension=1, k_max=8, doubling=False)
-            single = partial_sums(spec, (0, 6))
-            assert (batch[idx] == single.values).all()
-            assert (single.values == oracle_sums(spec, (0, 6))).all()
+            single = fields._window_sums(spec, [s], (0, 6))[0]
+            assert (batch[idx] == single).all()
+            assert (single == oracle_sums(spec, (0, 6))).all()
 
     def test_forced_lag_window_respected(self):
         sp = scale_params(8)
@@ -314,27 +313,8 @@ class TestHugeLagScales:
         assert field_value(spec, 8, 1, sp.d + 2) == 1
         vec = field_values_vec(spec, 8, 1, np.arange(0, 6), lagged=True)
         assert vec[:4].tolist() == [1, 1, 1, 1]
-        path = partial_sums(spec, (-2, 6))
-        assert (path.values == oracle_sums(spec, (-2, 6))).all()
-
-
-class TestShiftBase:
-    def test_identity(self):
-        spec = FieldSpec(seed=9, dimension=1, k_max=2)
-        assert shift_base(spec, 0) is spec
-
-    def test_composition(self):
-        spec = FieldSpec(seed=9, dimension=1, k_max=2)
-        s1 = shift_base(shift_base(spec, 3), -5)
-        s2 = shift_base(spec, -2)
-        for j in range(-8, 8):
-            assert field_value(s1, 1, 1, j) == field_value(s2, 1, 1, j)
-
-    def test_override_reindexed(self):
-        spec = FieldSpec(seed=0, dimension=1, k_max=1, zero=True, windows=(_point(1, 1, 5, 1),))
-        shifted = shift_base(spec, 2)
-        assert field_value(shifted, 1, 1, 3) == 1
-        assert field_value(shifted, 1, 1, 5) == 0
+        path = fields._window_sums(spec, [spec.seed], (-2, 6))[0]
+        assert (path == oracle_sums(spec, (-2, 6))).all()
 
 
 class TestConditioning:
@@ -384,11 +364,10 @@ class TestConditioning:
             spec = conditioned_spec(
                 FieldSpec(seed=seed, dimension=2, doubling=True, k_max=plan.K), plan
             )
-            path = partial_sums(spec, (0, 2 * N))
-            diffs = np.diff(path.values[:, 0])
-            assert (diffs > 0).all()
+            path = fields._window_sums(spec, [spec.seed], (0, 2 * N))[0]
+            assert (np.diff(path[:, 0]) > 0).all()
             if seed < 3:
-                assert (path.values == oracle_sums(spec, (0, 2 * N))).all()
+                assert (path == oracle_sums(spec, (0, 2 * N))).all()
 
 
 class TestTruncation:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import recurlab.bigsums
 import recurlab.ranges
-from recurlab.fields import FieldSpec, PathSample, default_k_max, partial_sums
+from recurlab.fields import FieldSpec, _window_sums, default_k_max
 from recurlab.ranges import (
     HorizonError,
     P_CUBE,
@@ -18,16 +18,16 @@ from recurlab.ranges import (
     PermutationView,
     PolynomialSpec,
     build_range,
-    build_range_tables,
     certify_distinct,
     choose_k,
     complement_index,
     complement_point,
     complement_profile,
+    pool_range_tables,
 )
 from recurlab.shiftspace import OmegaConfig
 
-from oracles import oracle_sums
+from oracles import oracle_certify, oracle_sums
 
 
 class TestPolynomialSpec:
@@ -69,7 +69,8 @@ class TestRangeTable:
         # and every scale is dense at k_max = 8, so the squares up to 36
         # read exact partial sums
         spec = FieldSpec(seed=17, dimension=2, k_max=8, doubling=True)
-        _, table = build_range_tables(spec, [PolynomialSpec((1,)), P_SQUARE], 36)
+        [[_, table]] = pool_range_tables(spec, [spec.seed],
+                                         [PolynomialSpec((1,)), P_SQUARE], 36)
         path = oracle_sums(spec, (0, 36))
         for n in range(1, 7):
             assert table.endpoint(n) == tuple(path[n * n])
@@ -106,7 +107,7 @@ class TestRangeTable:
     def test_shared_realization_across_polys(self):
         # n^2 and n^3 agree at n=1; a joint build must give equal endpoints there
         spec = FieldSpec(seed=12, dimension=2, k_max=16, doubling=True)
-        t1, t2 = build_range_tables(spec, [P_SQUARE, P_CUBE], 40)
+        [[t1, t2]] = pool_range_tables(spec, [spec.seed], [P_SQUARE, P_CUBE], 40)
         assert t1.endpoint(1) == t2.endpoint(1)
 
 
@@ -114,7 +115,7 @@ class TestCurlyK:
     def test_subset_of_both_fresh(self):
         spec = FieldSpec(seed=5, dimension=2, k_max=18, doubling=True)
         ks = PermutationView.build(spec, P_SQUARE, P_CUBE, 50).curly
-        t1, t2 = build_range_tables(spec, [P_SQUARE, P_CUBE], 50)
+        [[t1, t2]] = pool_range_tables(spec, [spec.seed], [P_SQUARE, P_CUBE], 50)
         assert set(ks) == set(t1.fresh) & set(t2.fresh)
         assert list(ks) == sorted(ks)
 
@@ -211,7 +212,8 @@ class TestPermutationView:
         for seed in range(5):
             cfg = OmegaConfig(seed=seed, dimension=2)
             for n in view.curly[:25]:
-                assert view.tilde_S_origin_bit(cfg, n) == 1 - view.t_origin_bit(cfg, n)
+                plain = cfg.bit(view.table1.endpoint(n))
+                assert view.tilde_S_origin_bit(cfg, n) == 1 - plain
 
     def test_twist_bit_mean_fair(self, view):
         cfg = OmegaConfig(seed=7, dimension=2)
@@ -320,18 +322,56 @@ class TestCertification:
         assert all(log_mdk >= bound for _, log_mdk, bound in run.bound_checks)
         assert run.bound_checks[0][0] == run.K + run.C
 
+    @staticmethod
+    def _flat_rows(monkeypatch, flat_seeds):
+        # the seed-axis kernel as ranges binds it, with a constant path for
+        # the seeds in flat_seeds
+        kernel = recurlab.ranges._window_sums
+
+        def patched(spec, seeds, window):
+            out = kernel(spec, seeds, window)
+            out[np.isin(seeds, np.array(flat_seeds, dtype=np.uint64))] = 0
+            return out
+
+        monkeypatch.setattr(recurlab.ranges, "_window_sums", patched)
+
     def test_goal_failures_counted_once_per_sample(self, monkeypatch):
         # a constant path fails both goal checks (no increase, floor <= C)
-        # in every sample; each sample must still count once
-        def flat(spec, window):
-            return PathSample(spec=spec, window=window,
-                              values=np.zeros((window[1] - window[0] + 1, 2),
-                                              dtype=np.int64))
-
-        monkeypatch.setattr(recurlab.ranges, "partial_sums", flat)
+        # and the distinct check in every sample; each sample must still
+        # count once
+        self._flat_rows(monkeypatch, flat_seeds=range(5))
         run = certify_distinct(seed0=0, N=2, samples=5)
         assert run.y_floor == 0 <= run.C
         assert run.goal_failures == run.samples == 5
+        assert run.distinct_failures == run.samples
+
+    def test_failures_counted_per_row(self, monkeypatch):
+        # only rows 1 and 3 of 5 are flat: a check reduced over the sample
+        # axis instead of within each row cannot count exactly these two
+        self._flat_rows(monkeypatch, flat_seeds=[41, 43])
+        run = certify_distinct(seed0=40, N=2, samples=5)
+        assert run.goal_failures == run.distinct_failures == 2
+        assert run.y_floor == 0
+
+    @pytest.mark.parametrize("seed0,N,C,samples", [
+        (100, 1, 1, 30),
+        (7, 3, None, 12),
+        (200, 8, None, 20),
+        # the top of the seed range the CLI admits
+        (2**64 - 20, 8, None, 20),
+    ])
+    def test_equals_scalar_oracle(self, seed0, N, C, samples):
+        assert certify_distinct(seed0, N, C, samples) == oracle_certify(seed0, N, C, samples)
+
+    def test_seed_blocks_do_not_change_run(self, monkeypatch):
+        # blocks of a few rows split the samples; the counts and the floor
+        # must not depend on where the blocks fall
+        whole = certify_distinct(seed0=3, N=2, samples=23)
+        monkeypatch.setattr(recurlab.ranges, "_BLOCK_ELEMS", 20)
+        assert certify_distinct(seed0=3, N=2, samples=23) == whole
+        self._flat_rows(monkeypatch, flat_seeds=[3, 11, 25])
+        run = certify_distinct(seed0=3, N=2, samples=23)
+        assert run.goal_failures == run.distinct_failures == 3
 
     def test_rejects_insufficient_c(self):
         with pytest.raises(ValueError):
@@ -343,7 +383,7 @@ class TestCertification:
         bad = 0
         for seed in range(20):
             spec = FieldSpec(seed=seed, dimension=2, k_max=6, doubling=True)
-            vals = partial_sums(spec, (0, 16)).values
+            vals = _window_sums(spec, [spec.seed], (0, 16))[0]
             chain = [tuple(int(x) for x in row) for row in vals]
             if not all(chain[t] < chain[t + 1] for t in range(16)):
                 bad += 1

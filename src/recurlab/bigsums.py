@@ -78,7 +78,7 @@ class _AxisEval:
     seed of a pool at once.
 
     Offsets count from 0 on the lead axis and from d_k on the lag axis
-    (``lag=True``), whose addresses are those of ``field_values_vec`` with
+    (``lag=True``), whose addresses are those of ``field_nonzeros`` with
     ``lagged=True``. Every anchor opens a ramp window of length p - 1;
     overlapping or touching windows merge into segments, and the gaps
     between segments become aggregate chunks. The segments are laid end to

@@ -32,6 +32,7 @@ from .bigsums import endpoint_batch_law
 from .fields import FieldSpec, default_k_max, partial_sums_batch
 from .gaussian import (
     SpectralModel,
+    hurwitz_zeta,
     power_summability,
     sample_paths,
     triple_probability,
@@ -83,29 +84,25 @@ class Extraction:
     verdict: str
 
 
-def _extract(return_sets: List[set], H: int) -> Extraction:
-    samples = len(return_sets)
-    last = [max(R) if R else 0 for R in return_sets]
-    N = min(last)
+def _extract(joint: np.ndarray) -> Extraction:
+    """The extraction from a (samples x H) joint-return matrix, whose
+    column n - 1 says that the sample returns jointly at time n."""
+    samples, H = joint.shape
+    # each sample's last return time, 0 where it never returns
+    last = np.where(joint.any(axis=1), H - joint[:, ::-1].argmax(axis=1), 0)
+    N = int(last.min())
     if N >= H:
         return Extraction(H=H, samples=samples, N=N, M=0, measure_D=0.0,
                           measure_A=0.0, violations=0, verdict="diverged")
-    D_idx = [i for i, l in enumerate(last) if l <= N]
-    M = max((last[i] for i in D_idx), default=0)
-    if M == 0:
-        A_idx = D_idx
-    else:
-        A_idx = [i for i in D_idx if M in return_sets[i]]
-    violations = 0
-    for i in A_idx:
-        R = return_sets[i]
-        for n in range(1, H + 1):
-            if n in R and (n + M) in R:
-                violations += 1
+    D = last <= N
+    M = int(last[D].max())
+    A = D & joint[:, M - 1] if M else D
+    # pairs (sample in A, n) with joint returns at both n and n + M <= H
+    violations = int(np.count_nonzero(joint[A, : H - M] & joint[A, M:]))
     verdict = "ok" if violations == 0 else "violated"
     return Extraction(H=H, samples=samples, N=N, M=M,
-                      measure_D=len(D_idx) / samples,
-                      measure_A=len(A_idx) / samples,
+                      measure_D=int(D.sum()) / samples,
+                      measure_A=int(A.sum()) / samples,
                       violations=violations, verdict=verdict)
 
 
@@ -170,25 +167,18 @@ def exp_section2(spec: FieldSpec, H: int = 2000, samples: int = 1000,
     c = float(np.max(p0 * np.sqrt(ns)))
 
     if spec.zero:
-        vals = np.zeros((samples, 3, H), dtype=np.int64)
+        joint = np.ones((samples, H), dtype=bool)
     else:
-        y_seeds = np.array([[_child_seed(seed0, 1, s, t) for t in range(3)]
-                            for s in range(samples)], dtype=np.uint64)
+        # entry (s, t) is _child_seed(seed0, 1, s, t)
+        y_seeds = hash_words_vec(seed0, (_TAG_EXP, 1), *np.ogrid[:samples, :3])
         paths = partial_sums_batch(y_seeds.ravel(), (0, H), dimension=1,
                                    k_max=spec.k_max, k_min=spec.k_min,
                                    doubling=spec.doubling)
-        vals = paths[:, 1:, 0].reshape(samples, 3, H)
-    joint_zero = (vals == 0).all(axis=1)  # (samples, H); column n-1 is time n
-    return_sets = [set((np.nonzero(row)[0] + 1).tolist()) for row in joint_zero]
+        joint = (paths[:, 1:, 0] == 0).reshape(samples, 3, H).all(axis=1)
     # the omega coordinates are conditioned on bit(0) = 1, and joint returns
     # only ever re-read the origin bit, so they need no further sampling
-    extraction = _extract(return_sets, H)
-    # imported here, after the path sums have freed their working memory:
-    # only this tail needs scipy.special, and loading it earlier adds its
-    # memory to the run's peak
-    from scipy.special import zeta
-
-    tail = (c / 2.0) ** 3 * float(zeta(1.5, H + 1))
+    extraction = _extract(joint)
+    tail = (c / 2.0) ** 3 * hurwitz_zeta(1.5, H + 1)
     bc = BCReport(H=H, a_n=a_n, partial_sums=partial, envelope_c=c, tail=tail,
                   extraction=extraction)
     probe = TripleProbeReport(horizon=H, samples=samples,
@@ -377,9 +367,7 @@ def exp_gaussian(model: SpectralModel, k: int, H: int = 64,
     paths = np.stack(accepted[: samples * k]).reshape(samples, k, H + 1)
     ys = twisted_values(model, paths)
     hits = (paths[:, :, 1:] > 1.0) & (ys[:, :, 1:] > 1.0)
-    joint = hits.all(axis=1)  # (samples, H)
-    return_sets = [set((np.nonzero(row)[0] + 1).tolist()) for row in joint]
-    extraction = _extract(return_sets, H)
+    extraction = _extract(hits.all(axis=1))
     return GaussianReport(k=k, H=H, estimates=tuple(ests),
                           envelope_violations=env_viol,
                           summability_total=summ.total, extraction=extraction)

@@ -15,8 +15,7 @@ u = t^delta that removes the density's endpoint singularity. Its error is
 estimated by a second node count and must stay below 1e-10, or the fit
 raises RuntimeError; it matches adaptive quadrature to 1e-13. No part of the
 module imports scipy.integrate; scipy.linalg is imported only by the
-sampler's Cholesky fallback, and scipy.special only by ``upper_tail`` and
-``power_summability``.
+sampler's Cholesky fallback, and scipy.special only by ``upper_tail``.
 """
 
 from __future__ import annotations
@@ -44,6 +43,13 @@ _COS_BLOCK = 1 << 19
 _RULE_TOL = 1e-10
 
 _TAG_TRIPLE = 71  # keyed stream of triple_probability's draws
+
+# cephes' Euler-Maclaurin coefficients (2j)! / B_2j and stopping tolerance
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+           -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+           1.1646782814350067249e14, -4.5979787224074726105e15,
+           1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 1.11022302462515654042e-16
 
 
 class PsdError(ValueError):
@@ -235,8 +241,7 @@ def twisted_values(model: SpectralModel, paths: np.ndarray) -> np.ndarray:
 
 def upper_tail(x: float) -> float:
     """Standard normal upper tail P(Z > x)."""
-    # imported here, as in power_summability, so that commands which never
-    # take a tail or a zeta sum do not load scipy.special
+    # imported here: commands that take no normal tail never load it
     from scipy.special import ndtr
 
     return float(ndtr(-x))
@@ -295,12 +300,43 @@ class SummabilityReport:
         return self.head + self.tail
 
 
+def hurwitz_zeta(s: float, q: float) -> float:
+    """sum_{n >= 0} (n + q)^-s for s > 1, q > 0, by cephes' operations in
+    its order, so that it equals ``scipy.special.zeta`` bit for bit: past
+    q = 1e8 two asymptotic terms; below, direct terms until the base
+    exceeds 9 (at least nine), then up to twelve Euler-Maclaurin terms."""
+    if not (s > 1.0 and q > 0):
+        raise ValueError(f"hurwitz_zeta needs s > 1 and q > 0, got {s}, {q}")
+    q = float(q)
+    if q > 1e8:
+        return (1 / (s - 1) + 1 / (2 * q)) * q ** (1 - s)
+    total, a, b, i = q**-s, q, 0.0, 0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a**-s
+        total += b
+        if abs(b / total) < _MACHEP:
+            return total
+    total += b * a / (s - 1.0)
+    total -= 0.5 * b
+    f = 1.0  # s (s + 1) ... (s + 2k), over the Euler-Maclaurin terms
+    for k, coefficient in enumerate(_ZETA_A):
+        f *= s + 2 * k
+        b /= a
+        t = f * b / coefficient
+        total += t
+        if abs(t / total) < _MACHEP:
+            break
+        f *= s + 2 * k + 1
+        b /= a
+    return total
+
+
 def power_summability(estimates: Sequence[float], k: int, delta: float,
                       C: float, H: int) -> SummabilityReport:
     """Sum of k-th powers of the estimates plus the analytic C^2k n^-2k*delta
     tail beyond H; requires the summability hypothesis 2 k delta > 1."""
-    from scipy.special import zeta
-
     if 2 * k * delta <= 1.0:
         raise ValueError(f"need 2 k delta > 1, got {2 * k * delta}")
     if len(estimates) > H:
@@ -308,6 +344,6 @@ def power_summability(estimates: Sequence[float], k: int, delta: float,
     head = float(np.sum(np.asarray(estimates, dtype=np.float64) ** k))
     s = 2.0 * k * delta
     # zeta(s, H+1) = sum_{n > H} n^-s
-    tail = float(C ** (2 * k) * zeta(s, H + 1))
+    tail = C ** (2 * k) * hurwitz_zeta(s, H + 1)
     return SummabilityReport(k=k, delta=delta, C=C, H=H, head=head, tail=tail)
 

@@ -126,10 +126,6 @@ def _range_table(poly: PolynomialSpec, N: int, endpoints: np.ndarray) -> RangeTa
                       range_set=frozenset(seen))
 
 
-def build_range(spec: FieldSpec, poly: PolynomialSpec, N: int) -> RangeTable:
-    return pool_range_tables(spec, [spec.seed], [poly], N)[0][0]
-
-
 # ---------------------------------------------------------------------------
 # canonical spiral enumeration of the lattice complement
 
@@ -261,11 +257,6 @@ class PermutationView:
             # identity, computed through the enumeration for auditability
             return complement_point(complement_index(v))
         raise HorizonError(f"{v} not resolved within horizon {self.N}")
-
-    def audit_injectivity(self, points: Sequence[Tuple[int, int]]) -> int:
-        """Number of image collisions over the queried points (0 expected)."""
-        images = [self.pi_forward(v) for v in points]
-        return len(images) - len(set(images))
 
     # -- the twist ----------------------------------------------------------
 
@@ -402,6 +393,8 @@ def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
     seed, so the samples go through the seed-axis kernel in blocks of
     rows, and each check is a reduction over a row.
     """
+    if samples < 1:
+        raise PreconditionError("need samples >= 1")
     M = min_low_scale_increment(N)
     if C is None:
         C = -M + 1
@@ -411,13 +404,16 @@ def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
     plan_k_max = max(w.k for w in plan.windows)
     spec = conditioned_spec(FieldSpec(seed=0, dimension=2, doubling=True,
                                       k_max=plan_k_max), plan)
-    # the plan forces only the first coordinate, whose values a 1-D spec
-    # reads at the same addresses
+    # the plan forces only the first coordinate, which a 1-D spec reads at
+    # the same addresses; there it forces every scale of this band over
+    # [0, p_k + 2N) and [d_k, d_k + p_k + 2N), the whole lead and lag
+    # window the kernel reads for (0, 2N). So the band's path is the same
+    # for every seed, and one row gives every sample's floor exactly
     high = replace(spec, k_min=plan.kappa, doubling=False, dimension=1)
     window = (0, 2 * N)
+    y_floor = int(np.diff(_window_sums(high, [seed0], window)[0, :, 0]).min())
     goal_failures = 0
     distinct_failures = 0
-    y_floor = None
     rows = max(1, _BLOCK_ELEMS // (2 * N + 1))
     for lo in range(seed0, seed0 + samples, rows):
         # a seed past 2^64 - 1 raises OverflowError here instead of wrapping
@@ -431,20 +427,13 @@ def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
         ranked = np.take_along_axis(path, order[:, :, None], axis=1)
         repeat = (np.diff(ranked, axis=1) == 0).all(axis=2).any(axis=1)
         distinct_failures += int(repeat.sum())
-        floor = np.diff(_window_sums(high, seeds, window)[:, :, 0], axis=1).min(axis=1)
-        low = int(floor.min())
-        y_floor = low if y_floor is None else min(y_floor, low)
         # counted once per sample, so goal_failures <= samples
-        goal_failures += int((~chain | (floor <= C)).sum())
+        goal_failures += int((~chain | (y_floor <= C)).sum())
     # exact cylinder probability (log space) over the forced scales
     log_prob = 0.0
     for w in plan.windows:
-        sp = scale_params(w.k)
-        span = w.hi - w.lo
-        if w.value == 0:
-            log_prob += span * math.log1p(-sp.q)
-        else:
-            log_prob += span * math.log(sp.q / 2.0)
+        q = scale_params(w.k).q
+        log_prob += (w.hi - w.lo) * (math.log1p(-q) if w.value == 0 else math.log(q / 2.0))
     checks = []
     for k in range(plan.K + C, plan.K + C + BOUND_SCALES):
         sp = scale_params(k)
@@ -453,6 +442,6 @@ def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
     return CertificationRun(
         N=N, C=C, M=M, kappa=plan.kappa, K=plan.K, plan_k_max=plan_k_max,
         samples=samples, goal_failures=goal_failures,
-        distinct_failures=distinct_failures, y_floor=int(y_floor),
+        distinct_failures=distinct_failures, y_floor=y_floor,
         log_event_probability=log_prob, bound_checks=tuple(checks),
     )

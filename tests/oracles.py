@@ -1,18 +1,21 @@
 """Scalar reference implementations of the field, one PRF call per value,
-its float comparison rule over whole arrays, the dense product form of the
-walk's log characteristic function, the walk's exact rational law at
-toy sizes (amplitudes are rational only for k <= 2), the power spectral
+its float comparison rule over whole arrays, the dense field values and
+path sums (every value of a window, one prefix sum per scale and axis),
+the dense product form of the walk's log characteristic function, the
+walk's exact rational law at toy sizes (amplitudes are rational only for k <= 2), the power spectral
 model's covariance by adaptive quadrature, one lag per call, the
-section-3 probe one sample, one n and one scalar bit at a time, and the
-distinct-window certification one sample at a time over scalar sums.
+section-3 probe one sample, one n and one scalar bit at a time, the
+distinct-window certification one sample at a time over scalar sums, and
+the surrogate extraction over per-sample sets of return times.
 
-The library evaluates field values and partial sums only through the
-vectorized kernel in ``recurlab.fields``, the log characteristic
+The library evaluates partial sums only through the scatter kernel over
+nonzero field values in ``recurlab.fields``, the log characteristic
 function only through the per-scale histogram FFT in ``recurlab.pmf``,
 the power covariance only through the fixed Gauss-Legendre rule in
 ``recurlab.gaussian``, the section-3 probe only over a membership
-matrix with its bits hashed as arrays in ``recurlab.experiments``, and
-the certification only as reductions over rows of the seed-axis kernel
+matrix with its bits hashed as arrays in ``recurlab.experiments``, the
+extraction only over the joint-return matrix there, and the
+certification only as reductions over rows of the seed-axis kernel
 in ``recurlab.ranges``.
 These functions compute the same quantities straight from the definitions,
 so that tests can check the kernels against an independent implementation.
@@ -25,10 +28,11 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from recurlab.experiments import TripleProbeReport, _child_seed
+from recurlab.experiments import Extraction, TripleProbeReport, _child_seed
 from recurlab.fields import (
     TAG_FIELD,
     FieldSpec,
+    _thresholds,
     conditioned_spec,
     goal_event_plan,
     lag_namespace,
@@ -37,7 +41,14 @@ from recurlab.fields import (
 )
 from recurlab.pmf import GroupedLaw, scale_groups
 from recurlab.prf import hash_words, hash_words_vec
-from recurlab.ranges import BOUND_SCALES, CertificationRun, PermutationView
+from recurlab.ranges import (
+    BOUND_SCALES,
+    CertificationRun,
+    PermutationView,
+    PolynomialSpec,
+    RangeTable,
+    pool_range_tables,
+)
 from recurlab.shiftspace import OmegaConfig
 
 
@@ -82,7 +93,7 @@ def field_values_float(spec: FieldSpec, k: int, i: int, j: np.ndarray,
     float rule of ``field_value``: the hash becomes the uniform
     u = (h >> 11) 2^-53, and the value is +1 at u < q / 2, -1 at
     q / 2 <= u < q, else 0. ``j``, ``lagged`` and ``seed`` are read as by
-    ``recurlab.fields.field_values_vec``.
+    ``field_values_vec``.
     """
     if spec.windows:
         raise ValueError("the float-rule oracle takes an unforced spec")
@@ -101,6 +112,65 @@ def field_values_float(spec: FieldSpec, k: int, i: int, j: np.ndarray,
         out[u < sp.q] = -1
         out[u < sp.q / 2] = 1
     return out
+
+
+def field_values_vec(spec: FieldSpec, k: int, i: int, j: np.ndarray,
+                     lagged: bool = False, seed=None) -> np.ndarray:
+    """Field values of scale k, coordinate i over an int64 coordinate array,
+    every value formed densely from the hash thresholds.
+
+    With ``lagged=True`` the entries of ``j`` are offsets from the lag d_k
+    (required for scales whose lag exceeds the int64 coordinate range).
+    ``seed`` replaces ``spec.seed`` and may be an array that broadcasts
+    against ``j``; the result has the broadcast shape. Forced windows apply
+    as interval masks over ``j``, clipped to int64, last to first so that
+    the first matching window wins.
+    """
+    sp = scale_params(k)
+    j = np.asarray(j, dtype=np.int64)
+    if lagged and not lag_namespace(k):
+        return field_values_vec(spec, k, i, j + sp.d, seed=seed)
+    seed = spec.seed if seed is None else seed
+    shape = np.broadcast_shapes(np.shape(seed), j.shape)
+    if spec.zero:
+        out = np.zeros(shape, dtype=np.int64)
+    else:
+        words = (TAG_FIELD, k, i, 1) if lagged else (TAG_FIELD, k, i)
+        h = hash_words_vec(seed, words, j)
+        nonzero, plus = _thresholds(sp.q)
+        out = 2 * (h < plus).astype(np.int64) - (h < nonzero)
+    shift = sp.d if lagged else 0
+
+    def clip(x):
+        return min(max(x - shift, -(1 << 63)), (1 << 63) - 1)
+
+    for w in reversed(spec.windows):
+        if w.k == k and w.i == i:
+            out = np.where((clip(w.lo) <= j) & (j < clip(w.hi)), w.value, out)
+    return out
+
+
+def oracle_window_sums(spec: FieldSpec, seeds, window: Tuple[int, int]) -> np.ndarray:
+    """``recurlab.fields._window_sums`` by dense prefix sums: per scale, the
+    field values over [a, b + p - 1) on the lead axis and on the lag axis
+    each take one prefix sum, and the block sum over [t, t + p) is the
+    difference of two prefix entries."""
+    a, b = window
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
+    incr = np.zeros((seeds.shape[0], b - a, spec.dimension), dtype=np.int64)
+    for i in range(1, spec.dimension + 1):
+        for sp in spec.scales():
+            j = np.arange(a, b + sp.p - 1)
+            prefix = np.zeros((seeds.shape[0], j.size + 1), dtype=np.int64)
+            for lagged, sign in ((False, 1), (True, -1)):
+                np.cumsum(field_values_vec(spec, sp.k, i, j, lagged, seed=seeds),
+                          axis=1, out=prefix[:, 1:])
+                incr[:, :, i - 1] += sign * (prefix[:, sp.p:] - prefix[:, : b - a])
+    if spec.doubling:
+        incr *= 2
+    cum = np.zeros((seeds.shape[0], b - a + 1, spec.dimension), dtype=np.int64)
+    np.cumsum(incr, axis=1, out=cum[:, 1:])
+    return cum - cum[:, [-a], :]
 
 
 def f_k_at(spec: FieldSpec, k: int, i: int, t: int) -> int:
@@ -329,3 +399,44 @@ def oracle_certify(seed0: int, N: int, C: Optional[int] = None,
         samples=samples, goal_failures=goal_failures,
         distinct_failures=distinct_failures, y_floor=y_floor,
         log_event_probability=log_prob, bound_checks=checks)
+
+
+def oracle_extract(return_sets: Sequence[set], H: int) -> Extraction:
+    """``recurlab.experiments._extract`` over one set of joint-return times
+    per sample, by Python loops over the samples and over n."""
+    samples = len(return_sets)
+    last = [max(R) if R else 0 for R in return_sets]
+    N = min(last)
+    if N >= H:
+        return Extraction(H=H, samples=samples, N=N, M=0, measure_D=0.0,
+                          measure_A=0.0, violations=0, verdict="diverged")
+    D_idx = [i for i, l in enumerate(last) if l <= N]
+    M = max((last[i] for i in D_idx), default=0)
+    if M == 0:
+        A_idx = D_idx
+    else:
+        A_idx = [i for i in D_idx if M in return_sets[i]]
+    violations = 0
+    for i in A_idx:
+        R = return_sets[i]
+        for n in range(1, H + 1):
+            if n in R and (n + M) in R:
+                violations += 1
+    verdict = "ok" if violations == 0 else "violated"
+    return Extraction(H=H, samples=samples, N=N, M=M,
+                      measure_D=len(D_idx) / samples,
+                      measure_A=len(A_idx) / samples,
+                      violations=violations, verdict=verdict)
+
+
+def build_range(spec: FieldSpec, poly: PolynomialSpec, N: int) -> RangeTable:
+    """The range table of ``spec.seed`` alone: a pool of one seed and one
+    polynomial of ``recurlab.ranges.pool_range_tables``."""
+    return pool_range_tables(spec, [spec.seed], [poly], N)[0][0]
+
+
+def audit_injectivity(view: PermutationView, points: Sequence[Tuple[int, int]]) -> int:
+    """Number of image collisions of ``view.pi_forward`` over the queried
+    points (0 expected)."""
+    images = [view.pi_forward(v) for v in points]
+    return len(images) - len(set(images))

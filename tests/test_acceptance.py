@@ -35,7 +35,6 @@ from recurlab.ranges import (
     P_CUBE,
     P_SQUARE,
     PermutationView,
-    build_range,
     certify_distinct,
     choose_k,
     complement_point,
@@ -43,7 +42,7 @@ from recurlab.ranges import (
 )
 from recurlab.shiftspace import OmegaConfig
 
-from oracles import exact_walk_pmf
+from oracles import audit_injectivity, build_range, exact_walk_pmf
 from test_pmf import _convolve_laws, _oracle_scale_law
 
 
@@ -169,7 +168,7 @@ def test_07_permutation_correctness():
         pts = [(0, 0)] + list(view.s2_points[:100])
         pts += [complement_point(i) for i in range(1, 1001 - len(pts))]
         assert len(pts) == 1000
-        assert view.audit_injectivity(pts) == 0
+        assert audit_injectivity(view, pts) == 0
         cfg = OmegaConfig(seed=11, dimension=2)
         sample = [complement_point(i) for i in range(1, 10_001)]
         mean = float(np.mean([view.twist_bit(cfg, v) for v in sample]))

@@ -322,7 +322,7 @@ class TestImportCost:
         # scipy.linalg took 0.26-0.38 s (five runs, 2-vCPU x86-64 VM), and
         # scipy.linalg alone 0.05-0.07 s; only the sampler's Toeplitz
         # fallback uses scipy.linalg. scipy.special, 0.25-0.3 s on its own,
-        # is imported only where a zeta sum or a normal tail is taken
+        # is imported only where a normal tail is taken
         assert self._loaded_after("import recurlab.cli") == "[]"
 
     @pytest.mark.parametrize("argv", [
@@ -331,17 +331,20 @@ class TestImportCost:
         ["lclt", "--param", "n_grid=64"],
         ["mixing", "--horizon", "128", "--samples", "200"],
         ["certify-range", "--samples", "2"],
+        # its Hurwitz zeta tail is plain Python (gaussian.hurwitz_zeta)
+        ["recur2", "--horizon", "32", "--samples", "4"],
     ])
     def test_runs_without_special_functions_leave_scipy_out(self, tmp_path, argv):
-        # none of these commands takes a zeta sum or a normal tail
+        # none of these commands takes a normal tail
         run = f"from recurlab.cli import main; main({argv + ['--out', str(tmp_path)]!r})"
         assert self._loaded_after(run) == "[]"
         assert any(tmp_path.iterdir())
 
-    def test_recur2_loads_special_for_its_tail(self, tmp_path):
-        # the control: the section-2 tail is a Hurwitz zeta sum
-        run = ("from recurlab.cli import main; main(['recur2', '--horizon', "
-               f"'32', '--samples', '4', '--out', {str(tmp_path)!r}])")
+    def test_gauss_loads_special_for_its_normal_tail(self, tmp_path):
+        # the control: the triple envelopes take ndtr's normal tail
+        run = ("from recurlab.cli import main; main(['gauss', '--horizon', "
+               "'16', '--samples', '20', '--param', 'mc=200', '--out', "
+               f"{str(tmp_path)!r}])")
         assert self._loaded_after(run) == "['scipy.special']"
 
     def test_power_model_needs_no_integrate(self):

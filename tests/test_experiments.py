@@ -25,7 +25,7 @@ from recurlab.ranges import (
     complement_profile,
 )
 
-from oracles import oracle_section3
+from oracles import oracle_extract, oracle_section3
 
 
 @pytest.fixture(scope="module")
@@ -39,34 +39,51 @@ def pool():
     return range_view_pool(P_SQUARE, P_CUBE, N=100, size=25, seed0=0)
 
 
+def _joint(return_sets, H):
+    """The (samples x H) joint-return matrix of per-sample return sets."""
+    joint = np.zeros((len(return_sets), H), dtype=bool)
+    for row, R in enumerate(return_sets):
+        joint[row, [n - 1 for n in R]] = True
+    return joint
+
+
 class TestExtraction:
     def test_no_returns_is_trivial(self):
-        ext = _extract([set(), set(), set()], H=50)
+        ext = _extract(_joint([set(), set(), set()], H=50))
         assert ext.N == 0 and ext.M == 0
         assert ext.measure_D == 1.0 and ext.measure_A == 1.0
         assert ext.verdict == "ok"
 
     def test_basic_extraction(self):
         # one sample stops returning after 3, another after 7
-        ext = _extract([{1, 3}, {2, 7}], H=50)
+        ext = _extract(_joint([{1, 3}, {2, 7}], H=50))
         assert ext.N == 3
         assert ext.M == 3
         assert ext.measure_D == 0.5
         assert ext.verdict == "ok"
 
     def test_saturated_returns_diverge(self):
-        ext = _extract([set(range(1, 51))], H=50)
+        ext = _extract(_joint([set(range(1, 51))], H=50))
         assert ext.verdict == "diverged"
 
     def test_violation_detected(self):
         # a joint return at both n and n + M from inside A
-        ext = _extract([{2, 5, 7}], H=50)
+        ext = _extract(_joint([{2, 5, 7}], H=50))
         assert ext.M == 7
         assert ext.violations == 0
-        forged = _extract([{3, 6}], H=50)  # M = 6, and 3 + ... no pair
+        forged = _extract(_joint([{3, 6}], H=50))  # M = 6, and 3 + ... no pair
         assert forged.violations == 0
-        paired = _extract([{4, 8}], H=50)  # M = 8; no n with n and n+8
+        paired = _extract(_joint([{4, 8}], H=50))  # M = 8; no n with n and n+8
         assert paired.violations == 0
+
+    @pytest.mark.parametrize("density", [0.0, 0.02, 0.3, 1.0])
+    def test_equals_set_oracle(self, density):
+        rng = np.random.default_rng(17)
+        for samples, H in ((1, 16), (7, 40), (40, 64)):
+            joint = rng.random((samples, H)) < density
+            joint[:, -1] &= rng.random(samples) < 0.5
+            sets = [set((np.flatnonzero(row) + 1).tolist()) for row in joint]
+            assert _extract(joint) == oracle_extract(sets, H)
 
 
 class TestSection2:

@@ -13,7 +13,7 @@ from recurlab.fields import (
     ForcedWindow,
     conditioned_spec,
     default_k_max,
-    field_values_vec,
+    field_nonzeros,
     goal_event_plan,
     min_low_scale_increment,
     partial_sums_batch,
@@ -21,7 +21,15 @@ from recurlab.fields import (
     tail_variance_bound,
 )
 
-from oracles import f_at, f_k_at, field_value, field_values_float, oracle_sums
+from oracles import (
+    f_at,
+    f_k_at,
+    field_value,
+    field_values_float,
+    field_values_vec,
+    oracle_sums,
+    oracle_window_sums,
+)
 
 
 class TestScaleParams:
@@ -58,6 +66,16 @@ def _point(k, i, j, value):
     return ForcedWindow(k=k, i=i, lo=j, hi=j + 1, value=value)
 
 
+def _dense(spec, k, i, j, lagged=False, seed=None):
+    """The field values that ``field_nonzeros`` lists, laid out densely in
+    the broadcast shape of ``seed`` and ``j``."""
+    at, x = field_nonzeros(spec, k, i, j, lagged, seed=seed)
+    out = np.zeros(np.broadcast_shapes(np.shape(spec.seed if seed is None else seed),
+                                       np.shape(j)), dtype=np.int64)
+    out.reshape(-1)[at] = x
+    return out
+
+
 class TestFieldValue:
     def test_override_dominates(self):
         spec = FieldSpec(seed=1, dimension=1, k_max=2, windows=(_point(1, 1, 0, 1),))
@@ -68,9 +86,11 @@ class TestFieldValue:
                                   ForcedWindow(k=1, i=1, lo=0, hi=6, value=1),
                                   ForcedWindow(k=1, i=1, lo=3, hi=10, value=-1)))
         j = np.arange(-3, 12)
-        vec = field_values_vec(spec, 1, 1, j)
-        assert vec.tolist() == [field_value(spec, 1, 1, int(x)) for x in j]
-        assert vec[3:13].tolist() == [1, 1, 1, 1, 0, 1, -1, -1, -1, -1]
+        values, forced = fields._forcing(spec, 1, 1, False, -3, j.size)
+        assert forced.tolist() == [False] * 3 + [True] * 10 + [False] * 2
+        assert values[forced].tolist() == [field_value(spec, 1, 1, int(x))
+                                           for x in j[forced]]
+        assert values[3:13].tolist() == [1, 1, 1, 1, 0, 1, -1, -1, -1, -1]
 
     def test_deterministic(self):
         spec = FieldSpec(seed=99, dimension=2, k_max=4)
@@ -88,7 +108,7 @@ class TestFieldValue:
         # empirical nonzero frequency at k=2 vs alpha^2 = 1/32, 4 SE on 1e6 draws
         spec = FieldSpec(seed=2024, dimension=1, k_max=4)
         j = np.arange(10**6)
-        vals = field_values_vec(spec, 2, 1, j)
+        vals = _dense(spec, 2, 1, j)
         q = 1 / 32
         freq = np.mean(vals != 0)
         se = math.sqrt(q * (1 - q) / 10**6)
@@ -103,7 +123,7 @@ class TestFieldValue:
     def test_vec_matches_scalar(self):
         spec = FieldSpec(seed=7, dimension=2, k_max=3)
         j = np.arange(-20, 20)
-        vec = field_values_vec(spec, 2, 1, j)
+        vec = _dense(spec, 2, 1, j)
         assert all(vec[idx] == field_value(spec, 2, 1, int(jj)) for idx, jj in enumerate(j))
 
     def test_zero_spec(self):
@@ -112,7 +132,7 @@ class TestFieldValue:
 
 
 class TestHashThresholds:
-    # field_values_vec compares the raw hash against integer thresholds; it
+    # field_nonzeros compares the raw hash against integer thresholds; it
     # must equal the float rule u = (h >> 11) 2^-53 < q of field_value
 
     @pytest.mark.parametrize("k", range(1, 17))
@@ -122,7 +142,7 @@ class TestHashThresholds:
         j = np.arange(-64, 1 << 14)
         for i in (1, 2):
             for lagged in (False, True):
-                vec = field_values_vec(spec, k, i, j, lagged, seed=seeds)
+                vec = _dense(spec, k, i, j, lagged, seed=seeds)
                 assert vec.shape == (3, j.size)
                 assert np.array_equal(
                     vec, field_values_float(spec, k, i, j, lagged, seed=seeds))
@@ -266,6 +286,70 @@ class TestPartialSums:
         assert (chunked == whole).all()
 
 
+class TestScatterKernel:
+    # the scatter kernel over nonzero values against the dense prefix-sum
+    # kernel it replaced, which reads every value of every window
+
+    # overlapping windows of values -1, 0 and +1 on both axes of scales 1,
+    # 3 and 8 (lag namespace), some only partly inside the windows read
+    FORCED = (
+        ForcedWindow(k=1, i=1, lo=-2, hi=5, value=1),
+        ForcedWindow(k=1, i=1, lo=3, hi=9, value=-1),
+        ForcedWindow(k=1, i=1, lo=4, hi=6, value=0),
+        ForcedWindow(k=3, i=1, lo=512 - 4, hi=512 + 7, value=-1),
+        ForcedWindow(k=3, i=1, lo=512 + 5, hi=512 + 30, value=1),
+        ForcedWindow(k=3, i=2, lo=10, hi=12, value=1),
+        ForcedWindow(k=8, i=1, lo=-1, hi=300, value=0),
+        ForcedWindow(k=8, i=1, lo=2**64 + 3, hi=2**64 + 9, value=1),
+        ForcedWindow(k=8, i=2, lo=2**64 - 2, hi=2**64 + 2, value=-1),
+        ForcedWindow(k=8, i=2, lo=-10**30, hi=-10**29, value=1),
+    )
+    SEEDS = np.array([0, 5, 2**63 + 1, 2**64 - 1, 99], dtype=np.uint64)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("doubling", [False, True])
+    @pytest.mark.parametrize("window", [(0, 0), (0, 1), (0, 37), (-9, 0), (-6, 25)])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_equals_dense_oracle(self, dimension, doubling, window, forced):
+        spec = FieldSpec(seed=0, dimension=dimension, k_min=1, k_max=9,
+                         doubling=doubling, windows=self.FORCED if forced else ())
+        got = fields._window_sums(spec, self.SEEDS, window)
+        assert got.shape == (self.SEEDS.size, window[1] - window[0] + 1, dimension)
+        assert np.array_equal(got, oracle_window_sums(spec, self.SEEDS, window))
+
+    @pytest.mark.parametrize("k_min,k_max", [(1, 1), (2, 4), (8, 10)])
+    def test_scale_bands(self, k_min, k_max):
+        spec = FieldSpec(seed=0, dimension=2, k_min=k_min, k_max=k_max,
+                         windows=self.FORCED)
+        got = fields._window_sums(spec, self.SEEDS, (-4, 30))
+        assert np.array_equal(got, oracle_window_sums(spec, self.SEEDS, (-4, 30)))
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_zero_field(self, forced):
+        spec = FieldSpec(seed=0, dimension=2, k_max=9, zero=True,
+                         windows=self.FORCED if forced else ())
+        got = fields._window_sums(spec, self.SEEDS, (-5, 20))
+        assert np.array_equal(got, oracle_window_sums(spec, self.SEEDS, (-5, 20)))
+        assert (got != 0).any() == forced
+
+    def test_row_blocks(self, monkeypatch):
+        # at 40 values per block, scale 1's 39-value window holds one row
+        # and scale 3's 45-value window none, which rounds up to one
+        spec = FieldSpec(seed=0, dimension=2, k_max=9, windows=self.FORCED)
+        whole = fields._window_sums(spec, self.SEEDS, (-7, 30))
+        monkeypatch.setattr(fields, "_BLOCK_ELEMS", 40)
+        assert np.array_equal(fields._window_sums(spec, self.SEEDS, (-7, 30)), whole)
+        assert np.array_equal(whole, oracle_window_sums(spec, self.SEEDS, (-7, 30)))
+
+    def test_oracle_values_equal_nonzeros(self):
+        spec = FieldSpec(seed=0, dimension=2, k_max=9)
+        j = np.arange(-20, 300)
+        for k, lagged in ((1, False), (3, True), (8, True), (9, False)):
+            seeds = self.SEEDS[:, None]
+            assert np.array_equal(field_values_vec(spec, k, 2, j, lagged, seed=seeds),
+                                  _dense(spec, k, 2, j, lagged, seed=seeds))
+
+
 class TestHugeLagScales:
     # at k = 8 the lag 2^64 no longer fits the coordinate word; the lagged
     # window lives in its own address namespace and must stay independent
@@ -275,8 +359,8 @@ class TestHugeLagScales:
         spec = FieldSpec(seed=314, dimension=1, k_max=8)
         sp = scale_params(8)
         j = np.arange(4 * 10**5)
-        lead = field_values_vec(spec, 8, 1, j)
-        lag = field_values_vec(spec, 8, 1, j, lagged=True)
+        lead = _dense(spec, 8, 1, j)
+        lag = _dense(spec, 8, 1, j, lagged=True)
         assert (lead != lag).any() or (lead == 0).all()
         # joint nonzero frequency ~ q^2, far below the aliased value q
         both = np.mean((lead != 0) & (lag != 0))
@@ -286,15 +370,15 @@ class TestHugeLagScales:
     def test_scalar_matches_vec_in_lag_region(self):
         spec = FieldSpec(seed=9, dimension=1, k_max=8)
         sp = scale_params(8)
-        vec = field_values_vec(spec, 8, 1, np.arange(-3, 10), lagged=True)
+        vec = _dense(spec, 8, 1, np.arange(-3, 10), lagged=True)
         for idx, t in enumerate(range(-3, 10)):
             assert vec[idx] == field_value(spec, 8, 1, t + sp.d)
 
     def test_small_scale_lagged_is_absolute(self):
         spec = FieldSpec(seed=9, dimension=1, k_max=3)
         sp = scale_params(3)
-        vec = field_values_vec(spec, 3, 1, np.arange(0, 20), lagged=True)
-        direct = field_values_vec(spec, 3, 1, sp.d + np.arange(0, 20))
+        vec = _dense(spec, 3, 1, np.arange(0, 20), lagged=True)
+        direct = _dense(spec, 3, 1, sp.d + np.arange(0, 20))
         assert (vec == direct).all()
 
     def test_batch_matches_single_at_k8(self):
@@ -311,8 +395,9 @@ class TestHugeLagScales:
         win = ForcedWindow(k=8, i=1, lo=sp.d, hi=sp.d + 4, value=1)
         spec = FieldSpec(seed=0, dimension=1, k_max=8, windows=(win,))
         assert field_value(spec, 8, 1, sp.d + 2) == 1
-        vec = field_values_vec(spec, 8, 1, np.arange(0, 6), lagged=True)
-        assert vec[:4].tolist() == [1, 1, 1, 1]
+        values, forced = fields._forcing(spec, 8, 1, True, 0, 6)
+        assert values.tolist() == [1, 1, 1, 1, 0, 0]
+        assert forced.tolist() == [True] * 4 + [False] * 2
         path = fields._window_sums(spec, [spec.seed], (-2, 6))[0]
         assert (path == oracle_sums(spec, (-2, 6))).all()
 

@@ -257,3 +257,33 @@ class TestSummability:
     def test_too_many_estimates(self):
         with pytest.raises(ValueError):
             power_summability([0.1] * 5, k=2, delta=0.3, C=0.5, H=3)
+
+
+class TestHurwitzZeta:
+    # the section-2 exponent 1.5 and summability exponents 2 k delta > 1
+    EXPONENTS = sorted({1.5} | {2 * k * d for k in range(1, 7)
+                                for d in (0.05, 0.1, 0.25, 0.3, 0.45, 0.5, 0.7, 0.95)
+                                if 2 * k * d > 1})
+    HORIZONS = (list(range(16, 130)) + [255, 600, 1000, 2000, 4096, 12345,
+                                        10**5, 654321, 10**6])
+
+    def test_equals_scipy_bit_for_bit(self):
+        from scipy.special import zeta
+
+        for s in self.EXPONENTS:
+            for H in self.HORIZONS:
+                assert gaussian.hurwitz_zeta(s, H + 1) == float(zeta(s, H + 1)), (s, H)
+
+    def test_small_and_huge_arguments(self):
+        # the direct sum below a = 9 and the asymptotic form beyond 1e8
+        from scipy.special import zeta
+
+        for s in (1.01, 1.5, 2.0, 3.3):
+            for q in (0.25, 1.0, 2.0, 8.5, 9.0, 1e8, 1e8 + 1, 3e9):
+                assert gaussian.hurwitz_zeta(s, q) == float(zeta(s, q)), (s, q)
+        assert gaussian.hurwitz_zeta(2.0, 1) == pytest.approx(math.pi**2 / 6, rel=1e-15)
+
+    @pytest.mark.parametrize("s,q", [(1.0, 5), (0.5, 5), (2.0, 0), (2.0, -1.5)])
+    def test_outside_domain_rejected(self, s, q):
+        with pytest.raises(ValueError):
+            gaussian.hurwitz_zeta(s, q)

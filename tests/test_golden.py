@@ -4,10 +4,13 @@ exactly the files it wrote when these digests were taken.
 ``test_12_reproducibility`` compares two runs inside one process, so it
 cannot see a change between versions of the code. These digests can: a
 refactor that claims to keep every report byte-identical must pass them
-unchanged. They were taken on x86-64 Linux with Python 3.11, numpy 2.4 and
-scipy 1.17; reports that hold floating-point results from FFTs and
-vectorized numpy kernels (lclt, mixing, gauss) may differ in the last
-digits under other numpy builds. gauss no longer depends on QUADPACK: its
+unchanged. They hold for the versions in ``TAKEN_WITH`` (x86-64 Linux);
+reports that hold floating-point results from FFTs and vectorized numpy
+kernels (lclt, mixing, gauss) may differ in the last digits under other
+numpy builds, and gauss draws from numpy ``Generator`` streams, whose
+distributions numpy does not promise to keep across versions. NumPy 2.3
+and later need Python 3.11, so an install on Python 3.10 resolves older
+numpy and scipy than these. A failing digest names both version sets. gauss no longer depends on QUADPACK: its
 covariance table is a fixed Gauss-Legendre rule evaluated by numpy.
 
 The lclt and mixing digests were re-pinned when the log characteristic
@@ -49,13 +52,24 @@ complement profile moved (at this seed the probe's counts did not); the
 probe still reports no violation and no identity failure. The pool-wide
 dense axes and the array form of the probe that came with it left
 recur3.json byte-identical.
+
+The scatter path-sum kernel over nonzero field values and the plain-Python
+Hurwitz zeta of recur2's and gauss's tails left every digest unchanged.
 """
 
 import hashlib
+import platform
 
+import numpy as np
 import pytest
+import scipy
 
 from recurlab.cli import main
+
+# the versions every digest below was taken with
+TAKEN_WITH = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
+RUNNING = {"python": platform.python_version(), "numpy": np.__version__,
+           "scipy": scipy.__version__}
 
 GOLDEN = {
     "recur2": (
@@ -97,4 +111,5 @@ def test_report_digests(command, tmp_path):
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted(digests)
     for name, digest in digests.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, (
+            f"{name}: digests taken with {TAKEN_WITH}, running {RUNNING}")

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 import recurlab.bigsums
 import recurlab.ranges
-from recurlab.fields import FieldSpec, _window_sums, default_k_max
+from recurlab import PreconditionError
+from recurlab.fields import (
+    FieldSpec,
+    _window_sums,
+    conditioned_spec,
+    default_k_max,
+    goal_event_plan,
+    min_low_scale_increment,
+)
 from recurlab.ranges import (
     HorizonError,
     P_CUBE,
@@ -17,7 +25,6 @@ from recurlab.ranges import (
     ComplementProfile,
     PermutationView,
     PolynomialSpec,
-    build_range,
     certify_distinct,
     choose_k,
     complement_index,
@@ -27,7 +34,7 @@ from recurlab.ranges import (
 )
 from recurlab.shiftspace import OmegaConfig
 
-from oracles import oracle_certify, oracle_sums
+from oracles import audit_injectivity, build_range, oracle_certify, oracle_sums
 
 
 class TestPolynomialSpec:
@@ -192,7 +199,7 @@ class TestPermutationView:
     def test_injectivity_audit(self, view):
         pts = [(0, 0)] + list(view.s2_points[:60])
         pts += [complement_point(i) for i in range(1, 400)]
-        assert view.audit_injectivity(pts) == 0
+        assert audit_injectivity(view, pts) == 0
 
     def test_fresh_index_enumeration(self, view):
         # ordinal i enumerates the i-th shared fresh index k_i on both tables
@@ -323,14 +330,17 @@ class TestCertification:
         assert run.bound_checks[0][0] == run.K + run.C
 
     @staticmethod
-    def _flat_rows(monkeypatch, flat_seeds):
+    def _flat_rows(monkeypatch, flat_seeds, band=False):
         # the seed-axis kernel as ranges binds it, with a constant path for
-        # the seeds in flat_seeds
+        # the seeds in flat_seeds: in the full path only, or with
+        # ``band=True`` also in the high band (one row per run, whose floor
+        # is then 0)
         kernel = recurlab.ranges._window_sums
 
         def patched(spec, seeds, window):
             out = kernel(spec, seeds, window)
-            out[np.isin(seeds, np.array(flat_seeds, dtype=np.uint64))] = 0
+            if spec.dimension == 2 or band:
+                out[np.isin(seeds, np.array(flat_seeds, dtype=np.uint64))] = 0
             return out
 
         monkeypatch.setattr(recurlab.ranges, "_window_sums", patched)
@@ -339,7 +349,7 @@ class TestCertification:
         # a constant path fails both goal checks (no increase, floor <= C)
         # and the distinct check in every sample; each sample must still
         # count once
-        self._flat_rows(monkeypatch, flat_seeds=range(5))
+        self._flat_rows(monkeypatch, flat_seeds=range(5), band=True)
         run = certify_distinct(seed0=0, N=2, samples=5)
         assert run.y_floor == 0 <= run.C
         assert run.goal_failures == run.samples == 5
@@ -351,7 +361,25 @@ class TestCertification:
         self._flat_rows(monkeypatch, flat_seeds=[41, 43])
         run = certify_distinct(seed0=40, N=2, samples=5)
         assert run.goal_failures == run.distinct_failures == 2
-        assert run.y_floor == 0
+        assert run.y_floor > run.C
+
+    @pytest.mark.parametrize("N", [1, 3, 8])
+    def test_high_band_same_for_every_seed(self, N):
+        # the floor is read from one row because the plan forces every
+        # value the high band reads
+        plan = goal_event_plan(N=N, C=-min_low_scale_increment(N) + 1)
+        k_max = max(w.k for w in plan.windows)
+        spec = conditioned_spec(FieldSpec(seed=0, dimension=1, k_min=plan.kappa,
+                                          k_max=k_max), plan)
+        seeds = np.array([0, 1, 7, 2**63, 2**64 - 1], dtype=np.uint64)
+        rows = _window_sums(spec, seeds, (0, 2 * N))
+        assert (rows == rows[:1]).all()
+        assert (rows == _window_sums(replace(spec, zero=True), seeds[:1], (0, 2 * N))).all()
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_rejected(self, samples):
+        with pytest.raises(PreconditionError, match="samples"):
+            certify_distinct(seed0=0, N=2, samples=samples)
 
     @pytest.mark.parametrize("seed0,N,C,samples", [
         (100, 1, 1, 30),

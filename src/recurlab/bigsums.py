@@ -25,9 +25,7 @@ from .fields import (
     ScaleParams,
     field_nonzeros,
     lag_namespace,
-    scale_params,
 )
-from .pmf import scale_groups
 
 DENSE_P_THRESHOLD = 1024
 
@@ -35,8 +33,6 @@ DENSE_P_THRESHOLD = 1024
 # hashed for a whole pool; each block also holds a few hashing temporaries
 # of its size
 _POOL_BLOCK_ELEMS = 1 << 18
-
-_TAG_LAW = 53  # keyed stream for law-level batch samplers
 
 
 def _sparse_draws(rng: np.random.Generator, q: float, start: np.ndarray,
@@ -248,42 +244,4 @@ def _scale_endpoints(spec: FieldSpec, sp: ScaleParams, i: int,
                          dense=dense, seeds=seeds)
         out += sign * (p * axis.running_sum(t) + axis.ramp(t) - axis.ramp([0]))
     return out
-
-
-# ---------------------------------------------------------------------------
-# law-level batch sampler
-
-
-def endpoint_batch_law(seed: int, n: int, size: int, k_min: int = 1,
-                       k_max: int = 8, dimension: int = 1,
-                       doubling: bool = False) -> np.ndarray:
-    """i.i.d. samples of S_n drawn from its law (not tied to a field path).
-
-    Uses the grouped atom structure: per scale the number of firing atoms is
-    binomial, their amplitudes are drawn by multiplicity and their signs are
-    fair. Much faster than path simulation for large n; used for Monte Carlo
-    where only the endpoint law matters.
-    """
-    if n < 0 or size < 1:
-        raise ValueError("need n >= 0 and size >= 1")
-    out = np.zeros((size, dimension), dtype=np.int64)
-    if n == 0:
-        return out
-    mult = 2 if doubling else 1
-    for i in range(dimension):
-        # the trailing 0 is a fixed key word; every draw depends on it
-        rng = derive_rng(seed, _TAG_LAW, n, i, 0)
-        for k in range(k_min, k_max + 1):
-            values, counts = scale_groups(k, n)
-            total_atoms = int(counts.sum())
-            fired = rng.binomial(total_atoms, scale_params(k).q, size=size)
-            n_fired = int(fired.sum())
-            if n_fired == 0:
-                continue
-            amps = rng.choice(values, size=n_fired, p=counts / total_atoms)
-            signs = rng.integers(0, 2, size=n_fired) * 2 - 1
-            contrib = amps * signs
-            idx = np.repeat(np.arange(size), fired)
-            np.add.at(out[:, i], idx, contrib)
-    return out * mult
 

@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import PreconditionError
-from .bigsums import endpoint_batch_law
 from .fields import FieldSpec, default_k_max, partial_sums_batch
 from .gaussian import (
     SpectralModel,
@@ -417,7 +416,9 @@ def mixing_probe(spec: FieldSpec, M: int, H: int = 4096,
     the doubled box: off E_n the two cylinder supports are disjoint, so
     the configuration factor is an exact product; on E_n the contribution
     is bounded by m(E_n). The probe checks the estimate at the largest n
-    against 4 SE plus that bound.
+    against 4 SE plus that bound. Each coordinate of S_n is drawn from the
+    exact law computed at that n, and each distinct site of a cylinder
+    holds one fair bit.
     """
     if spec.dimension != 2:
         raise ValueError("mixing probe needs a 2-D walk")
@@ -448,31 +449,22 @@ def mixing_probe(spec: FieldSpec, M: int, H: int = 4096,
     slack = 2 * (alias[0] + pruned[0] + alias[-1] + pruned[-1]) + MASS_TOL
     decay_ok = boxes[0] - boxes[-1] > slack
 
-    n_probe = grid[-1]
-    if spec.zero:
-        s_n = np.zeros((samples, 2), dtype=np.int64)
-    else:
-        s_n = endpoint_batch_law(seed=_child_seed(seed0, 7), n=n_probe,
-                                 size=samples, k_min=spec.k_min,
-                                 k_max=spec.k_max, dimension=2,
-                                 doubling=spec.doubling)
+    # pmf is one coordinate's law at the probe time n = H
+    s_n = pmf.sample(np.random.default_rng(_child_seed(seed0, 7)), (samples, 2))
     rng = np.random.default_rng(_child_seed(seed0, 8))
-    joint_hits = 0
-    for s in range(samples):
-        bits: Dict[Tuple[int, int], int] = {}
-
-        def bit_at(site):
-            if site not in bits:
-                bits[site] = int(rng.integers(0, 2))
-            return bits[site]
-
-        ok1 = all(bit_at(tuple(u)) == b for u, b in B1)
-        shift = (int(s_n[s, 0]), int(s_n[s, 1]))
-        ok2 = all(bit_at((u[0] + shift[0], u[1] + shift[1])) == b
-                  for u, b in B2)
-        if ok1 and ok2:
-            joint_hits += 1
-    joint = joint_hits / samples
+    sites1, sites2 = (sorted({u for u, _ in cyl}) for cyl in (B1, B2))
+    bits1 = rng.integers(0, 2, size=(samples, len(sites1)))
+    bits2 = rng.integers(0, 2, size=(samples, len(sites2)))
+    # a shifted B2 site that lands on a B1 site reads B1's bit
+    for j, u in enumerate(sites2):
+        for i, w in enumerate(sites1):
+            same = (s_n == (w[0] - u[0], w[1] - u[1])).all(axis=1)
+            bits2[same, j] = bits1[same, i]
+    hits = np.ones(samples, dtype=bool)
+    for cyl, sites, bits in ((B1, sites1, bits1), (B2, sites2, bits2)):
+        for u, b in cyl:
+            hits &= bits[:, sites.index(u)] == b
+    joint = float(hits.mean())
     product = _eta(B1) * _eta(B2)
     corr = abs(joint - product)
     se = math.sqrt(max(joint * (1 - joint), 1.0 / samples) / samples)

@@ -297,7 +297,7 @@ class ConditioningPlan:
                                      f"{(x.k, x.i)} over [{lo}, {hi})")
 
 
-def goal_event_plan(N: int, C: int, k_max: Optional[int] = None) -> ConditioningPlan:
+def goal_event_plan(N: int, C: int) -> ConditioningPlan:
     """Build the conditioning plan forcing strictly increasing first-coordinate sums.
 
     kappa is the smallest scale with 2N < p_k; K the smallest scale >= kappa
@@ -312,15 +312,14 @@ def goal_event_plan(N: int, C: int, k_max: Optional[int] = None) -> Conditioning
     K = kappa
     while not (2 * scale_params(K).p < scale_params(K).d):
         K += 1
-    if k_max is None:
-        # smallest truncation whose forced band already exceeds C
-        k_max = K
-        total = 0
-        while True:
-            total += scale_params(k_max).p
-            if total > C or k_max >= K + C - 1:
-                break
-            k_max += 1
+    # smallest truncation whose forced band already exceeds C
+    k_max = K
+    total = 0
+    while True:
+        total += scale_params(k_max).p
+        if total > C or k_max >= K + C - 1:
+            break
+        k_max += 1
     windows: List[ForcedWindow] = []
     for k in range(kappa, k_max + 1):
         sp = scale_params(k)
@@ -356,14 +355,14 @@ def conditioned_spec(spec: FieldSpec, plan: ConditioningPlan) -> FieldSpec:
     return replace(out, windows=out.windows + plan.windows)
 
 
-def min_low_scale_increment(N: int, k_min: int = 1) -> int:
+def min_low_scale_increment(N: int) -> int:
     """Worst-case lower bound M for the low-scale part of one increment.
 
     Scales with p_k <= 2N contribute at least -2 p_k each to
     S_{n+1} - S_n; the bound is attained only if every summand is extreme.
     """
     M = 0
-    k = k_min
+    k = 1
     while scale_params(k).p <= 2 * N:
         M -= 2 * scale_params(k).p
         k += 1

@@ -53,7 +53,8 @@ def scale_groups(k: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
     w(m) = #{(j, l): j in [0,n), l in [0,p), j + l = m} and the lag window
     d_k later with -w. When d_k >= n + p the two copies do not meet, so the
     groups are the heights 1..h, h = min(n, p), four times each, except the
-    plateau h, which both copies hold |n - p| + 1 times.
+    plateau h, which both copies hold |n - p| + 1 times. Otherwise they are
+    read off the coefficient row of ``_overlap_counts``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -63,14 +64,9 @@ def scale_groups(k: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
         counts = np.full(h, 4, dtype=np.int64)
         counts[-1] = 2 * (abs(n - sp.p) + 1)
         return np.arange(1, h + 1, dtype=np.int64), counts
-    m = np.arange(n + sp.p - 1, dtype=np.int64)
-    w = np.minimum(np.minimum(m + 1, m[::-1] + 1), min(n, sp.p))
-    c = np.zeros(w.size + sp.d, dtype=np.int64)
-    c[: w.size] += w
-    c[sp.d :] -= w
-    vals, counts = np.unique(np.abs(c), return_counts=True)
-    keep = vals > 0
-    return vals[keep], counts[keep].astype(np.int64)
+    counts = _overlap_counts(sp, np.array([n]))[0]
+    vals = np.flatnonzero(counts[1:]) + 1
+    return vals, counts[vals]
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +93,13 @@ class IntegerPmf:
 
     def total(self) -> float:
         return float(self.mass.sum())
+
+    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """Draws of S by inverse CDF: uniforms scaled by the total mass,
+        located in the cumulative mass; a value of zero mass is never drawn."""
+        cdf = np.cumsum(self.mass)
+        at = np.searchsorted(cdf[:-1], rng.random(shape) * cdf[-1], side="right")
+        return self.offset + at
 
     def interval_mass(self, lo: int, hi: int) -> float:
         """Mass of [lo, hi] inclusive."""

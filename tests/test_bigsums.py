@@ -1,13 +1,12 @@
 import hashlib
-import math
 
 import numpy as np
 import pytest
 
 from recurlab import bigsums
-from recurlab.bigsums import _AxisEval, endpoint_batch_law, pool_schedule_sums
+from recurlab.bigsums import _AxisEval, pool_schedule_sums
 from recurlab.fields import FieldSpec, ForcedWindow, default_k_max, scale_params
-from recurlab.pmf import grouped_law, walk_pmf
+from recurlab.pmf import grouped_law
 
 from oracles import oracle_sums
 
@@ -196,41 +195,3 @@ class TestAutoMode:
                            windows=(ForcedWindow(k=1, i=1, lo=0, hi=1, value=1),))
         with pytest.raises(ValueError):
             pool_schedule_sums(forced, [forced.seed], [5])
-
-
-class TestEndpointLawSampler:
-    def test_matches_exact_pmf_at_zero(self):
-        n, k_max, size = 64, 8, 40_000
-        samples = endpoint_batch_law(seed=2, n=n, size=size, k_max=k_max)
-        pmf, _ = walk_pmf(FieldSpec(seed=0, dimension=1, k_max=k_max, doubling=False), n)
-        for j in (0, 1, 2, 5):
-            target = pmf.prob(j)
-            freq = float(np.mean(samples[:, 0] == j))
-            se = max(np.sqrt(target * (1 - target) / size), 1e-6)
-            assert abs(freq - target) < 5 * se, f"j={j}"
-
-    def test_variance_check_helper(self):
-        n, size, k_max = 256, 30_000, 10
-        samples = endpoint_batch_law(seed=3, n=n, size=size, k_max=k_max)
-        emp = float(samples[:, 0].astype(np.float64).var())
-        law = grouped_law(1, k_max, n)
-        ana = law.variance()
-        # SE of the sample variance from the true fourth moment: the law has
-        # large excess kurtosis (rare heavy atoms), so the Gaussian 2 sigma^4
-        # formula would understate it badly
-        v = law.values.astype(np.float64)
-        kappa4 = float((law.counts * (law.qs - 3 * law.qs**2) * v**4).sum())
-        se = math.sqrt(max(kappa4 + 2.0 * ana * ana, 0.0) / size)
-        assert abs(emp - ana) < 4 * se
-
-    def test_symmetry_and_mean(self):
-        samples = endpoint_batch_law(seed=5, n=128, size=50_000, k_max=9)
-        mean = samples[:, 0].mean()
-        sd = samples[:, 0].std() / np.sqrt(samples.shape[0])
-        assert abs(mean) < 5 * sd + 1e-9
-
-    def test_doubling_parity_and_shape(self):
-        samples = endpoint_batch_law(seed=5, n=32, size=100, k_max=6,
-                                     dimension=2, doubling=True)
-        assert samples.shape == (100, 2)
-        assert (samples % 2 == 0).all()

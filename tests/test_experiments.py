@@ -242,6 +242,21 @@ class TestMixingProbe:
         assert rep.correlation > 0.2
         assert rep.II_bound == 1.0
 
+    def test_cylinder_coincidence_on_zero_spec(self):
+        # S_n = 0, so B2's site is B1's site and reads the same bit
+        spec = FieldSpec(seed=3, dimension=2, k_max=6, zero=True)
+        one = (((0, 0), 1),)
+        rep = mixing_probe(spec, M=5, H=128, samples=20_000, B1=one, B2=one,
+                           n_min=64)
+        assert abs(rep.joint_estimate - 0.5) < 4 * rep.se
+        rep = mixing_probe(spec, M=5, H=128, samples=20_000, B1=one,
+                           B2=(((0, 0), 0),), n_min=64)
+        assert rep.joint_estimate == 0.0
+        # a site listed twice in one cylinder reads one bit
+        rep = mixing_probe(spec, M=5, H=128, samples=20_000, B1=one + one,
+                           B2=one, n_min=64)
+        assert abs(rep.joint_estimate - 0.5) < 4 * rep.se
+
     def test_input_validation(self):
         spec = FieldSpec(seed=3, dimension=2, k_max=6, doubling=True)
         with pytest.raises(ValueError):

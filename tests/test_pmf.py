@@ -276,6 +276,33 @@ class TestIntegerPmfOps:
         assert _variance(pmf) == pytest.approx(1.0)
 
 
+class TestSample:
+    def test_frequencies_match_the_law(self):
+        # n=2, k_max=1: the scale-1 lead and lag windows overlap, so the law
+        # has few atoms and every value of |S_2| <= 3 has visible mass
+        pmf, _ = walk_pmf(FieldSpec(seed=0, dimension=1, k_max=1, doubling=False), 2)
+        size = 10**6
+        draws = pmf.sample(np.random.default_rng(1), size)
+        assert draws.shape == (size,)
+        for j in range(-3, 4):
+            target = pmf.prob(j)
+            se = math.sqrt(target * (1 - target) / size)
+            assert abs(float(np.mean(draws == j)) - target) < 5 * se, f"j={j}"
+        # no draw lands on a value of zero mass
+        assert all(pmf.prob(int(j)) > 0 for j in np.unique(draws))
+
+    def test_doubled_law_draws_even_values(self):
+        pmf, _ = walk_pmf(FieldSpec(seed=0, dimension=1, k_max=6, doubling=True), 64)
+        draws = pmf.sample(np.random.default_rng(2), (5000, 2))
+        assert draws.shape == (5000, 2)
+        assert (draws % 2 == 0).all()
+        assert all(pmf.prob(int(j)) > 0 for j in np.unique(draws))
+
+    def test_zero_spec_draws_zero(self):
+        pmf, _ = walk_pmf(FieldSpec(seed=0, dimension=1, k_max=6, zero=True), 64)
+        assert (pmf.sample(np.random.default_rng(3), 1000) == 0).all()
+
+
 class TestModerateSizeLaw:
     def test_mass_and_symmetry_n64(self):
         spec = FieldSpec(seed=0, dimension=1, k_max=8, doubling=False)

@@ -33,7 +33,8 @@ from .experiments import (
 from .fields import FieldSpec, default_k_max
 from .gaussian import power_density_model, white_noise_model
 from .pmf import ALIAS_TOL, MASS_TOL, lclt_deviation, walk_pmf
-from .ranges import FIT_FROM, P_CUBE, P_SQUARE, certify_distinct, choose_k, complement_profile
+from .ranges import (FIT_FROM, P_CUBE, P_SQUARE, KNotReached, certify_distinct, choose_k,
+                     complement_profile)
 
 
 class ConfigError(Exception):
@@ -175,6 +176,8 @@ def _validate(command: str, v: Dict, explicit: set) -> None:
                 f"summability needs 2*k*delta > 1, got {2 * v['k'] * v['delta']}")
     if command == "recur3" and v["k"] != 0 and v["k"] < 3:
         raise ConfigError(f"k must be 0 (auto) or >= 3, got {v['k']}")
+    if command == "recur3" and not 0.0 <= v["margin"] < 1.0:
+        raise ConfigError(f"margin must lie in [0, 1), got {v['margin']}")
     if command == "recur3" and v["horizon"] < FIT_FROM:
         raise ConfigError(f"horizon must be >= {FIT_FROM} for recur3 (the "
                           f"complement envelope is fitted from n = {FIT_FROM}), "
@@ -297,14 +300,20 @@ def _run_recur3(cfg: RunConfig) -> int:
     H = cfg["horizon"]
     pool = range_view_pool(P_SQUARE, P_CUBE, N=H, size=cfg["pool_size"],
                            seed0=cfg["seed"], k_max=cfg["k_max"] or None)
-    choice = choose_k(complement_profile(pool), margin=cfg["margin"])
-    k = cfg["k"] or choice.k
+    try:
+        choice = choose_k(complement_profile(pool), margin=cfg["margin"])
+        chosen = {**asdict(choice), "per_k": _str_keys(choice.per_k)}
+    except KNotReached as exc:
+        # a measured outcome, not a fault: the totals are reported, the
+        # check fails, and a pinned k is still probed
+        chosen = {"k": None, "margin": cfg["margin"], "per_k": _str_keys(exc.per_k)}
+    k = cfg["k"] or chosen["k"]
     probe = exp_section3(pool, k=k, H=H, samples=cfg["samples"],
-                         seed0=cfg["seed"])
-    ok = probe.violations == 0 and probe.identity_failures == 0
-    payload = {"k": k,
-               "choose_k": {**asdict(choice), "per_k": _str_keys(choice.per_k)},
-               "probe": _probe(probe), "pass": ok}
+                         seed0=cfg["seed"]) if k else None
+    ok = (chosen["k"] is not None and probe.violations == 0
+          and probe.identity_failures == 0)
+    payload = {"k": k, "choose_k": chosen,
+               "probe": _probe(probe) if probe is not None else None, "pass": ok}
     _write(cfg["out"], "recur3.json", _report(cfg, payload))
     return 0 if ok else 1
 

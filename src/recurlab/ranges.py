@@ -328,13 +328,23 @@ class ChooseKReport:
     per_k: Dict[int, float]
 
 
+class KNotReached(RuntimeError):
+    """No k up to the limit keeps the joint-miss series below the target;
+    ``per_k`` holds the total of every k tried."""
+
+    def __init__(self, k_limit: int, per_k: Dict[int, float]):
+        self.per_k = per_k
+        super().__init__(f"no k <= {k_limit} reaches the target; totals {per_k}")
+
+
 def choose_k(profile: ComplementProfile, margin: float = 0.1,
              k_limit: int = 12) -> ChooseKReport:
     """Smallest k >= 3 whose joint-miss series stays below 1 - margin.
 
     The product identity makes the k-fold joint miss probability q_n^k; the
     head is summed from the profile and the tail integrates the fitted
-    pi c / sqrt(n) envelope beyond the horizon (finite for k >= 3).
+    pi c / sqrt(n) envelope beyond the horizon (finite for k >= 3). Raises
+    KNotReached when no k <= k_limit does.
     """
     per_k: Dict[int, float] = {}
     H = profile.N
@@ -348,7 +358,7 @@ def choose_k(profile: ComplementProfile, margin: float = 0.1,
         if total < 1.0 - margin:
             return ChooseKReport(k=k, margin=margin, head=head, tail=tail,
                                  total=total, per_k=per_k)
-    raise RuntimeError(f"no k <= {k_limit} reaches the target; totals {per_k}")
+    raise KNotReached(k_limit, per_k)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ path sums (every value of a window, one prefix sum per scale and axis),
 the dense product form of the walk's log characteristic function, the
 walk's exact rational law at toy sizes (amplitudes are rational only for k <= 2), the power spectral
 model's covariance by adaptive quadrature, one lag per call, the
+circulant sampler's transform of all rows at once, the
 section-3 probe one sample, one n and one scalar bit at a time, the
 distinct-window certification one sample at a time over scalar sums, and
 the surrogate extraction over per-sample sets of return times.
@@ -11,9 +12,10 @@ the surrogate extraction over per-sample sets of return times.
 The library evaluates partial sums only through the scatter kernel over
 nonzero field values in ``recurlab.fields``, the log characteristic
 function only through the per-scale histogram FFT in ``recurlab.pmf``,
-the power covariance only through the fixed Gauss-Legendre rule in
-``recurlab.gaussian``, the section-3 probe only over a membership
-matrix with its bits hashed as arrays in ``recurlab.experiments``, the
+the power covariance only through the fixed Gauss-Legendre rule and the
+circulant paths only in row blocks in ``recurlab.gaussian``, the section-3
+probe only over a membership matrix with its bits hashed as arrays in
+``recurlab.experiments``, the
 extraction only over the joint-return matrix there, and the
 certification only as reductions over rows of the seed-axis kernel
 in ``recurlab.ranges``.
@@ -294,6 +296,18 @@ def oracle_power_r(delta: float, n: int) -> float:
     if err > 1e-10:
         raise RuntimeError(f"quadrature error {err:.2e} too large at n={n}")
     return 2.0 * val / (2.0 * hi / delta)
+
+
+def oracle_circulant_paths(eigs: np.ndarray, N: int, size: int,
+                           seed: int) -> np.ndarray:
+    """The circulant sampler's paths X_0..X_N from the embedding's
+    eigenvalues, its two draws scaled and transformed in one shot."""
+    rng = np.random.default_rng(seed)
+    M = len(eigs)
+    coef = np.sqrt(eigs / M)
+    a = rng.standard_normal((size, M))
+    b = rng.standard_normal((size, M))
+    return np.fft.fft(coef * (a + 1j * b), axis=1).real[:, : N + 1]
 
 
 def _omega_seed_with_origin_bit(seed0: int, tag: Sequence[int], dimension: int,

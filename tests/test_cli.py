@@ -57,6 +57,16 @@ class TestParseConfig:
     def test_recur3_small_k_rejected(self):
         assert main(["recur3", "--param", "k=1"]) == 2
 
+    @pytest.mark.parametrize("margin", ["1.0", "-0.5", "2", "nan"])
+    def test_recur3_margin_outside_unit_interval_rejected(self, tmp_path, capsys,
+                                                          margin):
+        with pytest.raises(ConfigError, match="margin must lie in"):
+            parse_config(["recur3", "--param", f"margin={margin}"])
+        assert run(tmp_path, "recur3", "--horizon", "20", "--param",
+                   f"margin={margin}") == 2
+        assert "margin must lie in [0, 1)" in capsys.readouterr().err
+        assert parse_config(["recur3", "--param", "margin=0"])["margin"] == 0.0
+
     def test_recur3_short_horizon_rejected(self, capsys):
         # the complement envelope is fitted from n = 8 on
         with pytest.raises(ConfigError, match="horizon"):
@@ -124,6 +134,26 @@ class TestDispatch:
         payload = json.loads((tmp_path / "recur3.json").read_text())
         assert payload["probe"]["violations"] == 0
         assert payload["k"] >= 3
+
+    @pytest.mark.parametrize("k", [5, 0])
+    def test_recur3_target_out_of_reach_fails_the_check(self, tmp_path, k):
+        # no k <= 12 keeps the series below 1 - margin: a failing check with
+        # the per-k totals reported, not a fault; a pinned k is still probed
+        code = run(tmp_path, "recur3", "--horizon", "20", "--samples", "10",
+                   "--param", "pool_size=3", "--param", f"k={k}",
+                   "--param", "margin=0.999999")
+        assert code == 1
+        payload = json.loads((tmp_path / "recur3.json").read_text())
+        assert payload["pass"] is False
+        assert payload["choose_k"]["k"] is None
+        assert payload["choose_k"]["margin"] == 0.999999
+        assert list(payload["choose_k"]["per_k"]) == sorted(map(str, range(3, 13)))
+        assert min(payload["choose_k"]["per_k"].values()) >= 1e-6
+        if k:
+            assert payload["k"] == k
+            assert payload["probe"]["samples"] == 10
+        else:
+            assert payload["k"] is None and payload["probe"] is None
 
     def test_gauss_white_control(self, tmp_path):
         code = run(tmp_path, "gauss", "--param", "white=true", "--horizon",
@@ -305,14 +335,13 @@ class TestReproducibility:
 class TestImportCost:
     @staticmethod
     def _loaded_after(statements):
-        """The heavy scipy modules a fresh interpreter holds after running
+        """Every scipy module a fresh interpreter holds after running
         ``statements``."""
         src = str(Path(recurlab.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
-        probe = (f"import sys; {statements}; print(sorted(m for m in "
-                 "('scipy.integrate', 'scipy.linalg', 'scipy.special') "
-                 "if m in sys.modules))")
+        probe = (f"import sys\n{statements}\nprint(sorted(m for m in "
+                 "sys.modules if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True)
         return out.stdout.strip()
@@ -320,9 +349,7 @@ class TestImportCost:
     def test_cli_import_leaves_heavy_scipy_out(self):
         # after import recurlab.cli, importing scipy.integrate and
         # scipy.linalg took 0.26-0.38 s (five runs, 2-vCPU x86-64 VM), and
-        # scipy.linalg alone 0.05-0.07 s; only the sampler's Toeplitz
-        # fallback uses scipy.linalg. scipy.special, 0.25-0.3 s on its own,
-        # is imported only where a normal tail is taken
+        # scipy.special 0.25-0.3 s on its own; the package imports none
         assert self._loaded_after("import recurlab.cli") == "[]"
 
     @pytest.mark.parametrize("argv", [
@@ -333,19 +360,38 @@ class TestImportCost:
         ["certify-range", "--samples", "2"],
         # its Hurwitz zeta tail is plain Python (gaussian.hurwitz_zeta)
         ["recur2", "--horizon", "32", "--samples", "4"],
+        # and so is the normal tail of the triple envelopes (upper_tail)
+        ["gauss", "--horizon", "16", "--samples", "20", "--param", "mc=200"],
+        ["gauss", "--horizon", "16", "--samples", "20", "--param", "mc=200",
+         "--param", "white=true"],
     ])
     def test_runs_without_special_functions_leave_scipy_out(self, tmp_path, argv):
-        # none of these commands takes a normal tail
         run = f"from recurlab.cli import main; main({argv + ['--out', str(tmp_path)]!r})"
         assert self._loaded_after(run) == "[]"
         assert any(tmp_path.iterdir())
 
-    def test_gauss_loads_special_for_its_normal_tail(self, tmp_path):
-        # the control: the triple envelopes take ndtr's normal tail
-        run = ("from recurlab.cli import main; main(['gauss', '--horizon', "
-               "'16', '--samples', '20', '--param', 'mc=200', '--out', "
-               f"{str(tmp_path)!r}])")
-        assert self._loaded_after(run) == "['scipy.special']"
+    def test_probe_sees_a_scipy_special_import(self, tmp_path):
+        # the control: a run that imports scipy.special itself is caught
+        run = ("import scipy.special; from recurlab.cli import main; "
+               "main(['gauss', '--horizon', '16', '--samples', '20', '--param', "
+               f"'mc=200', '--out', {str(tmp_path)!r}])")
+        assert "'scipy.special'" in self._loaded_after(run)
+
+    def test_cholesky_fallback_needs_no_scipy(self):
+        # the Toeplitz section is built by index and its smallest
+        # eigenvalue taken by numpy, on the jittered factorization and on
+        # the rejection that reports it
+        loaded = self._loaded_after(
+            "from recurlab import gaussian\n"
+            "gaussian._circulant_eigs = lambda r: None\n"
+            "gaussian.sample_paths(gaussian.power_density_model(0.3), 16, size=4, seed=0)\n"
+            "bad = gaussian.SpectralModel('white', 1.0, 0.0, table=(1.0, 1.5))\n"
+            "try:\n"
+            "    gaussian.sample_paths(bad, 4, size=2, seed=0)\n"
+            "    raise AssertionError('no PsdError')\n"
+            "except gaussian.PsdError:\n"
+            "    pass")
+        assert loaded == "[]"
 
     def test_power_model_needs_no_integrate(self):
         # the covariance table is a fixed Gauss-Legendre rule, and the

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh, toeplitz
 
-from oracles import oracle_power_r
+from oracles import oracle_circulant_paths, oracle_power_r
 from recurlab import gaussian
 from recurlab.gaussian import (
     PsdError,
@@ -149,6 +149,18 @@ class TestSampling:
         paths = sample_paths(CONSTANT, 8, size=50, seed=7)
         assert np.allclose(paths, paths[:, :1], atol=1e-3)
 
+    @pytest.mark.parametrize("block", [1, 3 * 128 + 5, 1 << 24])
+    def test_blocked_transform_equals_one_shot(self, power03, monkeypatch, block):
+        # one row per block, blocks of three rows that leave one over, and
+        # every row in one block; M = 128 at N = 64
+        monkeypatch.setattr(gaussian, "_FFT_BLOCK", block)
+        eigs = gaussian._circulant_eigs(power03.r_vector(64))
+        assert len(eigs) == 128
+        paths = sample_paths(power03, 64, size=10, seed=9)
+        ref = oracle_circulant_paths(eigs, 64, size=10, seed=9)
+        assert paths.shape == ref.shape == (10, 65)
+        assert (paths.view(np.uint64) == ref.view(np.uint64)).all()
+
     def test_cholesky_fallback_covariance(self, power03, monkeypatch):
         monkeypatch.setattr(gaussian, "_circulant_eigs", lambda r: None)
         paths = sample_paths(power03, 16, size=100_000, seed=3)
@@ -194,7 +206,50 @@ class TestTwistedPath:
         assert abs(a - b) < 5 * math.sqrt(a * (1 - a) / 100_000) + 1e-3
 
 
+def _same_bits(got, ref):
+    got, ref = np.asarray(got, dtype=np.float64), np.asarray(ref, dtype=np.float64)
+    return got.view(np.uint64) == ref.view(np.uint64)
+
+
 class TestUpperTail:
+    @staticmethod
+    def _check_against_ndtr(xs):
+        from scipy.special import ndtr
+
+        got = [upper_tail(x) for x in xs.tolist()]
+        same = _same_bits(got, ndtr(-xs))
+        assert same.all(), xs[~same][:5]
+
+    def test_equals_ndtr_bit_for_bit(self):
+        rng = np.random.default_rng(20240515)
+        u = rng.uniform(1e-6, 1.0, 20_000)
+        xs = np.concatenate([rng.uniform(-40.0, 40.0, 40_000),
+                             rng.uniform(-3.0, 3.0, 40_000), 1.0 / u, -1.0 / u])
+        self._check_against_ndtr(xs)
+
+    def test_branch_edges_bit_for_bit(self):
+        # |x| = 1 switches erf for erfc, |x| = 8 sqrt 2 erfc's P/Q for R/S,
+        # and from about 37.5 on the tail underflows to 0
+        edges = []
+        for e in (1.0, 8.0 * math.sqrt(2.0)):
+            for s in (e, -e):
+                edges += [s, np.nextafter(s, 0.0), np.nextafter(s, 2.0 * s)]
+        xs = np.concatenate([edges, np.linspace(37.5, 38.6, 11_001),
+                             [0.0, -0.0, np.inf, -np.inf, np.nan]])
+        self._check_against_ndtr(xs)
+        assert upper_tail(38.6) == 0.0 < upper_tail(37.5)
+        assert upper_tail(-np.inf) == 1.0 and upper_tail(np.inf) == 0.0
+
+    def test_erf_and_erfc_bit_for_bit(self):
+        from scipy.special import erf, erfc
+
+        rng = np.random.default_rng(7)
+        xs = np.concatenate([rng.uniform(-30.0, 30.0, 20_000),
+                             rng.uniform(-2.0, 2.0, 20_000),
+                             [0.0, -0.0, 1.0, -1.0, 8.0, -8.0, np.inf, -np.inf, np.nan]])
+        assert _same_bits([gaussian._erf(x) for x in xs.tolist()], erf(xs)).all()
+        assert _same_bits([gaussian._erfc(x) for x in xs.tolist()], erfc(xs)).all()
+
     @pytest.mark.parametrize("x, tail", [
         (5.0, 2.8665157187919391167e-7),
         (9.0, 1.1285884059538406477e-19),

@@ -19,6 +19,7 @@ import numpy as np
 from . import PreconditionError
 from .prf import derive_rng
 from .fields import (
+    _BLOCK_ELEMS,
     COORD_BOUND,
     TAG_BLOCK,
     FieldSpec,
@@ -28,11 +29,6 @@ from .fields import (
 )
 
 DENSE_P_THRESHOLD = 1024
-
-# field values per (seeds x packed coordinates) block when a dense axis is
-# hashed for a whole pool; each block also holds a few hashing temporaries
-# of its size
-_POOL_BLOCK_ELEMS = 1 << 18
 
 
 def _sparse_draws(rng: np.random.Generator, q: float, start: np.ndarray,
@@ -105,12 +101,12 @@ class _AxisEval:
         rows, cs, xs = [], [], []
         if dense:
             # the seeds' values over the packed coordinates, hashed in
-            # (rows x columns) blocks of at most _POOL_BLOCK_ELEMS values,
+            # (rows x columns) blocks of at most _BLOCK_ELEMS values,
             # which come out in (row, coordinate) order
             js = np.repeat(self.lo - self.start, lengths) + np.arange(width)
             seed_col = np.array(seeds, dtype=np.uint64)[:, None]
-            step = max(1, _POOL_BLOCK_ELEMS // width)
-            cols = min(width, _POOL_BLOCK_ELEMS)
+            step = max(1, _BLOCK_ELEMS // width)
+            cols = min(width, _BLOCK_ELEMS)
             for r0 in range(0, len(seeds), step):
                 for c0 in range(0, width, cols):
                     block = js[c0 : c0 + cols]

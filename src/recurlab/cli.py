@@ -168,12 +168,6 @@ def _validate(command: str, v: Dict, explicit: set) -> None:
     if command == "certify-range" and v["seed"] + v["samples"] > 2**64:
         raise ConfigError("certify-range seeds its samples with seed, seed + 1, "
                           "..., seed + samples - 1, which must stay below 2^64")
-    if command == "gauss":
-        if not (0.0 < v["delta"] < 1.0):
-            raise ConfigError(f"delta must lie in (0, 1), got {v['delta']}")
-        if 2 * v["k"] * v["delta"] <= 1.0 and not v["white"]:
-            raise ConfigError(
-                f"summability needs 2*k*delta > 1, got {2 * v['k'] * v['delta']}")
     if command == "recur3" and v["k"] != 0 and v["k"] < 3:
         raise ConfigError(f"k must be 0 (auto) or >= 3, got {v['k']}")
     if command == "recur3" and not 0.0 <= v["margin"] < 1.0:
@@ -182,11 +176,6 @@ def _validate(command: str, v: Dict, explicit: set) -> None:
         raise ConfigError(f"horizon must be >= {FIT_FROM} for recur3 (the "
                           f"complement envelope is fitted from n = {FIT_FROM}), "
                           f"got {v['horizon']}")
-    if command == "mixing" and v["horizon"] < 2 * v["n_min"]:
-        raise ConfigError(f"horizon must be n_min times a power of two, at "
-                          f"least 2 * n_min = {2 * v['n_min']}, got {v['horizon']}")
-    if command == "certify-range" and v["N"] < 1:
-        raise ConfigError("N must be >= 1")
 
 
 # ---------------------------------------------------------------------------

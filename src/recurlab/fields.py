@@ -28,8 +28,9 @@ TAG_BLOCK = 37
 
 COORD_BOUND = 1 << 60
 
-# field values per (seeds x window) block in the path-sum kernel; each
-# block also holds a few hashing temporaries of its size
+# field values per field_nonzeros block, in the path-sum kernel and in
+# bigsums' pool hashing; each block also holds a few hashing temporaries
+# of its size
 _BLOCK_ELEMS = 1 << 18
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from . import PreconditionError
 from .prf import derive_rng
 
 PSD_TOL = 1e-8
-MAX_JITTER = 1e-8
 
 # the power-model covariance rule (see _power_cov): Gauss-Legendre node
 # counts per panel, the coarser one giving the error estimate; the geometric
@@ -86,7 +85,8 @@ _SQRT1_2 = 0.70710678118654752440
 
 
 class PsdError(ValueError):
-    """Toeplitz section dipped below the PSD tolerance."""
+    """The circulant embedding of r(0..N) has an eigenvalue below -PSD_TOL;
+    carries that smallest eigenvalue and N."""
 
     def __init__(self, min_eigenvalue: float, N: int):
         self.min_eigenvalue = min_eigenvalue
@@ -215,55 +215,37 @@ def white_noise_model() -> SpectralModel:
 # sampling
 
 
-def _circulant_eigs(r: np.ndarray) -> Optional[np.ndarray]:
-    N = len(r) - 1
-    if N == 0:
-        return None
+def _circulant_eigs(r: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the minimal circulant embedding of r(0..N), clipped
+    at 0; raises PsdError when one is below -PSD_TOL."""
     circ = np.concatenate([r, r[-2:0:-1]])
     eigs = np.fft.fft(circ).real
     if eigs.min() < -PSD_TOL:
-        return None
+        raise PsdError(float(eigs.min()), len(r) - 1)
     return np.clip(eigs, 0.0, None)
-
-
-def _cholesky_with_jitter(r: np.ndarray) -> np.ndarray:
-    idx = np.arange(len(r))
-    T = r[np.abs(idx[:, None] - idx)]
-    jitter = 0.0
-    while True:
-        try:
-            return np.linalg.cholesky(T + jitter * np.eye(len(r)))
-        except np.linalg.LinAlgError:
-            jitter = 1e-12 if jitter == 0.0 else jitter * 10.0
-            if jitter > MAX_JITTER:
-                raise PsdError(float(np.linalg.eigvalsh(T)[0]), len(r) - 1)
 
 
 def sample_paths(model: SpectralModel, N: int, size: int, seed: int) -> np.ndarray:
     """``size`` independent stationary paths X_0..X_N, shape (size, N+1).
 
-    Circulant embedding when the embedding is nonnegative definite (exact),
-    dense square-root factorization with escalating diagonal jitter
-    otherwise. The embedding's complex draws are scaled and transformed in
-    blocks of at most _FFT_BLOCK values, whole rows each, and only the
-    first N+1 real columns are kept.
+    Circulant embedding, exact when the embedding is nonnegative definite;
+    an embedding with an eigenvalue below -PSD_TOL raises PsdError. The
+    embedding's complex draws are scaled and transformed in blocks of at
+    most _FFT_BLOCK values, whole rows each, and only the first N+1 real
+    columns are kept.
     """
     rng = np.random.default_rng(seed)
-    r = model.r_vector(N)
-    eigs = _circulant_eigs(r)
-    if eigs is not None:
-        M = len(eigs)
-        coef = np.sqrt(eigs / M)
-        a = rng.standard_normal((size, M))
-        b = rng.standard_normal((size, M))
-        out = np.empty((size, N + 1))
-        rows = max(1, _FFT_BLOCK // M)
-        for start in range(0, size, rows):
-            z = coef * (a[start : start + rows] + 1j * b[start : start + rows])
-            out[start : start + rows] = np.fft.fft(z, axis=1).real[:, : N + 1]
-        return out
-    L = _cholesky_with_jitter(r)
-    return rng.standard_normal((size, N + 1)) @ L.T
+    eigs = _circulant_eigs(model.r_vector(N))
+    M = len(eigs)
+    coef = np.sqrt(eigs / M)
+    a = rng.standard_normal((size, M))
+    b = rng.standard_normal((size, M))
+    out = np.empty((size, N + 1))
+    rows = max(1, _FFT_BLOCK // M)
+    for start in range(0, size, rows):
+        z = coef * (a[start : start + rows] + 1j * b[start : start + rows])
+        out[start : start + rows] = np.fft.fft(z, axis=1).real[:, : N + 1]
+    return out
 
 
 def twisted_values(model: SpectralModel, paths: np.ndarray) -> np.ndarray:

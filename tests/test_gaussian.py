@@ -105,15 +105,27 @@ class TestPsd:
     def test_constant_model_degenerate(self):
         assert abs(_min_eigenvalue(CONSTANT, 32)) < 1e-10
 
-    def test_rejection_carries_eigenvalue(self, monkeypatch):
-        # a covariance that is not positive definite: the sampler's
-        # factorization fails past the largest jitter and says by how much
+    def test_rejection_carries_eigenvalue(self):
+        # r = (1, 1.5, 0, 0, 0) is not a covariance: its circulant embedding
+        # has eigenvalues 1 + 3 cos(2 pi j / 8), the smallest -2 at j = 4
         bad = SpectralModel(family="white", delta=1.0, C=0.0, table=(1.0, 1.5))
-        monkeypatch.setattr(gaussian, "_circulant_eigs", lambda r: None)
         with pytest.raises(PsdError) as exc:
             sample_paths(bad, 4, size=2, seed=0)
-        assert exc.value.min_eigenvalue == pytest.approx(_min_eigenvalue(bad, 4))
-        assert exc.value.min_eigenvalue < -1e-8
+        assert exc.value.min_eigenvalue == -2.0
+        assert exc.value.N == 4
+
+    # the powers of two and their neighbours bracket the embedding sizes
+    # the sampler meets at the usual horizons
+    PSD_NS = (*range(129), 255, 256, 257, 511, 512, 513, 1024)
+
+    @pytest.mark.parametrize("delta", [0.02, 0.1, 0.3, 0.5, 0.7, 0.98])
+    def test_power_embedding_positive(self, delta):
+        # the circulant sampler is exact on the whole power family: the
+        # minimal embedding never dips below zero, so sample_paths needs no
+        # other factorization
+        model = power_density_model(delta)
+        for N in self.PSD_NS:
+            assert gaussian._circulant_eigs(model.r_vector(N)).min() > 0.0, N
 
 
 class TestSampling:
@@ -138,16 +150,19 @@ class TestSampling:
             emp = float(np.mean(paths[:, 0] * paths[:, n]))
             assert abs(emp - power03.r(n)) < 4 * math.sqrt(2.0 / 100_000) + 1e-3
 
-    def test_constant_model_needs_fallback(self, monkeypatch):
+    def test_constant_model_gives_constant_paths(self):
         # the circulant embedding of the rank-one covariance is nonnegative,
         # so it samples exactly constant paths
         paths = sample_paths(CONSTANT, 8, size=50, seed=7)
         assert (paths == paths[:, :1]).all()
-        # without it, plain Cholesky fails on the singular Toeplitz section
-        # and the jitter fallback must engage and still give constant paths
-        monkeypatch.setattr(gaussian, "_circulant_eigs", lambda r: None)
-        paths = sample_paths(CONSTANT, 8, size=50, seed=7)
-        assert np.allclose(paths, paths[:, :1], atol=1e-3)
+
+    def test_single_point_paths_are_the_first_draws(self, power03):
+        # at N = 0 the embedding is [r(0)] = [1], and the paths are the
+        # first standard normal draws of the seed's stream
+        paths = sample_paths(power03, 0, size=7, seed=13)
+        ref = np.random.default_rng(13).standard_normal((7, 1))
+        assert paths.shape == (7, 1)
+        assert (paths.view(np.uint64) == ref.view(np.uint64)).all()
 
     @pytest.mark.parametrize("block", [1, 3 * 128 + 5, 1 << 24])
     def test_blocked_transform_equals_one_shot(self, power03, monkeypatch, block):
@@ -160,13 +175,6 @@ class TestSampling:
         ref = oracle_circulant_paths(eigs, 64, size=10, seed=9)
         assert paths.shape == ref.shape == (10, 65)
         assert (paths.view(np.uint64) == ref.view(np.uint64)).all()
-
-    def test_cholesky_fallback_covariance(self, power03, monkeypatch):
-        monkeypatch.setattr(gaussian, "_circulant_eigs", lambda r: None)
-        paths = sample_paths(power03, 16, size=100_000, seed=3)
-        for n in (0, 1, 4, 16):
-            emp = float(np.mean(paths[:, 0] * paths[:, n]))
-            assert abs(emp - power03.r(n)) < 4 * math.sqrt(2.0 / 100_000) + 1e-3
 
 
 class TestTwistedPath:

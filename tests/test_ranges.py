@@ -271,7 +271,7 @@ class TestViewPool:
     def test_hashing_blocks_do_not_change_views(self, pool, monkeypatch):
         # blocks of a few hundred values split every dense axis into rows
         # and column blocks
-        monkeypatch.setattr(recurlab.bigsums, "_POOL_BLOCK_ELEMS", 300)
+        monkeypatch.setattr(recurlab.bigsums, "_BLOCK_ELEMS", 300)
         small = PermutationView.build_pool(self.SPEC, self.SEEDS, P_SQUARE,
                                            P_CUBE, 60)
         assert all(_same_view(a, b) for a, b in zip(small, pool))

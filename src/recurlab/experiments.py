@@ -231,7 +231,7 @@ def _witness_sites(view: PermutationView, H: int):
     """Arrays over the view's shared fresh indices n <= H: n, the site of
     the plain origin bit after p1(n) steps, and the site and complement
     flag that the twist reads for the origin bit after p2(n) steps, taken
-    from table2's endpoint through ``classify`` and the permutation."""
+    from table2's endpoint through the permutation."""
     ns = np.array([n for n in view.curly if n <= H], dtype=np.int64)
     twist = [view.twist_site(view.table2.endpoint(n)) for n in ns.tolist()]
     s_sites = np.array([site for site, _ in twist], dtype=np.int64).reshape(-1, 2)

@@ -15,10 +15,10 @@ u = t^delta that removes the density's endpoint singularity. Its error is
 estimated by a second node count and must stay below 1e-10, or the fit
 raises RuntimeError; it matches adaptive quadrature to 1e-13.
 
-The normal tail (``upper_tail``) is a plain-Python port of cephes' ndtr,
-erfc and erf, with their coefficient tables and order of operations, so it
-equals ``scipy.special.ndtr`` bit for bit; the Hurwitz zeta is a port of
-cephes' zeta in the same way. Nothing here imports scipy.
+The Hurwitz zeta is a plain-Python port of cephes' zeta, with its
+coefficients and order of operations, so it equals ``scipy.special.zeta``
+bit for bit; the normal tail (``upper_tail``) is ``math.erfc``, which only
+feeds the triple envelopes' 4-SE comparison. Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -55,33 +55,6 @@ _ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
            1.1646782814350067249e14, -4.5979787224074726105e15,
            1.8152105401943546773e17, -7.1661652561756670113e18)
 _MACHEP = 1.11022302462515654042e-16
-
-# cephes' ndtr/erfc/erf: erfc's rational approximations P/Q on [1, 8) and
-# R/S beyond (Q and S with their leading 1 implied), erf's T/U on [0, 1],
-# and the largest argument of exp
-_NDTR_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
-           7.46321056442269912687e0, 4.86371970985681366614e1,
-           1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3,
-           5.57535335369399327526e2)
-_NDTR_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
-           3.54937778887819891062e2, 9.75708501743205489753e2,
-           1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)
-_NDTR_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
-           5.01905042251180477414e0, 6.16021097993053585195e0,
-           7.40974269950448939160e0, 2.97886665372100240670e0)
-_NDTR_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
-           1.20489539808096656605e1, 1.70814450747565897222e1,
-           9.60896809063285878198e0, 3.36907645100081516050e0)
-_NDTR_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
-           2.23200534594684319226e3, 7.00332514112805075473e3,
-           5.55923013010394962768e4)
-_NDTR_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
-           4.59432382970980127987e3, 2.26290000613890934246e4,
-           4.92673942608635921086e4)
-_MAXLOG = 7.09782712893383996843e2
-_SQRT1_2 = 0.70710678118654752440
 
 
 class PsdError(ValueError):
@@ -259,69 +232,9 @@ def twisted_values(model: SpectralModel, paths: np.ndarray) -> np.ndarray:
 # triple probability and summability
 
 
-def _polevl(x: float, coef: Sequence[float]) -> float:
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x: float, coef: Sequence[float]) -> float:
-    # as _polevl, with a leading coefficient 1 left out of ``coef``
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _erf(x: float) -> float:
-    if math.isnan(x):
-        return math.nan
-    if x < 0.0:
-        return -_erf(-x)
-    if x > 1.0:
-        return 1.0 - _erfc(x)
-    z = x * x
-    return x * _polevl(z, _NDTR_T) / _p1evl(z, _NDTR_U)
-
-
-def _erfc(a: float) -> float:
-    if math.isnan(a):
-        return math.nan
-    x = abs(a)
-    if x < 1.0:
-        return 1.0 - _erf(a)
-    z = -a * a
-    if z >= -_MAXLOG:
-        z = math.exp(z)
-        if x < 8.0:
-            y = (z * _polevl(x, _NDTR_P)) / _p1evl(x, _NDTR_Q)
-        else:
-            y = (z * _polevl(x, _NDTR_R)) / _p1evl(x, _NDTR_S)
-        if a < 0:
-            y = 2.0 - y
-        if y != 0.0:
-            return y
-    # underflow
-    return 2.0 if a < 0 else 0.0
-
-
-def _ndtr(a: float) -> float:
-    """Standard normal CDF by cephes' operations in its order, equal to
-    ``scipy.special.ndtr`` bit for bit."""
-    if math.isnan(a):
-        return math.nan
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0 else y
-
-
 def upper_tail(x: float) -> float:
     """Standard normal upper tail P(Z > x)."""
-    return _ndtr(-float(x))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 The walk visited set along a polynomial schedule, its fresh (first-visit)
 indices, the intersection over two schedules, and the permutation of Z^2
 that sends the second-schedule visit points onto the first-schedule ones
-while enumerating the rest of the lattice in a canonical outward spiral.
+and fixes every point with an odd coordinate.
 Everything is horizon-bounded: membership questions that a finite table
 cannot decide raise HorizonError instead of guessing.
 """
@@ -57,9 +57,13 @@ class PolynomialSpec:
         return total
 
     def check_injective(self, N: int) -> None:
+        """Raise ValueError unless p maps [1, N] injectively into the
+        positive integers, as schedule times must."""
         vals = [self(n) for n in range(1, N + 1)]
         if len(set(vals)) != len(vals):
             raise ValueError(f"polynomial not injective on [1, {N}]")
+        if min(vals, default=1) < 1:
+            raise ValueError(f"schedule values must be positive on [1, {N}]")
 
 
 P_SQUARE = PolynomialSpec((0, 1))
@@ -101,8 +105,6 @@ def pool_range_tables(spec: FieldSpec, seeds: Sequence[int],
         raise ValueError("need N >= 1")
     for poly in polys:
         poly.check_injective(N)
-        if poly(1) < 1:
-            raise ValueError("schedule values must be positive on [1, N]")
     if not seeds:
         return []
     times = sorted({poly(n) for poly in polys for n in range(1, N + 1)})
@@ -127,53 +129,12 @@ def _range_table(poly: PolynomialSpec, N: int, endpoints: np.ndarray) -> RangeTa
 
 
 # ---------------------------------------------------------------------------
-# canonical spiral enumeration of the lattice complement
+# the permutation and its twist
 
 
 def _is_resolved_other(v: Tuple[int, int]) -> bool:
     # any odd coordinate puts v provably outside the (doubled) visited sets
     return (v[0] % 2 != 0) or (v[1] % 2 != 0)
-
-
-def _resolved_ring(r: int) -> List[Tuple[int, int]]:
-    """Resolved points of sup-norm r >= 1 in spiral order: up the right
-    side, left along the top, down the left side, right along the bottom."""
-    ring = ([(r, y) for y in range(-r + 1, r + 1)]
-            + [(x, r) for x in range(r - 1, -r - 1, -1)]
-            + [(-r, y) for y in range(r - 1, -r - 1, -1)]
-            + [(x, -r) for x in range(-r + 1, r + 1)])
-    return [v for v in ring if _is_resolved_other(v)]
-
-
-def _resolved_inside(r: int) -> int:
-    """Number of resolved points of sup-norm < r: the (2r-1)^2 box minus
-    its points in 2Z^2."""
-    return (2 * r - 1) ** 2 - (2 * ((r - 1) // 2) + 1) ** 2
-
-
-def complement_point(i: int) -> Tuple[int, int]:
-    """The i-th (1-based) point of the canonical complement enumeration."""
-    if i < 1:
-        raise ValueError("enumeration is 1-based")
-    # about 3 r^2 points lie inside ring r; step from that guess to the ring
-    r = max(1, math.isqrt(i // 3))
-    while _resolved_inside(r) >= i:
-        r -= 1
-    while _resolved_inside(r + 1) < i:
-        r += 1
-    return _resolved_ring(r)[i - _resolved_inside(r) - 1]
-
-
-def complement_index(v: Tuple[int, int]) -> int:
-    """Position (1-based) of v in the canonical complement enumeration."""
-    if not _is_resolved_other(v):
-        raise ValueError(f"{v} is not a resolved complement point")
-    r = max(abs(v[0]), abs(v[1]))
-    return _resolved_inside(r) + _resolved_ring(r).index(tuple(v)) + 1
-
-
-# ---------------------------------------------------------------------------
-# the permutation and its twist
 
 
 @dataclass
@@ -182,11 +143,10 @@ class PermutationView:
     schedule's fresh visit points onto the first schedule's.
 
     Both visit tables are indexed by the shared fresh enumeration k_1 < k_2
-    < ...; the complements are enumerated in canonical spiral order over
-    provably-unvisited points, which makes the two complement enumerations
-    coincide (any enumeration is admissible, and this one keeps runs
-    reproducible). Points in 2Z^2 absent from the tables may still be visit
-    points beyond the horizon, so they are unresolved.
+    < ...; off the visit points pi may be any bijection, and this one is
+    the identity on every point with an odd coordinate, which no (doubled)
+    visit table can hold. Points in 2Z^2 absent from the tables may still
+    be visit points beyond the horizon, so they are unresolved.
     """
 
     spec: FieldSpec
@@ -247,15 +207,10 @@ class PermutationView:
 
     def pi_forward(self, v: Tuple[int, int]) -> Tuple[int, int]:
         kind, i = self.classify(v)
-        if kind == "origin":
-            return (0, 0)
         if kind == "s2":
             return self.s1_points[i - 1]
-        if kind == "other":
-            # position in the second complement enumeration, image in the
-            # first; the canonical enumerations coincide so this is the
-            # identity, computed through the enumeration for auditability
-            return complement_point(complement_index(v))
+        if kind in ("origin", "other"):
+            return (int(v[0]), int(v[1]))
         raise HorizonError(f"{v} not resolved within horizon {self.N}")
 
     # -- the twist ----------------------------------------------------------
@@ -263,14 +218,8 @@ class PermutationView:
     def twist_site(self, v: Tuple[int, int]) -> Tuple[Tuple[int, int], int]:
         """The base site whose bit the twisted configuration shows at v, and
         1 where it shows that bit complemented (at the visit points)."""
-        kind, i = self.classify(v)
-        if kind == "origin":
-            return (0, 0), 0
-        if kind == "s2":
-            return self.s1_points[i - 1], 1
-        if kind == "other":
-            return self.pi_forward(v), 0
-        raise HorizonError(f"{v} not resolved within horizon {self.N}")
+        site = self.pi_forward(v)  # raises HorizonError where unresolved
+        return site, int((int(v[0]), int(v[1])) in self.s2_ordinal)
 
     def twist_bit(self, config: OmegaConfig, v: Tuple[int, int]) -> int:
         site, flip = self.twist_site(v)

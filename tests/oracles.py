@@ -6,8 +6,11 @@ walk's exact rational law at toy sizes (amplitudes are rational only for k <= 2)
 model's covariance by adaptive quadrature, one lag per call, the
 circulant sampler's transform of all rows at once, the
 section-3 probe one sample, one n and one scalar bit at a time, the
-distinct-window certification one sample at a time over scalar sums, and
-the surrogate extraction over per-sample sets of return times.
+distinct-window certification one sample at a time over scalar sums,
+the surrogate extraction over per-sample sets of return times, and a
+canonical outward spiral over the points with an odd coordinate
+(``complement_point``), which the permutation fixes, as a source of test
+points.
 
 The library evaluates partial sums only through the scatter kernel over
 nonzero field values in ``recurlab.fields``, the log characteristic
@@ -26,7 +29,7 @@ so that tests can check the kernels against an independent implementation.
 import math
 from dataclasses import replace
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from recurlab.ranges import (
     PermutationView,
     PolynomialSpec,
     RangeTable,
+    _is_resolved_other,
     pool_range_tables,
 )
 from recurlab.shiftspace import OmegaConfig
@@ -454,3 +458,32 @@ def audit_injectivity(view: PermutationView, points: Sequence[Tuple[int, int]]) 
     points (0 expected)."""
     images = [view.pi_forward(v) for v in points]
     return len(images) - len(set(images))
+
+
+def _resolved_ring(r: int) -> List[Tuple[int, int]]:
+    """Resolved points of sup-norm r >= 1 in spiral order: up the right
+    side, left along the top, down the left side, right along the bottom."""
+    ring = ([(r, y) for y in range(-r + 1, r + 1)]
+            + [(x, r) for x in range(r - 1, -r - 1, -1)]
+            + [(-r, y) for y in range(r - 1, -r - 1, -1)]
+            + [(x, -r) for x in range(-r + 1, r + 1)])
+    return [v for v in ring if _is_resolved_other(v)]
+
+
+def _resolved_inside(r: int) -> int:
+    """Number of resolved points of sup-norm < r: the (2r-1)^2 box minus
+    its points in 2Z^2."""
+    return (2 * r - 1) ** 2 - (2 * ((r - 1) // 2) + 1) ** 2
+
+
+def complement_point(i: int) -> Tuple[int, int]:
+    """The i-th (1-based) point of the canonical complement enumeration."""
+    if i < 1:
+        raise ValueError("enumeration is 1-based")
+    # about 3 r^2 points lie inside ring r; step from that guess to the ring
+    r = max(1, math.isqrt(i // 3))
+    while _resolved_inside(r) >= i:
+        r -= 1
+    while _resolved_inside(r + 1) < i:
+        r += 1
+    return _resolved_ring(r)[i - _resolved_inside(r) - 1]

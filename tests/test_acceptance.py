@@ -37,12 +37,11 @@ from recurlab.ranges import (
     PermutationView,
     certify_distinct,
     choose_k,
-    complement_point,
     complement_profile,
 )
 from recurlab.shiftspace import OmegaConfig
 
-from oracles import audit_injectivity, build_range, exact_walk_pmf
+from oracles import audit_injectivity, build_range, complement_point, exact_walk_pmf
 from test_pmf import _convolve_laws, _oracle_scale_law
 
 

@@ -360,7 +360,7 @@ class TestImportCost:
         ["certify-range", "--samples", "2"],
         # its Hurwitz zeta tail is plain Python (gaussian.hurwitz_zeta)
         ["recur2", "--horizon", "32", "--samples", "4"],
-        # and so is the normal tail of the triple envelopes (upper_tail)
+        # and the normal tail of the triple envelopes is math.erfc (upper_tail)
         ["gauss", "--horizon", "16", "--samples", "20", "--param", "mc=200"],
         ["gauss", "--horizon", "16", "--samples", "20", "--param", "mc=200",
          "--param", "white=true"],

@@ -372,65 +372,95 @@ def peak_probability_sweep(n_max: int, k_max: int, k_min: int = 1,
     """p_n(0) for n = 1..n_max in one pass (single coordinate, no doubling).
 
     Each scale gets one table T_k(s) = log1p(-q_k (1 - cos(2 pi s / grid)))
-    over the folded residues s = 0..grid // 2, so the term of value v at
-    theta_t is the gather T_k(fold(v t mod grid)), fold(s) = min(s, grid - s),
-    with no transcendental call per (n, group). A split scale's groups are
-    the heights 1..h, h = min(n, p), four times each, plus the plateau h
-    twice |n - p| + 1 times (``scale_groups``), so its log characteristic
-    function is 4 A(h - 1) + 2 (|n - p| + 1) L(h) with L(v) the gathered
-    term and A a running sum of L; a scale whose lag overlaps the lead
-    window for some n <= n_max takes its few groups for a whole chunk of n
-    at once (``_overlap_counts``), against a table of L(v) over v <= p. The
-    rows n go through in chunks of at most _SWEEP_ELEMS grid values, which
-    bounds the memory.
+    over the residues s mod grid, so the term L_k(v) of value v at theta_t
+    is the gather T_k(v t & (grid - 1)), with no transcendental call per
+    (n, group). A split scale's groups are the heights 1..h, h = min(n, p),
+    four times each, plus the plateau h twice |n - p| + 1 times
+    (``scale_groups``), so its log characteristic function is
+    4 A_k(h - 1) + 2 (|n - p| + 1) L_k(h), with A_k the running sum of L_k.
+
+    The rows n go through in blocks, each at most _SWEEP_ELEMS grid values
+    (which bounds the memory) and each inside one segment between
+    consecutive p_k. In a segment the split scales with n <= p_k rise: their
+    terms sum to 4 C(n) + 2 V(n t) - 2 n U(n t), with U = sum T_k and
+    V = sum (p_k + 1) T_k over the rising scales and C(n) the running sum of
+    U's gathers at 1..n - 1. C keeps each finished scale's A_k(p_k), so a
+    plateaued scale adds only the affine term 2 (n - p_k - 1) L_k(p_k). A
+    scale whose lag overlaps the lead window for some n <= n_max holds few
+    groups (``_overlap_counts``), each of value v <= p_k. The block's group
+    counts and plateau factors times the stacked rows L_k(v) and L_k(p_k)
+    are one matmul. Every row thus costs two gathers, one cumulative sum
+    and its share of one matmul, whatever the number of scales.
     """
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
+    if not 1 <= k_min <= k_max:
+        raise ValueError(f"need 1 <= k_min <= k_max, got k_min={k_min}, k_max={k_max}")
+    if grid < 64 or grid & (grid - 1):
+        raise ValueError(f"grid must be a power of two >= 64, got {grid}")
     half = grid // 2
     t = np.arange(half + 1, dtype=np.int64)
     weights = np.full(half + 1, 2.0 / grid)
     weights[0] = 1.0 / grid
     weights[-1] = 1.0 / grid
 
-    def fold(v: np.ndarray) -> np.ndarray:
-        """Table index of each (v, t): fold(v t mod grid), shape (v, t)."""
-        s = (v % grid)[:, None] * t % grid
-        return np.minimum(s, grid - s)
+    def at(v: np.ndarray) -> np.ndarray:
+        """Table index of each (v, t): v t mod grid, shape (v, t)."""
+        s = np.multiply.outer(v, t)
+        s &= grid - 1
+        return s
 
-    split, overlap = [], []
+    split, terms, counts = [], [], []
     for k in range(k_min, k_max + 1):
         sp = scale_params(k)
-        table = np.log1p(-sp.q * (1.0 - np.cos(2.0 * np.pi * t / grid)))
+        folded = np.log1p(-sp.q * (1.0 - np.cos(2.0 * np.pi * t / grid)))
+        table = np.concatenate([folded, folded[-2:0:-1]])  # T(s) = T(grid - s)
         # overlapping for some n <= n_max iff d < n_max + p
         if sp.d < n_max + sp.p:
-            # an overlapping scale's |coefficients| are at most min(n, p)
-            overlap.append((sp, table[fold(np.arange(sp.p + 1))]))
+            # an overlapping scale's |coefficients| are at most min(n, p); from
+            # n = d + p - 1 on, the lead window's rise ends before the lag
+            # window's starts, so the nonzero groups stop changing with n
+            terms.append(table[at(np.arange(1, sp.p + 1))])
+            steady = np.arange(1, min(n_max, sp.d + sp.p - 1) + 1)
+            counts.append(_overlap_counts(sp, steady)[:, 1:].astype(np.float64))
         else:
-            split.append((sp, table))
-    carry = {sp.k: np.zeros(half + 1) for sp, _ in split}  # A(h - 1) at the chunk's first h
+            split.append((sp.p, table))
+            terms.append(table[at(np.array([sp.p]))])  # L_k(p_k)
+    terms = np.concatenate(terms)
 
-    out = np.empty(n_max)
     rows = max(1, _SWEEP_ELEMS // (half + 1))
-    for n0 in range(1, n_max + 1, rows):
-        ns = np.arange(n0, min(n0 + rows, n_max + 1))
-        at_n = fold(ns)
-        logphi = np.zeros((ns.size, half + 1))
-        for sp, table in split:
-            hs = np.arange(min(n0, sp.p), min(ns[-1], sp.p) + 1)
-            terms = table[at_n[: hs.size] if hs[0] == n0 else fold(hs)]  # L(h) per h
-            running = np.empty((hs.size + 1, half + 1))  # running[i] = A(hs[0] - 1 + i)
-            running[0] = carry[sp.k]
-            running[1:] = terms
-            np.cumsum(running, axis=0, out=running)
-            # rows with n <= p read h = n, the rest the plateau row h = p
-            m = int(np.count_nonzero(ns <= sp.p))
-            twice = 2.0 * (np.abs(ns - sp.p) + 1).astype(np.float64)[:, None]
-            logphi[:m] += 4.0 * running[:m] + twice[:m] * terms[:m]
-            logphi[m:] += 4.0 * running[-2] + twice[m:] * terms[-1]
-            carry[sp.k] = running[min(ns[-1] + 1, sp.p) - hs[0]]
-        for sp, terms in overlap:
-            counts = _overlap_counts(sp, ns).astype(np.float64)
-            for v in range(1, sp.p + 1):
-                logphi += counts[:, v, None] * terms[v]
-        out[ns - 1] = np.exp(logphi, out=logphi) @ weights
+    starts = set(range(1, n_max + 1, rows)) | {p + 1 for p, _ in split if p < n_max}
+    bounds = sorted(starts) + [n_max + 1]
+    carry = np.zeros(half + 1)  # 4 C(n) at the block's first n
+    out = np.empty(n_max)
+    for n0, n1 in zip(bounds, bounds[1:]):
+        ns = np.arange(n0, n1)
+        # the rising scales' 4 U and 2 V: the factors ride in the tables
+        rising = [(p, table) for p, table in split if p >= n0]
+        four_u = sum((4.0 * table for _, table in rising), np.zeros(grid))
+        two_v = sum((2.0 * (p + 1) * table for p, table in rising), np.zeros(grid))
+        idx = at(ns)
+        running = np.empty((ns.size + 1, half + 1))  # running[i] = 4 C(n0 + i)
+        running[0] = carry
+        # "clip" lets take write to ``out`` unbuffered; every index is in range
+        np.take(four_u, idx, out=running[1:], mode="clip")
+        # each row's multiplicity of every row of ``terms``
+        over = [c[np.minimum(ns, len(c)) - 1] for c in counts]
+        plateau = [2.0 * np.maximum(ns - p - 1, 0)[:, None] for p, _ in split]
+        logphi = np.concatenate(over + plateau, axis=1) @ terms
+        logphi += two_v[idx]
+        logphi -= (0.5 * ns)[:, None] * running[1:]
+        # row by row: np.cumsum along axis 0 is about three times slower
+        for i in range(ns.size):
+            np.add(running[i], running[i + 1], out=running[i + 1])
+        logphi += running[:-1]
+        carry = running[-1].copy()
+        # numpy's pairwise row sums are closer to the exact sum than BLAS's
+        # matrix-vector product, and unlike it do not depend on the
+        # block's height
+        np.exp(logphi, out=logphi)
+        logphi *= weights
+        out[ns - 1] = logphi.sum(axis=1)
     return out
 
 

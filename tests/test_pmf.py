@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -447,6 +448,65 @@ class TestPeakSweep:
         for n in sorted(n for n in ns if 1 <= n <= H):
             exact = walk_pmf(spec, n)[0].prob(0)
             assert abs(sweep[n - 1] - exact) <= 1e-14 * exact, n
+
+    def test_matches_walk_pmf_at_recur2_defaults(self):
+        # recur2's default horizon: the rising set loses a scale after each
+        # split p_k <= H, where the sweep starts a segment. Near n = H the
+        # fixed grid aliases: the sweep reads sum_j p_n(j grid), up to
+        # 1.1e-12 relative above p_n(0), so its arithmetic is checked
+        # against walk_pmf on the same grid, and its distance from the
+        # exact law against the one-sided alias bound
+        H, k_max, grid = 2000, 13, 4096
+        sweep = peak_probability_sweep(H, k_max=k_max, grid=grid)
+        rows = pmf_module._SWEEP_ELEMS // (grid // 2 + 1)
+        ns = {1, 2, H}
+        ns |= {n for start in range(1, H + 1, rows)[1:] for n in (start - 1, start)}
+        splits = [scale_params(k).p for k in range(1, k_max + 1)
+                  if scale_params(k).d >= H + scale_params(k).p]
+        assert [p for p in splits if p <= H] == [16, 33, 64, 129, 256, 513, 1024]
+        ns |= {n for p in splits if p <= H for n in (p - 1, p, p + 1)}
+        spec = FieldSpec(seed=0, dimension=1, k_max=k_max, doubling=False)
+        for n in sorted(n for n in ns if 1 <= n <= H):
+            aliased, report = walk_pmf(spec, n, grid=grid)
+            assert abs(sweep[n - 1] - aliased.prob(0)) <= 1e-14 * aliased.prob(0), n
+            exact = walk_pmf(spec, n)[0].prob(0)
+            rounding = 1e-14 * exact
+            assert -rounding <= sweep[n - 1] - exact <= report.alias_bound + rounding, n
+
+    @pytest.mark.parametrize("elems", [1, 3 * 513 - 1, 7 * 513 + 5])
+    def test_blocks_keep_the_result(self, elems, monkeypatch):
+        # 1 gives blocks of one row, here and in _overlap_counts; the
+        # others cut blocks across the segment starts p_k + 1
+        whole = peak_probability_sweep(300, k_max=10, grid=1024)
+        monkeypatch.setattr(pmf_module, "_SWEEP_ELEMS", elems)
+        blocked = peak_probability_sweep(300, k_max=10, grid=1024)
+        np.testing.assert_allclose(blocked, whole, rtol=1e-15, atol=0)
+
+    def test_memory_stays_below_20_mb(self):
+        # numpy reports its buffers to tracemalloc; blocks of _SWEEP_ELEMS
+        # grid values keep the peak far below a (p x grid) gather
+        tracemalloc.start()
+        try:
+            peak_probability_sweep(2000, 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, peak
+
+    @pytest.mark.parametrize("args, kwargs, match", [
+        ((0, 5), {}, "n_max >= 1"),
+        ((5, 2), {"k_min": 5}, "k_min <= k_max"),
+        ((5, 2), {"k_min": 0}, "1 <= k_min"),
+        ((5, 4), {"grid": 2}, "power of two >= 64"),
+        ((5, 4), {"grid": 32}, "power of two >= 64"),
+        ((5, 4), {"grid": 1000}, "power of two >= 64"),
+    ])
+    def test_rejects_inputs_outside_its_law(self, args, kwargs, match):
+        # each used to return a wrong law: p_n(0) = 1 at every n for an
+        # empty scale range, aliased values on a 2-point grid, nothing at
+        # n_max = 0
+        with pytest.raises(ValueError, match=match):
+            peak_probability_sweep(*args, **kwargs)
 
 
 class TestLclt:

@@ -360,8 +360,8 @@ def exp_gaussian(model: SpectralModel, k: int, H: int = 64,
     while len(accepted) < samples * k:
         paths = sample_paths(model, H, size=max(4 * samples * k, 1000),
                              seed=_child_seed(rng_seed, batch_seed))
-        keep = paths[paths[:, 0] > 1.0]
-        accepted.extend(keep)
+        accepted.extend(paths[paths[:, 0] > 1.0])
+        del paths  # free the batch before the next one is drawn
         batch_seed += 1
     paths = np.stack(accepted[: samples * k]).reshape(samples, k, H + 1)
     ys = twisted_values(model, paths)

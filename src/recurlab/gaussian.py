@@ -10,10 +10,13 @@ The twisted process is the closed form Y_n = 2 r(n) X_0 - X_n, which keeps
 the marginal law of the path while anti-correlating the non-projected part.
 
 The power family's r(n) comes from one fixed composite Gauss-Legendre rule
-applied to a whole vector of lags at once (``_power_cov``), in the variable
-u = t^delta that removes the density's endpoint singularity. Its error is
-estimated by a second node count and must stay below 1e-10, or the fit
-raises RuntimeError; it matches adaptive quadrature to 1e-13.
+shared by every lag (``_power_cov``): with s = n t, r(n) is n^-delta times
+a partial integral of s^(delta-1) cos s up to n pi, so one cumulative sum
+over half-period panels gives every lag up to the largest L at a cost
+linear in L. On [0, pi] the rule works in the variable u = s^delta, which
+removes the density's endpoint singularity. Its error is estimated by a
+second node count and must stay below 1e-10, or the fit raises
+RuntimeError; it matches adaptive quadrature to 1e-13 up to lag 4096.
 
 The Hurwitz zeta is a plain-Python port of cephes' zeta, with its
 coefficients and order of operations, so it equals ``scipy.special.zeta``
@@ -36,8 +39,8 @@ PSD_TOL = 1e-8
 
 # the power-model covariance rule (see _power_cov): Gauss-Legendre node
 # counts per panel, the coarser one giving the error estimate; the geometric
-# split of the first panel; values per block of the (lags x nodes) cosine
-# matrix (4 MiB, 35 lags of the 512-panel rule); the error gate
+# split of the first panel; values per block of the (panels x nodes) cosine
+# matrix (4 MiB, 32768 half periods of the 16-node rule); the error gate
 _GL_NODES = (12, 16)
 _GRADE_RATIO = 0.2
 _GRADE_LEVELS = 20
@@ -67,56 +70,75 @@ class PsdError(ValueError):
         super().__init__(f"min eigenvalue {min_eigenvalue:.3e} at N={N}")
 
 
-def _power_rule(delta: float, panels: int, nodes: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes t_i and weights w_i with r(n) ~ sum_i w_i cos(n t_i).
+def _power_rule(delta: float, nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights w with r(1) ~ sum w cos(t), one row per piece of
+    [0, pi], shape (_GRADE_LEVELS + 1, nodes).
 
-    r(n) is the cosine transform of the normalized density
-    (delta / pi^delta) t^(delta-1) on [0, pi]. Each panel of the breakpoint
-    list is mapped to u = t^delta, where the density is constant and the
-    integrand cos(n u^(1/delta)) is bounded, and carries ``nodes``
-    Gauss-Legendre nodes. The weights sum to 1, so r(0) = 1 up to rounding.
+    r(1) is the cosine transform of the normalized density
+    (delta / pi^delta) t^(delta-1) on [0, pi]. The interval, split
+    geometrically toward 0, is mapped to u = t^delta, where the density is
+    constant and the integrand cos(u^(1/delta)) is bounded; each piece
+    carries ``nodes`` Gauss-Legendre nodes. The weights sum to 1, so
+    r(0) = 1 up to rounding.
     """
-    h = math.pi / panels
-    graded = h * _GRADE_RATIO ** np.arange(_GRADE_LEVELS, 0, -1)
-    u = np.concatenate([[0.0], graded, h * np.arange(1, panels + 1)]) ** delta
+    graded = math.pi * _GRADE_RATIO ** np.arange(_GRADE_LEVELS, -1, -1)
+    u = np.concatenate([[0.0], graded]) ** delta
     x, w = np.polynomial.legendre.leggauss(nodes)
     half = np.diff(u)[:, None] / 2.0
     un = u[:-1, None] + half * (x + 1.0)
-    return (un ** (1.0 / delta)).ravel(), (half * (w / math.pi**delta)).ravel()
+    return un ** (1.0 / delta), half * (w / math.pi**delta)
+
+
+def _panel_integrals(delta: float, nodes: int, L: int) -> np.ndarray:
+    """(delta / pi^delta) times the integral of s^(delta-1) cos s over each
+    of the consecutive panels that cover [0, L pi], ``nodes``
+    Gauss-Legendre nodes each: the _GRADE_LEVELS + 1 pieces of [0, pi] from
+    _power_rule, then one panel per half period [(j-1) pi, j pi],
+    j = 2..L, in blocks of at most _COS_BLOCK values.
+    """
+    out = np.empty(_GRADE_LEVELS + L)
+    t, tw = _power_rule(delta, nodes)
+    out[: _GRADE_LEVELS + 1] = (np.cos(t) * tw).sum(axis=1)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    offsets = (x + 1.0) * (math.pi / 2.0)
+    # delta / pi^delta times the panel's half length pi / 2
+    w = w * (delta * math.pi ** (1.0 - delta) / 2.0)
+    rows = max(1, _COS_BLOCK // nodes)
+    for start in range(1, L, rows):
+        stop = min(start + rows, L)
+        s = np.arange(start, stop)[:, None] * math.pi + offsets
+        c = np.cos(s)
+        c *= s ** (delta - 1.0)
+        c *= w
+        # numpy's row sums, unlike a BLAS product, do not depend on the
+        # block's shape, so a panel's value does not depend on its block
+        out[_GRADE_LEVELS + start : _GRADE_LEVELS + stop] = c.sum(axis=1)
+    return out
 
 
 def _power_cov(delta: float, lags: np.ndarray) -> np.ndarray:
     """r(n) of the |t|^(delta-1) density at every lag n >= 1 of ``lags``.
 
-    Composite Gauss-Legendre over panels uniform in t, at least as many as
-    the largest lag, so cos(n t) turns by at most pi within a panel; the
-    first panel is split geometrically toward the singular endpoint. Lags
-    are taken in blocks of at most _COS_BLOCK cosine values, whatever the
-    number of lags or nodes. Both node counts of _GL_NODES are applied;
+    With s = n t, r(n) = n^-delta G(n), where G(n) is (delta / pi^delta)
+    times the integral of s^(delta-1) cos s over [0, n pi]. One cumulative
+    sum of _panel_integrals up to the largest lag L gives G at every lag,
+    at a cost of (L + _GRADE_LEVELS) cosines per node of each rule. A
+    panel's integral does not depend on L, so r(n) is the same whichever
+    other lags are asked for. Both node counts of _GL_NODES are applied;
     their largest difference estimates the error of the coarser rule and
     must stay below _RULE_TOL. The finer rule's value is returned.
     """
-    lags = np.asarray(lags, dtype=np.float64)
+    lags = np.asarray(lags, dtype=np.int64)
     if lags.size == 0:
-        return lags
-    panels = int(lags.max())
-    (t0, w0), (t1, w1) = (_power_rule(delta, panels, m) for m in _GL_NODES)
-    t, w = np.concatenate([t0, t1]), np.concatenate([w0, w1])
-    out = np.empty((lags.size, 2))
-    rows = max(1, _COS_BLOCK // t.size)
-    for start in range(0, lags.size, rows):
-        c = np.multiply.outer(lags[start : start + rows], t)
-        np.cos(c, out=c)
-        c *= w
-        # numpy's row sums, unlike a BLAS product, do not depend on the
-        # block's shape, so a lag's value does not depend on its block
-        out[start : start + rows, 0] = c[:, : t0.size].sum(axis=1)
-        out[start : start + rows, 1] = c[:, t0.size :].sum(axis=1)
-    err = np.abs(out[:, 0] - out[:, 1])
+        return lags.astype(np.float64)
+    L = int(lags.max())
+    G = np.cumsum([_panel_integrals(delta, m, L) for m in _GL_NODES], axis=1)
+    out = G[:, _GRADE_LEVELS + lags - 1] * lags ** -delta
+    err = np.abs(out[0] - out[1])
     if err.max() > _RULE_TOL:
         i = int(np.argmax(err))
         raise RuntimeError(f"quadrature error {err[i]:.2e} too large at n={int(lags[i])}")
-    return out[:, 1]
+    return out[1]
 
 
 @dataclass(frozen=True)
@@ -205,18 +227,20 @@ def sample_paths(model: SpectralModel, N: int, size: int, seed: int) -> np.ndarr
     an embedding with an eigenvalue below -PSD_TOL raises PsdError. The
     embedding's complex draws are scaled and transformed in blocks of at
     most _FFT_BLOCK values, whole rows each, and only the first N+1 real
-    columns are kept.
+    columns are kept. The real parts (size x M) are drawn whole; each
+    block's imaginary parts are drawn with it, from the same stream, so the
+    draws are the same as if the imaginary parts were drawn whole too.
     """
     rng = np.random.default_rng(seed)
     eigs = _circulant_eigs(model.r_vector(N))
     M = len(eigs)
     coef = np.sqrt(eigs / M)
     a = rng.standard_normal((size, M))
-    b = rng.standard_normal((size, M))
     out = np.empty((size, N + 1))
     rows = max(1, _FFT_BLOCK // M)
     for start in range(0, size, rows):
-        z = coef * (a[start : start + rows] + 1j * b[start : start + rows])
+        real = a[start : start + rows]
+        z = coef * (real + 1j * rng.standard_normal(real.shape))
         out[start : start + rows] = np.fft.fft(z, axis=1).real[:, : N + 1]
     return out
 

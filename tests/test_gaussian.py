@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,13 +76,33 @@ class TestPowerTable:
         for n in self.LAGS:
             assert abs(table[n] - oracle_power_r(delta, n)) <= 1e-13, n
 
+    # long lags: powers of two and their neighbours up to 4096
+    LONG_LAGS = (1024, 2047, 2048, 4095, 4096)
+
+    # quad warns that it hit its subdivision limit at delta = 0.98 and
+    # n = 4096, yet agrees with the table there to 1e-14
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("delta", [0.02, 0.3, 0.7, 0.98])
+    def test_long_lags_match_oracle(self, delta):
+        r = power_density_model(delta).r_vector(max(self.LONG_LAGS))
+        for n in self.LONG_LAGS:
+            assert abs(r[n] - oracle_power_r(delta, n)) <= 1e-13, n
+
     def test_lags_beyond_table_match_oracle(self, power03):
         r = power03.r_vector(1024)
         assert len(power03.table) == 513
         assert r[:513].tolist() == list(power03.table)
         ref = np.array([oracle_power_r(0.3, n) for n in range(513, 1025)])
         assert np.abs(r[513:] - ref).max() <= 1e-13
-        assert power03.r(700) == pytest.approx(ref[700 - 513], abs=1e-13)
+        # a lag's value does not depend on which other lags were asked for
+        for n in (513, 600, 700, 1000):
+            assert power03.r(n) == r[n], n
+
+    @pytest.mark.parametrize("delta", [0.02, 0.3, 0.98])
+    def test_table_is_prefix_of_longer_computation(self, delta):
+        r = gaussian._power_cov(delta, np.arange(1, 4097))
+        table = np.array(power_density_model(delta).table[1:])
+        assert (r[:512].view(np.uint64) == table.view(np.uint64)).all()
 
     def test_table_independent_of_block_size(self, power03, monkeypatch):
         # one lag per block, and every lag in one block
@@ -175,6 +196,20 @@ class TestSampling:
         ref = oracle_circulant_paths(eigs, 64, size=10, seed=9)
         assert paths.shape == ref.shape == (10, 65)
         assert (paths.view(np.uint64) == ref.view(np.uint64)).all()
+
+    def test_peak_memory_holds_one_draw_array(self, power03):
+        # the real parts are one (size x M) array; the imaginary parts are
+        # drawn a block at a time, so the peak stays below one draw array,
+        # the result and four complex blocks (a second draw array would
+        # add 8 MB here)
+        size, N, M = 8000, 64, 128
+        tracemalloc.start()
+        try:
+            sample_paths(power03, N, size=size, seed=21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * size * M + 8 * size * (N + 1) + 4 * 16 * gaussian._FFT_BLOCK
 
 
 class TestTwistedPath:

@@ -68,7 +68,10 @@ dense axes and the array form of the probe that came with it left
 recur3.json byte-identical.
 
 The scatter path-sum kernel over nonzero field values and the plain-Python
-Hurwitz zeta of recur2's and gauss's tails left every digest unchanged.
+Hurwitz zeta of recur2's and gauss's tails left every digest unchanged. So
+did gauss's covariance rule shared by every lag (one cumulative sum over
+half-period panels) and its sampler drawing the imaginary parts a block at
+a time.
 
 The mixing.json digest was re-pinned when the probe came to draw S_n by
 inverse CDF from the exact law it computes at n = H, in place of an

@@ -88,7 +88,9 @@ class _AxisEval:
         self.p = sp.p
         q = sp.q
         seeds = [int(s) for s in seeds]
-        anchors = np.unique(np.asarray(anchors, dtype=np.int64))
+        # sorted and deduplicated by a mask: np.unique imports numpy.ma
+        anchors = np.sort(np.asarray(anchors, dtype=np.int64))
+        anchors = anchors[np.diff(anchors, prepend=anchors[:1] - 1) != 0]
         if anchors[0] != 0:
             raise ValueError("axis anchors must start at offset 0")
         w = sp.p - 1

@@ -31,10 +31,12 @@ from . import PreconditionError
 from .fields import FieldSpec, default_k_max, partial_sums_batch
 from .gaussian import (
     SpectralModel,
+    conditioned_paths,
     hurwitz_zeta,
     power_summability,
-    sample_paths,
-    triple_probability,
+    triple_envelope,
+    triple_hit_counts,
+    triple_probabilities,
     twisted_values,
 )
 from .pmf import MASS_TOL, peak_probability_sweep, walk_pmf
@@ -269,7 +271,8 @@ def exp_section3(pool: Sequence[PermutationView], k: int, H: int,
     t_site = np.zeros((len(pool), H, 2), dtype=np.int64)
     s_site = np.zeros((len(pool), H, 2), dtype=np.int64)
     s_flip = np.zeros((len(pool), H), dtype=np.int64)
-    for v in np.unique(idx).tolist():
+    # sorted(set()) rather than np.unique, which imports numpy.ma
+    for v in sorted(set(idx.ravel().tolist())):
         ns, t_sites, s_sites, flips = _witness_sites(pool[v], H)
         member[v, ns - 1] = True
         t_site[v, ns - 1] = t_sites
@@ -318,12 +321,19 @@ def exp_section3(pool: Sequence[PermutationView], k: int, H: int,
 # Gaussian experiment
 
 
+# a lag whose Monte Carlo frequency lies more than this many standard
+# errors from the exact probability fails the run; in the normal
+# approximation a correct rule fails one of 64 lags with chance about 4e-5
+_MC_Z_LIMIT = 5.0
+
+
 @dataclass
 class GaussianReport:
     k: int
     H: int
-    estimates: Tuple[float, ...]
+    estimates: Tuple[float, ...]  # exact P(X_0 > 1, X_n > 1, Y_n > 1), n = 1..H
     envelope_violations: int
+    mc_max_z: float
     summability_total: float
     extraction: Extraction
 
@@ -331,6 +341,8 @@ class GaussianReport:
     def verdict(self) -> str:
         if self.envelope_violations:
             return "envelope-violated"
+        if self.mc_max_z > _MC_Z_LIMIT:
+            return "mc-disagrees"
         return self.extraction.verdict
 
 
@@ -338,37 +350,36 @@ def exp_gaussian(model: SpectralModel, k: int, H: int = 64,
                  samples: int = 2000, mc: int = 100_000,
                  seed0: int = 0) -> GaussianReport:
     """Triple-probability decay, k-fold summability, and surrogate
-    extraction for the twisted Gaussian pair."""
+    extraction for the twisted Gaussian pair.
+
+    The triple probabilities are exact (``triple_probabilities``); each is
+    checked against its analytic envelope and against one Monte Carlo
+    stream of ``mc`` pairs shared by every lag. A lag's standard error takes
+    the larger of the exact and the sampled binomial variances, and at
+    least 1/mc: with the exact variance alone, one hit of an event far
+    rarer than 1/mc would read as many standard errors.
+    """
     if 2 * k * model.delta <= 1.0:
         raise PreconditionError("summability hypothesis 2 k delta > 1 fails")
-    # the estimates, the paths and the twist all read r(0..H): tabulate it
-    # once, so lags beyond the model's own table are computed in one call
+    # the probabilities, the paths and the twist all read r(0..H): tabulate
+    # it once, so lags beyond the model's own table are computed in one call
     model = replace(model, table=tuple(model.r_vector(H)))
-    ests = []
-    env_viol = 0
-    for n in range(1, H + 1):
-        est = triple_probability(model, n, samples=mc, seed=_child_seed(seed0, 5, n))
-        ests.append(est.estimate)
-        if est.estimate > est.envelope + 4 * est.se:
-            env_viol += 1
-    summ = power_summability(ests, k=k, delta=model.delta, C=model.C, H=H)
+    r = model.r_vector(H)[1:]
+    exact = triple_probabilities(r)
+    env_viol = sum(p > triple_envelope(rn) for p, rn in zip(exact.tolist(), r.tolist()))
+    p_mc = triple_hit_counts(r, mc, seed=_child_seed(seed0, 5)) / mc
+    var = np.maximum(np.maximum(exact * (1.0 - exact), p_mc * (1.0 - p_mc)), 1.0 / mc)
+    mc_max_z = float(np.max(np.abs(p_mc - exact) / np.sqrt(var / mc), initial=0.0))
+    summ = power_summability(exact, k=k, delta=model.delta, C=model.C, H=H)
 
     # ensembles of k independent twisted pairs conditioned on X_0 > 1
-    rng_seed = _child_seed(seed0, 6)
-    accepted = []
-    batch_seed = 0
-    while len(accepted) < samples * k:
-        paths = sample_paths(model, H, size=max(4 * samples * k, 1000),
-                             seed=_child_seed(rng_seed, batch_seed))
-        accepted.extend(paths[paths[:, 0] > 1.0])
-        del paths  # free the batch before the next one is drawn
-        batch_seed += 1
-    paths = np.stack(accepted[: samples * k]).reshape(samples, k, H + 1)
+    paths = conditioned_paths(model, H, size=samples * k,
+                              seed=_child_seed(seed0, 6)).reshape(samples, k, H + 1)
     ys = twisted_values(model, paths)
     hits = (paths[:, :, 1:] > 1.0) & (ys[:, :, 1:] > 1.0)
     extraction = _extract(hits.all(axis=1))
-    return GaussianReport(k=k, H=H, estimates=tuple(ests),
-                          envelope_violations=env_viol,
+    return GaussianReport(k=k, H=H, estimates=tuple(exact.tolist()),
+                          envelope_violations=env_viol, mc_max_z=mc_max_z,
                           summability_total=summ.total, extraction=extraction)
 
 

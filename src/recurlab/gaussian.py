@@ -18,10 +18,21 @@ removes the density's endpoint singularity. Its error is estimated by a
 second node count and must stay below 1e-10, or the fit raises
 RuntimeError; it matches adaptive quadrature to 1e-13 up to lag 4096.
 
+The triple probability P(X_0 > 1, X_n > 1, Y_n > 1) is exact up to a
+second fixed Gauss-Legendre rule, vectorized over every lag
+(``triple_probabilities``): for 0 < r(n) < 1 it is a one-dimensional
+integral of phi times 2 Phi - 1, and 2 Phi - 1 is itself an integral of
+phi, so the rule needs only np.exp. Its error is estimated by a second
+pair of node counts and must stay below 1e-10 relative, or it raises
+RuntimeError. Paths conditioned on X_0 > 1 (``conditioned_paths``) shift
+unconditioned circulant paths by their regression on X_0, so none is
+thrown away.
+
 The Hurwitz zeta is a plain-Python port of cephes' zeta, with its
 coefficients and order of operations, so it equals ``scipy.special.zeta``
-bit for bit; the normal tail (``upper_tail``) is ``math.erfc``, which only
-feeds the triple envelopes' 4-SE comparison. Nothing here imports scipy.
+bit for bit; the normal tail (``upper_tail``) is ``math.erfc``, which now
+feeds only the exact-vs-envelope check (``triple_envelope``). Nothing here
+imports scipy.
 """
 
 from __future__ import annotations
@@ -50,7 +61,23 @@ _RULE_TOL = 1e-10
 # complex values per block of the circulant sampler's scaled draws (1 MiB)
 _FFT_BLOCK = 1 << 16
 
-_TAG_TRIPLE = 71  # keyed stream of triple_probability's draws
+_TAG_X0 = 72  # keyed stream of conditioned_paths' X_0 draws
+
+# the triple rule (see triple_probabilities): (outer nodes per panel, inner
+# nodes) of the coarser and the finer rule; panels below and above the
+# point where the inner factor saturates; the outer factor's range ends
+# where it has fallen by e^-40, and 2 Phi(a) - 1 stops rising at a = 10,
+# where it is within 1.6e-23 of 1; below r = 1/40 the probability rounds
+# to 0; values per block of the (r x outer x inner) array (2 MiB)
+_TRIPLE_NODES = ((6, 24), (8, 32))
+_TRIPLE_PANELS = (24, 8)
+_TRIPLE_DECAY = 40.0
+_TRIPLE_SATURATE = 10.0
+_TRIPLE_R_MIN = 1.0 / 40.0
+_TRIPLE_BLOCK = 1 << 18
+
+# (correlation, pair) comparisons per block of triple_hit_counts
+_MC_BLOCK = 1 << 18
 
 # cephes' Euler-Maclaurin coefficients (2j)! / B_2j and stopping tolerance
 _ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
@@ -245,6 +272,30 @@ def sample_paths(model: SpectralModel, N: int, size: int, seed: int) -> np.ndarr
     return out
 
 
+def conditioned_paths(model: SpectralModel, N: int, size: int, seed: int) -> np.ndarray:
+    """``size`` independent paths X_0..X_N conditioned on X_0 > 1, shape
+    (size, N+1).
+
+    X_0 is drawn from N(0, 1) given X_0 > 1 by rejection, from the keyed
+    stream derive_rng(seed, _TAG_X0). Each row then takes one unconditioned
+    path Z of sample_paths(model, N, size, seed) and sets
+    X_n = Z_n - r(n) Z_0 + r(n) X_0. Since r(0) = 1, Z_n - r(n) Z_0 is
+    independent of Z_0 and has the law of X_n - r(n) X_0 given X_0, so the
+    rows are exact draws of the conditioned process.
+    """
+    rng = derive_rng(seed, _TAG_X0)
+    x0 = np.empty(0)
+    while x0.size < size:
+        # P(Z > 1) = 0.159, so eight draws per missing value rarely fall short
+        z = rng.standard_normal(8 * (size - x0.size))
+        x0 = np.concatenate([x0, z[z > 1.0]])
+    x0 = x0[:size]
+    paths = sample_paths(model, N, size, seed)
+    paths += model.r_vector(N) * (x0[:, None] - paths[:, :1])
+    paths[:, 0] = x0  # exactly, not Z_0 + (X_0 - Z_0) rounded
+    return paths
+
+
 def twisted_values(model: SpectralModel, paths: np.ndarray) -> np.ndarray:
     """Y_n = 2 r(n) X_0 - X_n applied along the last axis."""
     N = paths.shape[-1] - 1
@@ -261,43 +312,106 @@ def upper_tail(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class TripleEstimate:
-    n: int
-    estimate: float
-    se: float
-    samples: int
-    env_tail: float  # exact-event bound: upper tail of 1/|r|, 0 when r <= 0
-    env_markov: float  # Markov/Cauchy-Schwarz bound r(n)^2
-
-    @property
-    def envelope(self) -> float:
-        return min(self.env_tail, self.env_markov)
+def triple_envelope(r: float) -> float:
+    """The smaller of the decay argument's two bounds on the triple
+    probability at correlation r: P(Z > 1/r), since the event needs
+    X_0 > 1/r (0 when r <= 0), and r^2."""
+    tail = upper_tail(1.0 / r) if r > 0 else 0.0
+    return min(tail, r * r)
 
 
-def triple_probability(model: SpectralModel, n: int, samples: int,
-                       seed: int = 0) -> TripleEstimate:
-    """Monte Carlo estimate of P(X_0 > 1, X_n > 1, Y_n > 1).
+def _triple_integral(r: np.ndarray, outer: int, inner: int) -> np.ndarray:
+    """J(r) = P(X_0 > 1, X_n > 1, Y_n > 1) / phi(1/r) for each r of ``r``
+    in [_TRIPLE_R_MIN, 1), by one composite Gauss-Legendre rule with
+    ``outer`` nodes per panel over t = x - 1/r and ``inner`` nodes for
+    2 Phi(a) - 1, in blocks of at most _TRIPLE_BLOCK values.
 
-    Only the pair (X_0, X_n) is needed: Y_n = 2 r(n) X_0 - X_n is a
-    deterministic function of it. Both analytic envelopes from the decay
-    argument are attached.
+    J is the integral over t >= 0 of e^(-t/r - t^2/2) (2 Phi(c t) - 1),
+    c = r / sqrt(1 - r^2), taken up to T, where the exponent reaches
+    -_TRIPLE_DECAY. The inner factor rises on the scale 1/c, so [0, T] is
+    split at t_1 = min(_TRIPLE_SATURATE / c, T), where it has saturated,
+    and each part carries its count of _TRIPLE_PANELS equal panels. The
+    inner factor is the integral of 2 phi over [0, min(c t,
+    _TRIPLE_SATURATE)], so the rule needs np.exp alone.
     """
-    if n < 0 or samples < 1:
-        raise ValueError("need n >= 0 and samples >= 1")
-    rn = model.r(n)
-    rng = derive_rng(seed, _TAG_TRIPLE, n)
-    z0 = rng.standard_normal(samples)
-    z1 = rng.standard_normal(samples)
-    x0 = z0
-    xn = rn * z0 + math.sqrt(max(1.0 - rn * rn, 0.0)) * z1
-    yn = 2.0 * rn * x0 - xn
-    hits = (x0 > 1.0) & (xn > 1.0) & (yn > 1.0)
-    p = float(np.mean(hits))
-    se = math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
-    env_tail = upper_tail(1.0 / abs(rn)) if rn > 0 else 0.0
-    return TripleEstimate(n=n, estimate=p, se=se, samples=samples,
-                          env_tail=env_tail, env_markov=rn * rn)
+    x, w = np.polynomial.legendre.leggauss(outer)
+    unit, unit_w = [], []  # each part's nodes and weights on [0, 1]
+    for panels in _TRIPLE_PANELS:
+        unit.append(((np.arange(panels)[:, None] + (x + 1.0) / 2.0) / panels).ravel())
+        unit_w.append(np.tile(w / (2.0 * panels), panels))
+    xi, wi = np.polynomial.legendre.leggauss(inner)
+    # 2 Phi(a) - 1 = a sum_j wi_j phi(a (xi_j + 1) / 2)
+    half_sq = -0.5 * ((xi + 1.0) / 2.0) ** 2
+    wi = wi / math.sqrt(2.0 * math.pi)
+    out = np.empty(r.size)
+    rows = max(1, _TRIPLE_BLOCK // ((unit[0].size + unit[1].size) * inner))
+    for start in range(0, r.size, rows):
+        rb = r[start : start + rows, None]
+        c = rb / np.sqrt(1.0 - rb * rb)
+        T = np.sqrt(rb**-2 + 2.0 * _TRIPLE_DECAY) - 1.0 / rb
+        t1 = np.minimum(_TRIPLE_SATURATE / c, T)
+        t = np.concatenate([t1 * unit[0], t1 + (T - t1) * unit[1]], axis=1)
+        tw = np.concatenate([t1 * unit_w[0], (T - t1) * unit_w[1]], axis=1)
+        a = np.minimum(c * t, _TRIPLE_SATURATE)
+        phi = np.exp((a * a)[..., None] * half_sq)
+        phi *= wi
+        # numpy's row sums keep each r's value independent of its block
+        f = phi.sum(axis=-1)
+        f *= a * tw * np.exp(-t / rb - 0.5 * t * t)
+        out[start : start + rows] = f.sum(axis=1)
+    return out
+
+
+def triple_probabilities(r: np.ndarray) -> np.ndarray:
+    """P(X_0 > 1, X_n > 1, Y_n > 1) at each correlation r = r(n) of ``r``.
+
+    Given X_0 = x, X_n = r x + s Z and Y_n = 2 r x - X_n = r x - s Z, with
+    s = sqrt(1 - r^2) and Z standard normal, so X_n and Y_n both exceed 1
+    exactly when s |Z| < r x - 1. For 0 < r < 1 therefore
+    P = integral over x > 1/r of phi(x) (2 Phi((r x - 1) / s) - 1), and
+    P = 0 for r <= 0. Below r = _TRIPLE_R_MIN, P < P(Z > 40) < 1e-349 rounds
+    to 0. Otherwise P = phi(1/r) J(r) with J from _triple_integral. Both
+    node counts of _TRIPLE_NODES are applied; the relative difference of
+    their J estimates the error of the coarser rule and must stay below
+    _RULE_TOL, or RuntimeError is raised. The finer rule's value is
+    returned. No libm special function is called, so the value does not
+    depend on one's last bits.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    if (r >= 1.0).any():
+        raise ValueError("the triple probability needs r(n) < 1")
+    out = np.zeros(r.shape)
+    on = r >= _TRIPLE_R_MIN
+    rs = r[on]
+    coarse, fine = (_triple_integral(rs, *nodes) for nodes in _TRIPLE_NODES)
+    err = np.abs(coarse - fine) / fine
+    if err.size and err.max() > _RULE_TOL:
+        i = int(np.argmax(err))
+        raise RuntimeError(f"triple rule error {err[i]:.2e} too large at r={rs[i]!r}")
+    out[on] = np.exp(-0.5 / (rs * rs)) / math.sqrt(2.0 * math.pi) * fine
+    return out
+
+
+def triple_hit_counts(r: np.ndarray, draws: int, seed: int) -> np.ndarray:
+    """Monte Carlo counts of the triple event at each correlation of ``r``,
+    all from one stream of ``draws`` standard normal pairs (Z_0, Z_1).
+
+    X_0 = Z_0 and X_n = r Z_0 + s Z_1, s = sqrt(1 - r^2), so the event is
+    Z_0 > 1 and s |Z_1| < r Z_0 - 1. Only the pairs with Z_0 > 1 are kept,
+    and the correlations are taken in blocks of at most _MC_BLOCK
+    (correlation, pair) comparisons.
+    """
+    z0, z1 = np.random.default_rng(seed).standard_normal((2, draws))
+    above = z0 > 1.0
+    z0, z1 = z0[above], np.abs(z1[above])
+    r = np.asarray(r, dtype=np.float64)
+    s = np.sqrt(1.0 - r * r)
+    counts = np.empty(r.size, dtype=np.int64)
+    rows = max(1, _MC_BLOCK // max(z0.size, 1))
+    for start in range(0, r.size, rows):
+        rb, sb = r[start : start + rows, None], s[start : start + rows, None]
+        counts[start : start + rows] = np.count_nonzero(sb * z1 < rb * z0 - 1.0, axis=1)
+    return counts
 
 
 @dataclass(frozen=True)

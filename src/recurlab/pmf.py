@@ -248,7 +248,8 @@ def _log_cf(law: GroupedLaw, grid: int) -> np.ndarray:
     t = np.arange(half + 1)
     theta = 2.0 * np.pi * t / grid
     logphi = np.zeros(half + 1)
-    for k in np.unique(law.ks).tolist():
+    # sorted(set()) rather than np.unique, which imports numpy.ma
+    for k in sorted(set(law.ks.tolist())):
         at = law.ks == k
         values, counts, q = law.values[at], law.counts[at], float(law.qs[at][0])
         if not 2 * q < 1:

@@ -4,7 +4,9 @@ path sums (every value of a window, one prefix sum per scale and axis),
 the dense product form of the walk's log characteristic function, the
 walk's exact rational law at toy sizes (amplitudes are rational only for k <= 2), the power spectral
 model's covariance by adaptive quadrature, one lag per call, the
-circulant sampler's transform of all rows at once, the
+circulant sampler's transform of all rows at once, the triple probability
+by adaptive quadrature over scipy's ndtr and by Monte Carlo with one keyed
+stream per lag, the
 section-3 probe one sample, one n and one scalar bit at a time, the
 distinct-window certification one sample at a time over scalar sums,
 the surrogate extraction over per-sample sets of return times, and a
@@ -15,8 +17,9 @@ points.
 The library evaluates partial sums only through the scatter kernel over
 nonzero field values in ``recurlab.fields``, the log characteristic
 function only through the per-scale histogram FFT in ``recurlab.pmf``,
-the power covariance only through the fixed Gauss-Legendre rule and the
-circulant paths only in row blocks in ``recurlab.gaussian``, the section-3
+the power covariance and the triple probability only through fixed
+Gauss-Legendre rules over all lags and the circulant paths only in row
+blocks in ``recurlab.gaussian``, the section-3
 probe only over a membership matrix with its bits hashed as arrays in
 ``recurlab.experiments``, the
 extraction only over the joint-return matrix there, and the
@@ -27,7 +30,7 @@ so that tests can check the kernels against an independent implementation.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,8 +47,9 @@ from recurlab.fields import (
     min_low_scale_increment,
     scale_params,
 )
+from recurlab.gaussian import SpectralModel, upper_tail
 from recurlab.pmf import GroupedLaw, scale_groups
-from recurlab.prf import hash_words, hash_words_vec
+from recurlab.prf import derive_rng, hash_words, hash_words_vec
 from recurlab.ranges import (
     BOUND_SCALES,
     CertificationRun,
@@ -312,6 +316,68 @@ def oracle_circulant_paths(eigs: np.ndarray, N: int, size: int,
     a = rng.standard_normal((size, M))
     b = rng.standard_normal((size, M))
     return np.fft.fft(coef * (a + 1j * b), axis=1).real[:, : N + 1]
+
+
+def oracle_triple(r: float) -> float:
+    """P(X_0 > 1, X_n > 1, Y_n > 1) at correlation r by adaptive quadrature
+    of phi(x) (2 Phi((r x - 1) / sqrt(1 - r^2)) - 1) over x > 1/r, with
+    scipy's ndtr for Phi; 0 for r <= 0."""
+    from scipy.integrate import quad
+    from scipy.special import ndtr
+
+    if r <= 0:
+        return 0.0
+    s = math.sqrt(1.0 - r * r)
+
+    def integrand(x: float) -> float:
+        return (math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+                * (2.0 * float(ndtr((r * x - 1.0) / s)) - 1.0))
+
+    return quad(integrand, 1.0 / r, math.inf, epsabs=0.0, epsrel=1.5e-14,
+                limit=500)[0]
+
+
+_TAG_TRIPLE = 71  # keyed stream of triple_probability's draws
+
+
+@dataclass(frozen=True)
+class TripleEstimate:
+    n: int
+    estimate: float
+    se: float
+    samples: int
+    env_tail: float  # exact-event bound: upper tail of 1/|r|, 0 when r <= 0
+    env_markov: float  # Markov/Cauchy-Schwarz bound r(n)^2
+
+    @property
+    def envelope(self) -> float:
+        return min(self.env_tail, self.env_markov)
+
+
+def triple_probability(model: SpectralModel, n: int, samples: int,
+                       seed: int = 0) -> TripleEstimate:
+    """Monte Carlo estimate of P(X_0 > 1, X_n > 1, Y_n > 1), one keyed
+    stream per lag.
+
+    Only the pair (X_0, X_n) is needed: Y_n = 2 r(n) X_0 - X_n is a
+    deterministic function of it. Both analytic envelopes from the decay
+    argument are attached.
+    """
+    if n < 0 or samples < 1:
+        raise ValueError("need n >= 0 and samples >= 1")
+    rn = model.r(n)
+    rng = derive_rng(seed, _TAG_TRIPLE, n)
+    z0 = rng.standard_normal(samples)
+    z1 = rng.standard_normal(samples)
+    x0 = z0
+    xn = rn * z0 + math.sqrt(max(1.0 - rn * rn, 0.0)) * z1
+    yn = 2.0 * rn * x0 - xn
+    hits = (x0 > 1.0) & (xn > 1.0) & (yn > 1.0)
+    p = float(np.mean(hits))
+    se = math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
+    env_tail = upper_tail(1.0 / abs(rn)) if rn > 0 else 0.0
+    return TripleEstimate(n=n, estimate=p, se=se, samples=samples,
+                          env_tail=env_tail, env_markov=rn * rn)
 
 
 def _omega_seed_with_origin_bit(seed0: int, tag: Sequence[int], dimension: int,

@@ -20,8 +20,8 @@ from recurlab.fields import FieldSpec, default_k_max, partial_sums_batch
 from recurlab.gaussian import (
     power_density_model,
     sample_paths,
-    triple_probability,
     power_summability,
+    triple_probabilities,
     twisted_values,
     upper_tail,
     white_noise_model,
@@ -41,7 +41,13 @@ from recurlab.ranges import (
 )
 from recurlab.shiftspace import OmegaConfig
 
-from oracles import audit_injectivity, build_range, complement_point, exact_walk_pmf
+from oracles import (
+    audit_injectivity,
+    build_range,
+    complement_point,
+    exact_walk_pmf,
+    triple_probability,
+)
 from test_pmf import _convolve_laws, _oracle_scale_law
 
 
@@ -209,10 +215,13 @@ def test_10_gaussian_identities():
         for n in (1, 5, 17):
             assert triple_probability(wn, n, samples=20_000).estimate == 0.0
         ests = []
+        exact = triple_probabilities(model.r_vector(64)[1:])
         for n in range(1, 65):
             est = triple_probability(model, n, samples=100_000, seed=n)
             bound = min(upper_tail(1.0 / abs(model.r(n))), model.r(n) ** 2)
             assert est.estimate <= bound + 4 * est.se
+            # the per-lag Monte Carlo checks the exact rule
+            assert abs(est.estimate - exact[n - 1]) <= 4 * est.se
             ests.append(est.estimate)
         rep = power_summability(ests, k=2, delta=0.3, C=model.C, H=64)
         assert 2 * 2 * 0.3 > 1

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from recurlab import experiments
+from recurlab import experiments, gaussian
 from recurlab.cli import _probe
 from recurlab.experiments import (
     _extract,
@@ -16,7 +16,12 @@ from recurlab.experiments import (
     range_view_pool,
 )
 from recurlab.fields import FieldSpec
-from recurlab.gaussian import power_density_model, white_noise_model
+from recurlab.gaussian import (
+    power_density_model,
+    sample_paths,
+    triple_probabilities,
+    white_noise_model,
+)
 from recurlab.ranges import (
     P_CUBE,
     P_SQUARE,
@@ -215,6 +220,34 @@ class TestGaussianExperiment:
     def test_hypothesis_violation(self, power03):
         with pytest.raises(ValueError):
             exp_gaussian(power03, k=1, H=8, samples=10, mc=100)
+
+    def test_estimates_are_exact(self, power03):
+        rep = exp_gaussian(power03, k=2, H=16, samples=50, mc=20_000)
+        exact = triple_probabilities(power03.r_vector(16)[1:])
+        assert rep.estimates == tuple(exact.tolist())
+        assert 0.0 <= rep.mc_max_z <= experiments._MC_Z_LIMIT
+
+    def test_monte_carlo_disagreement_fails(self, power03, monkeypatch):
+        # a rule that reads twice the true probability is caught by the
+        # Monte Carlo check, not by the envelopes
+        monkeypatch.setattr(experiments, "triple_probabilities",
+                            lambda r: 2.0 * triple_probabilities(r))
+        rep = exp_gaussian(power03, k=2, H=16, samples=50, mc=200_000)
+        assert rep.envelope_violations == 0
+        assert rep.mc_max_z > experiments._MC_Z_LIMIT
+        assert rep.verdict == "mc-disagrees"
+
+    def test_one_batch_of_kept_paths(self, power03, monkeypatch):
+        # every sampled path is kept: one sample_paths call of samples * k rows
+        rows = []
+
+        def counted(model, N, size, seed):
+            rows.append(size)
+            return sample_paths(model, N, size, seed)
+
+        monkeypatch.setattr(gaussian, "sample_paths", counted)
+        exp_gaussian(power03, k=3, H=16, samples=40, mc=1000)
+        assert rows == [120]
 
 
 class TestMixingProbe:

@@ -5,15 +5,23 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh, toeplitz
 
-from oracles import oracle_circulant_paths, oracle_power_r
+from oracles import (
+    oracle_circulant_paths,
+    oracle_power_r,
+    oracle_triple,
+    triple_probability,
+)
 from recurlab import gaussian
 from recurlab.gaussian import (
     PsdError,
     SpectralModel,
+    conditioned_paths,
     power_density_model,
     power_summability,
     sample_paths,
-    triple_probability,
+    triple_envelope,
+    triple_hit_counts,
+    triple_probabilities,
     twisted_values,
     upper_tail,
     white_noise_model,
@@ -212,6 +220,32 @@ class TestSampling:
         assert peak < 8 * size * M + 8 * size * (N + 1) + 4 * 16 * gaussian._FFT_BLOCK
 
 
+class TestConditionedPaths:
+    def test_x0_above_one(self, power03):
+        paths = conditioned_paths(power03, 16, size=5000, seed=8)
+        assert paths.shape == (5000, 17)
+        assert (paths[:, 0] > 1.0).all()
+
+    def test_joint_frequency_at_lag_one(self, power03):
+        # given X_0 > 1, X_1 > 1 and Y_1 > 1 hold together with probability
+        # P(X_0 > 1, X_1 > 1, Y_1 > 1) / P(X_0 > 1)
+        size = 200_000
+        paths = conditioned_paths(power03, 1, size=size, seed=12)
+        ys = twisted_values(power03, paths)
+        freq = float(np.mean((paths[:, 1] > 1.0) & (ys[:, 1] > 1.0)))
+        p = float(triple_probabilities(np.array([power03.r(1)]))[0]) / upper_tail(1.0)
+        assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / size)
+
+    def test_shift_of_unconditioned_paths(self, power03):
+        # every column but X_0 is the unconditioned path of the same seed,
+        # shifted by r(n) (X_0 - Z_0)
+        paths = conditioned_paths(power03, 8, size=50, seed=4)
+        z = sample_paths(power03, 8, size=50, seed=4)
+        shift = paths[:, :1] - z[:, :1]
+        assert np.allclose(paths[:, 1:], z[:, 1:] + power03.r_vector(8)[1:] * shift,
+                           rtol=0, atol=1e-12)
+
+
 class TestTwistedPath:
     def test_y0_equals_x0(self, power03):
         path = sample_paths(power03, 16, size=1, seed=11)[0]
@@ -351,6 +385,75 @@ class TestTripleProbability:
     def test_json_round_trip(self, power03):
         est = triple_probability(power03, 8, samples=1000)
         assert est == triple_probability(power03, 8, samples=1000)
+
+
+class TestTripleExact:
+    # near r = 1 the inner factor saturates at t = 10 / c, well inside the
+    # rule's range, so 0.999 and 0.99 test that split; at 0.047 the
+    # probability is about 1.6e-103
+    RS = (0.999, 0.99, 0.9, 0.6, 0.45, 0.3, 0.16, 0.047)
+
+    def test_matches_quadrature_oracle(self):
+        got = triple_probabilities(np.array(self.RS))
+        for r, p in zip(self.RS, got.tolist()):
+            ref = oracle_triple(r)
+            assert abs(p - ref) <= 1e-13 * ref, r
+
+    def test_zero_without_positive_correlation(self):
+        # r <= 0 cannot give r X_0 > 1; below r = 1/40 the probability is
+        # below P(Z > 40) and rounds to 0
+        rs = np.array([0.0, -0.0, -0.3, -0.999, 1e-200, 0.02, np.nextafter(1 / 40, 0)])
+        assert (triple_probabilities(rs) == 0.0).all()
+        assert oracle_triple(-0.3) == 0.0
+        assert triple_probabilities(np.array([0.03]))[0] > 0.0
+
+    def test_correlation_one_rejected(self):
+        with pytest.raises(ValueError, match=r"r\(n\) < 1"):
+            triple_probabilities(np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_within_4se_of_monte_carlo(self, power03, n):
+        est = triple_probability(power03, n, samples=2_000_000, seed=19)
+        exact = float(triple_probabilities(np.array([power03.r(n)]))[0])
+        assert abs(est.estimate - exact) <= 4 * est.se
+
+    def test_below_envelopes(self, power03):
+        r = power03.r_vector(4096)[1:]
+        exact = triple_probabilities(r)
+        assert all(p <= triple_envelope(x) for p, x in zip(exact.tolist(), r.tolist()))
+        assert triple_envelope(-0.2) == 0.0
+
+    def test_value_independent_of_block_size(self, power03, monkeypatch):
+        r = power03.r_vector(64)[1:]
+        ref = triple_probabilities(r)
+        for block in (1, 1 << 24):
+            monkeypatch.setattr(gaussian, "_TRIPLE_BLOCK", block)
+            assert (triple_probabilities(r).view(np.uint64) == ref.view(np.uint64)).all()
+
+    def test_under_resolved_rule_raises(self, monkeypatch):
+        monkeypatch.setattr(gaussian, "_TRIPLE_NODES", ((2, 3), (3, 4)))
+        with pytest.raises(RuntimeError, match="triple rule error"):
+            triple_probabilities(np.array([0.9]))
+
+
+class TestTripleHitCounts:
+    def test_equals_per_pair_event(self, power03):
+        # one stream of (Z_0, Z_1) pairs, read at every lag
+        r = power03.r_vector(32)[1:]
+        z0, z1 = np.random.default_rng(5).standard_normal((2, 100_000))
+        xn = r[:, None] * z0 + np.sqrt(1 - r * r)[:, None] * z1
+        yn = 2 * r[:, None] * z0 - xn
+        ref = ((z0 > 1) & (xn > 1) & (yn > 1)).sum(axis=1)
+        assert (triple_hit_counts(r, 100_000, seed=5) == ref).all()
+
+    def test_independent_of_block_size(self, power03, monkeypatch):
+        r = power03.r_vector(32)[1:]
+        ref = triple_hit_counts(r, 20_000, seed=6)
+        monkeypatch.setattr(gaussian, "_MC_BLOCK", 1)
+        assert (triple_hit_counts(r, 20_000, seed=6) == ref).all()
+
+    def test_white_noise_never_hits(self):
+        assert (triple_hit_counts(np.zeros(5), 10_000, seed=1) == 0).all()
 
 
 class TestSummability:

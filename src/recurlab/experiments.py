@@ -361,21 +361,20 @@ def exp_gaussian(model: SpectralModel, k: int, H: int = 64,
     """
     if 2 * k * model.delta <= 1.0:
         raise PreconditionError("summability hypothesis 2 k delta > 1 fails")
-    # the probabilities, the paths and the twist all read r(0..H): tabulate
-    # it once, so lags beyond the model's own table are computed in one call
-    model = replace(model, table=tuple(model.r_vector(H)))
-    r = model.r_vector(H)[1:]
-    exact = triple_probabilities(r)
-    env_viol = sum(p > triple_envelope(rn) for p, rn in zip(exact.tolist(), r.tolist()))
-    p_mc = triple_hit_counts(r, mc, seed=_child_seed(seed0, 5)) / mc
+    # the probabilities, the paths and the twist all read r(0..H)
+    r = model.r_vector(H)
+    exact = triple_probabilities(r[1:])
+    env_viol = sum(p > triple_envelope(rn)
+                   for p, rn in zip(exact.tolist(), r[1:].tolist()))
+    p_mc = triple_hit_counts(r[1:], mc, seed=_child_seed(seed0, 5)) / mc
     var = np.maximum(np.maximum(exact * (1.0 - exact), p_mc * (1.0 - p_mc)), 1.0 / mc)
     mc_max_z = float(np.max(np.abs(p_mc - exact) / np.sqrt(var / mc), initial=0.0))
     summ = power_summability(exact, k=k, delta=model.delta, C=model.C, H=H)
 
     # ensembles of k independent twisted pairs conditioned on X_0 > 1
-    paths = conditioned_paths(model, H, size=samples * k,
+    paths = conditioned_paths(r, size=samples * k,
                               seed=_child_seed(seed0, 6)).reshape(samples, k, H + 1)
-    ys = twisted_values(model, paths)
+    ys = twisted_values(r, paths)
     hits = (paths[:, :, 1:] > 1.0) & (ys[:, :, 1:] > 1.0)
     extraction = _extract(hits.all(axis=1))
     return GaussianReport(k=k, H=H, estimates=tuple(exact.tolist()),

@@ -8,6 +8,9 @@ density proportional to |t|^(delta-1) (the decay mechanism only needs
 singularity or zero-entropy claim is modeled) and a white-noise control.
 The twisted process is the closed form Y_n = 2 r(n) X_0 - X_n, which keeps
 the marginal law of the path while anti-correlating the non-projected part.
+A model holds only its family, delta and C: ``r_vector(N)`` computes
+r(0..N) on each call, and the sampler, the conditioning and the twist take
+that array, so a run computes its covariance once.
 
 The power family's r(n) comes from one fixed composite Gauss-Legendre rule
 shared by every lag (``_power_cov``): with s = n t, r(n) is n^-delta times
@@ -38,7 +41,7 @@ imports scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -172,33 +175,23 @@ def _power_cov(delta: float, lags: np.ndarray) -> np.ndarray:
 class SpectralModel:
     """Covariance sequence r with r(0) = 1 and |r(n)| <= C n^-delta.
 
-    ``table`` holds r(0), r(1), ... as computed when the model was fitted;
-    a lag beyond it is computed from the family on each call, and
-    ``r_vector`` computes all the lags it is missing in one call.
+    ``r_vector(N)`` computes r(0..N) from the family on each call, and
+    ``r(n)`` reads the last entry of ``r_vector(|n|)``; a lag's value does
+    not depend on which other lags are computed with it.
     """
 
     family: str
     delta: float
     C: float
-    params: Tuple[Tuple[str, float], ...] = ()
-    table: Tuple[float, ...] = field(default=(), repr=False, compare=False)
 
     def r(self, n: int) -> float:
-        n = abs(int(n))
-        if n < len(self.table):
-            return self.table[n]
-        return float(self._beyond_table(np.array([n]))[0])
+        return float(self.r_vector(abs(int(n)))[-1])
 
     def r_vector(self, N: int) -> np.ndarray:
-        head = np.array(self.table[: N + 1], dtype=np.float64)
-        if head.size == N + 1:
-            return head
-        return np.concatenate([head, self._beyond_table(np.arange(head.size, N + 1))])
-
-    def _beyond_table(self, lags: np.ndarray) -> np.ndarray:
-        out = (lags == 0).astype(np.float64)
+        out = np.zeros(N + 1)
+        out[0] = 1.0
         if self.family == "power":
-            out[lags > 0] = _power_cov(self.delta, lags[lags > 0])
+            out[1:] = _power_cov(self.delta, np.arange(1, N + 1))
         elif self.family != "white":
             raise ValueError(f"unknown family {self.family!r}")
         return out
@@ -224,9 +217,7 @@ def power_density_model(delta: float) -> SpectralModel:
     slope = float(np.polyfit(np.log(ns[15:]), np.log(np.abs(rs[15:])), 1)[0])
     if abs(slope + delta) > 0.1:
         raise RuntimeError(f"fitted decay slope {slope:.3f} far from -{delta}")
-    return SpectralModel(family="power", delta=delta, C=C,
-                         params=(("slope", slope), ("probe", float(FIT_LAGS))),
-                         table=(1.0, *rs.tolist()))
+    return SpectralModel(family="power", delta=delta, C=C)
 
 
 def white_noise_model() -> SpectralModel:
@@ -247,8 +238,9 @@ def _circulant_eigs(r: np.ndarray) -> np.ndarray:
     return np.clip(eigs, 0.0, None)
 
 
-def sample_paths(model: SpectralModel, N: int, size: int, seed: int) -> np.ndarray:
-    """``size`` independent stationary paths X_0..X_N, shape (size, N+1).
+def sample_paths(r: np.ndarray, size: int, seed: int) -> np.ndarray:
+    """``size`` independent stationary paths X_0..X_N with covariance
+    r = r(0..N), N = len(r) - 1, shape (size, N+1).
 
     Circulant embedding, exact when the embedding is nonnegative definite;
     an embedding with an eigenvalue below -PSD_TOL raises PsdError. The
@@ -259,26 +251,26 @@ def sample_paths(model: SpectralModel, N: int, size: int, seed: int) -> np.ndarr
     draws are the same as if the imaginary parts were drawn whole too.
     """
     rng = np.random.default_rng(seed)
-    eigs = _circulant_eigs(model.r_vector(N))
+    eigs = _circulant_eigs(r)
     M = len(eigs)
     coef = np.sqrt(eigs / M)
     a = rng.standard_normal((size, M))
-    out = np.empty((size, N + 1))
+    out = np.empty((size, len(r)))
     rows = max(1, _FFT_BLOCK // M)
     for start in range(0, size, rows):
         real = a[start : start + rows]
         z = coef * (real + 1j * rng.standard_normal(real.shape))
-        out[start : start + rows] = np.fft.fft(z, axis=1).real[:, : N + 1]
+        out[start : start + rows] = np.fft.fft(z, axis=1).real[:, : len(r)]
     return out
 
 
-def conditioned_paths(model: SpectralModel, N: int, size: int, seed: int) -> np.ndarray:
-    """``size`` independent paths X_0..X_N conditioned on X_0 > 1, shape
-    (size, N+1).
+def conditioned_paths(r: np.ndarray, size: int, seed: int) -> np.ndarray:
+    """``size`` independent paths X_0..X_N with covariance r = r(0..N)
+    conditioned on X_0 > 1, shape (size, N+1).
 
     X_0 is drawn from N(0, 1) given X_0 > 1 by rejection, from the keyed
     stream derive_rng(seed, _TAG_X0). Each row then takes one unconditioned
-    path Z of sample_paths(model, N, size, seed) and sets
+    path Z of sample_paths(r, size, seed) and sets
     X_n = Z_n - r(n) Z_0 + r(n) X_0. Since r(0) = 1, Z_n - r(n) Z_0 is
     independent of Z_0 and has the law of X_n - r(n) X_0 given X_0, so the
     rows are exact draws of the conditioned process.
@@ -290,16 +282,15 @@ def conditioned_paths(model: SpectralModel, N: int, size: int, seed: int) -> np.
         z = rng.standard_normal(8 * (size - x0.size))
         x0 = np.concatenate([x0, z[z > 1.0]])
     x0 = x0[:size]
-    paths = sample_paths(model, N, size, seed)
-    paths += model.r_vector(N) * (x0[:, None] - paths[:, :1])
+    paths = sample_paths(r, size, seed)
+    paths += r * (x0[:, None] - paths[:, :1])
     paths[:, 0] = x0  # exactly, not Z_0 + (X_0 - Z_0) rounded
     return paths
 
 
-def twisted_values(model: SpectralModel, paths: np.ndarray) -> np.ndarray:
-    """Y_n = 2 r(n) X_0 - X_n applied along the last axis."""
-    N = paths.shape[-1] - 1
-    r = model.r_vector(N)
+def twisted_values(r: np.ndarray, paths: np.ndarray) -> np.ndarray:
+    """Y_n = 2 r(n) X_0 - X_n applied along the last axis, whose length is
+    that of r = r(0..N)."""
     return 2.0 * r * paths[..., :1] - paths
 
 

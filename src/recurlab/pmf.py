@@ -164,7 +164,12 @@ def _alias_bound(values: np.ndarray, counts: np.ndarray, qs: np.ndarray, half: i
         Bernstein-bounded at half - j*max(values).  This wins when every
         individual atom is small compared to half but the far union is
         not negligible.
+
+    |S| never exceeds sum count * value, so when half exceeds that sum the
+    grid holds the whole support and the bound is 0.
     """
+    if half > int((counts * values).sum()):
+        return 0.0
     best = 1.0
     top = int(values.max()) if values.size else 8
     cuts = [1 << b for b in range(3, max(4, top.bit_length() + 1))]

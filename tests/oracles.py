@@ -47,7 +47,7 @@ from recurlab.fields import (
     min_low_scale_increment,
     scale_params,
 )
-from recurlab.gaussian import SpectralModel, upper_tail
+from recurlab.gaussian import upper_tail
 from recurlab.pmf import GroupedLaw, scale_groups
 from recurlab.prf import derive_rng, hash_words, hash_words_vec
 from recurlab.ranges import (
@@ -354,10 +354,10 @@ class TripleEstimate:
         return min(self.env_tail, self.env_markov)
 
 
-def triple_probability(model: SpectralModel, n: int, samples: int,
+def triple_probability(r: Sequence[float], n: int, samples: int,
                        seed: int = 0) -> TripleEstimate:
-    """Monte Carlo estimate of P(X_0 > 1, X_n > 1, Y_n > 1), one keyed
-    stream per lag.
+    """Monte Carlo estimate of P(X_0 > 1, X_n > 1, Y_n > 1) for the
+    covariance r = r(0..N), N >= n, one keyed stream per lag.
 
     Only the pair (X_0, X_n) is needed: Y_n = 2 r(n) X_0 - X_n is a
     deterministic function of it. Both analytic envelopes from the decay
@@ -365,7 +365,7 @@ def triple_probability(model: SpectralModel, n: int, samples: int,
     """
     if n < 0 or samples < 1:
         raise ValueError("need n >= 0 and samples >= 1")
-    rn = model.r(n)
+    rn = float(r[n])
     rng = derive_rng(seed, _TAG_TRIPLE, n)
     z0 = rng.standard_normal(samples)
     z1 = rng.standard_normal(samples)

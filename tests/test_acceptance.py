@@ -205,19 +205,20 @@ def test_09_certification():
 def test_10_gaussian_identities():
     with _Budget(600):
         model = power_density_model(0.3)
-        paths = sample_paths(model, 128, size=100_000, seed=0)
-        ys = twisted_values(model, paths)
+        r = model.r_vector(128)
+        paths = sample_paths(r, size=100_000, seed=0)
+        ys = twisted_values(r, paths)
         for n, m in ((1, 3), (5, 9), (20, 50), (0, 7)):
             emp = float(np.mean(ys[:, n] * ys[:, m]))
             se = float(np.std(ys[:, n] * ys[:, m]) / math.sqrt(100_000))
             assert abs(emp - model.r(n - m)) <= 4 * se
         wn = white_noise_model()
         for n in (1, 5, 17):
-            assert triple_probability(wn, n, samples=20_000).estimate == 0.0
+            assert triple_probability(wn.r_vector(n), n, samples=20_000).estimate == 0.0
         ests = []
         exact = triple_probabilities(model.r_vector(64)[1:])
         for n in range(1, 65):
-            est = triple_probability(model, n, samples=100_000, seed=n)
+            est = triple_probability(r, n, samples=100_000, seed=n)
             bound = min(upper_tail(1.0 / abs(model.r(n))), model.r(n) ** 2)
             assert est.estimate <= bound + 4 * est.se
             # the per-lag Monte Carlo checks the exact rule

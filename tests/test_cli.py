@@ -262,6 +262,17 @@ class TestDispatch:
             assert 0.0 <= entry["pruned"] < 1e-9
             assert entry["tail_variance"] > 0.0
 
+    def test_small_n_has_no_aliasing(self, tmp_path):
+        # at n = 1 and 2 the grid's half-width exceeds the largest |S_n|
+        # (30 and 60), so the aliasing bound is 0 and the gate passes
+        assert run(tmp_path, "lclt", "--param", "n_grid=1,2") == 0
+        grid = json.loads((tmp_path / "lclt.json").read_text())["grid"]
+        assert [entry["alias_bound"] for entry in grid] == [0.0, 0.0]
+        assert run(tmp_path, "mixing", "--horizon", "2", "--samples", "2000",
+                   "--param", "n_min=1", "--param", "M=0") == 0
+        report = json.loads((tmp_path / "mixing.json").read_text())["report"]
+        assert report["alias_bounds"] == [0.0, 0.0]
+
     @pytest.mark.parametrize("command,argv", [
         ("lclt", ["--param", "n_grid=256"]),
         ("mixing", ["--horizon", "128", "--samples", "200"]),
@@ -393,5 +404,5 @@ class TestImportCost:
         # circulant embedding samples it by numpy's FFT
         loaded = self._loaded_after(
             "from recurlab.gaussian import power_density_model, sample_paths; "
-            "sample_paths(power_density_model(0.3), 64, size=4, seed=0)")
+            "sample_paths(power_density_model(0.3).r_vector(64), size=4, seed=0)")
         assert loaded == "[]"

@@ -241,13 +241,27 @@ class TestGaussianExperiment:
         # every sampled path is kept: one sample_paths call of samples * k rows
         rows = []
 
-        def counted(model, N, size, seed):
+        def counted(r, size, seed):
             rows.append(size)
-            return sample_paths(model, N, size, seed)
+            return sample_paths(r, size, seed)
 
         monkeypatch.setattr(gaussian, "sample_paths", counted)
         exp_gaussian(power03, k=3, H=16, samples=40, mc=1000)
         assert rows == [120]
+
+    def test_covariance_computed_once(self, power03, monkeypatch):
+        # the exact rule, the Monte Carlo check, the paths and the twist all
+        # read one array r(0..H)
+        lags = []
+
+        def counted(delta, ns):
+            lags.append(int(ns.max()))
+            return power_cov(delta, ns)
+
+        power_cov = gaussian._power_cov
+        monkeypatch.setattr(gaussian, "_power_cov", counted)
+        exp_gaussian(power03, k=2, H=16, samples=20, mc=1000)
+        assert lags == [16]
 
 
 class TestMixingProbe:

@@ -33,14 +33,13 @@ def power03():
     return power_density_model(0.3)
 
 
-# degenerate r(n) = 1 on every lag the tests read: every Toeplitz section
-# has rank one
-CONSTANT = SpectralModel(family="constant", delta=0.0, C=1.0, table=(1.0,) * 33)
+# degenerate r(0..32) = 1: every Toeplitz section has rank one
+CONSTANT = np.ones(33)
 
 
-def _min_eigenvalue(model, N):
-    """Smallest eigenvalue of the (N+1)x(N+1) Toeplitz covariance section."""
-    return float(eigvalsh(toeplitz(model.r_vector(N)), subset_by_index=(0, 0))[0])
+def _min_eigenvalue(r):
+    """Smallest eigenvalue of the Toeplitz covariance section of r(0..N)."""
+    return float(eigvalsh(toeplitz(r), subset_by_index=(0, 0))[0])
 
 
 class TestSpectralModels:
@@ -50,9 +49,16 @@ class TestSpectralModels:
             assert power03.r(-n) == power03.r(n)
             assert abs(power03.r(n)) <= 1.0
 
-    def test_decay_slope(self, power03):
-        slope = dict(power03.params)["slope"]
+    def test_decay_slope(self, power03, monkeypatch):
+        # the fit's log-log slope from lag 16 on sits within 0.1 of -delta
+        ns = np.arange(16, gaussian.FIT_LAGS + 1)
+        r = power03.r_vector(gaussian.FIT_LAGS)[16:]
+        slope = float(np.polyfit(np.log(ns), np.log(np.abs(r)), 1)[0])
         assert -0.45 <= slope <= -0.15
+        # a covariance decaying like n^-0.45 fails the gate at delta = 0.3
+        monkeypatch.setattr(gaussian, "_power_cov", lambda delta, lags: lags ** -0.45)
+        with pytest.raises(RuntimeError, match="fitted decay slope"):
+            power_density_model(0.3)
 
     def test_envelope_constant(self, power03):
         for n in (1, 16, 256, 512):
@@ -80,9 +86,9 @@ class TestPowerTable:
 
     @pytest.mark.parametrize("delta", [0.05, 0.3, 0.5, 0.7, 0.95])
     def test_table_matches_oracle(self, delta):
-        table = power_density_model(delta).table
+        r = power_density_model(delta).r_vector(gaussian.FIT_LAGS)
         for n in self.LAGS:
-            assert abs(table[n] - oracle_power_r(delta, n)) <= 1e-13, n
+            assert abs(r[n] - oracle_power_r(delta, n)) <= 1e-13, n
 
     # long lags: powers of two and their neighbours up to 4096
     LONG_LAGS = (1024, 2047, 2048, 4095, 4096)
@@ -97,49 +103,58 @@ class TestPowerTable:
             assert abs(r[n] - oracle_power_r(delta, n)) <= 1e-13, n
 
     def test_lags_beyond_table_match_oracle(self, power03):
+        # the fit reads lags 1..512; the lags past them follow the same rule
         r = power03.r_vector(1024)
-        assert len(power03.table) == 513
-        assert r[:513].tolist() == list(power03.table)
         ref = np.array([oracle_power_r(0.3, n) for n in range(513, 1025)])
         assert np.abs(r[513:] - ref).max() <= 1e-13
-        # a lag's value does not depend on which other lags were asked for
-        for n in (513, 600, 700, 1000):
-            assert power03.r(n) == r[n], n
+
+    def test_single_lag_has_no_seam(self, power03):
+        # a lag's value does not depend on which other lags were asked for,
+        # on either side of the fitted range's end
+        r = power03.r_vector(1024)
+        ns = [511, 512, 513, 1000]
+        one = np.array([power03.r(n) for n in ns])
+        assert (one.view(np.uint64) == r[ns].view(np.uint64)).all()
 
     @pytest.mark.parametrize("delta", [0.02, 0.3, 0.98])
     def test_table_is_prefix_of_longer_computation(self, delta):
         r = gaussian._power_cov(delta, np.arange(1, 4097))
-        table = np.array(power_density_model(delta).table[1:])
+        table = power_density_model(delta).r_vector(gaussian.FIT_LAGS)[1:]
         assert (r[:512].view(np.uint64) == table.view(np.uint64)).all()
 
     def test_table_independent_of_block_size(self, power03, monkeypatch):
         # one lag per block, and every lag in one block
+        ref = power03.r_vector(gaussian.FIT_LAGS)
         for block in (1, 1 << 24):
             monkeypatch.setattr(gaussian, "_COS_BLOCK", block)
-            assert power_density_model(0.3).table == power03.table
+            assert power_density_model(0.3) == power03
+            r = power03.r_vector(gaussian.FIT_LAGS)
+            assert (r.view(np.uint64) == ref.view(np.uint64)).all()
 
-    def test_under_resolved_rule_raises(self, monkeypatch):
+    def test_under_resolved_rule_raises(self, power03, monkeypatch):
         monkeypatch.setattr(gaussian, "_GL_NODES", (2, 3))
         with pytest.raises(RuntimeError, match="quadrature error"):
             power_density_model(0.3)
+        with pytest.raises(RuntimeError, match="quadrature error"):
+            power03.r_vector(gaussian.FIT_LAGS)
 
 
 class TestPsd:
     def test_white_noise_identity(self):
-        assert abs(_min_eigenvalue(white_noise_model(), 16) - 1.0) < 1e-12
+        assert abs(_min_eigenvalue(white_noise_model().r_vector(16)) - 1.0) < 1e-12
 
     def test_power_model_passes(self, power03):
-        assert _min_eigenvalue(power03, 1024) >= -gaussian.PSD_TOL
+        assert _min_eigenvalue(power03.r_vector(1024)) >= -gaussian.PSD_TOL
 
     def test_constant_model_degenerate(self):
-        assert abs(_min_eigenvalue(CONSTANT, 32)) < 1e-10
+        assert abs(_min_eigenvalue(CONSTANT)) < 1e-10
 
     def test_rejection_carries_eigenvalue(self):
         # r = (1, 1.5, 0, 0, 0) is not a covariance: its circulant embedding
         # has eigenvalues 1 + 3 cos(2 pi j / 8), the smallest -2 at j = 4
-        bad = SpectralModel(family="white", delta=1.0, C=0.0, table=(1.0, 1.5))
+        bad = np.array([1.0, 1.5, 0.0, 0.0, 0.0])
         with pytest.raises(PsdError) as exc:
-            sample_paths(bad, 4, size=2, seed=0)
+            sample_paths(bad, size=2, seed=0)
         assert exc.value.min_eigenvalue == -2.0
         assert exc.value.N == 4
 
@@ -159,22 +174,22 @@ class TestPsd:
 
 class TestSampling:
     def test_reproducible(self, power03):
-        a = sample_paths(power03, 64, size=1, seed=5)
-        b = sample_paths(power03, 64, size=1, seed=5)
+        a = sample_paths(power03.r_vector(64), size=1, seed=5)
+        b = sample_paths(power03.r_vector(64), size=1, seed=5)
         assert (a == b).all()
 
     def test_white_noise_iid(self):
-        paths = sample_paths(white_noise_model(), 64, size=20_000, seed=1)
+        paths = sample_paths(white_noise_model().r_vector(64), size=20_000, seed=1)
         lag1 = np.mean(paths[:, 0] * paths[:, 1])
         assert abs(lag1) < 4 / math.sqrt(20_000)
         assert abs(paths[:, 0].var() - 1.0) < 4 * math.sqrt(2.0 / 20_000)
 
     def test_marginal_variance(self, power03):
-        paths = sample_paths(power03, 32, size=50_000, seed=2)
+        paths = sample_paths(power03.r_vector(32), size=50_000, seed=2)
         assert abs(paths[:, 0].var() - 1.0) < 4 * math.sqrt(2.0 / 50_000)
 
     def test_covariance_matches_model(self, power03):
-        paths = sample_paths(power03, 16, size=100_000, seed=3)
+        paths = sample_paths(power03.r_vector(16), size=100_000, seed=3)
         for n in (1, 4, 9, 16):
             emp = float(np.mean(paths[:, 0] * paths[:, n]))
             assert abs(emp - power03.r(n)) < 4 * math.sqrt(2.0 / 100_000) + 1e-3
@@ -182,13 +197,13 @@ class TestSampling:
     def test_constant_model_gives_constant_paths(self):
         # the circulant embedding of the rank-one covariance is nonnegative,
         # so it samples exactly constant paths
-        paths = sample_paths(CONSTANT, 8, size=50, seed=7)
+        paths = sample_paths(CONSTANT[:9], size=50, seed=7)
         assert (paths == paths[:, :1]).all()
 
     def test_single_point_paths_are_the_first_draws(self, power03):
         # at N = 0 the embedding is [r(0)] = [1], and the paths are the
         # first standard normal draws of the seed's stream
-        paths = sample_paths(power03, 0, size=7, seed=13)
+        paths = sample_paths(power03.r_vector(0), size=7, seed=13)
         ref = np.random.default_rng(13).standard_normal((7, 1))
         assert paths.shape == (7, 1)
         assert (paths.view(np.uint64) == ref.view(np.uint64)).all()
@@ -200,7 +215,7 @@ class TestSampling:
         monkeypatch.setattr(gaussian, "_FFT_BLOCK", block)
         eigs = gaussian._circulant_eigs(power03.r_vector(64))
         assert len(eigs) == 128
-        paths = sample_paths(power03, 64, size=10, seed=9)
+        paths = sample_paths(power03.r_vector(64), size=10, seed=9)
         ref = oracle_circulant_paths(eigs, 64, size=10, seed=9)
         assert paths.shape == ref.shape == (10, 65)
         assert (paths.view(np.uint64) == ref.view(np.uint64)).all()
@@ -213,7 +228,7 @@ class TestSampling:
         size, N, M = 8000, 64, 128
         tracemalloc.start()
         try:
-            sample_paths(power03, N, size=size, seed=21)
+            sample_paths(power03.r_vector(N), size=size, seed=21)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -222,7 +237,7 @@ class TestSampling:
 
 class TestConditionedPaths:
     def test_x0_above_one(self, power03):
-        paths = conditioned_paths(power03, 16, size=5000, seed=8)
+        paths = conditioned_paths(power03.r_vector(16), size=5000, seed=8)
         assert paths.shape == (5000, 17)
         assert (paths[:, 0] > 1.0).all()
 
@@ -230,8 +245,9 @@ class TestConditionedPaths:
         # given X_0 > 1, X_1 > 1 and Y_1 > 1 hold together with probability
         # P(X_0 > 1, X_1 > 1, Y_1 > 1) / P(X_0 > 1)
         size = 200_000
-        paths = conditioned_paths(power03, 1, size=size, seed=12)
-        ys = twisted_values(power03, paths)
+        r = power03.r_vector(1)
+        paths = conditioned_paths(r, size=size, seed=12)
+        ys = twisted_values(r, paths)
         freq = float(np.mean((paths[:, 1] > 1.0) & (ys[:, 1] > 1.0)))
         p = float(triple_probabilities(np.array([power03.r(1)]))[0]) / upper_tail(1.0)
         assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / size)
@@ -239,8 +255,8 @@ class TestConditionedPaths:
     def test_shift_of_unconditioned_paths(self, power03):
         # every column but X_0 is the unconditioned path of the same seed,
         # shifted by r(n) (X_0 - Z_0)
-        paths = conditioned_paths(power03, 8, size=50, seed=4)
-        z = sample_paths(power03, 8, size=50, seed=4)
+        paths = conditioned_paths(power03.r_vector(8), size=50, seed=4)
+        z = sample_paths(power03.r_vector(8), size=50, seed=4)
         shift = paths[:, :1] - z[:, :1]
         assert np.allclose(paths[:, 1:], z[:, 1:] + power03.r_vector(8)[1:] * shift,
                            rtol=0, atol=1e-12)
@@ -248,36 +264,39 @@ class TestConditionedPaths:
 
 class TestTwistedPath:
     def test_y0_equals_x0(self, power03):
-        path = sample_paths(power03, 16, size=1, seed=11)[0]
-        assert twisted_values(power03, path)[0] == path[0]
+        r = power03.r_vector(16)
+        path = sample_paths(r, size=1, seed=11)[0]
+        assert twisted_values(r, path)[0] == path[0]
 
     def test_white_noise_negation(self):
-        wn = white_noise_model()
-        path = sample_paths(wn, 10, size=1, seed=3)[0]
-        assert (twisted_values(wn, path)[1:] == -path[1:]).all()
+        r = white_noise_model().r_vector(10)
+        path = sample_paths(r, size=1, seed=3)[0]
+        assert (twisted_values(r, path)[1:] == -path[1:]).all()
 
     def test_algebraic_identities(self, power03):
         # the twist is linear, Y = A X; with T the covariance of X,
         # Cov(Y) = A T A^T must equal T and Cov(X, Y) = T A^T holds
         # 2 r(n) r(m) - r(n - m)
         N = 8
-        A = twisted_values(power03, np.eye(N + 1)).T
         r = power03.r_vector(N)
+        A = twisted_values(r, np.eye(N + 1)).T
         T = toeplitz(r)
         assert np.allclose(A @ T @ A.T, T, atol=1e-12)
         assert (T @ A.T)[5, 2] == pytest.approx(2 * r[5] * r[2] - r[3])
 
     def test_empirical_cov_y1_y3(self, power03):
-        paths = sample_paths(power03, 8, size=100_000, seed=4)
-        ys = twisted_values(power03, paths)
+        r = power03.r_vector(8)
+        paths = sample_paths(r, size=100_000, seed=4)
+        ys = twisted_values(r, paths)
         emp = float(np.mean(ys[:, 1] * ys[:, 3]))
         assert abs(emp - power03.r(2)) < 4 * math.sqrt(2.0 / 100_000) + 1e-3
 
     def test_exchange_symmetry(self, power03):
         # both processes are marginally stationary with covariance r, so
         # matched statistics agree within MC error
-        paths = sample_paths(power03, 8, size=100_000, seed=6)
-        ys = twisted_values(power03, paths)
+        r = power03.r_vector(8)
+        paths = sample_paths(r, size=100_000, seed=6)
+        ys = twisted_values(r, paths)
         a = float(np.mean((paths[:, 2] > 1) & (paths[:, 5] > 1)))
         b = float(np.mean((ys[:, 2] > 1) & (ys[:, 5] > 1)))
         assert abs(a - b) < 5 * math.sqrt(a * (1 - a) / 100_000) + 1e-3
@@ -359,32 +378,30 @@ class TestUpperTail:
 
 class TestTripleProbability:
     def test_white_noise_exact_zero(self):
-        est = triple_probability(white_noise_model(), 7, samples=50_000)
+        est = triple_probability(white_noise_model().r_vector(7), 7, samples=50_000)
         assert est.estimate == 0.0
         assert est.env_markov == 0.0
 
     def test_envelopes_hold(self, power03):
         for n in (8, 16, 32, 64):
-            est = triple_probability(power03, n, samples=200_000, seed=1)
+            est = triple_probability(power03.r_vector(n), n, samples=200_000, seed=1)
             assert est.estimate <= est.envelope + 4 * est.se
             assert est.env_tail == upper_tail(1.0 / power03.r(n))
 
     def test_weakly_decreasing_within_error(self, power03):
-        ests = [triple_probability(power03, n, samples=200_000, seed=2)
+        ests = [triple_probability(power03.r_vector(n), n, samples=200_000, seed=2)
                 for n in (8, 16, 32, 64)]
         for a, b in zip(ests, ests[1:]):
             assert b.estimate <= a.estimate + 4 * (a.se + b.se)
 
     def test_negative_correlation_zero_envelope(self):
-        model = SpectralModel(family="white", delta=1.0, C=0.4,
-                              table=(1.0, 0.0, 0.0, -0.4))
-        est = triple_probability(model, 3, samples=50_000)
+        est = triple_probability(np.array([1.0, 0.0, 0.0, -0.4]), 3, samples=50_000)
         assert est.env_tail == 0.0
         assert est.estimate == 0.0  # requires r(n) X_0 > 1 with r < 0
 
     def test_json_round_trip(self, power03):
-        est = triple_probability(power03, 8, samples=1000)
-        assert est == triple_probability(power03, 8, samples=1000)
+        r = power03.r_vector(8)
+        assert triple_probability(r, 8, samples=1000) == triple_probability(r, 8, samples=1000)
 
 
 class TestTripleExact:
@@ -413,7 +430,7 @@ class TestTripleExact:
 
     @pytest.mark.parametrize("n", [1, 3, 10])
     def test_within_4se_of_monte_carlo(self, power03, n):
-        est = triple_probability(power03, n, samples=2_000_000, seed=19)
+        est = triple_probability(power03.r_vector(n), n, samples=2_000_000, seed=19)
         exact = float(triple_probabilities(np.array([power03.r(n)]))[0])
         assert abs(est.estimate - exact) <= 4 * est.se
 
@@ -468,8 +485,8 @@ class TestSummability:
             power_summability([0.1], k=1, delta=0.3, C=0.5, H=1)
 
     def test_finite_total(self, power03):
-        ests = [triple_probability(power03, n, samples=20_000).estimate
-                for n in range(1, 33)]
+        r = power03.r_vector(32)
+        ests = [triple_probability(r, n, samples=20_000).estimate for n in range(1, 33)]
         rep = power_summability(ests, k=2, delta=power03.delta, C=power03.C, H=32)
         assert math.isfinite(rep.total)
         assert rep.head <= rep.total

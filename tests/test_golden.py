@@ -11,8 +11,8 @@ numpy builds, and gauss draws from numpy ``Generator`` streams, whose
 distributions numpy does not promise to keep across versions. NumPy 2.3
 and later need Python 3.11, so an install on Python 3.10 resolves an older
 numpy than these. A failing digest names both version sets. No report
-depends on scipy: gauss's covariance table is a fixed Gauss-Legendre rule
-evaluated by numpy, its zeta tail is a plain-Python port of cephes' zeta,
+depends on scipy: gauss's covariance r(0..H) is a fixed Gauss-Legendre
+rule evaluated by numpy, its zeta tail is a plain-Python port of cephes' zeta,
 and its normal tail is ``math.erfc``, whose last bits no report reads
 (``test_gauss_digests_ignore_normal_tail_last_bits``).
 
@@ -92,6 +92,14 @@ replacement, and to draw the configuration bits as arrays in place of a
 per-sample loop. Both consume their keyed streams in another way, so only
 ``joint_estimate``, ``correlation`` and ``se`` moved; boxes.csv, which holds
 the exact box probabilities, is unchanged.
+
+The model came to hold no covariance table: each gauss run computes
+r(0..H) once and passes that array to the sampler, the conditioning and
+the twist. No digest moved. The case ``gauss-600`` was pinned before that
+change, with the table still in place; it is the one case that reads lags
+past 512, where the fitted table used to end. Nor did the aliasing bound
+moving to 0 once the grid's half-width exceeds the largest |S_n|: at every
+pinned n the half-width is within the support.
 """
 
 import hashlib
@@ -136,6 +144,11 @@ GOLDEN = {
         ["gauss", "--horizon", "16", "--samples", "100", "--param", "mc=2000"],
         {"gauss.json": "aa81126a3758d2ca5ba41e9abdd324a2976462df5e5489c6f1bf4bb24b1caf13",
          "gauss_decay.csv": "93cef24c359d79fa38c0713bc99309c8cc6d76701020ff9c33020787a6109976"},
+    ),
+    "gauss-600": (
+        ["gauss", "--horizon", "600", "--samples", "100", "--param", "mc=2000"],
+        {"gauss.json": "030e9479a036f36bef40d02e596e85d8a535b7876397373f6499aefbc6b24dc3",
+         "gauss_decay.csv": "18576b9652878013a54e04ceb325bcfea5e05691527ef13e3c5923ebd45311ec"},
     ),
 }
 

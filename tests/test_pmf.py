@@ -345,6 +345,36 @@ class TestModerateSizeLaw:
             walk_pmf(spec, 4)
 
 
+class TestAliasBound:
+    @staticmethod
+    def _bound(law, half):
+        return pmf_module._alias_bound(law.values, law.counts, law.qs, half)
+
+    @pytest.mark.parametrize("n, largest", [(1, 30), (2, 60)])
+    def test_zero_when_grid_holds_the_support(self, n, largest):
+        # |S_n| <= sum count * value, so past it nothing can wrap around
+        law = grouped_law(1, 3, n)
+        assert int((law.counts * law.values).sum()) == largest
+        for half in (largest + 1, 64, 128, 1 << 20):
+            assert self._bound(law, half) == 0.0, half
+        walk = FieldSpec(seed=0, dimension=1, k_max=3, doubling=False)
+        assert walk_pmf(walk, n)[1].alias_bound == 0.0
+
+    @pytest.mark.parametrize("k_max, n, half, bound", [
+        (3, 1, 16, 0.10878678298897455),
+        (3, 1, 30, 0.007890226560725688),
+        (3, 2, 60, 3.434640264673018e-05),
+        (8, 64, 64, 0.0267217730507643),
+        (8, 64, 512, 5.265513124576003e-12),
+    ])
+    def test_unchanged_within_the_support(self, k_max, n, half, bound):
+        # where the support reaches half the Bernstein bounds stand, as
+        # they read before the zero case was added
+        law = grouped_law(1, k_max, n)
+        assert half <= int((law.counts * law.values).sum())
+        assert self._bound(law, half) == pytest.approx(bound, rel=1e-13)
+
+
 # every k_max from 6 to 16 against the n at which the kernel's cases turn:
 # n = 1, 2 put every scale on the direct product, and between n = 503 and
 # 504 scale 3 (p = 9, d = 512) turns from split into overlapping

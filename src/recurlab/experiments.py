@@ -48,6 +48,7 @@ _TAG_EXP = 67
 
 # (sample, coordinate, n) entries per block of the section-3 probe
 _PROBE_BLOCK_ELEMS = 1 << 20
+_GAUSS_PATH_VALUES = 1 << 26  # path values in a gauss run, 17 bytes each
 
 
 def _child_seed(seed0: int, *words: int) -> int:
@@ -361,6 +362,9 @@ def exp_gaussian(model: SpectralModel, k: int, H: int = 64,
     """
     if 2 * k * model.delta <= 1.0:
         raise PreconditionError("summability hypothesis 2 k delta > 1 fails")
+    if samples * k * (H + 1) > _GAUSS_PATH_VALUES:
+        raise PreconditionError(f"samples * k * (H + 1) = {samples * k * (H + 1)} "
+                                f"path values exceed the bound {_GAUSS_PATH_VALUES}")
     # the probabilities, the paths and the twist all read r(0..H)
     r = model.r_vector(H)
     exact = triple_probabilities(r[1:])

@@ -28,10 +28,13 @@ TAG_BLOCK = 37
 
 COORD_BOUND = 1 << 60
 
-# field values per field_nonzeros block, in the path-sum kernel and in
-# bigsums' pool hashing; each block also holds a few hashing temporaries
-# of its size
+# field values per hashed block of field_nonzeros, plus temporaries its size
 _BLOCK_ELEMS = 1 << 18
+
+# scales with q_k <= 2^-KEYED_BITS (k >= 3) are realized in keyed blocks
+KEYED_BITS = 8
+# words of a keyed block's count and position hashes, apart from the lag word 1
+_COUNT, _POSITION = 2, 3
 
 
 def lag_namespace(k: int) -> bool:
@@ -163,26 +166,96 @@ def _thresholds(q: float) -> Tuple[np.uint64, np.uint64]:
     return tuple(np.uint64(math.ceil(x * 2.0**53) << 11) for x in (q, q / 2))
 
 
-def field_nonzeros(spec: FieldSpec, k: int, i: int, j: np.ndarray,
-                   lagged: bool = False, seed=None) -> Tuple[np.ndarray, np.ndarray]:
+def block_bits(q: float) -> int:
+    """b = min(floor(log2(1 / q)), 62): a keyed block of 2^b values holds
+    q 2^b <= 1 nonzero values on average."""
+    return min(62, math.floor(-math.log2(q)))
+
+
+def _count_thresholds(q: float, b: int) -> np.ndarray:
+    """Hash thresholds of a keyed block's Binomial(2^b, q) count, the number
+    at or below its hash: F(c) = 1 - P(count > c), tails summed smallest pmf
+    term first, compared as in ``_thresholds``. The count stops where the tail is
+    below 2^-53, the uniforms' spacing (c <= 17), so its law is within a few 2^-53."""
+    pmf = [math.exp(2.0**b * math.log1p(-q))]
+    for c in range(40):
+        pmf.append(pmf[-1] * (2.0**b - c) / (c + 1) * q / (1.0 - q))
+    tails = np.cumsum(pmf[::-1])[::-1][1:]  # tails[c] = P(count > c)
+    return np.array([math.ceil((1.0 - t) * 2.0**53) << 11
+                     for t in tails[: np.argmax(tails < 2.0**-53)]], dtype=np.uint64)
+
+
+def field_nonzeros(spec: FieldSpec, k: int, i: int, lo, hi, lagged: bool = False,
+                   seed=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nonzero field values of an unforced spec's scale k, coordinate i
-    over the int64 coordinates ``j`` (offsets from d_k if ``lagged``): flat
-    indices into the broadcast shape of ``seed`` (default ``spec.seed``)
-    and ``j``, ascending, and values, +1 or -1."""
+    over the sorted disjoint int64 segments [lo, hi) (offsets from d_k if
+    ``lagged``) laid end to end: seed row, packed coordinate and value (+1
+    or -1), sorted by row and coordinate, a row per entry of ``seed``
+    (default ``spec.seed``).
+
+    Scales with q_k > 2^-KEYED_BITS (k <= 2) hash each value, in (rows x
+    coordinates) blocks of at most _BLOCK_ELEMS values. The others hash
+    only the aligned keyed blocks of 2^b values, b = ``block_bits(q_k)``,
+    that the segments touch: the hash of (seed, block) gives its
+    Binomial(2^b, q_k) count (``_count_thresholds``), the t-th hash of
+    (seed, block, t) a position (top b bits) and a sign (low bit), skipped
+    if drawn before. So a block holds a uniform subset with fair signs.
+    """
     if spec.windows:
         raise ValueError("field_nonzeros takes an unforced spec")
     sp = scale_params(k)
-    j = np.asarray(j, dtype=np.int64)
+    seeds = np.asarray(spec.seed if seed is None else seed, dtype=np.uint64).reshape(-1)
+    lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
     if lagged and not lag_namespace(k):
-        return field_nonzeros(spec, k, i, j + sp.d, seed=seed)
+        lo, hi, lagged = lo + sp.d, hi + sp.d, False
+    start = np.cumsum(hi - lo) - (hi - lo)
     if spec.zero:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return (np.zeros(0, dtype=np.int64),) * 3
     # scales whose lag needs its own namespace key it with one more word
     words = (TAG_FIELD, k, i, 1) if lagged else (TAG_FIELD, k, i)
-    h = hash_words_vec(spec.seed if seed is None else seed, words, j)
-    nonzero, plus = _thresholds(sp.q)
-    at = np.flatnonzero(h < nonzero)
-    return at, np.where(h.reshape(-1)[at] < plus, 1, -1)
+    b = block_bits(sp.q)
+    if b < KEYED_BITS:
+        width = int(start[-1] + hi[-1] - lo[-1])
+        js = np.repeat(lo - start, hi - lo) + np.arange(width)
+        nonzero, plus = _thresholds(sp.q)
+        step, cols = max(1, _BLOCK_ELEMS // width), min(width, _BLOCK_ELEMS)
+        out = []
+        for r0 in range(0, seeds.size, step):
+            for c0 in range(0, width, cols):
+                h = hash_words_vec(seeds[r0 : r0 + step, None], words, js[c0 : c0 + cols])
+                r, c = np.nonzero(h < nonzero)
+                out.append((r + r0, c + c0, np.where(h[r, c] < plus, 1, -1)))
+        return tuple(np.concatenate(parts) for parts in zip(*out))
+    spans = ((hi - 1) >> b) - (lo >> b) + 1
+    blocks = np.arange(spans.sum()) + np.repeat((lo >> b) - np.cumsum(spans) + spans, spans)
+    blocks = blocks[np.diff(blocks, prepend=blocks[0] - 1) != 0]
+    count = np.searchsorted(_count_thresholds(sp.q, b), side="right",
+                            v=hash_words_vec(seeds[:, None], words + (_COUNT,), blocks))
+    row, blk = np.nonzero(count)
+    need = count[row, blk]
+    # the t-th draw of pair p = (row, block); a position the pair holds
+    # already is dropped, and the pair draws again at the next t
+    pair = pos = np.zeros(0, np.int64)
+    h, drawn, missing = np.zeros(0, np.uint64), 0 * need, need
+    while missing.any():
+        new = np.repeat(np.arange(need.size), missing)
+        t = drawn[new] + np.arange(new.size) - np.repeat(np.cumsum(missing) - missing, missing)
+        drawn += missing
+        pair = np.concatenate([pair, new])
+        h = np.concatenate([h, hash_words_vec(seeds[row[new]], words + (_POSITION,),
+                                              blocks[blk[new]], t)])
+        pos = (h >> np.uint64(64 - b)).astype(np.int64)
+        order = np.lexsort((pos, pair))  # stable: the earliest of equal draws first
+        keep = np.empty(pair.size, dtype=bool)
+        keep[order] = np.diff(np.stack([pair, pos])[:, order], prepend=-1).any(axis=0)
+        pair, h, pos = pair[keep], h[keep], pos[keep]
+        missing = need - np.bincount(pair, minlength=need.size)
+    j = (blocks[blk[pair]] << b) + pos
+    seg = np.searchsorted(lo, j, side="right") - 1
+    inside = (seg >= 0) & (j < hi[seg])
+    row, c, x = row[pair][inside], (j - lo[seg] + start[seg])[inside], h[inside] & np.uint64(1)
+    order = np.lexsort((c, row))
+    return row[order], c[order], 2 * x[order].astype(np.int64) - 1
 
 
 def _scatter(diff: np.ndarray, row: np.ndarray, m: np.ndarray, v: np.ndarray,
@@ -207,38 +280,37 @@ def _window_sums(spec: FieldSpec, seeds: np.ndarray,
     replace ``spec.seed``, and every seed shares the spec's forced windows.
 
     A scale's value v at position m of its window [a, b + p - 1) enters
-    the increments t - a in [m - p + 1, m], negated on the lag axis. Each
-    window is hashed once, in row chunks of at most _BLOCK_ELEMS values;
-    only its nonzero values (under 0.3% from k = 3 on) are scattered, as
-    +v and -v at the ends of their ranges, into a (seeds x (W + 1))
-    difference array, W = b - a, which two in-place cumulative sums make
-    the increments, then the path. Hashed values under a forced interval
-    are dropped; the forced values, the same for every seed, go once into a
-    row that every seed adds, and a window forced throughout is not hashed.
+    the increments t - a in [m - p + 1, m], negated on the lag axis. The
+    window's nonzero values (``field_nonzeros``; under 0.3% from k = 3 on)
+    are scattered, as +v and -v at the ends of their ranges, into a
+    (seeds x (W + 1)) difference array, W = b - a, in row chunks expected
+    to hold _BLOCK_ELEMS / 4 of them; two in-place cumulative sums make
+    the increments, then the path. Values under a forced interval are
+    dropped; the forced values, the same for every seed, go once into a
+    row that every seed adds, and a window forced throughout is not read.
     """
     a, b = window
     if a > b or not (a <= 0 <= b):
         raise ValueError(f"window [{a}, {b}] must satisfy a <= 0 <= b")
-    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     W = b - a
-    out = np.zeros((seeds.shape[0], W + 1, spec.dimension), dtype=np.int64)
+    out = np.zeros((seeds.size, W + 1, spec.dimension), dtype=np.int64)
     forced_row = np.zeros((1, W + 1, spec.dimension), dtype=np.int64)
     unforced = replace(spec, windows=())
     mult = 2 if spec.doubling else 1
     for i in range(spec.dimension):
         for sp in spec.scales():
             size = W + sp.p - 1
-            rows = max(1, _BLOCK_ELEMS // size)
+            rows = max(1, int(_BLOCK_ELEMS / (4 * size * sp.q)))
             for lagged, sign in ((False, mult), (True, -mult)):
                 values, forced = _forcing(spec, sp.k, i + 1, lagged, a, size)
                 m = np.flatnonzero(values)
                 _scatter(forced_row, np.zeros_like(m), m, sign * values[m], i, sp.p)
                 if spec.zero or forced.all():
                     continue
-                for r in range(0, seeds.shape[0], rows):
-                    at, x = field_nonzeros(unforced, sp.k, i + 1, np.arange(a, a + size),
-                                           lagged, seed=seeds[r : r + rows])
-                    row, m = np.divmod(at, size)
+                for r in range(0, seeds.size, rows):
+                    row, m, x = field_nonzeros(unforced, sp.k, i + 1, [a], [a + size],
+                                               lagged, seeds[r : r + rows])
                     keep = ~forced[m]
                     _scatter(out, row[keep] + r, m[keep], sign * x[keep], i, sp.p)
     if spec.windows:

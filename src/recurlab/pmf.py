@@ -423,12 +423,13 @@ def peak_probability_sweep(n_max: int, k_max: int, k_min: int = 1,
         table = np.concatenate([folded, folded[-2:0:-1]])  # T(s) = T(grid - s)
         # overlapping for some n <= n_max iff d < n_max + p
         if sp.d < n_max + sp.p:
-            # an overlapping scale's |coefficients| are at most min(n, p); from
-            # n = d + p - 1 on, the lead window's rise ends before the lag
-            # window's starts, so the nonzero groups stop changing with n
-            terms.append(table[at(np.arange(1, sp.p + 1))])
-            steady = np.arange(1, min(n_max, sp.d + sp.p - 1) + 1)
-            counts.append(_overlap_counts(sp, steady)[:, 1:].astype(np.float64))
+            # |coefficients| <= min(n, p); the windows meet from n = d - p + 1
+            # (scale_groups' closed form before), and stop changing from d + p - 1
+            v, n = np.arange(1, sp.p + 1), np.arange(1, sp.d - sp.p + 1)[:, None]
+            terms.append(table[at(v)])
+            apart = np.where(v == np.minimum(n, sp.p), 2 * abs(n - sp.p) + 2, 4 * (v < n))
+            meet = np.arange(max(1, sp.d - sp.p + 1), min(n_max, sp.d + sp.p - 1) + 1)
+            counts.append(np.concatenate([apart, _overlap_counts(sp, meet)[:, 1:]]) * 1.0)
         else:
             split.append((sp.p, table))
             terms.append(table[at(np.array([sp.p]))])  # L_k(p_k)

@@ -1,5 +1,7 @@
-"""Scalar reference implementations of the field, one PRF call per value,
-its float comparison rule over whole arrays, the dense field values and
+"""Scalar reference implementations of the field, one PRF call per value
+at scales 1 and 2 and one keyed block at a time from scale 3 on (its
+binomial CDF from log-pmf terms, its positions one hash at a time), its
+float comparison rule over whole arrays, the dense field values and
 path sums (every value of a window, one prefix sum per scale and axis),
 the dense product form of the walk's log characteristic function, the
 walk's exact rational law at toy sizes (amplitudes are rational only for k <= 2), the power spectral
@@ -32,12 +34,15 @@ so that tests can check the kernels against an independent implementation.
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from recurlab.experiments import Extraction, TripleProbeReport, _child_seed
 from recurlab.fields import (
+    _COUNT,
+    _POSITION,
     TAG_FIELD,
     FieldSpec,
     _thresholds,
@@ -74,6 +79,49 @@ def _forced_value(spec: FieldSpec, k: int, i: int, j: int) -> Optional[int]:
     return None
 
 
+def _keyed_bits(q: float) -> Optional[int]:
+    """The block size exponent b of a keyed scale, the largest b <= 62 with
+    q 2^b <= 1; None for a scale hashed value by value (b < 8)."""
+    b = 0
+    while b < 62 and q * 2.0 ** (b + 1) <= 1.0:
+        b += 1
+    return b if b >= 8 else None
+
+
+@lru_cache(maxsize=None)
+def _binomial_cdf(q: float, b: int) -> Tuple[float, ...]:
+    """F(c) = P(count <= c) of Binomial(2^b, q) below the count's cap, the
+    first c whose tail is under 2^-53: each pmf term from its logarithm
+    (the falling factorial of 2^b, lgamma and log1p), each tail by fsum."""
+    n = 2**b
+    pmf = [math.exp(sum(math.log(n - m) for m in range(c)) - math.lgamma(c + 1)
+                    + c * math.log(q) + (n - c) * math.log1p(-q)) for c in range(41)]
+    tails = [math.fsum(pmf[c + 1 :]) for c in range(40)]
+    cap = next(c for c, t in enumerate(tails) if t < 2.0**-53)
+    return tuple(1.0 - t for t in tails[:cap])
+
+
+@lru_cache(maxsize=None)
+def keyed_block(seed: int, k: int, i: int, lag: bool, block: int) -> Dict[int, int]:
+    """{position: value} of the nonzero values of a keyed block of scale k,
+    coordinate i, one scalar hash at a time: the count inverts the uniform
+    of the count hash through the binomial CDF, and the t-th position hash
+    gives a position (top b bits) and a sign (low bit), skipped if the
+    block holds that position already. ``lag`` keys the lag namespace."""
+    q = scale_params(k).q
+    b = _keyed_bits(q)
+    words = (TAG_FIELD, k, i, 1) if lag else (TAG_FIELD, k, i)
+    u = uniform01(seed, *words, _COUNT, block)
+    count = sum(u >= f for f in _binomial_cdf(q, b))
+    held: Dict[int, int] = {}
+    t = 0
+    while len(held) < count:
+        h = hash_words(seed, *words, _POSITION, block, t)
+        held.setdefault(h >> (64 - b), 1 if h & 1 else -1)
+        t += 1
+    return held
+
+
 def field_value(spec: FieldSpec, k: int, i: int, j: int) -> int:
     """The field value at (scale k, coordinate i, time j) in {-1, 0, +1}."""
     if not (spec.k_min <= k <= spec.k_max):
@@ -86,10 +134,13 @@ def field_value(spec: FieldSpec, k: int, i: int, j: int) -> int:
     if spec.zero:
         return 0
     sp = scale_params(k)
-    if lag_namespace(k) and j >= sp.d // 2:
-        u = uniform01(spec.seed, TAG_FIELD, k, i, 1, j - sp.d)
-    else:
-        u = uniform01(spec.seed, TAG_FIELD, k, i, j)
+    lag = lag_namespace(k) and j >= sp.d // 2
+    if lag:
+        j -= sp.d
+    b = _keyed_bits(sp.q)
+    if b is not None:
+        return keyed_block(spec.seed, k, i, lag, j >> b).get(j & ((1 << b) - 1), 0)
+    u = uniform01(spec.seed, *((TAG_FIELD, k, i, 1) if lag else (TAG_FIELD, k, i)), j)
     if u < sp.q / 2:
         return 1
     if u < sp.q:
@@ -97,37 +148,62 @@ def field_value(spec: FieldSpec, k: int, i: int, j: int) -> int:
     return 0
 
 
+def _keyed_values(spec: FieldSpec, k: int, i: int, j: np.ndarray, lagged: bool,
+                  seed) -> np.ndarray:
+    """Field values of a keyed scale of an unforced spec over the
+    coordinates ``j`` (offsets from d_k if ``lagged``) in the broadcast
+    shape of ``seed`` and ``j``, from ``keyed_block`` over the blocks that
+    ``j`` touches."""
+    sp = scale_params(k)
+    b = _keyed_bits(sp.q)
+    lag = lagged and lag_namespace(k)
+    if lagged and not lag:
+        j = j + sp.d
+    seeds = np.asarray(seed, dtype=np.uint64).reshape(-1)
+    out = np.zeros((seeds.size, j.size), dtype=np.int64)
+    for r, s in enumerate(seeds.tolist()):
+        for block in np.unique(j >> b).tolist():
+            for pos, v in keyed_block(s, k, i, lag, block).items():
+                out[r, j == (block << b) + pos] = v
+    return out.reshape(np.broadcast_shapes(np.shape(seed), j.shape))
+
+
 def field_values_float(spec: FieldSpec, k: int, i: int, j: np.ndarray,
                        lagged: bool = False, seed=None) -> np.ndarray:
     """Field values of an unforced spec over an array of coordinates, by the
     float rule of ``field_value``: the hash becomes the uniform
     u = (h >> 11) 2^-53, and the value is +1 at u < q / 2, -1 at
-    q / 2 <= u < q, else 0. ``j``, ``lagged`` and ``seed`` are read as by
-    ``field_values_vec``.
+    q / 2 <= u < q, else 0; a keyed scale compares the uniform of its
+    block's count hash with the binomial CDF (``keyed_block``). ``j``,
+    ``lagged`` and ``seed`` are read as by ``field_values_vec``.
     """
     if spec.windows:
         raise ValueError("the float-rule oracle takes an unforced spec")
     sp = scale_params(k)
     j = np.asarray(j, dtype=np.int64)
+    seed = spec.seed if seed is None else seed
+    if spec.zero:
+        return np.zeros(np.broadcast_shapes(np.shape(seed), j.shape), dtype=np.int64)
+    if _keyed_bits(sp.q) is not None:
+        return _keyed_values(spec, k, i, j, lagged, seed)
     words = (TAG_FIELD, k, i)
     if lagged and lag_namespace(k):
         words = (TAG_FIELD, k, i, 1)
     elif lagged:
         j = j + sp.d
-    seed = spec.seed if seed is None else seed
     h = hash_words_vec(seed, words, j)
     u = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
     out = np.zeros(u.shape, dtype=np.int64)
-    if not spec.zero:
-        out[u < sp.q] = -1
-        out[u < sp.q / 2] = 1
+    out[u < sp.q] = -1
+    out[u < sp.q / 2] = 1
     return out
 
 
 def field_values_vec(spec: FieldSpec, k: int, i: int, j: np.ndarray,
                      lagged: bool = False, seed=None) -> np.ndarray:
     """Field values of scale k, coordinate i over an int64 coordinate array,
-    every value formed densely from the hash thresholds.
+    every value formed densely: from the hash thresholds, or on a keyed
+    scale from ``keyed_block``.
 
     With ``lagged=True`` the entries of ``j`` are offsets from the lag d_k
     (required for scales whose lag exceeds the int64 coordinate range).
@@ -138,15 +214,16 @@ def field_values_vec(spec: FieldSpec, k: int, i: int, j: np.ndarray,
     """
     sp = scale_params(k)
     j = np.asarray(j, dtype=np.int64)
-    if lagged and not lag_namespace(k):
-        return field_values_vec(spec, k, i, j + sp.d, seed=seed)
     seed = spec.seed if seed is None else seed
     shape = np.broadcast_shapes(np.shape(seed), j.shape)
     if spec.zero:
         out = np.zeros(shape, dtype=np.int64)
+    elif _keyed_bits(sp.q) is not None:
+        out = _keyed_values(spec, k, i, j, lagged, seed)
     else:
-        words = (TAG_FIELD, k, i, 1) if lagged else (TAG_FIELD, k, i)
-        h = hash_words_vec(seed, words, j)
+        jj = j + sp.d if lagged and not lag_namespace(k) else j
+        words = (TAG_FIELD, k, i, 1) if lagged and lag_namespace(k) else (TAG_FIELD, k, i)
+        h = hash_words_vec(seed, words, jj)
         nonzero, plus = _thresholds(sp.q)
         out = 2 * (h < plus).astype(np.int64) - (h < nonzero)
     shift = sp.d if lagged else 0

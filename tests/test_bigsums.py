@@ -3,18 +3,24 @@ import hashlib
 import numpy as np
 import pytest
 
-from recurlab import bigsums
 from recurlab.bigsums import _AxisEval, pool_schedule_sums
-from recurlab.fields import FieldSpec, ForcedWindow, default_k_max, scale_params
+from recurlab.fields import (
+    FieldSpec,
+    ForcedWindow,
+    _window_sums,
+    block_bits,
+    default_k_max,
+    field_nonzeros,
+    scale_params,
+)
 from recurlab.pmf import grouped_law
 
 from oracles import oracle_sums
 
 
 class TestExplicitAgreesWithStepping:
-    # on a gap-free schedule where every scale is dense (p_k <= 256 at
-    # k_max <= 8) no aggregate is drawn, so the schedule engine reproduces
-    # the stepped sums of the scalar oracle exactly
+    # on a gap-free schedule no aggregate is drawn, so the schedule engine
+    # reproduces the stepped sums of the scalar oracle exactly
 
     @pytest.mark.parametrize("dim,doubling", [(1, False), (2, True)])
     def test_consecutive_times(self, dim, doubling):
@@ -35,6 +41,14 @@ class TestExplicitAgreesWithStepping:
         sums = pool_schedule_sums(spec, [spec.seed], list(range(1, 30)))[0]
         assert (sums == oracle_sums(spec, (0, 29))[1:]).all()
 
+    @pytest.mark.parametrize("seed", [0, 8, 2**64 - 1])
+    def test_gap_free_equals_window_sums(self, seed):
+        # both engines read one field: every scale up to 14, keyed blocks
+        # from k = 3 on, the lag namespace from k = 8 on
+        spec = FieldSpec(seed=seed, dimension=2, k_max=14, doubling=True)
+        sums = pool_schedule_sums(spec, [seed, 5], list(range(1, 301)))
+        assert np.array_equal(sums, _window_sums(spec, [seed, 5], (0, 300))[:, 1:])
+
     def test_crosses_small_lag(self):
         # scale 2 has lag 16; times straddling it exercise the shared axis
         spec = FieldSpec(seed=9, dimension=1, k_min=2, k_max=2, doubling=False)
@@ -51,51 +65,63 @@ def _digest(spec, times):
 
 
 class TestPinnedRealizations:
-    # sha256 of the endpoint tables; they pin every value, the keyed
-    # aggregate draws and the sparse position sampler, so any change to the
-    # order in which the axis streams are consumed shows up here. They were
-    # re-pinned once, when each axis came to draw its gap aggregates in one
-    # array call, a multinomial count of the gap's +1 and -1 values per
-    # gap, in place of a binomial count and a binomial of its signs per gap
-    # in a loop: the same law, consumed from the stream in another way
+    # sha256 of the endpoint tables; they pin every value and the keyed
+    # aggregate draws, so any change to the order in which the axis streams
+    # are consumed shows up here. They were re-pinned when each axis came
+    # to draw its gap aggregates in one array call, a multinomial count of
+    # the gap's +1 and -1 values per gap, in place of a binomial count and
+    # a binomial of its signs per gap in a loop: the same law, consumed
+    # from the stream in another way. They were re-pinned again when every
+    # scale from k = 3 on came to be realized in keyed blocks, one count
+    # hash per block and one hash per drawn position, in place of one hash
+    # per value (k <= 10) or positions drawn from the axis stream (k > 10):
+    # the same i.i.d. three-valued law, realized from other hashes
 
     # dim 2, k_max 22 over {n^2, n^3 : n <= 100}: the shared axis (k <= 4),
-    # split axes, the lag namespace (k >= 8) and sparse scales (k >= 11)
+    # split axes, the lag namespace (k >= 8) and keyed blocks (k >= 3)
     @pytest.mark.parametrize("seed,digest", [
-        (0, "73280cab97f5fe08e32ecd034998ab62a99f9a3fc7371e8dbce076f05547a09a"),
-        (1, "b744a2a24e1d776ecb9049f451b31833e25a3cff9e957a06118aab0ca2c19de6"),
-        (2, "6bf302a4f1469172da4535a31e7ae28f5293a3ad796742254bf02082afbef590"),
-    ])
+        (0, "9fc7ffb5c9e0415f83166c4c877987b05c72ebeafbb719bb5f1332e8d3c0f0b0"),
+        (1, "82e323e688d590c9298e4d6c3c16a404b0bfc5d57027561f77bfbfed07641c87"),
+        (2, "5ce85ae637387ad65ea9481b5daed64ca937f03dff32aa7eafe6a7ff929ff3fb"),
+    ], ids=["0", "1", "2"])
     def test_square_and_cube_schedule(self, seed, digest):
         assert _digest(FieldSpec(seed=seed, dimension=2, k_max=22), SQUARES_AND_CUBES) == digest
 
-    # the same with every scale on the sparse sampler and its redraw loop
+    # the keyed blocks themselves: field_nonzeros of scales 3..30 on both
+    # axes of both coordinates, over two segments that cut blocks of 2^b
+    # values (b = 62 from k = 28 on) at both ends, one of them negative
     @pytest.mark.parametrize("seed,digest", [
-        (0, "3a5cf5fea10178aa0993277f1758c5faa97cdbc87fa37d954c374013b7a6bce7"),
-        (1, "ade0cce83d8a3dfeafffef0e2784a8eecfa0d7d8d806f9aa1ae432dc5e2f7598"),
-        (2, "0850f5bea7bba60da32ea538c04992ff8c9552f521de1e01db7d044fae66fd16"),
-    ])
-    def test_all_scales_sparse(self, seed, digest, monkeypatch):
-        monkeypatch.setattr(bigsums, "DENSE_P_THRESHOLD", 1)
-        assert _digest(FieldSpec(seed=seed, dimension=2, k_max=22), SQUARES_AND_CUBES) == digest
+        (0, "03d1b8967b54dbb1fb19caaaef15b3229830cc28f1a8b86ab7a61d74f62512e6"),
+        (1, "1885c9f77d3d3dbe27ff13d1a79a8f6b3ced430c7e31d8b71bf84bc3a5b11c3c"),
+        (2**64 - 1, "cf98465679258d3b44b49c3c26e38317fdd9313e56c80c98e9c1a2f69385dbeb"),
+    ], ids=["0", "1", "max"])
+    def test_keyed_block_scales(self, seed, digest):
+        h = hashlib.sha256()
+        for k in range(3, 31):
+            size = 1 << block_bits(scale_params(k).q)
+            lo, hi = [-size + 5, size // 2], [-3, size + size // 4]
+            for i in (1, 2):
+                for lagged in (False, True):
+                    for a in field_nonzeros(FieldSpec(seed=seed), k, i, lo, hi, lagged):
+                        h.update(a.tobytes())
+        assert h.hexdigest() == digest
 
     # times up to 2^57, where absolute coordinates would overflow any
     # weighted sum taken on the axis itself
     @pytest.mark.parametrize("seed,digest", [
-        (0, "3bb6f6c785087625f473ad02f678a77e5caae90f8e34550b6ef9c5213f681a64"),
-        (1, "cfee10f1f706c49842471237cbe946908b876a8f0358aff6b5f31c95400402b5"),
-        (2, "0412f99eb20eff72a43d4b67f9590361b1b17c4380eb786dfeb15342c2e3d6d2"),
-    ])
+        (0, "c0fcbd4fe1a7594f70402bf5f3e43d8ddcc31bb6cf7530c3c3664b3a071f6331"),
+        (1, "058fe6f6bab18eb19bcc5e25a343ee7eed6f59511ab6b71b40584ef5df8a9b00"),
+        (2, "b189da7228a3be8e177e88cd0129785ad3dc60330aee3abe3512a1fe16195ce2"),
+    ], ids=["0", "1", "2"])
     def test_large_times(self, seed, digest):
         spec = FieldSpec(seed=seed, dimension=1, k_max=30, doubling=False)
         assert _digest(spec, [10, 10**7, 10**12, 2**57]) == digest
 
-    @pytest.mark.parametrize("dense", [True, False])
-    def test_query_off_anchors_rejected(self, dense):
+    @pytest.mark.parametrize("lag", [True, False])
+    def test_query_off_anchors_rejected(self, lag):
         sp = scale_params(3)
         spec = FieldSpec(seed=1, dimension=1, k_max=3)
-        axis = _AxisEval(spec, sp, 1, [0, 1000], lag=False, dense=dense,
-                         seeds=[spec.seed])
+        axis = _AxisEval(spec, sp, 1, [0, 1000], lag=lag, seeds=[spec.seed])
         axis.running_sum([0, 1000, 1000 + sp.p - 2])
         axis.ramp([0, 1000])
         for offset in (sp.p - 1, 500, 1000 + sp.p - 1, -1):
@@ -126,33 +152,6 @@ class TestPoolSchedule:
         for seed, row in zip(self.SEEDS, pooled):
             alone = pool_schedule_sums(spec, [seed], times)[0]
             assert np.array_equal(row, alone)
-
-    def test_sparse_batch_draws_equal_per_segment_draws(self):
-        # the sparse sampler draws the counts of many segments in one call
-        # and rewinds the generator at the first nonempty one; the stream
-        # must be consumed exactly as one scalar count per segment
-        def per_segment(rng, q, start, lengths):
-            cs, xs = [], []
-            for st, length in zip(start.tolist(), lengths.tolist()):
-                count = int(rng.binomial(length, q))
-                if count == 0:
-                    continue
-                pos = set()
-                while len(pos) < count:
-                    pos.update(rng.integers(0, length, count - len(pos)).tolist())
-                cs.extend(st + np.sort(np.fromiter(pos, dtype=np.int64, count=count)))
-                xs.extend(rng.integers(0, 2, size=count) * 2 - 1)
-            return cs, xs
-
-        lengths = np.random.default_rng(0).integers(1, 400, size=300)
-        start = np.cumsum(lengths) - lengths
-        for q in (1e-6, 1e-3, 0.02, 0.3):
-            rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-            c, x = bigsums._sparse_draws(rng, q, start, lengths)
-            rc, rx = per_segment(ref, q, start, lengths)
-            assert c.tolist() == rc and x.tolist() == rx
-            # and leaves the stream where the scalar draws leave it
-            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestAutoMode:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,22 @@ class TestDispatch:
     def test_precondition_exits_2(self, tmp_path, capsys, argv, message):
         assert run(tmp_path, *argv) == 2
         assert message in capsys.readouterr().err
+
+    def test_gauss_path_size_exits_2_before_allocating(self, tmp_path, capsys):
+        # 1000 samples of k = 500000000001 paths of 65 values would take
+        # 582 TiB; the run stops at its size check, before r(0..H) or a path
+        tracemalloc.start()
+        try:
+            code = run(tmp_path, "gauss", "--param", "delta=1e-12",
+                       "--param", "k=500000000001")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert ("samples * k * (H + 1) = 32500000000065000 path values exceed"
+                in capsys.readouterr().err)
+        assert peak < 1 << 22
+        assert not (tmp_path / "gauss.json").exists()
 
     @pytest.mark.parametrize("argv,key,switch", [
         (["gauss", "--param", "white=true", "--param", "delta=0.4"], "delta", "white"),

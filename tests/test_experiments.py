@@ -9,6 +9,7 @@ from recurlab import experiments, gaussian
 from recurlab.cli import _probe
 from recurlab.experiments import (
     _extract,
+    _witness_sites,
     exp_gaussian,
     exp_section2,
     exp_section3,
@@ -42,6 +43,12 @@ def power03():
 @pytest.fixture(scope="module")
 def pool():
     return range_view_pool(P_SQUARE, P_CUBE, N=100, size=25, seed0=0)
+
+
+def _lacking(pool, H=100):
+    """The first view of the pool, alone, that misses some n <= H: no
+    sample of k = 1 tuples drawn from it is covered."""
+    return [next(v for v in pool if len(_witness_sites(v, H)[0]) < H)]
 
 
 def _joint(return_sets, H):
@@ -149,7 +156,7 @@ class TestSection3:
         with pytest.raises(RuntimeError) as exc:
             # k=1 tuples rarely cover every n; with few samples the
             # surrogate can be empty, which must fail loudly
-            exp_section3(pool[:1], k=1, H=100, samples=2, seed0=9)
+            exp_section3(_lacking(pool), k=1, H=100, samples=2, seed0=9)
         assert "covered" in str(exc.value)
 
     def test_report_json(self, pool):
@@ -188,9 +195,9 @@ class TestSection3Oracle:
 
     def test_uncovered_failure_matches_oracle(self, pool):
         with pytest.raises(RuntimeError) as got:
-            exp_section3(pool[:1], k=1, H=100, samples=5, seed0=9)
+            exp_section3(_lacking(pool), k=1, H=100, samples=5, seed0=9)
         with pytest.raises(RuntimeError) as want:
-            oracle_section3(pool[:1], k=1, H=100, samples=5, seed0=9)
+            oracle_section3(_lacking(pool), k=1, H=100, samples=5, seed0=9)
         assert str(got.value) == str(want.value)
 
     def test_identity_is_checked(self, pool, monkeypatch):

@@ -21,12 +21,15 @@ from recurlab.fields import (
     tail_variance_bound,
 )
 
+from recurlab.prf import hash_words, hash_words_vec
+
 from oracles import (
     f_at,
     f_k_at,
     field_value,
     field_values_float,
     field_values_vec,
+    keyed_block,
     oracle_sums,
     oracle_window_sums,
 )
@@ -67,13 +70,14 @@ def _point(k, i, j, value):
 
 
 def _dense(spec, k, i, j, lagged=False, seed=None):
-    """The field values that ``field_nonzeros`` lists, laid out densely in
-    the broadcast shape of ``seed`` and ``j``."""
-    at, x = field_nonzeros(spec, k, i, j, lagged, seed=seed)
-    out = np.zeros(np.broadcast_shapes(np.shape(spec.seed if seed is None else seed),
-                                       np.shape(j)), dtype=np.int64)
-    out.reshape(-1)[at] = x
-    return out
+    """The field values that ``field_nonzeros`` lists over the consecutive
+    coordinates ``j``, one segment, laid out densely in the broadcast shape
+    of ``seed`` and ``j``."""
+    seed = spec.seed if seed is None else seed
+    row, c, x = field_nonzeros(spec, k, i, [j[0]], [j[-1] + 1], lagged, seed=seed)
+    out = np.zeros((np.size(seed), len(j)), dtype=np.int64)
+    out[row, c] = x
+    return out.reshape(np.broadcast_shapes(np.shape(seed), np.shape(j)))
 
 
 class TestFieldValue:
@@ -333,8 +337,8 @@ class TestScatterKernel:
         assert (got != 0).any() == forced
 
     def test_row_blocks(self, monkeypatch):
-        # at 40 values per block, scale 1's 39-value window holds one row
-        # and scale 3's 45-value window none, which rounds up to one
+        # at 40 values per block, scale 1's 39-value window runs one row
+        # per chunk, and scale 2's 40-value window is hashed a row per block
         spec = FieldSpec(seed=0, dimension=2, k_max=9, windows=self.FORCED)
         whole = fields._window_sums(spec, self.SEEDS, (-7, 30))
         monkeypatch.setattr(fields, "_BLOCK_ELEMS", 40)
@@ -463,3 +467,114 @@ class TestTruncation:
     def test_tail_bound_decreases(self):
         assert tail_variance_bound(64, 10) < tail_variance_bound(64, 8)
         assert tail_variance_bound(64, 8) > 0
+
+
+class TestKeyedBlocks:
+    # scales from k = 3 on are realized in keyed blocks of 2^b values: a
+    # Binomial(2^b, q) count, then distinct uniform positions with fair signs
+
+    SEEDS = np.arange(40, dtype=np.uint64) * 7919 + 3
+
+    @staticmethod
+    def _p_value(observed, expected):
+        from scipy.stats import chi2
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        return chi2.sf(stat, observed.size - 1)
+
+    @pytest.mark.parametrize("k,blocks", [(3, 2000), (4, 1000), (8, 500), (12, 500)])
+    def test_law_chi_square(self, k, blocks):
+        q = scale_params(k).q
+        b = fields.block_bits(q)
+        assert q * 2.0**b <= 1.0 < q * 2.0 ** (b + 1)
+        spec = FieldSpec(seed=0, dimension=1, k_max=k)
+        row, c, x = field_nonzeros(spec, k, 1, [0], [blocks << b], seed=self.SEEDS)
+        # counts per block against the binomial, the tail from 4 on pooled
+        per_block = np.bincount(row * blocks + (c >> b), minlength=self.SEEDS.size * blocks)
+        observed = np.bincount(np.minimum(per_block, 4), minlength=5)
+        from scipy.stats import binom
+        pmf = binom.pmf(np.arange(4), 2**b, q)
+        expected = per_block.size * np.append(pmf, 1.0 - pmf.sum())
+        assert self._p_value(observed, expected) > 1e-3
+        # positions in 64 equal bins of a block, and signs
+        bins = np.bincount((c & ((1 << b) - 1)) >> (b - 6), minlength=64)
+        assert self._p_value(bins, np.full(64, c.size / 64)) > 1e-3
+        signs = np.array([(x > 0).sum(), (x < 0).sum()])
+        assert self._p_value(signs, np.full(2, x.size / 2)) > 1e-3
+
+    @pytest.mark.parametrize("k", [3, 7, 8, 13, 28, 29, 30])
+    def test_equals_block_oracle(self, k):
+        # every block that two segments touch, each cut at both ends, one
+        # negative, against the scalar block oracle
+        b = fields.block_bits(scale_params(k).q)
+        size = 1 << b
+        lo, hi = [-size + 5, size // 2], [-3, size + size // 4]
+        spec = FieldSpec(seed=0, dimension=2, k_max=k)
+        for seed in self.SEEDS[:8].tolist():
+            for lagged in (False, True):
+                row, c, x = field_nonzeros(spec, k, 2, lo, hi, lagged, seed=seed)
+                lag = lagged and fields.lag_namespace(k)
+                shift = scale_params(k).d if lagged and not lag else 0
+                want = []
+                for block in range((lo[0] + shift) >> b, ((hi[1] - 1 + shift) >> b) + 1):
+                    for pos, v in sorted(keyed_block(seed, k, 2, lag, block).items()):
+                        j = block * size + pos - shift
+                        for s, (a, z) in enumerate(zip(lo, hi)):
+                            if a <= j < z:
+                                start = sum(h - l for l, h in zip(lo[:s], hi[:s]))
+                                want.append((0, j - a + start, v))
+                assert list(zip(row.tolist(), c.tolist(), x.tolist())) == sorted(want)
+
+    def test_repeated_positions_are_redrawn(self):
+        # at k = 3 a block of 256 values with c nonzeros draws a position
+        # twice with probability about c^2 / 512: some blocks of 40 seeds x
+        # 2000 blocks must redraw, and every block still holds c distinct
+        # positions, as the oracle's
+        spec = FieldSpec(seed=0, dimension=1, k_max=3)
+        row, c, x = field_nonzeros(spec, 3, 1, [0], [2000 << 8], seed=self.SEEDS)
+        redrawn = 0
+        for r, block in set(zip(row.tolist(), (c >> 8).tolist())):
+            held = keyed_block(int(self.SEEDS[r]), 3, 1, False, block)
+            first = [hash_words(int(self.SEEDS[r]), fields.TAG_FIELD, 3, 1,
+                                fields._POSITION, block, t) >> 56 for t in range(len(held))]
+            redrawn += len(set(first)) < len(held)
+            mine = c[(row == r) & (c >> 8 == block)] & 255
+            assert sorted(mine.tolist()) == sorted(held)
+        assert redrawn > 0
+
+    @pytest.mark.parametrize("k", [3, 8, 12, 29])
+    def test_sub_window_is_restriction(self, k):
+        # a window's nonzeros are the larger window's, restricted; several
+        # segments read what one segment over their hull reads there
+        size = 1 << fields.block_bits(scale_params(k).q)
+        spec = FieldSpec(seed=0, dimension=1, k_max=k)
+        lo0, hi0 = -size // 2, size + size // 4
+        for lagged in (False, True):
+            row, c, x = field_nonzeros(spec, k, 1, [lo0], [hi0], lagged, seed=self.SEEDS)
+            whole = set(zip(row.tolist(), (c + lo0).tolist(), x.tolist()))
+            lo = [lo0 + size // 8, -size // 5, size + 1]
+            hi = [-size // 4, size // 7, hi0 - size // 9]
+            row, c, x = field_nonzeros(spec, k, 1, lo, hi, lagged, seed=self.SEEDS)
+            starts = np.cumsum([0] + [h - l for l, h in zip(lo, hi)])
+            seg = np.searchsorted(starts, c, side="right") - 1
+            j = c - starts[seg] + np.array(lo)[seg]
+            part = set(zip(row.tolist(), j.tolist(), x.tolist()))
+            assert part == {(r, jj, v) for r, jj, v in whole
+                            if any(a <= jj < z for a, z in zip(lo, hi))}
+            assert part
+
+
+class TestHashCount:
+    def test_recur2_shape(self, monkeypatch):
+        # recur2's benchmark shape: 900 seeds over (0, 600) at k_max 12.
+        # One hash per value of every scale made 30.3 M hashes; with keyed
+        # blocks from k = 3 on, scales 1 and 2 make almost all of 2.2 M
+        hashed = []
+
+        def counting(seed, words, *js):
+            h = hash_words_vec(seed, words, *js)
+            hashed.append(h.size)
+            return h
+
+        monkeypatch.setattr(fields, "hash_words_vec", counting)
+        partial_sums_batch(np.arange(900, dtype=np.uint64), (0, 600), k_max=12)
+        assert sum(hashed) < 3_000_000

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -456,6 +457,15 @@ class TestPeakSweep:
             spec = FieldSpec(seed=0, dimension=1, k_max=4, doubling=False)
             pmf, _ = walk_pmf(spec, n)
             assert sweep[n - 1] == pytest.approx(pmf.prob(0), abs=1e-10)
+
+    def test_bytes_at_recur2_benchmark_horizon(self):
+        # the overlapping scales' group counts are integers, so building
+        # the rows where the lag window has not met the lead window from
+        # scale_groups' closed form, not from _overlap_counts, moves no bit
+        # (scale 3 overlaps from n = 504 on, scale 2 from n = 13)
+        sweep = peak_probability_sweep(600, k_max=12)
+        assert hashlib.sha256(sweep.tobytes()).hexdigest() == (
+            "ee1472bc46b546d837d359d1c599046369285819717a9711b8429816c3a15003")
 
     def test_monotone_decay_trend(self):
         sweep = peak_probability_sweep(64, k_max=7)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import recurlab.bigsums
+import recurlab.fields
 import recurlab.ranges
 from recurlab import PreconditionError
 from recurlab.fields import (
@@ -75,8 +75,7 @@ class TestRangeTable:
 
     def test_endpoints_match_stepping(self):
         # the linear schedule makes the union schedule gap-free up to 36,
-        # and every scale is dense at k_max = 8, so the squares up to 36
-        # read exact partial sums
+        # so the squares up to 36 read exact partial sums
         spec = FieldSpec(seed=17, dimension=2, k_max=8, doubling=True)
         [[_, table]] = pool_range_tables(spec, [spec.seed],
                                          [PolynomialSpec((1,)), P_SQUARE], 36)
@@ -228,8 +227,8 @@ def _same_view(a: PermutationView, b: PermutationView) -> bool:
 
 
 class TestViewPool:
-    # a pool shares each axis's layout and hashes its dense axes as one
-    # (views x coordinates) array; each view must still be exactly the view
+    # a pool shares each axis's layout and reads every view's field values
+    # in one call; each view must still be exactly the view
     # its own spec builds alone
 
     SPEC = FieldSpec(seed=0, dimension=2, k_max=default_k_max(60**3))
@@ -252,9 +251,9 @@ class TestViewPool:
         assert all(_same_view(a, b) for a, b in zip(three, pool))
 
     def test_hashing_blocks_do_not_change_views(self, pool, monkeypatch):
-        # blocks of a few hundred values split every dense axis into rows
+        # blocks of a few hundred values split every hashed axis into rows
         # and column blocks
-        monkeypatch.setattr(recurlab.bigsums, "_BLOCK_ELEMS", 300)
+        monkeypatch.setattr(recurlab.fields, "_BLOCK_ELEMS", 300)
         small = PermutationView.build_pool(self.SPEC, self.SEEDS, P_SQUARE,
                                            P_CUBE, 60)
         assert all(_same_view(a, b) for a, b in zip(small, pool))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -172,17 +173,21 @@ def block_bits(q: float) -> int:
     return min(62, math.floor(-math.log2(q)))
 
 
+@lru_cache(maxsize=128)
 def _count_thresholds(q: float, b: int) -> np.ndarray:
     """Hash thresholds of a keyed block's Binomial(2^b, q) count, the number
     at or below its hash: F(c) = 1 - P(count > c), tails summed smallest pmf
     term first, compared as in ``_thresholds``. The count stops where the tail is
-    below 2^-53, the uniforms' spacing (c <= 17), so its law is within a few 2^-53."""
+    below 2^-53, the uniforms' spacing (c <= 17), so its law is within a few 2^-53.
+    One read-only table per scale's (q, b), computed on its first use."""
     pmf = [math.exp(2.0**b * math.log1p(-q))]
     for c in range(40):
         pmf.append(pmf[-1] * (2.0**b - c) / (c + 1) * q / (1.0 - q))
     tails = np.cumsum(pmf[::-1])[::-1][1:]  # tails[c] = P(count > c)
-    return np.array([math.ceil((1.0 - t) * 2.0**53) << 11
-                     for t in tails[: np.argmax(tails < 2.0**-53)]], dtype=np.uint64)
+    table = np.array([math.ceil((1.0 - t) * 2.0**53) << 11
+                      for t in tails[: np.argmax(tails < 2.0**-53)]], dtype=np.uint64)
+    table.flags.writeable = False
+    return table
 
 
 def field_nonzeros(spec: FieldSpec, k: int, i: int, lo, hi, lagged: bool = False,

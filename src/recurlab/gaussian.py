@@ -23,13 +23,12 @@ RuntimeError; it matches adaptive quadrature to 1e-13 up to lag 4096.
 
 The triple probability P(X_0 > 1, X_n > 1, Y_n > 1) is exact up to a
 second fixed Gauss-Legendre rule, vectorized over every lag
-(``triple_probabilities``): for 0 < r(n) < 1 it is a one-dimensional
-integral of phi times 2 Phi - 1, and 2 Phi - 1 is itself an integral of
-phi, so the rule needs only np.exp. Its error is estimated by a second
-pair of node counts and must stay below 1e-10 relative, or it raises
-RuntimeError. Paths conditioned on X_0 > 1 (``conditioned_paths``) shift
-unconditioned circulant paths by their regression on X_0, so none is
-thrown away.
+(``triple_probabilities``): for 0 < r(n) < 1 the event is an
+equal-threshold bivariate-normal orthant, which Owen's T writes as one
+integral in np.exp alone. Its error is estimated by a second node count
+and must stay below 1e-10 relative, or it raises RuntimeError. Paths
+conditioned on X_0 > 1 (``conditioned_paths``) shift unconditioned
+circulant paths by their regression on X_0, so none is thrown away.
 
 The Hurwitz zeta is a plain-Python port of cephes' zeta, with its
 coefficients and order of operations, so it equals ``scipy.special.zeta``
@@ -66,16 +65,13 @@ _FFT_BLOCK = 1 << 16
 
 _TAG_X0 = 72  # keyed stream of conditioned_paths' X_0 draws
 
-# the triple rule (see triple_probabilities): (outer nodes per panel, inner
-# nodes) of the coarser and the finer rule; panels below and above the
-# point where the inner factor saturates; the outer factor's range ends
-# where it has fallen by e^-40, and 2 Phi(a) - 1 stops rising at a = 10,
-# where it is within 1.6e-23 of 1; below r = 1/40 the probability rounds
-# to 0; values per block of the (r x outer x inner) array (2 MiB)
-_TRIPLE_NODES = ((6, 24), (8, 32))
-_TRIPLE_PANELS = (24, 8)
+# the triple rule (see _triple_integral): nodes per panel of the coarser and
+# the finer rule, and their equal panels; the range ends where the exponent
+# reaches -40; below r = 1/40 the probability rounds to 0; values per block
+# of the (r x nodes) array (2 MiB)
+_TRIPLE_NODES = (8, 12)
+_TRIPLE_PANELS = 16
 _TRIPLE_DECAY = 40.0
-_TRIPLE_SATURATE = 10.0
 _TRIPLE_R_MIN = 1.0 / 40.0
 _TRIPLE_BLOCK = 1 << 18
 
@@ -157,6 +153,13 @@ def _power_cov(delta: float, lags: np.ndarray) -> np.ndarray:
     other lags are asked for. Both node counts of _GL_NODES are applied;
     their largest difference estimates the error of the coarser rule and
     must stay below _RULE_TOL. The finer rule's value is returned.
+
+    |r(n)| <= r(1) n^-delta at every n >= 1 (up to the rule's error): with
+    w(s) = s^(delta-1), pairing j pi + u with j pi + pi - u, u < pi/2, makes
+    G's piece I_j over [j pi, (j + 1) pi] (-1)^j times the integral of
+    cos u (w(j pi + u) - w(j pi + pi - u)). As w is convex and decreasing,
+    that factor is positive and falls with j, so the I_j alternate from
+    I_1 < 0 on and shrink: G(2) <= G(n) <= G(1), and G(2) > 0 as I_0 > -I_1.
     """
     lags = np.asarray(lags, dtype=np.int64)
     if lags.size == 0:
@@ -311,44 +314,31 @@ def triple_envelope(r: float) -> float:
     return min(tail, r * r)
 
 
-def _triple_integral(r: np.ndarray, outer: int, inner: int) -> np.ndarray:
-    """J(r) = P(X_0 > 1, X_n > 1, Y_n > 1) / phi(1/r) for each r of ``r``
-    in [_TRIPLE_R_MIN, 1), by one composite Gauss-Legendre rule with
-    ``outer`` nodes per panel over t = x - 1/r and ``inner`` nodes for
-    2 Phi(a) - 1, in blocks of at most _TRIPLE_BLOCK values.
+def _triple_integral(r: np.ndarray, nodes: int) -> np.ndarray:
+    """I(r) = pi e^(1/(2 r^2)) P(X_0 > 1, X_n > 1, Y_n > 1) for each r of
+    ``r`` in [_TRIPLE_R_MIN, 1), by one composite Gauss-Legendre rule with
+    ``nodes`` nodes on each of _TRIPLE_PANELS equal panels, in blocks of at
+    most _TRIPLE_BLOCK values.
 
-    J is the integral over t >= 0 of e^(-t/r - t^2/2) (2 Phi(c t) - 1),
-    c = r / sqrt(1 - r^2), taken up to T, where the exponent reaches
-    -_TRIPLE_DECAY. The inner factor rises on the scale 1/c, so [0, T] is
-    split at t_1 = min(_TRIPLE_SATURATE / c, T), where it has saturated,
-    and each part carries its count of _TRIPLE_PANELS equal panels. The
-    inner factor is the integral of 2 phi over [0, min(c t,
-    _TRIPLE_SATURATE)], so the rule needs np.exp alone.
+    I is the integral over t >= 0 of e^(-a t - t^2/2) / (1 + (a + t)^2),
+    a = sqrt(1 - r^2) / r, taken up to T = sqrt(a^2 + 2 D) - a, where the
+    exponent reaches -D, D = _TRIPLE_DECAY. The exponent is convex with
+    slope b = a + T at T, so the rest is at most e^-D / (b (1 + b^2)), and
+    I is at least (1 - e^-D) / (b (1 + b^2)): the cut is below 5e-18 of I.
     """
-    x, w = np.polynomial.legendre.leggauss(outer)
-    unit, unit_w = [], []  # each part's nodes and weights on [0, 1]
-    for panels in _TRIPLE_PANELS:
-        unit.append(((np.arange(panels)[:, None] + (x + 1.0) / 2.0) / panels).ravel())
-        unit_w.append(np.tile(w / (2.0 * panels), panels))
-    xi, wi = np.polynomial.legendre.leggauss(inner)
-    # 2 Phi(a) - 1 = a sum_j wi_j phi(a (xi_j + 1) / 2)
-    half_sq = -0.5 * ((xi + 1.0) / 2.0) ** 2
-    wi = wi / math.sqrt(2.0 * math.pi)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    unit = ((np.arange(_TRIPLE_PANELS)[:, None] + (x + 1.0) / 2.0) / _TRIPLE_PANELS).ravel()
+    unit_w = np.tile(w / (2.0 * _TRIPLE_PANELS), _TRIPLE_PANELS)
     out = np.empty(r.size)
-    rows = max(1, _TRIPLE_BLOCK // ((unit[0].size + unit[1].size) * inner))
+    rows = max(1, _TRIPLE_BLOCK // unit.size)
     for start in range(0, r.size, rows):
         rb = r[start : start + rows, None]
-        c = rb / np.sqrt(1.0 - rb * rb)
-        T = np.sqrt(rb**-2 + 2.0 * _TRIPLE_DECAY) - 1.0 / rb
-        t1 = np.minimum(_TRIPLE_SATURATE / c, T)
-        t = np.concatenate([t1 * unit[0], t1 + (T - t1) * unit[1]], axis=1)
-        tw = np.concatenate([t1 * unit_w[0], (T - t1) * unit_w[1]], axis=1)
-        a = np.minimum(c * t, _TRIPLE_SATURATE)
-        phi = np.exp((a * a)[..., None] * half_sq)
-        phi *= wi
+        a = np.sqrt(1.0 - rb * rb) / rb
+        T = np.sqrt(a * a + 2.0 * _TRIPLE_DECAY) - a
+        t = T * unit
+        f = np.exp(-a * t - 0.5 * t * t) / (1.0 + (a + t) ** 2)
+        f *= T * unit_w
         # numpy's row sums keep each r's value independent of its block
-        f = phi.sum(axis=-1)
-        f *= a * tw * np.exp(-t / rb - 0.5 * t * t)
         out[start : start + rows] = f.sum(axis=1)
     return out
 
@@ -356,17 +346,19 @@ def _triple_integral(r: np.ndarray, outer: int, inner: int) -> np.ndarray:
 def triple_probabilities(r: np.ndarray) -> np.ndarray:
     """P(X_0 > 1, X_n > 1, Y_n > 1) at each correlation r = r(n) of ``r``.
 
-    Given X_0 = x, X_n = r x + s Z and Y_n = 2 r x - X_n = r x - s Z, with
-    s = sqrt(1 - r^2) and Z standard normal, so X_n and Y_n both exceed 1
-    exactly when s |Z| < r x - 1. For 0 < r < 1 therefore
-    P = integral over x > 1/r of phi(x) (2 Phi((r x - 1) / s) - 1), and
-    P = 0 for r <= 0. Below r = _TRIPLE_R_MIN, P < P(Z > 40) < 1e-349 rounds
-    to 0. Otherwise P = phi(1/r) J(r) with J from _triple_integral. Both
-    node counts of _TRIPLE_NODES are applied; the relative difference of
-    their J estimates the error of the coarser rule and must stay below
-    _RULE_TOL, or RuntimeError is raised. The finer rule's value is
-    returned. No libm special function is called, so the value does not
-    depend on one's last bits.
+    X_n = r X_0 + s Z and Y_n = 2 r X_0 - X_n = r X_0 - s Z, s = sqrt(1 - r^2),
+    Z standard normal, are standard normals with correlation 2 r^2 - 1 that
+    both exceed 1 only if r X_0 = (X_n + Y_n)/2 > 1. So P = 0 for r <= 0;
+    for 0 < r < 1 that forces X_0 > 1, so P is the orthant
+    P(X_n > 1, Y_n > 1) = P(Z > 1) - 2 T(1, a), a = s / r, with Owen's T
+    (D. B. Owen, Ann. Math. Statist. 27, 1956): the integral over x > a of
+    e^(-(1 + x^2)/2) / (1 + x^2) / pi. As 1 + a^2 = 1/r^2, x = a + t gives
+    P = e^(-1/(2 r^2)) I(r) / pi with I from _triple_integral. Below
+    r = _TRIPLE_R_MIN, P < P(Z > 40) < 1e-349 rounds to 0. Both node counts
+    of _TRIPLE_NODES are applied; the relative difference of their I
+    estimates the error of the coarser rule and must stay below _RULE_TOL,
+    or RuntimeError is raised. The finer rule's value is returned. No libm
+    special function is called, so P does not depend on one's last bits.
     """
     r = np.asarray(r, dtype=np.float64)
     if (r >= 1.0).any():
@@ -374,12 +366,12 @@ def triple_probabilities(r: np.ndarray) -> np.ndarray:
     out = np.zeros(r.shape)
     on = r >= _TRIPLE_R_MIN
     rs = r[on]
-    coarse, fine = (_triple_integral(rs, *nodes) for nodes in _TRIPLE_NODES)
+    coarse, fine = (_triple_integral(rs, nodes) for nodes in _TRIPLE_NODES)
     err = np.abs(coarse - fine) / fine
     if err.size and err.max() > _RULE_TOL:
         i = int(np.argmax(err))
         raise RuntimeError(f"triple rule error {err[i]:.2e} too large at r={rs[i]!r}")
-    out[on] = np.exp(-0.5 / (rs * rs)) / math.sqrt(2.0 * math.pi) * fine
+    out[on] = np.exp(-0.5 / (rs * rs)) / math.pi * fine
     return out
 
 

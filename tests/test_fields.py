@@ -562,6 +562,19 @@ class TestKeyedBlocks:
                             if any(a <= jj < z for a, z in zip(lo, hi))}
             assert part
 
+    def test_count_table_computed_once_per_scale(self):
+        # the count thresholds depend on (q_k, b_k) alone; repeated reads of
+        # one scale reuse one read-only table
+        fields._count_thresholds.cache_clear()
+        spec = FieldSpec(seed=0, dimension=1, k_max=5)
+        for seed in self.SEEDS[:5].tolist():
+            for k in (3, 4, 5):
+                field_nonzeros(spec, k, 1, [0], [1 << 12], seed=seed)
+        info = fields._count_thresholds.cache_info()
+        assert (info.misses, info.hits) == (3, 12)
+        with pytest.raises(ValueError, match="read-only"):
+            fields._count_thresholds(scale_params(3).q, 8)[0] = 0
+
 
 class TestHashCount:
     def test_recur2_shape(self, monkeypatch):

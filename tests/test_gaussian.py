@@ -64,6 +64,15 @@ class TestSpectralModels:
         for n in (1, 16, 256, 512):
             assert abs(power03.r(n)) <= power03.C * n ** (-power03.delta) + 1e-12
 
+    @pytest.mark.parametrize("delta", [0.02, 0.1, 0.3, 0.525, 0.75, 0.98])
+    def test_envelope_attained_at_lag_one(self, delta):
+        # _power_cov's argument: r(n) n^delta is largest at n = 1, so the
+        # fitted C is r(1) and bounds every lag beyond the fit
+        n = np.arange(1, 4097)
+        r = gaussian._power_cov(delta, n)
+        assert int(np.argmax(np.abs(r) * n**delta)) == 0
+        assert power_density_model(delta).C == r[0]
+
     def test_delta_out_of_range(self):
         with pytest.raises(ValueError):
             power_density_model(0.0)
@@ -405,16 +414,37 @@ class TestTripleProbability:
 
 
 class TestTripleExact:
-    # near r = 1 the inner factor saturates at t = 10 / c, well inside the
-    # rule's range, so 0.999 and 0.99 test that split; at 0.047 the
-    # probability is about 1.6e-103
-    RS = (0.999, 0.99, 0.9, 0.6, 0.45, 0.3, 0.16, 0.047)
+    # the rule's integrand e^(-a t - t^2/2) / (1 + (a + t)^2), a = s / r,
+    # spreads over [0, 8.9] as r nears 1 (a = 4.5e-4 at 0.9999999) and
+    # decays within 1/a = 0.047 at 0.047, where the probability is about
+    # 1.6e-103
+    RS = (0.9999999, 0.999, 0.99, 0.9, 0.6, 0.45, 0.3, 0.16, 0.047)
 
     def test_matches_quadrature_oracle(self):
         got = triple_probabilities(np.array(self.RS))
         for r, p in zip(self.RS, got.tolist()):
             ref = oracle_triple(r)
             assert abs(p - ref) <= 1e-13 * ref, r
+
+    @pytest.mark.parametrize("r", [0.6, 0.9, 0.99, 0.999, 0.9999999])
+    def test_owens_t_identity(self, r):
+        # the orthant P(Z > 1) - 2 T(1, s / r); below r = 0.6 the
+        # subtraction cancels too many digits to check 1e-14
+        from scipy.special import ndtr, owens_t
+
+        s = math.sqrt(1.0 - r * r)
+        ref = float(ndtr(-1.0) - 2.0 * owens_t(1.0, s / r))
+        p = float(triple_probabilities(np.array([r]))[0])
+        assert abs(p - ref) <= 1e-14 * ref
+
+    def test_dense_grid_passes_the_gate(self):
+        # every r in [1/40, 1) meets the 1e-10 gate; P rises with r, and
+        # is 0 only where e^(-1/(2 r^2)) underflows
+        r = np.append(np.linspace(gaussian._TRIPLE_R_MIN, 1.0, 20001)[:-1],
+                      np.nextafter(1.0, 0.0))
+        p = triple_probabilities(r)
+        assert (np.diff(p) >= 0).all() and (np.diff(p)[p[:-1] > 0] > 0).all()
+        assert (p[r > 0.027] > 0).all() and p[-1] < upper_tail(1.0)
 
     def test_zero_without_positive_correlation(self):
         # r <= 0 cannot give r X_0 > 1; below r = 1/40 the probability is
@@ -448,7 +478,7 @@ class TestTripleExact:
             assert (triple_probabilities(r).view(np.uint64) == ref.view(np.uint64)).all()
 
     def test_under_resolved_rule_raises(self, monkeypatch):
-        monkeypatch.setattr(gaussian, "_TRIPLE_NODES", ((2, 3), (3, 4)))
+        monkeypatch.setattr(gaussian, "_TRIPLE_NODES", (2, 3))
         with pytest.raises(RuntimeError, match="triple rule error"):
             triple_probabilities(np.array([0.9]))
 

@@ -117,6 +117,15 @@ only failure counts, which stay 0, the floor of the forced band and exact
 probabilities, so certify.json did not move; no other digest did. Building
 the peak sweep's rows from scale_groups' closed form before the lag window
 meets the lead window moved no bit of decay.csv either.
+
+The gauss and gauss-600 digests were re-pinned when the triple rule came
+to read the probability as an equal-threshold bivariate-normal orthant:
+by Owen's T, one integral in np.exp alone replaced an outer rule whose
+every node carried an inner rule for 2 Phi - 1. The exact values moved by
+at most 8.9e-16 relative (``estimates`` and gauss_decay.csv), and
+``mc_max_z``, which compares them with the Monte Carlo counts, in its last
+digit; ``summability_total``, the measures and the verdict ``ok`` did not
+move. No other digest moved.
 """
 
 import hashlib
@@ -159,13 +168,13 @@ GOLDEN = {
     ),
     "gauss": (
         ["gauss", "--horizon", "16", "--samples", "100", "--param", "mc=2000"],
-        {"gauss.json": "aa81126a3758d2ca5ba41e9abdd324a2976462df5e5489c6f1bf4bb24b1caf13",
-         "gauss_decay.csv": "93cef24c359d79fa38c0713bc99309c8cc6d76701020ff9c33020787a6109976"},
+        {"gauss.json": "578ac4a8b50237065166d979496e1d16aa13ea6893b9b548fb1cbe8b315a28ab",
+         "gauss_decay.csv": "d85b2d79fae2fcbc8aed5b305dc7c0e18df516b5439c7885c414092e4d9fad0c"},
     ),
     "gauss-600": (
         ["gauss", "--horizon", "600", "--samples", "100", "--param", "mc=2000"],
-        {"gauss.json": "030e9479a036f36bef40d02e596e85d8a535b7876397373f6499aefbc6b24dc3",
-         "gauss_decay.csv": "18576b9652878013a54e04ceb325bcfea5e05691527ef13e3c5923ebd45311ec"},
+        {"gauss.json": "82c3a7e7982ee06832c694d30a56745d614bb3afce75c6fa62d2e500afee76c6",
+         "gauss_decay.csv": "8d28b3ebed6706a8dbc4ec4bdc7dc9213fa30ff9f654050a201776cc8dfc0439"},
     ),
 }
 

@@ -375,6 +375,21 @@ class TestAliasBound:
         assert half <= int((law.counts * law.values).sum())
         assert self._bound(law, half) == pytest.approx(bound, rel=1e-13)
 
+    def test_sound_where_the_grid_cap_binds(self):
+        # lclt at n = 2^20 (k_max = 22): the atoms of value >= 2^20 fire
+        # with total probability u. Exactly one fires with probability at
+        # least u (1 - u), and the rest, symmetric, adds a nonnegative
+        # amount to its sign half the time, so at least u (1 - u) / 2 of
+        # the mass lies at |S| >= 2^20. No sound bound can meet ALIAS_TOL
+        # on the 2^21 grid the cap allows; on a 2^22 grid this one does
+        n = 1 << 20
+        law = grouped_law(1, default_k_max(n), n)
+        big = law.values >= n
+        u = float((law.counts[big] * law.qs[big]).sum())
+        assert 0.5 * u * (1.0 - u) > pmf_module.ALIAS_TOL
+        assert self._bound(law, n) >= 0.5 * u * (1.0 - u)
+        assert self._bound(law, 2 * n) <= pmf_module.ALIAS_TOL
+
 
 # every k_max from 6 to 16 against the n at which the kernel's cases turn:
 # n = 1, 2 put every scale on the direct product, and between n = 503 and

@@ -126,8 +126,6 @@ def pool_schedule_sums(spec: FieldSpec, seeds: Sequence[int],
         raise ValueError("schedule times must be positive integers")
     if times[-1] >= COORD_BOUND // 4:
         raise PreconditionError("schedule exceeds the coordinate bound")
-    if spec.windows:
-        raise ValueError("the schedule engine needs an unconditioned spec")
     t = np.array(times, dtype=np.int64)
     seeds = [int(s) for s in seeds]
     values = np.zeros((len(seeds), t.size, spec.dimension), dtype=np.int64)

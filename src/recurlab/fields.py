@@ -4,17 +4,19 @@ A field value at address (k, i, j) is +1 or -1 with probability alpha_k^2/2
 each and 0 otherwise, independent across addresses. The scale-k block
 function sums p_k consecutive values minus the same block lagged by d_k,
 and the walk increment is the sum of the block functions over all scales up
-to a truncation. Everything is deterministic given the 64-bit seed; forced
-windows of coordinates (a single forced value is a window one value wide)
-take precedence and realize exact conditioning on cylinder events.
+to a truncation. Everything is deterministic given the 64-bit seed. The
+one cylinder event the lab conditions on, the goal event of
+``goal_event_plan``, fixes every value of its scales that the certified
+window reads, so its paths are the unconditioned ones of the scales below
+it plus a closed-form band.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,23 +77,8 @@ def scale_params(k: int) -> ScaleParams:
 
 
 @dataclass(frozen=True)
-class ForcedWindow:
-    """Force field values of scale k, coordinate i to ``value`` on [lo, hi)."""
-
-    k: int
-    i: int
-    lo: int
-    hi: int
-    value: int
-
-
-@dataclass(frozen=True)
 class FieldSpec:
-    """Addressable realization of the multi-scale field.
-
-    ``windows`` force coordinate ranges to values in {-1, 0, +1}; where two
-    overlap, the first wins.
-    """
+    """Addressable realization of the multi-scale field."""
 
     seed: int
     dimension: int = 2
@@ -99,18 +86,12 @@ class FieldSpec:
     k_max: int = 8
     doubling: bool = True
     zero: bool = False
-    windows: Tuple[ForcedWindow, ...] = ()
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
         if not (1 <= self.k_min <= self.k_max):
             raise PreconditionError("need 1 <= k_min <= k_max")
-        for w in self.windows:
-            if w.value not in (-1, 0, 1):
-                raise ValueError(f"forced value {w.value} not in {{-1,0,1}}")
-            if w.lo >= w.hi:
-                raise ValueError("empty forced window")
 
     def scales(self) -> List[ScaleParams]:
         return [scale_params(k) for k in range(self.k_min, self.k_max + 1)]
@@ -136,22 +117,6 @@ def tail_variance_bound(n: int, k_max: int) -> float:
         if term < 1e-300:
             break
     return total
-
-
-def _forcing(spec: FieldSpec, k: int, i: int, lagged: bool, a: int,
-             size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Forced values and mask of scale k, coordinate i at window positions
-    m < size, which read coordinate a + m (an offset from d_k if ``lagged``).
-    Laid last to first, so that where windows overlap the first wins."""
-    shift = scale_params(k).d if lagged else 0
-    values = np.zeros(size, dtype=np.int64)
-    forced = np.zeros(size, dtype=bool)
-    for w in reversed(spec.windows):
-        if w.k == k and w.i == i:
-            lo, hi = (min(max(x - shift - a, 0), size) for x in (w.lo, w.hi))
-            values[lo:hi] = w.value
-            forced[lo:hi] = True
-    return values, forced
 
 
 def _thresholds(q: float) -> Tuple[np.uint64, np.uint64]:
@@ -192,11 +157,10 @@ def _count_thresholds(q: float, b: int) -> np.ndarray:
 
 def field_nonzeros(spec: FieldSpec, k: int, i: int, lo, hi, lagged: bool = False,
                    seed=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero field values of an unforced spec's scale k, coordinate i
-    over the sorted disjoint int64 segments [lo, hi) (offsets from d_k if
-    ``lagged``) laid end to end: seed row, packed coordinate and value (+1
-    or -1), sorted by row and coordinate, a row per entry of ``seed``
-    (default ``spec.seed``).
+    """The nonzero field values of scale k, coordinate i over the sorted
+    disjoint int64 segments [lo, hi) (offsets from d_k if ``lagged``) laid
+    end to end: seed row, packed coordinate and value (+1 or -1), sorted by
+    row and coordinate, a row per entry of ``seed`` (default ``spec.seed``).
 
     Scales with q_k > 2^-KEYED_BITS (k <= 2) hash each value, in (rows x
     coordinates) blocks of at most _BLOCK_ELEMS values. The others hash
@@ -206,8 +170,6 @@ def field_nonzeros(spec: FieldSpec, k: int, i: int, lo, hi, lagged: bool = False
     (seed, block, t) a position (top b bits) and a sign (low bit), skipped
     if drawn before. So a block holds a uniform subset with fair signs.
     """
-    if spec.windows:
-        raise ValueError("field_nonzeros takes an unforced spec")
     sp = scale_params(k)
     seeds = np.asarray(spec.seed if seed is None else seed, dtype=np.uint64).reshape(-1)
     lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
@@ -276,13 +238,15 @@ def _scatter(diff: np.ndarray, row: np.ndarray, m: np.ndarray, v: np.ndarray,
     np.add.at(diff.reshape(-1), at[inside], np.concatenate([v, -v])[inside])
 
 
-def _window_sums(spec: FieldSpec, seeds: np.ndarray,
-                 window: Tuple[int, int]) -> np.ndarray:
+def _window_sums(spec: FieldSpec, seeds: np.ndarray, window: Tuple[int, int],
+                 scales: Optional[Sequence[Sequence[ScaleParams]]] = None) -> np.ndarray:
     """S_t for t in [a, b] and every seed: shape (seeds, b - a + 1, dimension).
 
     The window must satisfy a <= 0 <= b; S_t sums the increments over
     [0, t) for t >= 0 and minus those over [t, 0) for t < 0. ``seeds``
-    replace ``spec.seed``, and every seed shares the spec's forced windows.
+    replace ``spec.seed``. ``scales`` holds the scales each coordinate
+    reads, one sequence per coordinate; by default every coordinate reads
+    every scale of the spec.
 
     A scale's value v at position m of its window [a, b + p - 1) enters
     the increments t - a in [m - p + 1, m], negated on the lag axis. The
@@ -290,9 +254,7 @@ def _window_sums(spec: FieldSpec, seeds: np.ndarray,
     are scattered, as +v and -v at the ends of their ranges, into a
     (seeds x (W + 1)) difference array, W = b - a, in row chunks expected
     to hold _BLOCK_ELEMS / 4 of them; two in-place cumulative sums make
-    the increments, then the path. Values under a forced interval are
-    dropped; the forced values, the same for every seed, go once into a
-    row that every seed adds, and a window forced throughout is not read.
+    the increments, then the path.
     """
     a, b = window
     if a > b or not (a <= 0 <= b):
@@ -300,26 +262,18 @@ def _window_sums(spec: FieldSpec, seeds: np.ndarray,
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     W = b - a
     out = np.zeros((seeds.size, W + 1, spec.dimension), dtype=np.int64)
-    forced_row = np.zeros((1, W + 1, spec.dimension), dtype=np.int64)
-    unforced = replace(spec, windows=())
     mult = 2 if spec.doubling else 1
-    for i in range(spec.dimension):
-        for sp in spec.scales():
+    if scales is None:
+        scales = [spec.scales()] * spec.dimension
+    for i, read in enumerate(scales):
+        for sp in read:
             size = W + sp.p - 1
             rows = max(1, int(_BLOCK_ELEMS / (4 * size * sp.q)))
             for lagged, sign in ((False, mult), (True, -mult)):
-                values, forced = _forcing(spec, sp.k, i + 1, lagged, a, size)
-                m = np.flatnonzero(values)
-                _scatter(forced_row, np.zeros_like(m), m, sign * values[m], i, sp.p)
-                if spec.zero or forced.all():
-                    continue
                 for r in range(0, seeds.size, rows):
-                    row, m, x = field_nonzeros(unforced, sp.k, i + 1, [a], [a + size],
+                    row, m, x = field_nonzeros(spec, sp.k, i + 1, [a], [a + size],
                                                lagged, seeds[r : r + rows])
-                    keep = ~forced[m]
-                    _scatter(out, row[keep] + r, m[keep], sign * x[keep], i, sp.p)
-    if spec.windows:
-        out += forced_row
+                    _scatter(out, row + r, m, sign * x, i, sp.p)
     np.cumsum(out, axis=1, out=out)
     np.cumsum(out, axis=1, out=out)
     if a:
@@ -338,7 +292,7 @@ def partial_sums_batch(
     """Partial sums for many independent seeds at once.
 
     Returns an int64 array of shape (n_seeds, b - a + 1, dimension).
-    Row r is S_t of the unforced ``FieldSpec(seed=seeds[r], ...)``: the sum
+    Row r is S_t of ``FieldSpec(seed=seeds[r], ...)``: the sum
     of the increments over [0, t) for t >= 0 and minus the sum over [t, 0)
     for t < 0.
     """
@@ -352,35 +306,31 @@ def partial_sums_batch(
 
 @dataclass(frozen=True)
 class ConditioningPlan:
-    """Forced cylinder realizing the monotone-increment event.
+    """Cylinder event realizing the monotone-increment event.
 
-    Scales in [K, K+C) get their lead window forced to 1 and the lagged
-    window forced to 0; other scales at or above kappa get both windows
-    forced to 0. Only scales up to the spec truncation are materialized;
-    higher scales are independent of everything evaluated at desk scale.
+    For every scale kappa <= k <= k_max it fixes the first coordinate's
+    lead window [0, p_k + 2N) and lag window [d_k, d_k + p_k + 2N): the
+    lead window of the band K <= k <= k_max is +1 throughout, and every
+    other value there is 0. Those are all the values of these scales that
+    the path over (0, 2N) reads, so there the band adds exactly p_k per
+    step and every other scale of the cylinder nothing. Higher scales are
+    independent of everything evaluated at desk scale.
     """
 
     N: int
     C: int
     kappa: int
     K: int
-    windows: Tuple[ForcedWindow, ...]
-
-    def check_consistent(self) -> None:
-        for x in self.windows:
-            for y in self.windows:
-                lo, hi = max(x.lo, y.lo), min(x.hi, y.hi)
-                if (x.k, x.i) == (y.k, y.i) and lo < hi and x.value != y.value:
-                    raise ValueError(f"conflicting assignments on scale "
-                                     f"{(x.k, x.i)} over [{lo}, {hi})")
+    k_max: int
 
 
 def goal_event_plan(N: int, C: int) -> ConditioningPlan:
     """Build the conditioning plan forcing strictly increasing first-coordinate sums.
 
     kappa is the smallest scale with 2N < p_k; K the smallest scale >= kappa
-    with 2 p_k < d_k. Raises if a forced scale would have colliding windows
-    (requires p_k + 2N < 2 p_k <= d_k).
+    with 2 p_k < d_k; k_max the smallest truncation whose band K..k_max
+    sums past C, or K + C - 1. Raises if a forced scale would have
+    colliding windows (requires p_k + 2N < 2 p_k <= d_k).
     """
     if N < 1 or C < 1:
         raise PreconditionError("need N >= 1 and C >= 1")
@@ -390,7 +340,6 @@ def goal_event_plan(N: int, C: int) -> ConditioningPlan:
     K = kappa
     while not (2 * scale_params(K).p < scale_params(K).d):
         K += 1
-    # smallest truncation whose forced band already exceeds C
     k_max = K
     total = 0
     while True:
@@ -398,39 +347,13 @@ def goal_event_plan(N: int, C: int) -> ConditioningPlan:
         if total > C or k_max >= K + C - 1:
             break
         k_max += 1
-    windows: List[ForcedWindow] = []
     for k in range(kappa, k_max + 1):
-        sp = scale_params(k)
-        span = sp.p + 2 * N
-        if span >= 2 * sp.p:
+        span = scale_params(k).p + 2 * N
+        if span >= 2 * scale_params(k).p:
             raise PreconditionError(
                 f"conditioning collision at scale {k}: p_k + 2N = {span} >= 2 p_k"
             )
-        if K <= k < K + C:
-            windows.append(ForcedWindow(k=k, i=1, lo=0, hi=span, value=1))
-            windows.append(ForcedWindow(k=k, i=1, lo=sp.d, hi=sp.d + span, value=0))
-        else:
-            windows.append(ForcedWindow(k=k, i=1, lo=0, hi=span, value=0))
-            windows.append(ForcedWindow(k=k, i=1, lo=sp.d, hi=sp.d + span, value=0))
-    plan = ConditioningPlan(N=N, C=C, kappa=kappa, K=K, windows=tuple(windows))
-    plan.check_consistent()
-    return plan
-
-
-def conditioned_spec(spec: FieldSpec, plan: ConditioningPlan) -> FieldSpec:
-    """Merge a conditioning plan into the spec.
-
-    The forced coordinates are cylinder conditions on independent field
-    values, so sampling the remaining coordinates unconditionally realizes
-    the exact conditional law given the event. A forced window of the spec
-    that disagrees with the plan is rejected.
-    """
-    replace(plan, windows=spec.windows + plan.windows).check_consistent()
-    need_kmax = max((w.k for w in plan.windows), default=spec.k_max)
-    out = spec
-    if need_kmax > spec.k_max:
-        out = replace(out, k_max=need_kmax)
-    return replace(out, windows=out.windows + plan.windows)
+    return ConditioningPlan(N=N, C=C, kappa=kappa, K=K, k_max=k_max)
 
 
 def min_low_scale_increment(N: int) -> int:

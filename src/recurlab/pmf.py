@@ -317,17 +317,15 @@ class WalkLawReport:
 
 def walk_pmf(spec: FieldSpec, n: int,
              grid: Optional[int] = None) -> Tuple[IntegerPmf, WalkLawReport]:
-    """Exact law of one coordinate of S_n under a 1-D ``spec`` without
-    forced windows; returns (pmf, report). The coordinates of a 2-D walk
-    are independent copies of this law.
+    """Exact law of one coordinate of S_n under a 1-D ``spec``; returns
+    (pmf, report). The coordinates of a 2-D walk are independent copies of
+    this law.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if spec.dimension != 1:
         raise ValueError("walk_pmf takes a 1-D spec: the coordinates of a "
                          "2-D walk are independent copies of its law")
-    if spec.windows:
-        raise ValueError("walk_pmf requires an unconditioned spec")
     if spec.zero or n == 0:
         base, alias = point_mass(0), 0.0
     else:

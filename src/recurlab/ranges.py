@@ -22,7 +22,6 @@ from .fields import (
     _BLOCK_ELEMS,
     FieldSpec,
     _window_sums,
-    conditioned_spec,
     goal_event_plan,
     min_low_scale_increment,
     scale_params,
@@ -325,13 +324,13 @@ class CertificationRun:
     samples: int
     goal_failures: int
     distinct_failures: int
-    y_floor: int  # minimal observed high-scale increment (undoubled)
+    y_floor: int  # band increment per step, sum of p_k over K..k_max (undoubled)
     log_event_probability: float
     bound_checks: Tuple[Tuple[int, float, float], ...]  # (k, log m(D_k), -2/p_k)
 
 
-# unforced scales k = K + C, ..., K + C + BOUND_SCALES - 1 whose factor bound
-# m(D_k) >= exp(-2/p_k) each certification checks
+# scales k = K + C, ..., K + C + BOUND_SCALES - 1 outside the cylinder, whose
+# factor bound m(D_k) >= exp(-2/p_k) each certification checks
 BOUND_SCALES = 40
 
 
@@ -346,11 +345,14 @@ def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
     (0,0) < S_1 < ... < S_{2N}, the 2N+1 distinct window values, and the
     per-step high-scale floor. Also reports the exact cylinder
     log-probability and verifies the per-scale factor bound
-    m(D_k) >= exp(-2/p_k) for unforced scales k >= K + C.
+    m(D_k) >= exp(-2/p_k) for the scales k >= K + C outside the cylinder.
 
-    Sample s has seed seed0 + s. The forced windows do not depend on the
-    seed, so the samples go through the seed-axis kernel in blocks of
-    rows, and each check is a reduction over a row.
+    Sample s has seed seed0 + s. The plan fixes every value of its
+    scales that the window (0, 2N) reads, so the first coordinate reads
+    only the scales below kappa, and the band adds 2 y_floor to every
+    step of every seed's path, y_floor the sum of p_k over K..k_max. The
+    samples go through the seed-axis kernel in blocks of rows, and each
+    check is a reduction over a row.
     """
     if samples < 1:
         raise PreconditionError("need samples >= 1")
@@ -360,24 +362,18 @@ def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
     if C < -M:
         raise PreconditionError("C must dominate the low-band worst case -M")
     plan = goal_event_plan(N=N, C=C)
-    plan_k_max = max(w.k for w in plan.windows)
-    spec = conditioned_spec(FieldSpec(seed=0, dimension=2, doubling=True,
-                                      k_max=plan_k_max), plan)
-    # the plan forces only the first coordinate, which a 1-D spec reads at
-    # the same addresses; there it forces every scale of this band over
-    # [0, p_k + 2N) and [d_k, d_k + p_k + 2N), the whole lead and lag
-    # window the kernel reads for (0, 2N). So the band's path is the same
-    # for every seed, and one row gives every sample's floor exactly
-    high = replace(spec, k_min=plan.kappa, doubling=False, dimension=1)
-    window = (0, 2 * N)
-    y_floor = int(np.diff(_window_sums(high, [seed0], window)[0, :, 0]).min())
+    spec = FieldSpec(seed=0, dimension=2, doubling=True, k_max=plan.k_max)
+    scales = spec.scales()
+    y_floor = sum(sp.p for sp in scales[plan.K - 1:])
+    band = 2 * y_floor * np.arange(2 * N + 1)
     goal_failures = 0
     distinct_failures = 0
     rows = max(1, _BLOCK_ELEMS // (2 * N + 1))
     for lo in range(seed0, seed0 + samples, rows):
         # a seed past 2^64 - 1 raises OverflowError here instead of wrapping
         seeds = np.array(range(lo, min(lo + rows, seed0 + samples)), dtype=np.uint64)
-        path = _window_sums(spec, seeds, window)
+        path = _window_sums(spec, seeds, (0, 2 * N), [scales[: plan.kappa - 1], scales])
+        path[:, :, 0] += band
         d0, d1 = np.moveaxis(np.diff(path, axis=1), 2, 0)
         chain = ((d0 > 0) | ((d0 == 0) & (d1 > 0))).all(axis=1)
         # sorted lexicographically, a row's values are distinct iff no two
@@ -388,18 +384,20 @@ def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
         distinct_failures += int(repeat.sum())
         # counted once per sample, so goal_failures <= samples
         goal_failures += int((~chain | (y_floor <= C)).sum())
-    # exact cylinder probability (log space) over the forced scales
+    # exact cylinder probability (log space): per scale the lead window,
+    # +1 on the band and 0 below it, then the lag window, 0
     log_prob = 0.0
-    for w in plan.windows:
-        q = scale_params(w.k).q
-        log_prob += (w.hi - w.lo) * (math.log1p(-q) if w.value == 0 else math.log(q / 2.0))
+    for sp in scales[plan.kappa - 1:]:
+        span = sp.p + 2 * N
+        log_prob += span * (math.log(sp.q / 2.0) if sp.k >= plan.K else math.log1p(-sp.q))
+        log_prob += span * math.log1p(-sp.q)
     checks = []
     for k in range(plan.K + C, plan.K + C + BOUND_SCALES):
         sp = scale_params(k)
         log_mdk = 2 * (sp.p + 2 * N) * math.log1p(-sp.q)
         checks.append((k, log_mdk, -2.0 / sp.p))
     return CertificationRun(
-        N=N, C=C, M=M, kappa=plan.kappa, K=plan.K, plan_k_max=plan_k_max,
+        N=N, C=C, M=M, kappa=plan.kappa, K=plan.K, plan_k_max=plan.k_max,
         samples=samples, goal_failures=goal_failures,
         distinct_failures=distinct_failures, y_floor=y_floor,
         log_event_probability=log_prob, bound_checks=tuple(checks),

@@ -10,7 +10,8 @@ circulant sampler's transform of all rows at once, the triple probability
 by adaptive quadrature over scipy's ndtr and by Monte Carlo with one keyed
 stream per lag, the
 section-3 probe one sample, one n and one scalar bit at a time, the
-distinct-window certification one sample at a time over scalar sums,
+distinct-window certification one sample at a time over scalar sums of
+the goal event's cylinder laid out as forced windows of field values,
 the surrogate extraction over per-sample sets of return times, and a
 canonical outward spiral over the points with an odd coordinate
 (``complement_point``), which the permutation fixes, as a source of test
@@ -26,7 +27,7 @@ probe only over a membership matrix with its bits hashed as arrays in
 ``recurlab.experiments``, the
 extraction only over the joint-return matrix there, and the
 certification only as reductions over rows of the seed-axis kernel
-in ``recurlab.ranges``.
+in ``recurlab.ranges``, with the cylinder's band in closed form.
 These functions compute the same quantities straight from the definitions,
 so that tests can check the kernels against an independent implementation.
 """
@@ -44,9 +45,9 @@ from recurlab.fields import (
     _COUNT,
     _POSITION,
     TAG_FIELD,
+    ConditioningPlan,
     FieldSpec,
     _thresholds,
-    conditioned_spec,
     goal_event_plan,
     lag_namespace,
     min_low_scale_increment,
@@ -72,8 +73,33 @@ def uniform01(seed: int, *words: int) -> float:
     return (hash_words(seed, *words) >> 11) * 2.0**-53
 
 
-def _forced_value(spec: FieldSpec, k: int, i: int, j: int) -> Optional[int]:
-    for w in spec.windows:
+@dataclass(frozen=True)
+class ForcedWindow:
+    """Field values of scale k, coordinate i forced to ``value`` on [lo, hi)."""
+
+    k: int
+    i: int
+    lo: int
+    hi: int
+    value: int
+
+
+def plan_windows(plan: ConditioningPlan) -> Tuple[ForcedWindow, ...]:
+    """The cylinder of a goal-event plan as forced windows of coordinate 1,
+    per scale kappa..k_max its lead window [0, p_k + 2N), +1 on the band
+    K <= k < K + C and 0 elsewhere, then its lag window [d_k, d_k + p_k + 2N),
+    0."""
+    windows = []
+    for k in range(plan.kappa, plan.k_max + 1):
+        sp = scale_params(k)
+        span = sp.p + 2 * plan.N
+        windows.append(ForcedWindow(k, 1, 0, span, int(plan.K <= k < plan.K + plan.C)))
+        windows.append(ForcedWindow(k, 1, sp.d, sp.d + span, 0))
+    return tuple(windows)
+
+
+def _forced_value(windows: Sequence[ForcedWindow], k: int, i: int, j: int) -> Optional[int]:
+    for w in windows:
         if w.k == k and w.i == i and w.lo <= j < w.hi:
             return w.value
     return None
@@ -122,13 +148,15 @@ def keyed_block(seed: int, k: int, i: int, lag: bool, block: int) -> Dict[int, i
     return held
 
 
-def field_value(spec: FieldSpec, k: int, i: int, j: int) -> int:
-    """The field value at (scale k, coordinate i, time j) in {-1, 0, +1}."""
+def field_value(spec: FieldSpec, k: int, i: int, j: int,
+                windows: Sequence[ForcedWindow] = ()) -> int:
+    """The field value at (scale k, coordinate i, time j) in {-1, 0, +1};
+    the first of ``windows`` that holds (k, i, j) forces it."""
     if not (spec.k_min <= k <= spec.k_max):
         raise ValueError(f"scale {k} outside [{spec.k_min}, {spec.k_max}]")
     if not (1 <= i <= spec.dimension):
         raise ValueError(f"coordinate index {i} exceeds dimension")
-    v = _forced_value(spec, k, i, j)
+    v = _forced_value(windows, k, i, j)
     if v is not None:
         return v
     if spec.zero:
@@ -150,10 +178,9 @@ def field_value(spec: FieldSpec, k: int, i: int, j: int) -> int:
 
 def _keyed_values(spec: FieldSpec, k: int, i: int, j: np.ndarray, lagged: bool,
                   seed) -> np.ndarray:
-    """Field values of a keyed scale of an unforced spec over the
-    coordinates ``j`` (offsets from d_k if ``lagged``) in the broadcast
-    shape of ``seed`` and ``j``, from ``keyed_block`` over the blocks that
-    ``j`` touches."""
+    """Field values of a keyed scale over the coordinates ``j`` (offsets
+    from d_k if ``lagged``) in the broadcast shape of ``seed`` and ``j``,
+    from ``keyed_block`` over the blocks that ``j`` touches."""
     sp = scale_params(k)
     b = _keyed_bits(sp.q)
     lag = lagged and lag_namespace(k)
@@ -170,15 +197,13 @@ def _keyed_values(spec: FieldSpec, k: int, i: int, j: np.ndarray, lagged: bool,
 
 def field_values_float(spec: FieldSpec, k: int, i: int, j: np.ndarray,
                        lagged: bool = False, seed=None) -> np.ndarray:
-    """Field values of an unforced spec over an array of coordinates, by the
-    float rule of ``field_value``: the hash becomes the uniform
-    u = (h >> 11) 2^-53, and the value is +1 at u < q / 2, -1 at
-    q / 2 <= u < q, else 0; a keyed scale compares the uniform of its
-    block's count hash with the binomial CDF (``keyed_block``). ``j``,
-    ``lagged`` and ``seed`` are read as by ``field_values_vec``.
+    """Field values over an array of coordinates, by the float rule of
+    ``field_value``: the hash becomes the uniform u = (h >> 11) 2^-53, and
+    the value is +1 at u < q / 2, -1 at q / 2 <= u < q, else 0; a keyed
+    scale compares the uniform of its block's count hash with the binomial
+    CDF (``keyed_block``). ``j``, ``lagged`` and ``seed`` are read as by
+    ``field_values_vec``.
     """
-    if spec.windows:
-        raise ValueError("the float-rule oracle takes an unforced spec")
     sp = scale_params(k)
     j = np.asarray(j, dtype=np.int64)
     seed = spec.seed if seed is None else seed
@@ -208,9 +233,7 @@ def field_values_vec(spec: FieldSpec, k: int, i: int, j: np.ndarray,
     With ``lagged=True`` the entries of ``j`` are offsets from the lag d_k
     (required for scales whose lag exceeds the int64 coordinate range).
     ``seed`` replaces ``spec.seed`` and may be an array that broadcasts
-    against ``j``; the result has the broadcast shape. Forced windows apply
-    as interval masks over ``j``, clipped to int64, last to first so that
-    the first matching window wins.
+    against ``j``; the result has the broadcast shape.
     """
     sp = scale_params(k)
     j = np.asarray(j, dtype=np.int64)
@@ -226,27 +249,23 @@ def field_values_vec(spec: FieldSpec, k: int, i: int, j: np.ndarray,
         h = hash_words_vec(seed, words, jj)
         nonzero, plus = _thresholds(sp.q)
         out = 2 * (h < plus).astype(np.int64) - (h < nonzero)
-    shift = sp.d if lagged else 0
-
-    def clip(x):
-        return min(max(x - shift, -(1 << 63)), (1 << 63) - 1)
-
-    for w in reversed(spec.windows):
-        if w.k == k and w.i == i:
-            out = np.where((clip(w.lo) <= j) & (j < clip(w.hi)), w.value, out)
     return out
 
 
-def oracle_window_sums(spec: FieldSpec, seeds, window: Tuple[int, int]) -> np.ndarray:
+def oracle_window_sums(spec: FieldSpec, seeds, window: Tuple[int, int],
+                       scales=None) -> np.ndarray:
     """``recurlab.fields._window_sums`` by dense prefix sums: per scale, the
     field values over [a, b + p - 1) on the lead axis and on the lag axis
     each take one prefix sum, and the block sum over [t, t + p) is the
-    difference of two prefix entries."""
+    difference of two prefix entries. ``scales`` holds the scale indices k
+    each coordinate reads (default: every scale of the spec)."""
     a, b = window
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
     incr = np.zeros((seeds.shape[0], b - a, spec.dimension), dtype=np.int64)
+    if scales is None:
+        scales = [range(spec.k_min, spec.k_max + 1)] * spec.dimension
     for i in range(1, spec.dimension + 1):
-        for sp in spec.scales():
+        for sp in map(scale_params, scales[i - 1]):
             j = np.arange(a, b + sp.p - 1)
             prefix = np.zeros((seeds.shape[0], j.size + 1), dtype=np.int64)
             for lagged, sign in ((False, 1), (True, -1)):
@@ -260,36 +279,40 @@ def oracle_window_sums(spec: FieldSpec, seeds, window: Tuple[int, int]) -> np.nd
     return cum - cum[:, [-a], :]
 
 
-def f_k_at(spec: FieldSpec, k: int, i: int, t: int) -> int:
+def f_k_at(spec: FieldSpec, k: int, i: int, t: int,
+           windows: Sequence[ForcedWindow] = ()) -> int:
     """Block function of scale k at time t: lead window minus lagged window."""
     sp = scale_params(k)
     total = 0
     for j in range(sp.p):
-        total += field_value(spec, k, i, t + j)
-        total -= field_value(spec, k, i, t + sp.d + j)
+        total += field_value(spec, k, i, t + j, windows)
+        total -= field_value(spec, k, i, t + sp.d + j, windows)
     return total
 
 
-def f_at(spec: FieldSpec, t: int) -> Tuple[int, ...]:
+def f_at(spec: FieldSpec, t: int,
+         windows: Sequence[ForcedWindow] = ()) -> Tuple[int, ...]:
     """The walk increment at time t (one entry per coordinate)."""
     mult = 2 if spec.doubling else 1
     out = []
     for i in range(1, spec.dimension + 1):
         s = 0
         for k in range(spec.k_min, spec.k_max + 1):
-            s += f_k_at(spec, k, i, t)
+            s += f_k_at(spec, k, i, t, windows)
         out.append(mult * s)
     return tuple(out)
 
 
-def oracle_sums(spec: FieldSpec, window: Tuple[int, int]) -> np.ndarray:
-    """S_t for t in [a, b] summed from f_at: shape (b - a + 1, dimension).
+def oracle_sums(spec: FieldSpec, window: Tuple[int, int],
+                windows: Sequence[ForcedWindow] = ()) -> np.ndarray:
+    """S_t for t in [a, b] summed from f_at, with ``windows`` forcing field
+    values: shape (b - a + 1, dimension).
 
     S_t is the sum of f over [0, t) for t >= 0 and minus the sum over
     [t, 0) for t < 0.
     """
     a, b = window
-    incr = np.array([f_at(spec, t) for t in range(a, b)],
+    incr = np.array([f_at(spec, t, windows) for t in range(a, b)],
                     dtype=np.int64).reshape(b - a, spec.dimension)
     cum = np.concatenate([np.zeros((1, spec.dimension), dtype=np.int64),
                           np.cumsum(incr, axis=0)])
@@ -512,6 +535,8 @@ def oracle_section3(pool: Sequence[PermutationView], k: int, H: int,
                 identity_failures += 1
             if t_bit == 0 and s_bit == 0:
                 violations += 1
+    # by n, as the probe's failure message lists them
+    uncovered = dict(sorted(uncovered.items()))
     if in_surrogate == 0:
         raise RuntimeError(
             f"no sample covered [1, {H}]; per-n failures: {uncovered}")
@@ -524,31 +549,34 @@ def oracle_section3(pool: Sequence[PermutationView], k: int, H: int,
 def oracle_certify(seed0: int, N: int, C: Optional[int] = None,
                    samples: int = 1000) -> CertificationRun:
     """``recurlab.ranges.certify_distinct`` one sample at a time: each
-    sample's window and high band are summed by ``oracle_sums`` and checked
-    as tuples, and the cylinder probability and factor bounds are taken
-    straight from the plan."""
+    sample's window and high band are summed by ``oracle_sums`` under the
+    plan's forced windows (``plan_windows``) and checked as tuples, and the
+    cylinder probability and factor bounds are taken straight from those
+    windows."""
     M = min_low_scale_increment(N)
     if C is None:
         C = -M + 1
     plan = goal_event_plan(N=N, C=C)
-    plan_k_max = max(w.k for w in plan.windows)
+    windows = plan_windows(plan)
+    plan_k_max = max(w.k for w in windows)
     goal_failures = 0
     distinct_failures = 0
     y_floor = None
     for s in range(samples):
-        spec = conditioned_spec(FieldSpec(seed=seed0 + s, dimension=2, doubling=True,
-                                          k_max=plan_k_max), plan)
-        chain = [tuple(int(x) for x in row) for row in oracle_sums(spec, (0, 2 * N))]
+        spec = FieldSpec(seed=seed0 + s, dimension=2, doubling=True, k_max=plan_k_max)
+        chain = [tuple(int(x) for x in row)
+                 for row in oracle_sums(spec, (0, 2 * N), windows)]
         ok = all(chain[t] < chain[t + 1] for t in range(2 * N))
         if len(set(chain)) != 2 * N + 1:
             distinct_failures += 1
-        high = oracle_sums(replace(spec, k_min=plan.kappa, doubling=False), (0, 2 * N))
+        high = oracle_sums(replace(spec, k_min=plan.kappa, doubling=False), (0, 2 * N),
+                           windows)
         floor = int(np.diff(high[:, 0]).min())
         y_floor = floor if y_floor is None else min(y_floor, floor)
         if not ok or floor <= C:
             goal_failures += 1
     log_prob = 0.0
-    for w in plan.windows:
+    for w in windows:
         q = scale_params(w.k).q
         log_prob += (w.hi - w.lo) * (math.log1p(-q) if w.value == 0 else math.log(q / 2.0))
     checks = tuple(

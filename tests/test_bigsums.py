@@ -6,7 +6,6 @@ import pytest
 from recurlab.bigsums import _AxisEval, pool_schedule_sums
 from recurlab.fields import (
     FieldSpec,
-    ForcedWindow,
     _window_sums,
     block_bits,
     default_k_max,
@@ -190,7 +189,3 @@ class TestAutoMode:
             pool_schedule_sums(spec, [spec.seed], [])
         with pytest.raises(ValueError):
             pool_schedule_sums(spec, [spec.seed], [0, 5])
-        forced = FieldSpec(seed=4, dimension=1, k_max=4,
-                           windows=(ForcedWindow(k=1, i=1, lo=0, hi=1, value=1),))
-        with pytest.raises(ValueError):
-            pool_schedule_sums(forced, [forced.seed], [5])

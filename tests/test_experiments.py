@@ -168,15 +168,13 @@ class TestSection3:
 
 class TestSection3Oracle:
     # the probe over a membership matrix with array-hashed bits must equal
-    # the scalar loop, field for field, with uncovered listed in the order
-    # of each n's first miss
+    # the scalar loop, field for field
 
     @staticmethod
     def _assert_same(pool, k, samples, seed0, H=100):
         got = exp_section3(pool, k=k, H=H, samples=samples, seed0=seed0)
         want = oracle_section3(pool, k=k, H=H, samples=samples, seed0=seed0)
         assert asdict(got) == asdict(want)
-        assert list(got.uncovered.items()) == list(want.uncovered.items())
         assert all(type(v) is int for v in (got.in_surrogate, got.violations,
                                             got.identity_failures))
         return got
@@ -188,7 +186,7 @@ class TestSection3Oracle:
         assert got.in_surrogate > 0
 
     def test_sample_blocks_keep_the_report(self, pool, monkeypatch):
-        # one sample per block: uncovered's order spans the blocks
+        # one sample per block: uncovered's counts span the blocks
         monkeypatch.setattr(experiments, "_PROBE_BLOCK_ELEMS", 1)
         got = self._assert_same(pool[:4], 3, 60, 2)
         assert got.uncovered

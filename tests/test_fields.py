@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 
 from recurlab import fields
 from recurlab.fields import (
-    ConditioningPlan,
     FieldSpec,
-    ForcedWindow,
-    conditioned_spec,
     default_k_max,
     field_nonzeros,
     goal_event_plan,
@@ -24,6 +21,7 @@ from recurlab.fields import (
 from recurlab.prf import hash_words, hash_words_vec
 
 from oracles import (
+    ForcedWindow,
     f_at,
     f_k_at,
     field_value,
@@ -32,6 +30,7 @@ from oracles import (
     keyed_block,
     oracle_sums,
     oracle_window_sums,
+    plan_windows,
 )
 
 
@@ -82,19 +81,19 @@ def _dense(spec, k, i, j, lagged=False, seed=None):
 
 class TestFieldValue:
     def test_override_dominates(self):
-        spec = FieldSpec(seed=1, dimension=1, k_max=2, windows=(_point(1, 1, 0, 1),))
-        assert field_value(spec, 1, 1, 0) == 1
-        # the first of overlapping windows wins, one value wide or wider
-        spec = FieldSpec(seed=1, dimension=1, k_max=2,
-                         windows=(_point(1, 1, 4, 0), _point(2, 1, 5, 1),
-                                  ForcedWindow(k=1, i=1, lo=0, hi=6, value=1),
-                                  ForcedWindow(k=1, i=1, lo=3, hi=10, value=-1)))
-        j = np.arange(-3, 12)
-        values, forced = fields._forcing(spec, 1, 1, False, -3, j.size)
-        assert forced.tolist() == [False] * 3 + [True] * 10 + [False] * 2
-        assert values[forced].tolist() == [field_value(spec, 1, 1, int(x))
-                                           for x in j[forced]]
-        assert values[3:13].tolist() == [1, 1, 1, 1, 0, 1, -1, -1, -1, -1]
+        # the oracle's forced windows hold their value inside and leave the
+        # field alone outside, on the lead axis and in the lag namespace of
+        # k = 8, where the window is keyed by d_k + offset
+        spec = FieldSpec(seed=1, dimension=1, k_max=8)
+        d = scale_params(8).d
+        windows = (ForcedWindow(k=1, i=1, lo=0, hi=6, value=-1),
+                   ForcedWindow(k=8, i=1, lo=d, hi=d + 4, value=1))
+        for k, base, value in ((1, 0, -1), (8, d, 1)):
+            got = [field_value(spec, k, 1, base + j, windows) for j in range(-3, 10)]
+            hashed = [field_value(spec, k, 1, base + j) for j in range(-3, 10)]
+            width = 6 if k == 1 else 4
+            assert got[3 : 3 + width] == [value] * width
+            assert got[:3] + got[3 + width :] == hashed[:3] + hashed[3 + width :]
 
     def test_deterministic(self):
         spec = FieldSpec(seed=99, dimension=2, k_max=4)
@@ -186,12 +185,12 @@ class TestBlockFunction:
 
     def test_single_forced_at_zero(self):
         # k=1 (p=3, d=2): only the field at time 0 is 1, everything else 0
-        spec = FieldSpec(seed=0, dimension=1, k_max=1, zero=True, windows=(_point(1, 1, 0, 1),))
-        assert f_k_at(spec, 1, 1, 0) == 1
+        spec = FieldSpec(seed=0, dimension=1, k_max=1, zero=True)
+        assert f_k_at(spec, 1, 1, 0, (_point(1, 1, 0, 1),)) == 1
 
     def test_single_forced_at_two_cancels(self):
-        spec = FieldSpec(seed=0, dimension=1, k_max=1, zero=True, windows=(_point(1, 1, 2, 1),))
-        assert f_k_at(spec, 1, 1, 0) == 0
+        spec = FieldSpec(seed=0, dimension=1, k_max=1, zero=True)
+        assert f_k_at(spec, 1, 1, 0, (_point(1, 1, 2, 1),)) == 0
 
     def test_bounded(self):
         spec = FieldSpec(seed=5, dimension=1, k_max=2)
@@ -200,14 +199,12 @@ class TestBlockFunction:
                 assert abs(f_k_at(spec, k, 1, t)) <= 2 * scale_params(k).p
 
     def test_f_at_doubling_and_independence(self):
-        spec = FieldSpec(seed=0, dimension=2, k_max=1, zero=True, doubling=True,
-                         windows=(_point(1, 1, 0, 1),))
-        assert f_at(spec, 0) == (2, 0)
+        spec = FieldSpec(seed=0, dimension=2, k_max=1, zero=True, doubling=True)
+        assert f_at(spec, 0, (_point(1, 1, 0, 1),)) == (2, 0)
         # coordinate 1 unaffected by values forced on coordinate 2
-        spec2 = FieldSpec(seed=11, dimension=2, k_max=2, windows=(_point(1, 2, 3, 1),))
-        spec3 = FieldSpec(seed=11, dimension=2, k_max=2)
+        spec2 = FieldSpec(seed=11, dimension=2, k_max=2)
         for t in range(-3, 8):
-            assert f_at(spec2, t)[0] == f_at(spec3, t)[0]
+            assert f_at(spec2, t, (_point(1, 2, 3, 1),))[0] == f_at(spec2, t)[0]
 
 
 class TestPartialSums:
@@ -252,8 +249,8 @@ class TestPartialSums:
         assert (full == oracle_sums(spec, (-m, n + m))).all()
 
     def test_sign_symmetry(self):
-        # forcing every value the window reads to its negation negates the
-        # whole path
+        # forcing every value the window reads to its negation, in the
+        # oracle, negates the kernel's whole path
         spec = FieldSpec(seed=77, dimension=1, k_max=2)
         a, b = -4, 12
         flipped = tuple(
@@ -262,7 +259,7 @@ class TestPartialSums:
             for base in (0, scale_params(k).d)
             for j in range(base + a, base + b + scale_params(k).p - 1))
         pos = fields._window_sums(spec, [spec.seed], (a, b))[0]
-        neg = fields._window_sums(replace(spec, windows=flipped), [77], (a, b))[0]
+        neg = oracle_sums(spec, (a, b), flipped)
         assert (pos == -neg).all()
         assert (pos != 0).any()
 
@@ -294,56 +291,60 @@ class TestScatterKernel:
     # the scatter kernel over nonzero values against the dense prefix-sum
     # kernel it replaced, which reads every value of every window
 
-    # overlapping windows of values -1, 0 and +1 on both axes of scales 1,
-    # 3 and 8 (lag namespace), some only partly inside the windows read
-    FORCED = (
-        ForcedWindow(k=1, i=1, lo=-2, hi=5, value=1),
-        ForcedWindow(k=1, i=1, lo=3, hi=9, value=-1),
-        ForcedWindow(k=1, i=1, lo=4, hi=6, value=0),
-        ForcedWindow(k=3, i=1, lo=512 - 4, hi=512 + 7, value=-1),
-        ForcedWindow(k=3, i=1, lo=512 + 5, hi=512 + 30, value=1),
-        ForcedWindow(k=3, i=2, lo=10, hi=12, value=1),
-        ForcedWindow(k=8, i=1, lo=-1, hi=300, value=0),
-        ForcedWindow(k=8, i=1, lo=2**64 + 3, hi=2**64 + 9, value=1),
-        ForcedWindow(k=8, i=2, lo=2**64 - 2, hi=2**64 + 2, value=-1),
-        ForcedWindow(k=8, i=2, lo=-10**30, hi=-10**29, value=1),
-    )
+    # the scales each coordinate reads when not every one: gaps on both
+    # coordinates, and k = 8, in the lag namespace, on the first only
+    PARTIAL = ((1, 3, 8, 9), (2, 3, 9))
     SEEDS = np.array([0, 5, 2**63 + 1, 2**64 - 1, 99], dtype=np.uint64)
+
+    @staticmethod
+    def _read(spec, partial, lists=PARTIAL):
+        """Scale lists of the kernel and of the oracle: every scale of the
+        spec unless ``partial``, else ``lists`` cut to the spec's scales."""
+        if not partial:
+            return None, None
+        ks = [[k for k in lists[i] if spec.k_min <= k <= spec.k_max]
+              for i in range(spec.dimension)]
+        return [list(map(scale_params, read)) for read in ks], ks
 
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize("doubling", [False, True])
     @pytest.mark.parametrize("window", [(0, 0), (0, 1), (0, 37), (-9, 0), (-6, 25)])
-    @pytest.mark.parametrize("forced", [False, True])
-    def test_equals_dense_oracle(self, dimension, doubling, window, forced):
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_equals_dense_oracle(self, dimension, doubling, window, partial):
         spec = FieldSpec(seed=0, dimension=dimension, k_min=1, k_max=9,
-                         doubling=doubling, windows=self.FORCED if forced else ())
-        got = fields._window_sums(spec, self.SEEDS, window)
+                         doubling=doubling)
+        scales, ks = self._read(spec, partial)
+        got = fields._window_sums(spec, self.SEEDS, window, scales)
         assert got.shape == (self.SEEDS.size, window[1] - window[0] + 1, dimension)
-        assert np.array_equal(got, oracle_window_sums(spec, self.SEEDS, window))
+        assert np.array_equal(got, oracle_window_sums(spec, self.SEEDS, window, ks))
 
     @pytest.mark.parametrize("k_min,k_max", [(1, 1), (2, 4), (8, 10)])
     def test_scale_bands(self, k_min, k_max):
-        spec = FieldSpec(seed=0, dimension=2, k_min=k_min, k_max=k_max,
-                         windows=self.FORCED)
+        spec = FieldSpec(seed=0, dimension=2, k_min=k_min, k_max=k_max)
         got = fields._window_sums(spec, self.SEEDS, (-4, 30))
         assert np.array_equal(got, oracle_window_sums(spec, self.SEEDS, (-4, 30)))
+        # a coordinate that reads no scale stays at 0
+        scales, ks = self._read(spec, True, ((), range(k_min, k_max + 1)))
+        part = fields._window_sums(spec, self.SEEDS, (-4, 30), scales)
+        assert (part[:, :, 0] == 0).all() and np.array_equal(part[:, :, 1], got[:, :, 1])
 
-    @pytest.mark.parametrize("forced", [False, True])
-    def test_zero_field(self, forced):
-        spec = FieldSpec(seed=0, dimension=2, k_max=9, zero=True,
-                         windows=self.FORCED if forced else ())
-        got = fields._window_sums(spec, self.SEEDS, (-5, 20))
-        assert np.array_equal(got, oracle_window_sums(spec, self.SEEDS, (-5, 20)))
-        assert (got != 0).any() == forced
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_zero_field(self, partial):
+        spec = FieldSpec(seed=0, dimension=2, k_max=9, zero=True)
+        scales, ks = self._read(spec, partial)
+        got = fields._window_sums(spec, self.SEEDS, (-5, 20), scales)
+        assert np.array_equal(got, oracle_window_sums(spec, self.SEEDS, (-5, 20), ks))
+        assert (got == 0).all()
 
     def test_row_blocks(self, monkeypatch):
         # at 40 values per block, scale 1's 39-value window runs one row
         # per chunk, and scale 2's 40-value window is hashed a row per block
-        spec = FieldSpec(seed=0, dimension=2, k_max=9, windows=self.FORCED)
-        whole = fields._window_sums(spec, self.SEEDS, (-7, 30))
+        spec = FieldSpec(seed=0, dimension=2, k_max=9)
+        scales, ks = self._read(spec, True)
+        whole = fields._window_sums(spec, self.SEEDS, (-7, 30), scales)
         monkeypatch.setattr(fields, "_BLOCK_ELEMS", 40)
-        assert np.array_equal(fields._window_sums(spec, self.SEEDS, (-7, 30)), whole)
-        assert np.array_equal(whole, oracle_window_sums(spec, self.SEEDS, (-7, 30)))
+        assert np.array_equal(fields._window_sums(spec, self.SEEDS, (-7, 30), scales), whole)
+        assert np.array_equal(whole, oracle_window_sums(spec, self.SEEDS, (-7, 30), ks))
 
     def test_oracle_values_equal_nonzeros(self):
         spec = FieldSpec(seed=0, dimension=2, k_max=9)
@@ -394,69 +395,45 @@ class TestHugeLagScales:
             assert (batch[idx] == single).all()
             assert (single == oracle_sums(spec, (0, 6))).all()
 
-    def test_forced_lag_window_respected(self):
-        sp = scale_params(8)
-        win = ForcedWindow(k=8, i=1, lo=sp.d, hi=sp.d + 4, value=1)
-        spec = FieldSpec(seed=0, dimension=1, k_max=8, windows=(win,))
-        assert field_value(spec, 8, 1, sp.d + 2) == 1
-        values, forced = fields._forcing(spec, 8, 1, True, 0, 6)
-        assert values.tolist() == [1, 1, 1, 1, 0, 0]
-        assert forced.tolist() == [True] * 4 + [False] * 2
-        path = fields._window_sums(spec, [spec.seed], (-2, 6))[0]
-        assert (path == oracle_sums(spec, (-2, 6))).all()
-
 
 class TestConditioning:
-    def test_empty_plan_noop(self):
-        spec = FieldSpec(seed=4, dimension=2, k_max=6)
-        plan = ConditioningPlan(N=1, C=1, kappa=2, K=2, windows=())
-        assert conditioned_spec(spec, plan).windows == spec.windows
-
     def test_goal_plan_small(self):
         plan = goal_event_plan(N=2, C=1)
         # kappa: smallest k with p_k > 4 -> k = 3 (p=9); K: 2 p_K < d_K holds at 3
-        assert plan.kappa == 3
-        assert plan.K == 3
-        ones = [w for w in plan.windows if w.value == 1]
+        assert (plan.kappa, plan.K, plan.k_max) == (3, 3, 3)
+        ones = [w for w in plan_windows(plan) if w.value == 1]
         assert ones and all(w.lo == 0 and w.hi == scale_params(w.k).p + 4 for w in ones)
 
     def test_plan_forces_window_conditions(self):
-        plan = goal_event_plan(N=2, C=1)
-        spec = conditioned_spec(FieldSpec(seed=10, dimension=2, k_max=3), plan)
-        sp = scale_params(plan.K)
-        for j in range(sp.p + 4):
-            assert field_value(spec, plan.K, 1, j) == 1
-            assert field_value(spec, plan.K, 1, sp.d + j) == 0
-
-    def test_conflicting_plan_rejected(self):
-        w1 = ForcedWindow(k=3, i=1, lo=0, hi=5, value=1)
-        w2 = ForcedWindow(k=3, i=1, lo=3, hi=8, value=0)
-        plan = ConditioningPlan(N=1, C=1, kappa=3, K=3, windows=(w1, w2))
-        with pytest.raises(ValueError):
-            plan.check_consistent()
-
-    def test_spec_window_conflicting_with_plan_rejected(self):
-        plan = goal_event_plan(N=2, C=1)
-        agree = FieldSpec(seed=10, dimension=2, k_max=3,
-                          windows=(_point(plan.K, 1, 0, 1),))
-        assert conditioned_spec(agree, plan).windows[1:] == plan.windows
-        clash = FieldSpec(seed=10, dimension=2, k_max=3,
-                          windows=(_point(plan.K, 1, 0, 0),))
-        with pytest.raises(ValueError, match="conflicting"):
-            conditioned_spec(clash, plan)
+        # the cylinder holds every value of its scales that the path over
+        # (0, 2N) reads: [0, p_k + 2N - 1) on the lead and the lag axis
+        plan = goal_event_plan(N=2, C=40)
+        assert (plan.kappa, plan.K, plan.k_max) == (3, 3, 5)
+        windows = plan_windows(plan)
+        spec = FieldSpec(seed=10, dimension=2, k_max=plan.k_max)
+        for k in range(plan.kappa, plan.k_max + 1):
+            sp = scale_params(k)
+            for j in range(sp.p + 4):
+                assert field_value(spec, k, 1, j, windows) == 1
+                assert field_value(spec, k, 1, sp.d + j, windows) == 0
 
     def test_monotone_event_on_conditioned_samples(self):
-        # every conditioned sample has strictly increasing first-coordinate sums
+        # every conditioned sample has strictly increasing first-coordinate
+        # sums, and its path is the kernel's over the scales below kappa on
+        # the first coordinate plus the band, 2 y t with y = sum of p_k
         N, C = 2, -min_low_scale_increment(2) + 1
         plan = goal_event_plan(N=N, C=C)
-        for seed in range(20):
-            spec = conditioned_spec(
-                FieldSpec(seed=seed, dimension=2, doubling=True, k_max=plan.K), plan
-            )
-            path = fields._window_sums(spec, [spec.seed], (0, 2 * N))[0]
-            assert (np.diff(path[:, 0]) > 0).all()
-            if seed < 3:
-                assert (path == oracle_sums(spec, (0, 2 * N))).all()
+        windows = plan_windows(plan)
+        spec = FieldSpec(seed=0, dimension=2, doubling=True, k_max=plan.k_max)
+        scales = spec.scales()
+        band = 2 * sum(sp.p for sp in scales[plan.K - 1:]) * np.arange(2 * N + 1)
+        paths = fields._window_sums(spec, np.arange(20), (0, 2 * N),
+                                    [scales[: plan.kappa - 1], scales])
+        paths[:, :, 0] += band
+        assert (np.diff(paths[:, :, 0], axis=1) > 0).all()
+        for seed in range(3):
+            want = oracle_sums(replace(spec, seed=seed), (0, 2 * N), windows)
+            assert (paths[seed] == want).all()
 
 
 class TestTruncation:

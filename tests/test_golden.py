@@ -126,6 +126,17 @@ at most 8.9e-16 relative (``estimates`` and gauss_decay.csv), and
 ``mc_max_z``, which compares them with the Monte Carlo counts, in its last
 digit; ``summability_total``, the measures and the verdict ``ok`` did not
 move. No other digest moved.
+
+No digest moved when the field lost its forced windows. certify-range's
+first coordinate now reads only the scales below kappa, and the goal
+event's band, every value of which the window reads is fixed, enters in
+closed form as 2 y_floor t; its floor and log-probability come from the
+plan. The cases ``certify-range-N1`` (kappa = 1, so the first coordinate
+reads no scale) and ``certify-range-C400`` (a band of four scales, k = 5..8,
+the last with its lag in its own namespace) were pinned before that change.
+Nor did recur3.json move when the section-3 probe came to list
+``uncovered`` by n instead of in the order of each n's first miss: the
+reports sort their keys.
 """
 
 import hashlib
@@ -155,6 +166,14 @@ GOLDEN = {
     "certify-range": (
         ["certify-range", "--samples", "10"],
         {"certify.json": "29ea2c0bd27c09b577de9af5dddda2d22832c4cc9981f7fbebb12e5734142859"},
+    ),
+    "certify-range-N1": (
+        ["certify-range", "--samples", "10", "--param", "N=1"],
+        {"certify.json": "f9cfbd1bbad856c7391fd21eba4e558d0e4a9b4c4ebe8fc61d52b999033e790e"},
+    ),
+    "certify-range-C400": (
+        ["certify-range", "--samples", "10", "--param", "C=400"],
+        {"certify.json": "0175e8b5afde09e6261d62df5c345142cb6a35f684fb1dbc9a8fe727b8c40b55"},
     ),
     "lclt": (
         ["lclt", "--param", "n_grid=64,128"],

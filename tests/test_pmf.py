@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import exact_scale_pmf, exact_walk_pmf, oracle_logphi, rational_q
 from recurlab import pmf as pmf_module
 from recurlab.experiments import mixing_probe
-from recurlab.fields import FieldSpec, ForcedWindow, default_k_max, scale_params
+from recurlab.fields import FieldSpec, default_k_max, scale_params
 from recurlab.pmf import (
     SERIES_TOL,
     SIGMA2,
@@ -338,12 +338,6 @@ class TestModerateSizeLaw:
         assert pmf.prob(0) == 1.0
         pmf0, _ = walk_pmf(FieldSpec(seed=0, dimension=1, k_max=3, doubling=False), 0)
         assert pmf0.prob(0) == 1.0
-
-    def test_forced_spec_rejected(self):
-        spec = FieldSpec(seed=0, dimension=1, k_max=3,
-                         windows=(ForcedWindow(k=1, i=1, lo=0, hi=1, value=1),))
-        with pytest.raises(ValueError):
-            walk_pmf(spec, 4)
 
 
 class TestAliasBound:

@@ -10,10 +10,10 @@ from recurlab import PreconditionError
 from recurlab.fields import (
     FieldSpec,
     _window_sums,
-    conditioned_spec,
     default_k_max,
     goal_event_plan,
     min_low_scale_increment,
+    scale_params,
 )
 from recurlab.ranges import (
     HorizonError,
@@ -35,6 +35,7 @@ from oracles import (
     complement_point,
     oracle_certify,
     oracle_sums,
+    plan_windows,
 )
 
 
@@ -312,26 +313,31 @@ class TestCertification:
         assert run.bound_checks[0][0] == run.K + run.C
 
     @staticmethod
-    def _flat_rows(monkeypatch, flat_seeds, band=False):
-        # the seed-axis kernel as ranges binds it, with a constant path for
-        # the seeds in flat_seeds: in the full path only, or with
-        # ``band=True`` also in the high band (one row per run, whose floor
-        # is then 0)
+    def _flat_rows(monkeypatch, flat_seeds, N=2):
+        # the seed-axis kernel as ranges binds it, returning minus the band
+        # of the plan ranges builds for the seeds in flat_seeds, so that
+        # their paths, band added, are constant
         kernel = recurlab.ranges._window_sums
+        plan = recurlab.ranges.goal_event_plan(N, -min_low_scale_increment(N) + 1)
+        y = sum(scale_params(k).p for k in range(plan.K, plan.k_max + 1))
 
-        def patched(spec, seeds, window):
-            out = kernel(spec, seeds, window)
-            if spec.dimension == 2 or band:
-                out[np.isin(seeds, np.array(flat_seeds, dtype=np.uint64))] = 0
+        def patched(spec, seeds, window, scales):
+            out = kernel(spec, seeds, window, scales)
+            flat = np.isin(seeds, np.array(flat_seeds, dtype=np.uint64))
+            out[flat] = 0
+            out[flat, :, 0] = -2 * y * np.arange(window[1] + 1)
             return out
 
         monkeypatch.setattr(recurlab.ranges, "_window_sums", patched)
 
     def test_goal_failures_counted_once_per_sample(self, monkeypatch):
-        # a constant path fails both goal checks (no increase, floor <= C)
-        # and the distinct check in every sample; each sample must still
-        # count once
-        self._flat_rows(monkeypatch, flat_seeds=range(5), band=True)
+        # a constant path under a plan whose band is empty fails both goal
+        # checks (no increase, floor <= C) and the distinct check in every
+        # sample; each sample must still count once
+        plan = recurlab.ranges.goal_event_plan
+        monkeypatch.setattr(recurlab.ranges, "goal_event_plan",
+                            lambda N, C: replace(plan(N, C), K=plan(N, C).k_max + 1))
+        self._flat_rows(monkeypatch, flat_seeds=range(5))
         run = certify_distinct(seed0=0, N=2, samples=5)
         assert run.y_floor == 0 <= run.C
         assert run.goal_failures == run.samples == 5
@@ -347,16 +353,19 @@ class TestCertification:
 
     @pytest.mark.parametrize("N", [1, 3, 8])
     def test_high_band_same_for_every_seed(self, N):
-        # the floor is read from one row because the plan forces every
-        # value the high band reads
+        # the floor is the plan's band sum because the plan forces every
+        # value the high band reads: under the oracle's windows the band's
+        # path is y_floor t for every seed, as for the zero field
         plan = goal_event_plan(N=N, C=-min_low_scale_increment(N) + 1)
-        k_max = max(w.k for w in plan.windows)
-        spec = conditioned_spec(FieldSpec(seed=0, dimension=1, k_min=plan.kappa,
-                                          k_max=k_max), plan)
-        seeds = np.array([0, 1, 7, 2**63, 2**64 - 1], dtype=np.uint64)
-        rows = _window_sums(spec, seeds, (0, 2 * N))
-        assert (rows == rows[:1]).all()
-        assert (rows == _window_sums(replace(spec, zero=True), seeds[:1], (0, 2 * N))).all()
+        windows = plan_windows(plan)
+        y_floor = certify_distinct(seed0=0, N=N, samples=1).y_floor
+        assert y_floor == sum(scale_params(k).p for k in range(plan.K, plan.k_max + 1))
+        spec = FieldSpec(seed=0, dimension=1, k_min=plan.kappa, k_max=plan.k_max,
+                         doubling=False)
+        for seed in (0, 1, 7, 2**63, 2**64 - 1, None):
+            field = replace(spec, zero=True) if seed is None else replace(spec, seed=seed)
+            band = oracle_sums(field, (0, 2 * N), windows)
+            assert (band[:, 0] == y_floor * np.arange(2 * N + 1)).all()
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_no_samples_rejected(self, samples):
@@ -369,6 +378,10 @@ class TestCertification:
         (200, 8, None, 20),
         # the top of the seed range the CLI admits
         (2**64 - 20, 8, None, 20),
+        # a 33-value window (band 5..6, C = 65), and a band of four scales
+        # up to k = 8, whose lag window has its own namespace
+        (5, 16, None, 20),
+        (0, 8, 400, 10),
     ])
     def test_equals_scalar_oracle(self, seed0, N, C, samples):
         assert certify_distinct(seed0, N, C, samples) == oracle_certify(seed0, N, C, samples)

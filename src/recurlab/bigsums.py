@@ -57,7 +57,7 @@ class _AxisEval:
         lengths = self.hi - self.lo
         self.start = np.cumsum(lengths) - lengths
         width = int(lengths.sum())
-        rows, c, x = field_nonzeros(spec, sp.k, i, self.lo, self.hi, lag, seed=seeds)
+        rows, c, x = field_nonzeros(spec, seeds, sp.k, i, self.lo, self.hi, lag)
         # one keyed stream per (seed, axis) draws the aggregate sum over
         # each gap: how many of its values are +1 and how many -1, one
         # multinomial draw per gap in one call
@@ -109,12 +109,13 @@ def pool_schedule_sums(spec: FieldSpec, seeds: Sequence[int],
     """S_t at the sorted distinct ``times`` for every seed of a pool:
     shape (seeds, times, dimension), int64.
 
-    The ramp windows read ``field_nonzeros``, as ``fields._window_sums``
-    does, so on a schedule without gaps, where no aggregate is drawn, the
-    result equals the exact partial sums. Otherwise the realization depends
-    on the schedule through the gap partition, so results meant to share one
-    field realization must come from a single call with the union of their
-    times. Row r depends only on ``seeds[r]``, not on the rest of the pool.
+    The ramp windows read ``field_nonzeros``, as
+    ``fields.partial_sums_batch`` does, so on a schedule without gaps, where
+    no aggregate is drawn, the result equals the exact partial sums.
+    Otherwise the realization depends on the schedule through the gap
+    partition, so results meant to share one field realization must come
+    from a single call with the union of their times. Row r depends only
+    on ``seeds[r]``, not on the rest of the pool.
 
     Every axis is laid out once for the whole pool; the pool goes through
     in groups small enough that an axis's (row, packed coordinate) keys

@@ -240,8 +240,7 @@ def _run_lclt(cfg: RunConfig) -> int:
     entries = []
     ok = True
     for n in grid:
-        pmf, law = walk_pmf(FieldSpec(seed=cfg["seed"], dimension=1,
-                                      k_max=k_max, doubling=False), n)
+        pmf, law = walk_pmf(FieldSpec(dimension=1, k_max=k_max, doubling=False), n)
         rep = lclt_deviation(pmf, n)
         entries.append({"n": n, "mass": rep.mass, "asymmetry": rep.asymmetry,
                         "peak": rep.peak, "deviation": rep.deviation,
@@ -270,8 +269,7 @@ def _run_lclt(cfg: RunConfig) -> int:
 
 def _run_recur2(cfg: RunConfig) -> int:
     k_max = cfg["k_max"] or default_k_max(cfg["horizon"])
-    spec = FieldSpec(seed=cfg["seed"], dimension=1, k_max=k_max,
-                     doubling=False, zero=cfg["zero"])
+    spec = FieldSpec(dimension=1, k_max=k_max, doubling=False, zero=cfg["zero"])
     bc, probe = exp_section2(spec, H=cfg["horizon"], samples=cfg["samples"],
                              seed0=cfg["seed"])
     ok = bc.verdict == "ok" and probe.violations == 0
@@ -323,8 +321,7 @@ def _run_gauss(cfg: RunConfig) -> int:
 
 def _run_mixing(cfg: RunConfig) -> int:
     k_max = cfg["k_max"] or default_k_max(cfg["horizon"])
-    spec = FieldSpec(seed=cfg["seed"], dimension=2, k_max=k_max,
-                     doubling=True, zero=cfg["zero"])
+    spec = FieldSpec(dimension=2, k_max=k_max, doubling=True, zero=cfg["zero"])
     rep = mixing_probe(spec, M=cfg["M"], H=cfg["horizon"],
                        samples=cfg["samples"], n_min=cfg["n_min"],
                        seed0=cfg["seed"])

@@ -168,15 +168,10 @@ def exp_section2(spec: FieldSpec, H: int = 2000, samples: int = 1000,
     ns = np.arange(1, H + 1)
     c = float(np.max(p0 * np.sqrt(ns)))
 
-    if spec.zero:
-        joint = np.ones((samples, H), dtype=bool)
-    else:
-        # entry (s, t) is _child_seed(seed0, 1, s, t)
-        y_seeds = hash_words_vec(seed0, (_TAG_EXP, 1), *np.ogrid[:samples, :3])
-        paths = partial_sums_batch(y_seeds.ravel(), (0, H), dimension=1,
-                                   k_max=spec.k_max, k_min=spec.k_min,
-                                   doubling=spec.doubling)
-        joint = (paths[:, 1:, 0] == 0).reshape(samples, 3, H).all(axis=1)
+    # entry (s, t) is _child_seed(seed0, 1, s, t)
+    y_seeds = hash_words_vec(seed0, (_TAG_EXP, 1), *np.ogrid[:samples, :3])
+    paths = partial_sums_batch(spec, y_seeds.ravel(), (0, H))
+    joint = (paths[:, 1:, 0] == 0).reshape(samples, 3, H).all(axis=1)
     # the omega coordinates are conditioned on bit(0) = 1, and joint returns
     # only ever re-read the origin bit, so they need no further sampling
     extraction = _extract(joint)
@@ -208,35 +203,17 @@ def range_view_pool(p1: PolynomialSpec, p2: PolynomialSpec, N: int, size: int,
     if k_max is None:
         k_max = default_k_max(max(p1(N), p2(N)))
     seeds = [_child_seed(seed0, 2, i) for i in range(size)]
-    spec = FieldSpec(seed=0, dimension=2, k_max=k_max, doubling=True)
+    spec = FieldSpec(dimension=2, k_max=k_max, doubling=True)
     return PermutationView.build_pool(spec, seeds, p1, p2, N)
-
-
-def _omega_seeds_with_origin_bit(seed0: int, samples: int, k: int,
-                                 want: int) -> np.ndarray:
-    """Configuration seeds of shape (samples, k): entry (s, t) is the first
-    of _child_seed(seed0, 4, s, t, attempt), attempt = 0, 1, ..., whose
-    two-dimensional configuration has origin bit ``want``. Every entry
-    tries attempt 0; only the misses are hashed again."""
-    s, t = (np.broadcast_to(a, (samples, k)) for a in np.ogrid[:samples, :k])
-    attempt = np.zeros((samples, k), dtype=np.int64)
-    seeds = hash_words_vec(seed0, (_TAG_EXP, 4), s, t, attempt)
-    miss = OmegaConfig.bits(seeds, np.zeros((samples, k, 2), dtype=np.int64)) != want
-    while miss.any():
-        attempt[miss] += 1
-        retry = hash_words_vec(seed0, (_TAG_EXP, 4), s[miss], t[miss], attempt[miss])
-        seeds[miss] = retry
-        miss[miss] = OmegaConfig.bits(retry, np.zeros((retry.size, 2), dtype=np.int64)) != want
-    return seeds
 
 
 def _witness_sites(view: PermutationView, H: int):
     """Arrays over the view's shared fresh indices n <= H: n, the site of
     the plain origin bit after p1(n) steps, and the site and complement
     flag that the twist reads for the origin bit after p2(n) steps, taken
-    from table2's endpoint through the permutation."""
+    from table2's endpoint (the view's s2 point) through the permutation."""
     ns = np.array([n for n in view.curly if n <= H], dtype=np.int64)
-    twist = [view.twist_site(view.table2.endpoint(n)) for n in ns.tolist()]
+    twist = [view.twist_site(v) for v in view.s2_points[: ns.size]]
     s_sites = np.array([site for site, _ in twist], dtype=np.int64).reshape(-1, 2)
     flips = np.array([flip for _, flip in twist], dtype=np.int64)
     return ns, view.table1.endpoints[ns - 1], s_sites, flips
@@ -246,8 +223,11 @@ def exp_section3(pool: Sequence[PermutationView], k: int, H: int,
                  samples: int = 1000, seed0: int = 0) -> TripleProbeReport:
     """Structural emptiness along polynomial times.
 
-    Each sample is a k-tuple of (walk realization, configuration) pairs
-    with every configuration's origin bit forced to 0. A sample lies in the
+    Each sample is a k-tuple of (walk realization, configuration) pairs,
+    the configurations conditioned on omega(0) = 0. No witness reads that
+    bit (a witness site is a shared fresh point, never the origin), so
+    configuration (s, t) is that of _child_seed(seed0, 4, s, t, 0), whose
+    law at every other site is the conditioned one. A sample lies in the
     surrogate base set when every n <= H has a witness coordinate whose
     shared fresh indices contain n. At each witness the twisted origin bit
     is the complement of the plain one, so the two returns can never both
@@ -267,7 +247,7 @@ def exp_section3(pool: Sequence[PermutationView], k: int, H: int,
     # one call per sample, so the stream is consumed as it always has been
     idx = np.array([rng.integers(0, len(pool), size=k) for _ in range(samples)],
                    dtype=np.int64).reshape(samples, k)
-    omega = _omega_seeds_with_origin_bit(seed0, samples, k, want=0)
+    omega = hash_words_vec(seed0, (_TAG_EXP, 4), *np.ogrid[:samples, :k], 0)
     member = np.zeros((len(pool), H), dtype=bool)
     t_site = np.zeros((len(pool), H, 2), dtype=np.int64)
     s_site = np.zeros((len(pool), H, 2), dtype=np.int64)

@@ -4,11 +4,8 @@ A field value at address (k, i, j) is +1 or -1 with probability alpha_k^2/2
 each and 0 otherwise, independent across addresses. The scale-k block
 function sums p_k consecutive values minus the same block lagged by d_k,
 and the walk increment is the sum of the block functions over all scales up
-to a truncation. Everything is deterministic given the 64-bit seed. The
-one cylinder event the lab conditions on, the goal event of
-``goal_event_plan``, fixes every value of its scales that the certified
-window reads, so its paths are the unconditioned ones of the scales below
-it plus a closed-form band.
+to a truncation. ``FieldSpec`` is the law; every reader of a realization
+takes the 64-bit seeds it realizes, and is deterministic given them.
 """
 
 from __future__ import annotations
@@ -78,9 +75,9 @@ def scale_params(k: int) -> ScaleParams:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Addressable realization of the multi-scale field."""
+    """Law of the multi-scale field: its coordinates, scales and doubling.
+    A seed picks one realization of it."""
 
-    seed: int
     dimension: int = 2
     k_min: int = 1
     k_max: int = 8
@@ -155,12 +152,12 @@ def _count_thresholds(q: float, b: int) -> np.ndarray:
     return table
 
 
-def field_nonzeros(spec: FieldSpec, k: int, i: int, lo, hi, lagged: bool = False,
-                   seed=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def field_nonzeros(spec: FieldSpec, seeds, k: int, i: int, lo, hi,
+                   lagged: bool = False) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nonzero field values of scale k, coordinate i over the sorted
     disjoint int64 segments [lo, hi) (offsets from d_k if ``lagged``) laid
     end to end: seed row, packed coordinate and value (+1 or -1), sorted by
-    row and coordinate, a row per entry of ``seed`` (default ``spec.seed``).
+    row and coordinate, a row per entry of ``seeds``.
 
     Scales with q_k > 2^-KEYED_BITS (k <= 2) hash each value, in (rows x
     coordinates) blocks of at most _BLOCK_ELEMS values. The others hash
@@ -171,7 +168,7 @@ def field_nonzeros(spec: FieldSpec, k: int, i: int, lo, hi, lagged: bool = False
     if drawn before. So a block holds a uniform subset with fair signs.
     """
     sp = scale_params(k)
-    seeds = np.asarray(spec.seed if seed is None else seed, dtype=np.uint64).reshape(-1)
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
     if lagged and not lag_namespace(k):
         lo, hi, lagged = lo + sp.d, hi + sp.d, False
@@ -238,15 +235,15 @@ def _scatter(diff: np.ndarray, row: np.ndarray, m: np.ndarray, v: np.ndarray,
     np.add.at(diff.reshape(-1), at[inside], np.concatenate([v, -v])[inside])
 
 
-def _window_sums(spec: FieldSpec, seeds: np.ndarray, window: Tuple[int, int],
-                 scales: Optional[Sequence[Sequence[ScaleParams]]] = None) -> np.ndarray:
-    """S_t for t in [a, b] and every seed: shape (seeds, b - a + 1, dimension).
+def partial_sums_batch(spec: FieldSpec, seeds: np.ndarray, window: Tuple[int, int],
+                       scales: Optional[Sequence[Sequence[ScaleParams]]] = None) -> np.ndarray:
+    """S_t for t in [a, b] and every seed: shape (seeds, b - a + 1, dimension),
+    int64, row r the realization of ``seeds[r]``.
 
     The window must satisfy a <= 0 <= b; S_t sums the increments over
-    [0, t) for t >= 0 and minus those over [t, 0) for t < 0. ``seeds``
-    replace ``spec.seed``. ``scales`` holds the scales each coordinate
-    reads, one sequence per coordinate; by default every coordinate reads
-    every scale of the spec.
+    [0, t) for t >= 0 and minus those over [t, 0) for t < 0. ``scales``
+    holds the scales each coordinate reads, one sequence per coordinate;
+    by default every coordinate reads every scale of the spec.
 
     A scale's value v at position m of its window [a, b + p - 1) enters
     the increments t - a in [m - p + 1, m], negated on the lag axis. The
@@ -271,100 +268,11 @@ def _window_sums(spec: FieldSpec, seeds: np.ndarray, window: Tuple[int, int],
             rows = max(1, int(_BLOCK_ELEMS / (4 * size * sp.q)))
             for lagged, sign in ((False, mult), (True, -mult)):
                 for r in range(0, seeds.size, rows):
-                    row, m, x = field_nonzeros(spec, sp.k, i + 1, [a], [a + size],
-                                               lagged, seeds[r : r + rows])
+                    row, m, x = field_nonzeros(spec, seeds[r : r + rows], sp.k, i + 1,
+                                               [a], [a + size], lagged)
                     _scatter(out, row + r, m, sign * x, i, sp.p)
     np.cumsum(out, axis=1, out=out)
     np.cumsum(out, axis=1, out=out)
     if a:
         out -= out[:, [-a], :]
     return out
-
-
-def partial_sums_batch(
-    seeds: np.ndarray,
-    window: Tuple[int, int],
-    dimension: int = 1,
-    k_max: Optional[int] = None,
-    doubling: bool = False,
-    k_min: int = 1,
-) -> np.ndarray:
-    """Partial sums for many independent seeds at once.
-
-    Returns an int64 array of shape (n_seeds, b - a + 1, dimension).
-    Row r is S_t of ``FieldSpec(seed=seeds[r], ...)``: the sum
-    of the increments over [0, t) for t >= 0 and minus the sum over [t, 0)
-    for t < 0.
-    """
-    a, b = window
-    if k_max is None:
-        k_max = default_k_max(max(abs(a), abs(b), 2))
-    spec = FieldSpec(seed=0, dimension=dimension, k_min=k_min, k_max=k_max,
-                     doubling=doubling)
-    return _window_sums(spec, seeds, window)
-
-
-@dataclass(frozen=True)
-class ConditioningPlan:
-    """Cylinder event realizing the monotone-increment event.
-
-    For every scale kappa <= k <= k_max it fixes the first coordinate's
-    lead window [0, p_k + 2N) and lag window [d_k, d_k + p_k + 2N): the
-    lead window of the band K <= k <= k_max is +1 throughout, and every
-    other value there is 0. Those are all the values of these scales that
-    the path over (0, 2N) reads, so there the band adds exactly p_k per
-    step and every other scale of the cylinder nothing. Higher scales are
-    independent of everything evaluated at desk scale.
-    """
-
-    N: int
-    C: int
-    kappa: int
-    K: int
-    k_max: int
-
-
-def goal_event_plan(N: int, C: int) -> ConditioningPlan:
-    """Build the conditioning plan forcing strictly increasing first-coordinate sums.
-
-    kappa is the smallest scale with 2N < p_k; K the smallest scale >= kappa
-    with 2 p_k < d_k; k_max the smallest truncation whose band K..k_max
-    sums past C, or K + C - 1. Raises if a forced scale would have
-    colliding windows (requires p_k + 2N < 2 p_k <= d_k).
-    """
-    if N < 1 or C < 1:
-        raise PreconditionError("need N >= 1 and C >= 1")
-    kappa = 1
-    while scale_params(kappa).p <= 2 * N:
-        kappa += 1
-    K = kappa
-    while not (2 * scale_params(K).p < scale_params(K).d):
-        K += 1
-    k_max = K
-    total = 0
-    while True:
-        total += scale_params(k_max).p
-        if total > C or k_max >= K + C - 1:
-            break
-        k_max += 1
-    for k in range(kappa, k_max + 1):
-        span = scale_params(k).p + 2 * N
-        if span >= 2 * scale_params(k).p:
-            raise PreconditionError(
-                f"conditioning collision at scale {k}: p_k + 2N = {span} >= 2 p_k"
-            )
-    return ConditioningPlan(N=N, C=C, kappa=kappa, K=K, k_max=k_max)
-
-
-def min_low_scale_increment(N: int) -> int:
-    """Worst-case lower bound M for the low-scale part of one increment.
-
-    Scales with p_k <= 2N contribute at least -2 p_k each to
-    S_{n+1} - S_n; the bound is attained only if every summand is extreme.
-    """
-    M = 0
-    k = 1
-    while scale_params(k).p <= 2 * N:
-        M -= 2 * scale_params(k).p
-        k += 1
-    return M

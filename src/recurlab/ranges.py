@@ -11,21 +11,14 @@ cannot decide raise HorizonError instead of guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import PreconditionError
 from .bigsums import pool_schedule_sums
-from .fields import (
-    _BLOCK_ELEMS,
-    FieldSpec,
-    _window_sums,
-    goal_event_plan,
-    min_low_scale_increment,
-    scale_params,
-)
+from .fields import _BLOCK_ELEMS, FieldSpec, partial_sums_batch, scale_params
 from .shiftspace import OmegaConfig
 
 
@@ -81,7 +74,6 @@ class RangeTable:
     N: int
     endpoints: np.ndarray  # (N, dimension) int64; row n-1 is S_{p(n)}
     fresh: Tuple[int, ...]
-    range_set: frozenset
 
     def endpoint(self, n: int) -> Tuple[int, ...]:
         if not (1 <= n <= self.N):
@@ -123,8 +115,7 @@ def _range_table(poly: PolynomialSpec, N: int, endpoints: np.ndarray) -> RangeTa
         if v != zero and v not in seen:
             fresh.append(n)
         seen.add(v)
-    return RangeTable(poly=poly, N=N, endpoints=endpoints, fresh=tuple(fresh),
-                      range_set=frozenset(seen))
+    return RangeTable(poly=poly, N=N, endpoints=endpoints, fresh=tuple(fresh))
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +139,6 @@ class PermutationView:
     be visit points beyond the horizon, so they are unresolved.
     """
 
-    spec: FieldSpec
-    p1: PolynomialSpec
-    p2: PolynomialSpec
     N: int
     curly: Tuple[int, ...]
     table1: RangeTable
@@ -160,34 +148,30 @@ class PermutationView:
     s2_ordinal: Dict[Tuple[int, int], int]
 
     @classmethod
-    def build(cls, spec: FieldSpec, p1: PolynomialSpec, p2: PolynomialSpec,
-              N: int) -> "PermutationView":
-        return cls.build_pool(spec, [spec.seed], p1, p2, N)[0]
+    def build(cls, spec: FieldSpec, seed: int, p1: PolynomialSpec,
+              p2: PolynomialSpec, N: int) -> "PermutationView":
+        return cls.build_pool(spec, [seed], p1, p2, N)[0]
 
     @classmethod
     def build_pool(cls, spec: FieldSpec, seeds: Sequence[int],
                    p1: PolynomialSpec, p2: PolynomialSpec,
                    N: int) -> List["PermutationView"]:
         """One view per seed, from one pool-wide schedule evaluation: view
-        r equals ``build(replace(spec, seed=seeds[r]), p1, p2, N)``."""
+        r equals ``build(spec, seeds[r], p1, p2, N)``."""
         if spec.dimension != 2:
             raise ValueError("permutation view needs a 2-D walk")
-        return [cls._from_tables(replace(spec, seed=int(seed)), p1, p2, N, t1, t2)
-                for seed, (t1, t2) in zip(seeds, pool_range_tables(
-                    spec, seeds, [p1, p2], N))]
+        return [cls._from_tables(N, t1, t2)
+                for t1, t2 in pool_range_tables(spec, seeds, [p1, p2], N)]
 
     @classmethod
-    def _from_tables(cls, spec: FieldSpec, p1: PolynomialSpec,
-                     p2: PolynomialSpec, N: int, t1: RangeTable,
-                     t2: RangeTable) -> "PermutationView":
+    def _from_tables(cls, N: int, t1: RangeTable, t2: RangeTable) -> "PermutationView":
+        # fresh indices are first visits, so their points are distinct
         curly = tuple(sorted(set(t1.fresh) & set(t2.fresh)))
-        s1 = tuple(t1.endpoint(n) for n in curly)
-        s2 = tuple(t2.endpoint(n) for n in curly)
-        if len(set(s1)) != len(s1) or len(set(s2)) != len(s2):
-            raise RuntimeError("fresh visit points must be distinct")
+        rows = np.array(curly, dtype=np.int64) - 1
+        s1, s2 = (tuple(map(tuple, t.endpoints[rows].tolist())) for t in (t1, t2))
         ordinal = {v: i for i, v in enumerate(s2, start=1)}
-        return cls(spec=spec, p1=p1, p2=p2, N=N, curly=curly, table1=t1,
-                   table2=t2, s1_points=s1, s2_points=s2, s2_ordinal=ordinal)
+        return cls(N=N, curly=curly, table1=t1, table2=t2, s1_points=s1,
+                   s2_points=s2, s2_ordinal=ordinal)
 
     # -- classification -----------------------------------------------------
 
@@ -313,6 +297,56 @@ def choose_k(profile: ComplementProfile, margin: float = 0.1,
 # certification of the distinct-range window
 
 
+@dataclass(frozen=True)
+class ConditioningPlan:
+    """Cylinder event realizing the monotone-increment event.
+
+    For every scale kappa <= k <= k_max it fixes the first coordinate's
+    lead window [0, p_k + 2N) and lag window [d_k, d_k + p_k + 2N): the
+    lead window of the band K <= k <= k_max is +1 throughout, and every
+    other value there is 0. Those are all the values of these scales that
+    the path over (0, 2N) reads, so there the band adds exactly p_k per
+    step and every other scale of the cylinder nothing. The scales below
+    kappa add at least M per step; higher scales are independent of the
+    window.
+    """
+
+    N: int
+    C: int
+    M: int
+    kappa: int
+    K: int
+    k_max: int
+
+
+def goal_event_plan(N: int, C: Optional[int] = None) -> ConditioningPlan:
+    """The conditioning plan forcing strictly increasing first-coordinate sums.
+
+    kappa is the smallest scale with 2N < p_k, and M = -2 sum_{k < kappa} p_k
+    the least increment the scales below it can make; C defaults to -M + 1.
+    K = max(kappa, 2) is the first scale from kappa on with 2 p_k < d_k,
+    which holds exactly when k >= 2, and k_max the first whose band K..k_max
+    sums past C. As p_k > 2N from kappa on, p_k + 2N < 2 p_k <= d_k: no
+    lead window of the cylinder meets its lag window.
+    """
+    kappa, M = 1, 0
+    while scale_params(kappa).p <= 2 * N:
+        M -= 2 * scale_params(kappa).p
+        kappa += 1
+    if C is None:
+        C = -M + 1
+    if C < -M:
+        raise PreconditionError("C must dominate the low-band worst case -M")
+    if N < 1 or C < 1:
+        raise PreconditionError("need N >= 1 and C >= 1")
+    K = max(kappa, 2)
+    k_max, total = K, scale_params(K).p
+    while total <= C:
+        k_max += 1
+        total += scale_params(k_max).p
+    return ConditioningPlan(N=N, C=C, M=M, kappa=kappa, K=K, k_max=k_max)
+
+
 @dataclass
 class CertificationRun:
     N: int
@@ -338,14 +372,15 @@ def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
                      samples: int = 1000) -> CertificationRun:
     """Sample the conditioned cylinder and certify the strict-increase window.
 
-    The conditioning forces a band of scales to contribute +p_k each step on
-    the first coordinate while zeroing every other scale above the low band,
-    so each increment is at least (band sum) + M > 0 with M the worst-case
-    low-band contribution. Checks, per sample: the lexicographic chain
-    (0,0) < S_1 < ... < S_{2N}, the 2N+1 distinct window values, and the
-    per-step high-scale floor. Also reports the exact cylinder
-    log-probability and verifies the per-scale factor bound
-    m(D_k) >= exp(-2/p_k) for the scales k >= K + C outside the cylinder.
+    The conditioning (``goal_event_plan``) forces a band of scales to
+    contribute +p_k each step on the first coordinate while zeroing every
+    other scale above the low band, so each increment is at least
+    (band sum) + M > C + M >= 0 with M the worst-case low-band
+    contribution. Checks, per sample: the lexicographic chain
+    (0,0) < S_1 < ... < S_{2N} and the 2N+1 distinct window values. Also
+    reports the exact cylinder log-probability and verifies the per-scale
+    factor bound m(D_k) >= exp(-2/p_k) for the scales k >= K + C outside
+    the cylinder.
 
     Sample s has seed seed0 + s. The plan fixes every value of its
     scales that the window (0, 2N) reads, so the first coordinate reads
@@ -356,13 +391,8 @@ def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
     """
     if samples < 1:
         raise PreconditionError("need samples >= 1")
-    M = min_low_scale_increment(N)
-    if C is None:
-        C = -M + 1
-    if C < -M:
-        raise PreconditionError("C must dominate the low-band worst case -M")
-    plan = goal_event_plan(N=N, C=C)
-    spec = FieldSpec(seed=0, dimension=2, doubling=True, k_max=plan.k_max)
+    plan = goal_event_plan(N, C)
+    spec = FieldSpec(dimension=2, doubling=True, k_max=plan.k_max)
     scales = spec.scales()
     y_floor = sum(sp.p for sp in scales[plan.K - 1:])
     band = 2 * y_floor * np.arange(2 * N + 1)
@@ -372,7 +402,8 @@ def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
     for lo in range(seed0, seed0 + samples, rows):
         # a seed past 2^64 - 1 raises OverflowError here instead of wrapping
         seeds = np.array(range(lo, min(lo + rows, seed0 + samples)), dtype=np.uint64)
-        path = _window_sums(spec, seeds, (0, 2 * N), [scales[: plan.kappa - 1], scales])
+        path = partial_sums_batch(spec, seeds, (0, 2 * N),
+                                  [scales[: plan.kappa - 1], scales])
         path[:, :, 0] += band
         d0, d1 = np.moveaxis(np.diff(path, axis=1), 2, 0)
         chain = ((d0 > 0) | ((d0 == 0) & (d1 > 0))).all(axis=1)
@@ -382,8 +413,7 @@ def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
         ranked = np.take_along_axis(path, order[:, :, None], axis=1)
         repeat = (np.diff(ranked, axis=1) == 0).all(axis=2).any(axis=1)
         distinct_failures += int(repeat.sum())
-        # counted once per sample, so goal_failures <= samples
-        goal_failures += int((~chain | (y_floor <= C)).sum())
+        goal_failures += int((~chain).sum())
     # exact cylinder probability (log space): per scale the lead window,
     # +1 on the band and 0 below it, then the lag window, 0
     log_prob = 0.0
@@ -392,12 +422,12 @@ def certify_distinct(seed0: int, N: int, C: Optional[int] = None,
         log_prob += span * (math.log(sp.q / 2.0) if sp.k >= plan.K else math.log1p(-sp.q))
         log_prob += span * math.log1p(-sp.q)
     checks = []
-    for k in range(plan.K + C, plan.K + C + BOUND_SCALES):
+    for k in range(plan.K + plan.C, plan.K + plan.C + BOUND_SCALES):
         sp = scale_params(k)
         log_mdk = 2 * (sp.p + 2 * N) * math.log1p(-sp.q)
         checks.append((k, log_mdk, -2.0 / sp.p))
     return CertificationRun(
-        N=N, C=C, M=M, kappa=plan.kappa, K=plan.K, plan_k_max=plan.k_max,
+        N=N, C=plan.C, M=plan.M, kappa=plan.kappa, K=plan.K, plan_k_max=plan.k_max,
         samples=samples, goal_failures=goal_failures,
         distinct_failures=distinct_failures, y_floor=y_floor,
         log_event_probability=log_prob, bound_checks=tuple(checks),

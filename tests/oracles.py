@@ -45,12 +45,9 @@ from recurlab.fields import (
     _COUNT,
     _POSITION,
     TAG_FIELD,
-    ConditioningPlan,
     FieldSpec,
     _thresholds,
-    goal_event_plan,
     lag_namespace,
-    min_low_scale_increment,
     scale_params,
 )
 from recurlab.gaussian import upper_tail
@@ -59,6 +56,7 @@ from recurlab.prf import derive_rng, hash_words, hash_words_vec
 from recurlab.ranges import (
     BOUND_SCALES,
     CertificationRun,
+    ConditioningPlan,
     PermutationView,
     PolynomialSpec,
     RangeTable,
@@ -148,10 +146,10 @@ def keyed_block(seed: int, k: int, i: int, lag: bool, block: int) -> Dict[int, i
     return held
 
 
-def field_value(spec: FieldSpec, k: int, i: int, j: int,
+def field_value(spec: FieldSpec, seed: int, k: int, i: int, j: int,
                 windows: Sequence[ForcedWindow] = ()) -> int:
-    """The field value at (scale k, coordinate i, time j) in {-1, 0, +1};
-    the first of ``windows`` that holds (k, i, j) forces it."""
+    """The field value of ``seed`` at (scale k, coordinate i, time j) in
+    {-1, 0, +1}; the first of ``windows`` that holds (k, i, j) forces it."""
     if not (spec.k_min <= k <= spec.k_max):
         raise ValueError(f"scale {k} outside [{spec.k_min}, {spec.k_max}]")
     if not (1 <= i <= spec.dimension):
@@ -167,8 +165,8 @@ def field_value(spec: FieldSpec, k: int, i: int, j: int,
         j -= sp.d
     b = _keyed_bits(sp.q)
     if b is not None:
-        return keyed_block(spec.seed, k, i, lag, j >> b).get(j & ((1 << b) - 1), 0)
-    u = uniform01(spec.seed, *((TAG_FIELD, k, i, 1) if lag else (TAG_FIELD, k, i)), j)
+        return keyed_block(seed, k, i, lag, j >> b).get(j & ((1 << b) - 1), 0)
+    u = uniform01(seed, *((TAG_FIELD, k, i, 1) if lag else (TAG_FIELD, k, i)), j)
     if u < sp.q / 2:
         return 1
     if u < sp.q:
@@ -176,8 +174,8 @@ def field_value(spec: FieldSpec, k: int, i: int, j: int,
     return 0
 
 
-def _keyed_values(spec: FieldSpec, k: int, i: int, j: np.ndarray, lagged: bool,
-                  seed) -> np.ndarray:
+def _keyed_values(spec: FieldSpec, seed, k: int, i: int, j: np.ndarray,
+                  lagged: bool) -> np.ndarray:
     """Field values of a keyed scale over the coordinates ``j`` (offsets
     from d_k if ``lagged``) in the broadcast shape of ``seed`` and ``j``,
     from ``keyed_block`` over the blocks that ``j`` touches."""
@@ -195,22 +193,21 @@ def _keyed_values(spec: FieldSpec, k: int, i: int, j: np.ndarray, lagged: bool,
     return out.reshape(np.broadcast_shapes(np.shape(seed), j.shape))
 
 
-def field_values_float(spec: FieldSpec, k: int, i: int, j: np.ndarray,
-                       lagged: bool = False, seed=None) -> np.ndarray:
+def field_values_float(spec: FieldSpec, seed, k: int, i: int, j: np.ndarray,
+                       lagged: bool = False) -> np.ndarray:
     """Field values over an array of coordinates, by the float rule of
     ``field_value``: the hash becomes the uniform u = (h >> 11) 2^-53, and
     the value is +1 at u < q / 2, -1 at q / 2 <= u < q, else 0; a keyed
     scale compares the uniform of its block's count hash with the binomial
-    CDF (``keyed_block``). ``j``, ``lagged`` and ``seed`` are read as by
+    CDF (``keyed_block``). ``seed``, ``j`` and ``lagged`` are read as by
     ``field_values_vec``.
     """
     sp = scale_params(k)
     j = np.asarray(j, dtype=np.int64)
-    seed = spec.seed if seed is None else seed
     if spec.zero:
         return np.zeros(np.broadcast_shapes(np.shape(seed), j.shape), dtype=np.int64)
     if _keyed_bits(sp.q) is not None:
-        return _keyed_values(spec, k, i, j, lagged, seed)
+        return _keyed_values(spec, seed, k, i, j, lagged)
     words = (TAG_FIELD, k, i)
     if lagged and lag_namespace(k):
         words = (TAG_FIELD, k, i, 1)
@@ -224,25 +221,24 @@ def field_values_float(spec: FieldSpec, k: int, i: int, j: np.ndarray,
     return out
 
 
-def field_values_vec(spec: FieldSpec, k: int, i: int, j: np.ndarray,
-                     lagged: bool = False, seed=None) -> np.ndarray:
+def field_values_vec(spec: FieldSpec, seed, k: int, i: int, j: np.ndarray,
+                     lagged: bool = False) -> np.ndarray:
     """Field values of scale k, coordinate i over an int64 coordinate array,
     every value formed densely: from the hash thresholds, or on a keyed
     scale from ``keyed_block``.
 
     With ``lagged=True`` the entries of ``j`` are offsets from the lag d_k
     (required for scales whose lag exceeds the int64 coordinate range).
-    ``seed`` replaces ``spec.seed`` and may be an array that broadcasts
-    against ``j``; the result has the broadcast shape.
+    ``seed`` may be an array that broadcasts against ``j``; the result has
+    the broadcast shape.
     """
     sp = scale_params(k)
     j = np.asarray(j, dtype=np.int64)
-    seed = spec.seed if seed is None else seed
     shape = np.broadcast_shapes(np.shape(seed), j.shape)
     if spec.zero:
         out = np.zeros(shape, dtype=np.int64)
     elif _keyed_bits(sp.q) is not None:
-        out = _keyed_values(spec, k, i, j, lagged, seed)
+        out = _keyed_values(spec, seed, k, i, j, lagged)
     else:
         jj = j + sp.d if lagged and not lag_namespace(k) else j
         words = (TAG_FIELD, k, i, 1) if lagged and lag_namespace(k) else (TAG_FIELD, k, i)
@@ -254,10 +250,10 @@ def field_values_vec(spec: FieldSpec, k: int, i: int, j: np.ndarray,
 
 def oracle_window_sums(spec: FieldSpec, seeds, window: Tuple[int, int],
                        scales=None) -> np.ndarray:
-    """``recurlab.fields._window_sums`` by dense prefix sums: per scale, the
-    field values over [a, b + p - 1) on the lead axis and on the lag axis
-    each take one prefix sum, and the block sum over [t, t + p) is the
-    difference of two prefix entries. ``scales`` holds the scale indices k
+    """``recurlab.fields.partial_sums_batch`` by dense prefix sums: per
+    scale, the field values over [a, b + p - 1) on the lead axis and on the
+    lag axis each take one prefix sum, and the block sum over [t, t + p) is
+    the difference of two prefix entries. ``scales`` holds the scale indices k
     each coordinate reads (default: every scale of the spec)."""
     a, b = window
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
@@ -269,7 +265,7 @@ def oracle_window_sums(spec: FieldSpec, seeds, window: Tuple[int, int],
             j = np.arange(a, b + sp.p - 1)
             prefix = np.zeros((seeds.shape[0], j.size + 1), dtype=np.int64)
             for lagged, sign in ((False, 1), (True, -1)):
-                np.cumsum(field_values_vec(spec, sp.k, i, j, lagged, seed=seeds),
+                np.cumsum(field_values_vec(spec, seeds, sp.k, i, j, lagged),
                           axis=1, out=prefix[:, 1:])
                 incr[:, :, i - 1] += sign * (prefix[:, sp.p:] - prefix[:, : b - a])
     if spec.doubling:
@@ -279,18 +275,18 @@ def oracle_window_sums(spec: FieldSpec, seeds, window: Tuple[int, int],
     return cum - cum[:, [-a], :]
 
 
-def f_k_at(spec: FieldSpec, k: int, i: int, t: int,
+def f_k_at(spec: FieldSpec, seed: int, k: int, i: int, t: int,
            windows: Sequence[ForcedWindow] = ()) -> int:
     """Block function of scale k at time t: lead window minus lagged window."""
     sp = scale_params(k)
     total = 0
     for j in range(sp.p):
-        total += field_value(spec, k, i, t + j, windows)
-        total -= field_value(spec, k, i, t + sp.d + j, windows)
+        total += field_value(spec, seed, k, i, t + j, windows)
+        total -= field_value(spec, seed, k, i, t + sp.d + j, windows)
     return total
 
 
-def f_at(spec: FieldSpec, t: int,
+def f_at(spec: FieldSpec, seed: int, t: int,
          windows: Sequence[ForcedWindow] = ()) -> Tuple[int, ...]:
     """The walk increment at time t (one entry per coordinate)."""
     mult = 2 if spec.doubling else 1
@@ -298,21 +294,21 @@ def f_at(spec: FieldSpec, t: int,
     for i in range(1, spec.dimension + 1):
         s = 0
         for k in range(spec.k_min, spec.k_max + 1):
-            s += f_k_at(spec, k, i, t, windows)
+            s += f_k_at(spec, seed, k, i, t, windows)
         out.append(mult * s)
     return tuple(out)
 
 
-def oracle_sums(spec: FieldSpec, window: Tuple[int, int],
+def oracle_sums(spec: FieldSpec, seed: int, window: Tuple[int, int],
                 windows: Sequence[ForcedWindow] = ()) -> np.ndarray:
-    """S_t for t in [a, b] summed from f_at, with ``windows`` forcing field
-    values: shape (b - a + 1, dimension).
+    """S_t of ``seed`` for t in [a, b] summed from f_at, with ``windows``
+    forcing field values: shape (b - a + 1, dimension).
 
     S_t is the sum of f over [0, t) for t >= 0 and minus the sum over
     [t, 0) for t < 0.
     """
     a, b = window
-    incr = np.array([f_at(spec, t, windows) for t in range(a, b)],
+    incr = np.array([f_at(spec, seed, t, windows) for t in range(a, b)],
                     dtype=np.int64).reshape(b - a, spec.dimension)
     cum = np.concatenate([np.zeros((1, spec.dimension), dtype=np.int64),
                           np.cumsum(incr, axis=0)])
@@ -497,7 +493,10 @@ def oracle_section3(pool: Sequence[PermutationView], k: int, H: int,
     witness of each n is the first coordinate whose view has n among its
     shared fresh indices, and each bit is one scalar ``OmegaConfig.bit``:
     the plain origin bit at the endpoint S_{p1(n)} of the view's first
-    table, the twisted one through ``tilde_S_origin_bit``."""
+    table, the twisted one through ``tilde_S_origin_bit``. Each
+    configuration is conditioned on omega(0) = 0 by re-hashing its seed
+    until that bit is 0, where the probe takes the first seed: no witness
+    reads the origin, so the two must agree."""
     if H > pool[0].N:
         raise ValueError("horizon exceeds the pool's range horizon")
     if k < 1:
@@ -546,31 +545,64 @@ def oracle_section3(pool: Sequence[PermutationView], k: int, H: int,
                              uncovered=uncovered)
 
 
+def min_low_scale_increment(N: int) -> int:
+    """Worst-case lower bound M for the low-scale part of one increment:
+    the scales with p_k <= 2N contribute at least -2 p_k each."""
+    M = 0
+    k = 1
+    while scale_params(k).p <= 2 * N:
+        M -= 2 * scale_params(k).p
+        k += 1
+    return M
+
+
+def oracle_plan(N: int, C: int) -> ConditioningPlan:
+    """``recurlab.ranges.goal_event_plan`` from its scalar definitions, one
+    loop each: kappa the smallest scale with 2N < p_k, K the smallest scale
+    >= kappa with 2 p_k < d_k, and k_max the smallest truncation whose band
+    K..k_max sums past C, or K + C - 1."""
+    kappa = 1
+    while scale_params(kappa).p <= 2 * N:
+        kappa += 1
+    K = kappa
+    while not (2 * scale_params(K).p < scale_params(K).d):
+        K += 1
+    k_max = K
+    total = 0
+    while True:
+        total += scale_params(k_max).p
+        if total > C or k_max >= K + C - 1:
+            break
+        k_max += 1
+    return ConditioningPlan(N=N, C=C, M=min_low_scale_increment(N), kappa=kappa,
+                            K=K, k_max=k_max)
+
+
 def oracle_certify(seed0: int, N: int, C: Optional[int] = None,
                    samples: int = 1000) -> CertificationRun:
     """``recurlab.ranges.certify_distinct`` one sample at a time: each
     sample's window and high band are summed by ``oracle_sums`` under the
-    plan's forced windows (``plan_windows``) and checked as tuples, and the
-    cylinder probability and factor bounds are taken straight from those
-    windows."""
+    forced windows (``plan_windows``) of the loop-built plan
+    (``oracle_plan``) and checked as tuples, and the cylinder probability
+    and factor bounds are taken straight from those windows."""
     M = min_low_scale_increment(N)
     if C is None:
         C = -M + 1
-    plan = goal_event_plan(N=N, C=C)
+    plan = oracle_plan(N, C)
     windows = plan_windows(plan)
     plan_k_max = max(w.k for w in windows)
     goal_failures = 0
     distinct_failures = 0
     y_floor = None
-    for s in range(samples):
-        spec = FieldSpec(seed=seed0 + s, dimension=2, doubling=True, k_max=plan_k_max)
+    spec = FieldSpec(dimension=2, doubling=True, k_max=plan_k_max)
+    high_spec = replace(spec, k_min=plan.kappa, doubling=False)
+    for seed in range(seed0, seed0 + samples):
         chain = [tuple(int(x) for x in row)
-                 for row in oracle_sums(spec, (0, 2 * N), windows)]
+                 for row in oracle_sums(spec, seed, (0, 2 * N), windows)]
         ok = all(chain[t] < chain[t + 1] for t in range(2 * N))
         if len(set(chain)) != 2 * N + 1:
             distinct_failures += 1
-        high = oracle_sums(replace(spec, k_min=plan.kappa, doubling=False), (0, 2 * N),
-                           windows)
+        high = oracle_sums(high_spec, seed, (0, 2 * N), windows)
         floor = int(np.diff(high[:, 0]).min())
         y_floor = floor if y_floor is None else min(y_floor, floor)
         if not ok or floor <= C:
@@ -618,10 +650,15 @@ def oracle_extract(return_sets: Sequence[set], H: int) -> Extraction:
                       violations=violations, verdict=verdict)
 
 
-def build_range(spec: FieldSpec, poly: PolynomialSpec, N: int) -> RangeTable:
-    """The range table of ``spec.seed`` alone: a pool of one seed and one
+def build_range(spec: FieldSpec, seed: int, poly: PolynomialSpec, N: int) -> RangeTable:
+    """The range table of ``seed`` alone: a pool of one seed and one
     polynomial of ``recurlab.ranges.pool_range_tables``."""
-    return pool_range_tables(spec, [spec.seed], [poly], N)[0][0]
+    return pool_range_tables(spec, [seed], [poly], N)[0][0]
+
+
+def range_set(table: RangeTable) -> set:
+    """The points a range table visits, the origin included if visited."""
+    return set(map(tuple, table.endpoints.tolist()))
 
 
 def audit_injectivity(view: PermutationView, points: Sequence[Tuple[int, int]]) -> int:

@@ -46,6 +46,7 @@ from oracles import (
     build_range,
     complement_point,
     exact_walk_pmf,
+    range_set,
     triple_probability,
 )
 from test_pmf import _convolve_laws, _oracle_scale_law
@@ -80,7 +81,7 @@ def test_01_oracle_equivalence():
                 if k_max == 2:
                     oracle = _convolve_laws(oracle,
                                             _oracle_scale_law(2, n, Fraction(1, 32)))
-                spec = FieldSpec(seed=0, dimension=1, k_min=1, k_max=k_max,
+                spec = FieldSpec(dimension=1, k_min=1, k_max=k_max,
                                  doubling=False)
                 exact = exact_walk_pmf(spec, n)
                 assert exact == oracle
@@ -88,7 +89,7 @@ def test_01_oracle_equivalence():
                 for v, frac in exact.items():
                     assert abs(pmf.prob(v) - float(frac)) <= 1e-12
         # the pinned point value: one step of the smallest two-scale walk
-        spec = FieldSpec(seed=0, dimension=1, k_min=1, k_max=1, doubling=False)
+        spec = FieldSpec(dimension=1, k_min=1, k_max=1, doubling=False)
         assert exact_walk_pmf(spec, 1)[0] == Fraction(867, 2048)
 
 
@@ -97,10 +98,10 @@ def test_02_mc_oracle_agreement():
         n, size = 64, 100_000
         k_max = default_k_max(n)
         seeds = np.arange(size, dtype=np.uint64)
-        paths = partial_sums_batch(seeds, (0, n), dimension=1, k_max=k_max)
+        spec = FieldSpec(dimension=1, k_max=k_max, doubling=False)
+        paths = partial_sums_batch(spec, seeds, (0, n))
         freq = float(np.mean(paths[:, n, 0] == 0))
-        pmf, _ = walk_pmf(FieldSpec(seed=0, dimension=1, k_max=k_max,
-                                    doubling=False), n)
+        pmf, _ = walk_pmf(spec, n)
         target = pmf.prob(0)
         se = math.sqrt(target * (1 - target) / size)
         assert abs(freq - target) < 4 * se
@@ -112,7 +113,7 @@ def test_03_lclt_sanity():
         k_max = default_k_max(max(grid))
         peaks = []
         for n in grid:
-            pmf, _ = walk_pmf(FieldSpec(seed=0, dimension=1, k_max=k_max,
+            pmf, _ = walk_pmf(FieldSpec(dimension=1, k_max=k_max,
                                         doubling=False), n)
             rep = lclt_deviation(pmf, n)
             assert abs(rep.mass - 1.0) <= 1e-9
@@ -139,7 +140,7 @@ def test_04_decay_envelope():
 
 def test_05_section2_emptiness():
     with _Budget(300):
-        spec = FieldSpec(seed=0, dimension=1, k_max=default_k_max(2000),
+        spec = FieldSpec(dimension=1, k_max=default_k_max(2000),
                          doubling=False)
         bc, probe = exp_section2(spec, H=2000, samples=1000, seed0=0)
         assert bc.verdict == "ok"
@@ -151,20 +152,19 @@ def test_05_section2_emptiness():
 def test_06_range_density():
     with _Budget(300):
         hits = 0
+        spec = FieldSpec(dimension=2, k_max=default_k_max(1000**3), doubling=True)
         for seed in range(20):
-            spec = FieldSpec(seed=seed, dimension=2,
-                             k_max=default_k_max(1000**3), doubling=True)
-            table = build_range(spec, P_CUBE, 1000)
-            if len(table.range_set) / 1000 >= 0.85:
+            table = build_range(spec, seed, P_CUBE, 1000)
+            if len(range_set(table)) / 1000 >= 0.85:
                 hits += 1
         assert hits >= 15
 
 
 def test_07_permutation_correctness():
     with _Budget(300):
-        spec = FieldSpec(seed=0, dimension=2, k_max=default_k_max(500**3),
+        spec = FieldSpec(dimension=2, k_max=default_k_max(500**3),
                          doubling=True)
-        view = PermutationView.build(spec, P_SQUARE, P_CUBE, 500)
+        view = PermutationView.build(spec, 0, P_SQUARE, P_CUBE, 500)
         assert view.pi_forward((0, 0)) == (0, 0)
         for ordinal, n in enumerate(view.curly, start=1):
             if n > 500:
@@ -231,7 +231,7 @@ def test_10_gaussian_identities():
 
 def test_11_mixing_probe(tmp_path):
     with _Budget(600):
-        spec = FieldSpec(seed=0, dimension=2, k_max=default_k_max(4096),
+        spec = FieldSpec(dimension=2, k_max=default_k_max(4096),
                          doubling=True)
         rep = mixing_probe(spec, M=5, H=4096, samples=100_000, n_min=64)
         assert rep.box_probabilities[-1] < rep.box_probabilities[0]

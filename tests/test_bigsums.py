@@ -6,10 +6,10 @@ import pytest
 from recurlab.bigsums import _AxisEval, pool_schedule_sums
 from recurlab.fields import (
     FieldSpec,
-    _window_sums,
     block_bits,
     default_k_max,
     field_nonzeros,
+    partial_sums_batch,
     scale_params,
 )
 from recurlab.pmf import grouped_law
@@ -23,43 +23,43 @@ class TestExplicitAgreesWithStepping:
 
     @pytest.mark.parametrize("dim,doubling", [(1, False), (2, True)])
     def test_consecutive_times(self, dim, doubling):
-        spec = FieldSpec(seed=1234, dimension=dim, k_max=8, doubling=doubling)
-        sums = pool_schedule_sums(spec, [spec.seed], list(range(1, 41)))[0]
-        assert (sums == oracle_sums(spec, (0, 40))[1:]).all()
+        spec = FieldSpec(dimension=dim, k_max=8, doubling=doubling)
+        sums = pool_schedule_sums(spec, [1234], list(range(1, 41)))[0]
+        assert (sums == oracle_sums(spec, 1234, (0, 40))[1:]).all()
 
     def test_sparse_request_consecutive_anchoring(self):
         # the times of interest are read from a gap-free schedule
-        spec = FieldSpec(seed=77, dimension=1, k_max=8, doubling=False)
-        sums = pool_schedule_sums(spec, [spec.seed], list(range(1, 37)))[0]
-        path = oracle_sums(spec, (0, 36))
+        spec = FieldSpec(dimension=1, k_max=8, doubling=False)
+        sums = pool_schedule_sums(spec, [77], list(range(1, 37)))[0]
+        path = oracle_sums(spec, 77, (0, 36))
         for t in (3, 17, 36):
             assert (sums[t - 1] == path[t]).all()
 
     def test_auto_equals_explicit_without_chunks(self):
-        spec = FieldSpec(seed=5, dimension=2, k_max=7, doubling=True)
-        sums = pool_schedule_sums(spec, [spec.seed], list(range(1, 30)))[0]
-        assert (sums == oracle_sums(spec, (0, 29))[1:]).all()
+        spec = FieldSpec(dimension=2, k_max=7, doubling=True)
+        sums = pool_schedule_sums(spec, [5], list(range(1, 30)))[0]
+        assert (sums == oracle_sums(spec, 5, (0, 29))[1:]).all()
 
     @pytest.mark.parametrize("seed", [0, 8, 2**64 - 1])
     def test_gap_free_equals_window_sums(self, seed):
         # both engines read one field: every scale up to 14, keyed blocks
         # from k = 3 on, the lag namespace from k = 8 on
-        spec = FieldSpec(seed=seed, dimension=2, k_max=14, doubling=True)
+        spec = FieldSpec(dimension=2, k_max=14, doubling=True)
         sums = pool_schedule_sums(spec, [seed, 5], list(range(1, 301)))
-        assert np.array_equal(sums, _window_sums(spec, [seed, 5], (0, 300))[:, 1:])
+        assert np.array_equal(sums, partial_sums_batch(spec, [seed, 5], (0, 300))[:, 1:])
 
     def test_crosses_small_lag(self):
         # scale 2 has lag 16; times straddling it exercise the shared axis
-        spec = FieldSpec(seed=9, dimension=1, k_min=2, k_max=2, doubling=False)
-        sums = pool_schedule_sums(spec, [spec.seed], list(range(1, 25)))[0]
-        assert (sums == oracle_sums(spec, (0, 24))[1:]).all()
+        spec = FieldSpec(dimension=1, k_min=2, k_max=2, doubling=False)
+        sums = pool_schedule_sums(spec, [9], list(range(1, 25)))[0]
+        assert (sums == oracle_sums(spec, 9, (0, 24))[1:]).all()
 
 
 SQUARES_AND_CUBES = sorted({n**e for n in range(1, 101) for e in (2, 3)})
 
 
-def _digest(spec, times):
-    values = pool_schedule_sums(spec, [spec.seed], times)[0]
+def _digest(spec, seed, times):
+    values = pool_schedule_sums(spec, [seed], times)[0]
     return hashlib.sha256(values.tobytes()).hexdigest()
 
 
@@ -84,7 +84,7 @@ class TestPinnedRealizations:
         (2, "5ce85ae637387ad65ea9481b5daed64ca937f03dff32aa7eafe6a7ff929ff3fb"),
     ], ids=["0", "1", "2"])
     def test_square_and_cube_schedule(self, seed, digest):
-        assert _digest(FieldSpec(seed=seed, dimension=2, k_max=22), SQUARES_AND_CUBES) == digest
+        assert _digest(FieldSpec(dimension=2, k_max=22), seed, SQUARES_AND_CUBES) == digest
 
     # the keyed blocks themselves: field_nonzeros of scales 3..30 on both
     # axes of both coordinates, over two segments that cut blocks of 2^b
@@ -101,7 +101,7 @@ class TestPinnedRealizations:
             lo, hi = [-size + 5, size // 2], [-3, size + size // 4]
             for i in (1, 2):
                 for lagged in (False, True):
-                    for a in field_nonzeros(FieldSpec(seed=seed), k, i, lo, hi, lagged):
+                    for a in field_nonzeros(FieldSpec(), seed, k, i, lo, hi, lagged):
                         h.update(a.tobytes())
         assert h.hexdigest() == digest
 
@@ -113,14 +113,14 @@ class TestPinnedRealizations:
         (2, "b189da7228a3be8e177e88cd0129785ad3dc60330aee3abe3512a1fe16195ce2"),
     ], ids=["0", "1", "2"])
     def test_large_times(self, seed, digest):
-        spec = FieldSpec(seed=seed, dimension=1, k_max=30, doubling=False)
-        assert _digest(spec, [10, 10**7, 10**12, 2**57]) == digest
+        spec = FieldSpec(dimension=1, k_max=30, doubling=False)
+        assert _digest(spec, seed, [10, 10**7, 10**12, 2**57]) == digest
 
     @pytest.mark.parametrize("lag", [True, False])
     def test_query_off_anchors_rejected(self, lag):
         sp = scale_params(3)
-        spec = FieldSpec(seed=1, dimension=1, k_max=3)
-        axis = _AxisEval(spec, sp, 1, [0, 1000], lag=lag, seeds=[spec.seed])
+        spec = FieldSpec(dimension=1, k_max=3)
+        axis = _AxisEval(spec, sp, 1, [0, 1000], lag=lag, seeds=[1])
         axis.running_sum([0, 1000, 1000 + sp.p - 2])
         axis.ramp([0, 1000])
         for offset in (sp.p - 1, 500, 1000 + sp.p - 1, -1):
@@ -137,12 +137,12 @@ class TestPoolSchedule:
     SEEDS = [0, 9, 2**63 + 4, 2**64 - 1]
 
     @pytest.mark.parametrize("spec,times", [
-        (FieldSpec(seed=0, dimension=2, k_max=22), SQUARES_AND_CUBES),
-        (FieldSpec(seed=0, dimension=1, k_max=30, doubling=False),
+        (FieldSpec(dimension=2, k_max=22), SQUARES_AND_CUBES),
+        (FieldSpec(dimension=1, k_max=30, doubling=False),
          [10, 10**7, 10**12, 2**57]),
         # block lengths near 2^60 leave room for one seed per key array,
         # so the pool goes through one seed at a time
-        (FieldSpec(seed=0, dimension=1, k_min=55, k_max=60, doubling=False),
+        (FieldSpec(dimension=1, k_min=55, k_max=60, doubling=False),
          [3, 1000, 10**9]),
     ])
     def test_rows_equal_single_seed_sums(self, spec, times):
@@ -155,37 +155,37 @@ class TestPoolSchedule:
 
 class TestAutoMode:
     def test_deterministic(self):
-        spec = FieldSpec(seed=31, dimension=2, k_max=12, doubling=True)
-        a = pool_schedule_sums(spec, [spec.seed], [10**6, 8, 27, 64, 125, 64])
-        b = pool_schedule_sums(spec, [spec.seed], [8, 27, 64, 125, 10**6])
+        spec = FieldSpec(dimension=2, k_max=12, doubling=True)
+        a = pool_schedule_sums(spec, [31], [10**6, 8, 27, 64, 125, 64])
+        b = pool_schedule_sums(spec, [31], [8, 27, 64, 125, 10**6])
         assert a.shape == (1, 5, 2)
         assert (a == b).all()
 
     def test_zero_spec(self):
-        spec = FieldSpec(seed=31, dimension=2, k_max=10, zero=True)
-        assert (pool_schedule_sums(spec, [spec.seed], [10, 10**7]) == 0).all()
+        spec = FieldSpec(dimension=2, k_max=10, zero=True)
+        assert (pool_schedule_sums(spec, [31], [10, 10**7]) == 0).all()
 
     def test_large_time_variance(self):
         # endpoint variance across seeds matches the analytic atom variance
         n = 50_000
         k_max = default_k_max(n)
         vals = []
+        spec = FieldSpec(dimension=1, k_max=k_max, doubling=False)
         for seed in range(250):
-            spec = FieldSpec(seed=seed, dimension=1, k_max=k_max, doubling=False)
             vals.append(pool_schedule_sums(spec, [seed], [n])[0, 0, 0])
         emp = np.var(np.array(vals, dtype=np.float64))
         ana = grouped_law(1, k_max, n).variance()
         assert 0.55 * ana < emp < 1.45 * ana  # ~4 SE of a variance at 250 draws
 
     def test_doubling_and_dimension_shape(self):
-        spec = FieldSpec(seed=4, dimension=2, k_max=9, doubling=True)
-        sums = pool_schedule_sums(spec, [spec.seed], [1000])[0]
+        spec = FieldSpec(dimension=2, k_max=9, doubling=True)
+        sums = pool_schedule_sums(spec, [4], [1000])[0]
         assert sums.shape == (1, 2)
         assert (sums % 2 == 0).all()
 
     def test_rejects_bad_input(self):
-        spec = FieldSpec(seed=4, dimension=1, k_max=4)
+        spec = FieldSpec(dimension=1, k_max=4)
         with pytest.raises(ValueError):
-            pool_schedule_sums(spec, [spec.seed], [])
+            pool_schedule_sums(spec, [4], [])
         with pytest.raises(ValueError):
-            pool_schedule_sums(spec, [spec.seed], [0, 5])
+            pool_schedule_sums(spec, [4], [0, 5])

@@ -100,7 +100,7 @@ class TestExtraction:
 
 class TestSection2:
     def test_default_spec(self):
-        spec = FieldSpec(seed=0, dimension=1, k_max=13, doubling=False)
+        spec = FieldSpec(dimension=1, k_max=13, doubling=False)
         bc, probe = exp_section2(spec, H=300, samples=150, seed0=1)
         assert bc.verdict == "ok"
         assert probe.violations == 0
@@ -113,19 +113,19 @@ class TestSection2:
         assert 0 <= bc.extraction.M <= max(bc.extraction.N, 0)
 
     def test_zero_fields_negative_control(self):
-        spec = FieldSpec(seed=0, dimension=1, k_max=4, zero=True)
+        spec = FieldSpec(dimension=1, k_max=4, zero=True)
         bc, _ = exp_section2(spec, H=40, samples=25)
         assert bc.verdict == "diverged"
         assert (bc.a_n == 0.125).all()
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):
-            exp_section2(FieldSpec(seed=0, dimension=2, k_max=6), H=40)
+            exp_section2(FieldSpec(dimension=2, k_max=6), H=40)
         with pytest.raises(ValueError):
-            exp_section2(FieldSpec(seed=0, dimension=1, k_max=6), H=4)
+            exp_section2(FieldSpec(dimension=1, k_max=6), H=4)
 
     def test_json_deterministic(self):
-        spec = FieldSpec(seed=0, dimension=1, k_max=8, doubling=False)
+        spec = FieldSpec(dimension=1, k_max=8, doubling=False)
         a, _ = exp_section2(spec, H=60, samples=30, seed0=5)
         b, _ = exp_section2(spec, H=60, samples=30, seed0=5)
         assert (a.envelope_c, a.tail, a.extraction) == (b.envelope_c, b.tail, b.extraction)
@@ -271,7 +271,7 @@ class TestGaussianExperiment:
 
 class TestMixingProbe:
     def test_default_spec_decays(self):
-        spec = FieldSpec(seed=3, dimension=2, k_max=14, doubling=True)
+        spec = FieldSpec(dimension=2, k_max=14, doubling=True)
         rep = mixing_probe(spec, M=5, H=1024, samples=20_000, n_min=64)
         assert rep.decay_ok
         assert rep.correlation_ok
@@ -280,13 +280,13 @@ class TestMixingProbe:
         assert rep.II_bound == rep.box_probabilities[-1]
 
     def test_huge_box_captures_everything(self):
-        spec = FieldSpec(seed=3, dimension=2, k_max=6, doubling=True)
+        spec = FieldSpec(dimension=2, k_max=6, doubling=True)
         rep = mixing_probe(spec, M=10**7, H=128, samples=2000, n_min=64)
         assert all(abs(b - 1.0) < 1e-9 for b in rep.box_probabilities)
         assert not rep.decay_ok
 
     def test_zero_fields_negative_control(self):
-        spec = FieldSpec(seed=3, dimension=2, k_max=6, zero=True)
+        spec = FieldSpec(dimension=2, k_max=6, zero=True)
         rep = mixing_probe(spec, M=5, H=256, samples=20_000, n_min=64)
         assert not rep.decay_ok
         # the walk never leaves the box: the correlation stays put and the
@@ -296,7 +296,7 @@ class TestMixingProbe:
 
     def test_cylinder_coincidence_on_zero_spec(self):
         # S_n = 0, so B2's site is B1's site and reads the same bit
-        spec = FieldSpec(seed=3, dimension=2, k_max=6, zero=True)
+        spec = FieldSpec(dimension=2, k_max=6, zero=True)
         one = (((0, 0), 1),)
         rep = mixing_probe(spec, M=5, H=128, samples=20_000, B1=one, B2=one,
                            n_min=64)
@@ -310,7 +310,7 @@ class TestMixingProbe:
         assert abs(rep.joint_estimate - 0.5) < 4 * rep.se
 
     def test_input_validation(self):
-        spec = FieldSpec(seed=3, dimension=2, k_max=6, doubling=True)
+        spec = FieldSpec(dimension=2, k_max=6, doubling=True)
         with pytest.raises(ValueError):
             mixing_probe(spec, M=2, H=128, samples=100,
                          B1=(((5, 0), 1),), n_min=64)
@@ -320,11 +320,11 @@ class TestMixingProbe:
         with pytest.raises(ValueError, match=r"2 \* n_min"):
             mixing_probe(spec, M=2, H=64, samples=100, n_min=64)
         with pytest.raises(ValueError):
-            mixing_probe(FieldSpec(seed=1, dimension=1, k_max=6), M=2, H=128,
+            mixing_probe(FieldSpec(dimension=1, k_max=6), M=2, H=128,
                          samples=10, n_min=64)
 
     def test_report_json_round_trip(self):
-        spec = FieldSpec(seed=3, dimension=2, k_max=6, doubling=True)
+        spec = FieldSpec(dimension=2, k_max=6, doubling=True)
         rep = mixing_probe(spec, M=4, H=128, samples=2000, n_min=64)
         payload = json.loads(json.dumps(asdict(rep)))
         assert payload["M"] == 4

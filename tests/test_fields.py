@@ -1,22 +1,20 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurlab import fields
+from recurlab import PreconditionError, fields
 from recurlab.fields import (
     FieldSpec,
     default_k_max,
     field_nonzeros,
-    goal_event_plan,
-    min_low_scale_increment,
     partial_sums_batch,
     scale_params,
     tail_variance_bound,
 )
+from recurlab.ranges import goal_event_plan
 
 from recurlab.prf import hash_words, hash_words_vec
 
@@ -28,6 +26,7 @@ from oracles import (
     field_values_float,
     field_values_vec,
     keyed_block,
+    min_low_scale_increment,
     oracle_sums,
     oracle_window_sums,
     plan_windows,
@@ -68,12 +67,11 @@ def _point(k, i, j, value):
     return ForcedWindow(k=k, i=i, lo=j, hi=j + 1, value=value)
 
 
-def _dense(spec, k, i, j, lagged=False, seed=None):
+def _dense(spec, seed, k, i, j, lagged=False):
     """The field values that ``field_nonzeros`` lists over the consecutive
     coordinates ``j``, one segment, laid out densely in the broadcast shape
     of ``seed`` and ``j``."""
-    seed = spec.seed if seed is None else seed
-    row, c, x = field_nonzeros(spec, k, i, [j[0]], [j[-1] + 1], lagged, seed=seed)
+    row, c, x = field_nonzeros(spec, seed, k, i, [j[0]], [j[-1] + 1], lagged)
     out = np.zeros((np.size(seed), len(j)), dtype=np.int64)
     out[row, c] = x
     return out.reshape(np.broadcast_shapes(np.shape(seed), np.shape(j)))
@@ -84,34 +82,34 @@ class TestFieldValue:
         # the oracle's forced windows hold their value inside and leave the
         # field alone outside, on the lead axis and in the lag namespace of
         # k = 8, where the window is keyed by d_k + offset
-        spec = FieldSpec(seed=1, dimension=1, k_max=8)
+        spec = FieldSpec(dimension=1, k_max=8)
         d = scale_params(8).d
         windows = (ForcedWindow(k=1, i=1, lo=0, hi=6, value=-1),
                    ForcedWindow(k=8, i=1, lo=d, hi=d + 4, value=1))
         for k, base, value in ((1, 0, -1), (8, d, 1)):
-            got = [field_value(spec, k, 1, base + j, windows) for j in range(-3, 10)]
-            hashed = [field_value(spec, k, 1, base + j) for j in range(-3, 10)]
+            got = [field_value(spec, 1, k, 1, base + j, windows) for j in range(-3, 10)]
+            hashed = [field_value(spec, 1, k, 1, base + j) for j in range(-3, 10)]
             width = 6 if k == 1 else 4
             assert got[3 : 3 + width] == [value] * width
             assert got[:3] + got[3 + width :] == hashed[:3] + hashed[3 + width :]
 
     def test_deterministic(self):
-        spec = FieldSpec(seed=99, dimension=2, k_max=4)
-        vals = [field_value(spec, 3, 2, 17) for _ in range(5)]
+        spec = FieldSpec(dimension=2, k_max=4)
+        vals = [field_value(spec, 99, 3, 2, 17) for _ in range(5)]
         assert len(set(vals)) == 1
 
     def test_out_of_range_scale(self):
-        spec = FieldSpec(seed=1, dimension=1, k_max=2)
+        spec = FieldSpec(dimension=1, k_max=2)
         with pytest.raises(ValueError):
-            field_value(spec, 3, 1, 0)
+            field_value(spec, 1, 3, 1, 0)
         with pytest.raises(ValueError):
-            field_value(spec, 1, 2, 0)
+            field_value(spec, 1, 1, 2, 0)
 
     def test_marginal_law(self):
         # empirical nonzero frequency at k=2 vs alpha^2 = 1/32, 4 SE on 1e6 draws
-        spec = FieldSpec(seed=2024, dimension=1, k_max=4)
+        spec = FieldSpec(dimension=1, k_max=4)
         j = np.arange(10**6)
-        vals = _dense(spec, 2, 1, j)
+        vals = _dense(spec, 2024, 2, 1, j)
         q = 1 / 32
         freq = np.mean(vals != 0)
         se = math.sqrt(q * (1 - q) / 10**6)
@@ -124,14 +122,14 @@ class TestFieldValue:
         assert abs(fm - q / 2) < 4 * se1
 
     def test_vec_matches_scalar(self):
-        spec = FieldSpec(seed=7, dimension=2, k_max=3)
+        spec = FieldSpec(dimension=2, k_max=3)
         j = np.arange(-20, 20)
-        vec = _dense(spec, 2, 1, j)
-        assert all(vec[idx] == field_value(spec, 2, 1, int(jj)) for idx, jj in enumerate(j))
+        vec = _dense(spec, 7, 2, 1, j)
+        assert all(vec[idx] == field_value(spec, 7, 2, 1, int(jj)) for idx, jj in enumerate(j))
 
     def test_zero_spec(self):
-        spec = FieldSpec(seed=7, dimension=1, k_max=3, zero=True)
-        assert all(field_value(spec, 1, 1, j) == 0 for j in range(-5, 50))
+        spec = FieldSpec(dimension=1, k_max=3, zero=True)
+        assert all(field_value(spec, 7, 1, 1, j) == 0 for j in range(-5, 50))
 
 
 class TestHashThresholds:
@@ -140,25 +138,25 @@ class TestHashThresholds:
 
     @pytest.mark.parametrize("k", range(1, 17))
     def test_vec_equals_float_rule(self, k):
-        spec = FieldSpec(seed=5, dimension=2, k_max=16)
+        spec = FieldSpec(dimension=2, k_max=16)
         seeds = np.array([[3], [2**63 + 11], [2**64 - 1]], dtype=np.uint64)
         j = np.arange(-64, 1 << 14)
         for i in (1, 2):
             for lagged in (False, True):
-                vec = _dense(spec, k, i, j, lagged, seed=seeds)
+                vec = _dense(spec, seeds, k, i, j, lagged)
                 assert vec.shape == (3, j.size)
                 assert np.array_equal(
-                    vec, field_values_float(spec, k, i, j, lagged, seed=seeds))
+                    vec, field_values_float(spec, seeds, k, i, j, lagged))
         assert fields.lag_namespace(k) == (k >= 8)
 
     def test_float_oracle_matches_scalar(self):
-        spec = FieldSpec(seed=5, dimension=2, k_max=9)
+        spec = FieldSpec(dimension=2, k_max=9)
         sp = scale_params(9)
         j = np.arange(-8, 24)
         for k, lagged, shift in ((2, False, 0), (3, True, scale_params(3).d),
                                  (9, True, sp.d)):
-            float_rule = field_values_float(spec, k, 2, j, lagged)
-            assert float_rule.tolist() == [field_value(spec, k, 2, int(x) + shift)
+            float_rule = field_values_float(spec, 5, k, 2, j, lagged)
+            assert float_rule.tolist() == [field_value(spec, 5, k, 2, int(x) + shift)
                                            for x in j]
 
     @pytest.mark.parametrize("k", range(1, 17))
@@ -180,58 +178,58 @@ class TestHashThresholds:
 
 class TestBlockFunction:
     def test_all_zero(self):
-        spec = FieldSpec(seed=0, dimension=1, k_max=1, zero=True)
-        assert f_k_at(spec, 1, 1, 0) == 0
+        spec = FieldSpec(dimension=1, k_max=1, zero=True)
+        assert f_k_at(spec, 0, 1, 1, 0) == 0
 
     def test_single_forced_at_zero(self):
         # k=1 (p=3, d=2): only the field at time 0 is 1, everything else 0
-        spec = FieldSpec(seed=0, dimension=1, k_max=1, zero=True)
-        assert f_k_at(spec, 1, 1, 0, (_point(1, 1, 0, 1),)) == 1
+        spec = FieldSpec(dimension=1, k_max=1, zero=True)
+        assert f_k_at(spec, 0, 1, 1, 0, (_point(1, 1, 0, 1),)) == 1
 
     def test_single_forced_at_two_cancels(self):
-        spec = FieldSpec(seed=0, dimension=1, k_max=1, zero=True)
-        assert f_k_at(spec, 1, 1, 0, (_point(1, 1, 2, 1),)) == 0
+        spec = FieldSpec(dimension=1, k_max=1, zero=True)
+        assert f_k_at(spec, 0, 1, 1, 0, (_point(1, 1, 2, 1),)) == 0
 
     def test_bounded(self):
-        spec = FieldSpec(seed=5, dimension=1, k_max=2)
+        spec = FieldSpec(dimension=1, k_max=2)
         for t in range(-10, 30):
             for k in (1, 2):
-                assert abs(f_k_at(spec, k, 1, t)) <= 2 * scale_params(k).p
+                assert abs(f_k_at(spec, 5, k, 1, t)) <= 2 * scale_params(k).p
 
     def test_f_at_doubling_and_independence(self):
-        spec = FieldSpec(seed=0, dimension=2, k_max=1, zero=True, doubling=True)
-        assert f_at(spec, 0, (_point(1, 1, 0, 1),)) == (2, 0)
+        spec = FieldSpec(dimension=2, k_max=1, zero=True, doubling=True)
+        assert f_at(spec, 0, 0, (_point(1, 1, 0, 1),)) == (2, 0)
         # coordinate 1 unaffected by values forced on coordinate 2
-        spec2 = FieldSpec(seed=11, dimension=2, k_max=2)
+        spec2 = FieldSpec(dimension=2, k_max=2)
         for t in range(-3, 8):
-            assert f_at(spec2, t, (_point(1, 2, 3, 1),))[0] == f_at(spec2, t)[0]
+            assert f_at(spec2, 11, t, (_point(1, 2, 3, 1),))[0] == f_at(spec2, 11, t)[0]
 
 
 class TestPartialSums:
     def test_trivial_window(self):
-        spec = FieldSpec(seed=3, dimension=2, k_max=2)
-        path = fields._window_sums(spec, [spec.seed], (0, 0))[0]
+        spec = FieldSpec(dimension=2, k_max=2)
+        path = partial_sums_batch(spec, [3], (0, 0))[0]
         assert path.shape == (1, 2)
         assert (path[0] == 0).all()
 
     def test_zero_field(self):
-        spec = FieldSpec(seed=3, dimension=2, k_max=3, zero=True)
-        path = fields._window_sums(spec, [spec.seed], (-4, 6))[0]
+        spec = FieldSpec(dimension=2, k_max=3, zero=True)
+        path = partial_sums_batch(spec, [3], (-4, 6))[0]
         assert (path == 0).all()
 
     def test_matches_direct_sum(self):
-        spec = FieldSpec(seed=42, dimension=2, k_max=3, doubling=True)
-        path = fields._window_sums(spec, [spec.seed], (-6, 10))[0]
+        spec = FieldSpec(dimension=2, k_max=3, doubling=True)
+        path = partial_sums_batch(spec, [42], (-6, 10))[0]
         for n in range(0, 11):
-            direct = np.sum([f_at(spec, t) for t in range(n)], axis=0) if n else np.zeros(2)
+            direct = np.sum([f_at(spec, 42, t) for t in range(n)], axis=0) if n else np.zeros(2)
             assert (path[n + 6] == direct).all()
         for n in range(-6, 0):
-            direct = -np.sum([f_at(spec, t) for t in range(n, 0)], axis=0)
+            direct = -np.sum([f_at(spec, 42, t) for t in range(n, 0)], axis=0)
             assert (path[n + 6] == direct).all()
 
     def test_parity_under_doubling(self):
-        spec = FieldSpec(seed=13, dimension=2, k_max=3, doubling=True)
-        path = fields._window_sums(spec, [spec.seed], (-5, 20))[0]
+        spec = FieldSpec(dimension=2, k_max=3, doubling=True)
+        path = partial_sums_batch(spec, [13], (-5, 20))[0]
         assert (path % 2 == 0).all()
 
     @given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8),
@@ -240,50 +238,51 @@ class TestPartialSums:
     def test_cocycle_identity(self, n, m, seed):
         # S_{n+m} = S_n + (the increments over [n, n + m)), whatever window
         # the sums are read from
-        spec = FieldSpec(seed=seed, dimension=1, k_max=2, doubling=False)
-        full = fields._window_sums(spec, [spec.seed], (-m, n + m))[0]
-        steps = [f_at(spec, t) for t in range(n, n + m)]
+        spec = FieldSpec(dimension=1, k_max=2, doubling=False)
+        full = partial_sums_batch(spec, [seed], (-m, n + m))[0]
+        steps = [f_at(spec, seed, t) for t in range(n, n + m)]
         later = np.sum(steps, axis=0) if m else np.zeros(1)
         assert (full[m + n + m] == full[m + n] + later).all()
-        assert (full[m:] == fields._window_sums(spec, [spec.seed], (0, n + m))[0]).all()
-        assert (full == oracle_sums(spec, (-m, n + m))).all()
+        assert (full[m:] == partial_sums_batch(spec, [seed], (0, n + m))[0]).all()
+        assert (full == oracle_sums(spec, seed, (-m, n + m))).all()
 
     def test_sign_symmetry(self):
         # forcing every value the window reads to its negation, in the
         # oracle, negates the kernel's whole path
-        spec = FieldSpec(seed=77, dimension=1, k_max=2)
+        spec = FieldSpec(dimension=1, k_max=2)
         a, b = -4, 12
         flipped = tuple(
-            _point(k, 1, j, -field_value(spec, k, 1, j))
+            _point(k, 1, j, -field_value(spec, 77, k, 1, j))
             for k in (1, 2)
             for base in (0, scale_params(k).d)
             for j in range(base + a, base + b + scale_params(k).p - 1))
-        pos = fields._window_sums(spec, [spec.seed], (a, b))[0]
-        neg = oracle_sums(spec, (a, b), flipped)
+        pos = partial_sums_batch(spec, [77], (a, b))[0]
+        neg = oracle_sums(spec, 77, (a, b), flipped)
         assert (pos == -neg).all()
         assert (pos != 0).any()
 
     def test_bad_window(self):
-        spec = FieldSpec(seed=1, dimension=1, k_max=1)
+        spec = FieldSpec(dimension=1, k_max=1)
         with pytest.raises(ValueError):
-            fields._window_sums(spec, [spec.seed], (3, 1))
+            partial_sums_batch(spec, [1], (3, 1))
 
     def test_batch_matches_single(self):
         seeds = np.array([5, 6, 7], dtype=np.uint64)
-        batch = partial_sums_batch(seeds, (-3, 12), dimension=2, k_max=3, doubling=True)
+        spec = FieldSpec(dimension=2, k_max=3, doubling=True)
+        batch = partial_sums_batch(spec, seeds, (-3, 12))
         for idx, s in enumerate(seeds):
-            spec = FieldSpec(seed=int(s), dimension=2, k_max=3, doubling=True)
-            single = fields._window_sums(spec, [s], (-3, 12))[0]
+            single = partial_sums_batch(spec, [s], (-3, 12))[0]
             assert (batch[idx] == single).all()
-            assert (single == oracle_sums(spec, (-3, 12))).all()
+            assert (single == oracle_sums(spec, int(s), (-3, 12))).all()
 
     def test_batch_chunks_match_whole_block(self, monkeypatch):
         # 7 seeds over (-3, 20): scale 1 reads 25 values per seed, so an
         # 80-value block holds 3 rows and the seeds run in chunks of 3, 3, 1
         seeds = np.arange(100, 107, dtype=np.uint64)
-        whole = partial_sums_batch(seeds, (-3, 20), dimension=2, k_max=5, doubling=True)
+        spec = FieldSpec(dimension=2, k_max=5, doubling=True)
+        whole = partial_sums_batch(spec, seeds, (-3, 20))
         monkeypatch.setattr(fields, "_BLOCK_ELEMS", 80)
-        chunked = partial_sums_batch(seeds, (-3, 20), dimension=2, k_max=5, doubling=True)
+        chunked = partial_sums_batch(spec, seeds, (-3, 20))
         assert (chunked == whole).all()
 
 
@@ -311,48 +310,47 @@ class TestScatterKernel:
     @pytest.mark.parametrize("window", [(0, 0), (0, 1), (0, 37), (-9, 0), (-6, 25)])
     @pytest.mark.parametrize("partial", [False, True])
     def test_equals_dense_oracle(self, dimension, doubling, window, partial):
-        spec = FieldSpec(seed=0, dimension=dimension, k_min=1, k_max=9,
-                         doubling=doubling)
+        spec = FieldSpec(dimension=dimension, k_min=1, k_max=9, doubling=doubling)
         scales, ks = self._read(spec, partial)
-        got = fields._window_sums(spec, self.SEEDS, window, scales)
+        got = partial_sums_batch(spec, self.SEEDS, window, scales)
         assert got.shape == (self.SEEDS.size, window[1] - window[0] + 1, dimension)
         assert np.array_equal(got, oracle_window_sums(spec, self.SEEDS, window, ks))
 
     @pytest.mark.parametrize("k_min,k_max", [(1, 1), (2, 4), (8, 10)])
     def test_scale_bands(self, k_min, k_max):
-        spec = FieldSpec(seed=0, dimension=2, k_min=k_min, k_max=k_max)
-        got = fields._window_sums(spec, self.SEEDS, (-4, 30))
+        spec = FieldSpec(dimension=2, k_min=k_min, k_max=k_max)
+        got = partial_sums_batch(spec, self.SEEDS, (-4, 30))
         assert np.array_equal(got, oracle_window_sums(spec, self.SEEDS, (-4, 30)))
         # a coordinate that reads no scale stays at 0
         scales, ks = self._read(spec, True, ((), range(k_min, k_max + 1)))
-        part = fields._window_sums(spec, self.SEEDS, (-4, 30), scales)
+        part = partial_sums_batch(spec, self.SEEDS, (-4, 30), scales)
         assert (part[:, :, 0] == 0).all() and np.array_equal(part[:, :, 1], got[:, :, 1])
 
     @pytest.mark.parametrize("partial", [False, True])
     def test_zero_field(self, partial):
-        spec = FieldSpec(seed=0, dimension=2, k_max=9, zero=True)
+        spec = FieldSpec(dimension=2, k_max=9, zero=True)
         scales, ks = self._read(spec, partial)
-        got = fields._window_sums(spec, self.SEEDS, (-5, 20), scales)
+        got = partial_sums_batch(spec, self.SEEDS, (-5, 20), scales)
         assert np.array_equal(got, oracle_window_sums(spec, self.SEEDS, (-5, 20), ks))
         assert (got == 0).all()
 
     def test_row_blocks(self, monkeypatch):
         # at 40 values per block, scale 1's 39-value window runs one row
         # per chunk, and scale 2's 40-value window is hashed a row per block
-        spec = FieldSpec(seed=0, dimension=2, k_max=9)
+        spec = FieldSpec(dimension=2, k_max=9)
         scales, ks = self._read(spec, True)
-        whole = fields._window_sums(spec, self.SEEDS, (-7, 30), scales)
+        whole = partial_sums_batch(spec, self.SEEDS, (-7, 30), scales)
         monkeypatch.setattr(fields, "_BLOCK_ELEMS", 40)
-        assert np.array_equal(fields._window_sums(spec, self.SEEDS, (-7, 30), scales), whole)
+        assert np.array_equal(partial_sums_batch(spec, self.SEEDS, (-7, 30), scales), whole)
         assert np.array_equal(whole, oracle_window_sums(spec, self.SEEDS, (-7, 30), ks))
 
     def test_oracle_values_equal_nonzeros(self):
-        spec = FieldSpec(seed=0, dimension=2, k_max=9)
+        spec = FieldSpec(dimension=2, k_max=9)
         j = np.arange(-20, 300)
         for k, lagged in ((1, False), (3, True), (8, True), (9, False)):
             seeds = self.SEEDS[:, None]
-            assert np.array_equal(field_values_vec(spec, k, 2, j, lagged, seed=seeds),
-                                  _dense(spec, k, 2, j, lagged, seed=seeds))
+            assert np.array_equal(field_values_vec(spec, seeds, k, 2, j, lagged),
+                                  _dense(spec, seeds, k, 2, j, lagged))
 
 
 class TestHugeLagScales:
@@ -361,11 +359,11 @@ class TestHugeLagScales:
     # of the lead window rather than aliasing onto it
 
     def test_lag_values_not_aliased(self):
-        spec = FieldSpec(seed=314, dimension=1, k_max=8)
+        spec = FieldSpec(dimension=1, k_max=8)
         sp = scale_params(8)
         j = np.arange(4 * 10**5)
-        lead = _dense(spec, 8, 1, j)
-        lag = _dense(spec, 8, 1, j, lagged=True)
+        lead = _dense(spec, 314, 8, 1, j)
+        lag = _dense(spec, 314, 8, 1, j, lagged=True)
         assert (lead != lag).any() or (lead == 0).all()
         # joint nonzero frequency ~ q^2, far below the aliased value q
         both = np.mean((lead != 0) & (lag != 0))
@@ -373,34 +371,39 @@ class TestHugeLagScales:
         assert both < q / 2
 
     def test_scalar_matches_vec_in_lag_region(self):
-        spec = FieldSpec(seed=9, dimension=1, k_max=8)
+        spec = FieldSpec(dimension=1, k_max=8)
         sp = scale_params(8)
-        vec = _dense(spec, 8, 1, np.arange(-3, 10), lagged=True)
+        vec = _dense(spec, 9, 8, 1, np.arange(-3, 10), lagged=True)
         for idx, t in enumerate(range(-3, 10)):
-            assert vec[idx] == field_value(spec, 8, 1, t + sp.d)
+            assert vec[idx] == field_value(spec, 9, 8, 1, t + sp.d)
 
     def test_small_scale_lagged_is_absolute(self):
-        spec = FieldSpec(seed=9, dimension=1, k_max=3)
+        spec = FieldSpec(dimension=1, k_max=3)
         sp = scale_params(3)
-        vec = _dense(spec, 3, 1, np.arange(0, 20), lagged=True)
-        direct = _dense(spec, 3, 1, sp.d + np.arange(0, 20))
+        vec = _dense(spec, 9, 3, 1, np.arange(0, 20), lagged=True)
+        direct = _dense(spec, 9, 3, 1, sp.d + np.arange(0, 20))
         assert (vec == direct).all()
 
     def test_batch_matches_single_at_k8(self):
         seeds = np.array([21, 22], dtype=np.uint64)
-        batch = partial_sums_batch(seeds, (0, 6), dimension=1, k_max=8)
+        spec = FieldSpec(dimension=1, k_max=8, doubling=False)
+        batch = partial_sums_batch(spec, seeds, (0, 6))
         for idx, s in enumerate(seeds):
-            spec = FieldSpec(seed=int(s), dimension=1, k_max=8, doubling=False)
-            single = fields._window_sums(spec, [s], (0, 6))[0]
+            single = partial_sums_batch(spec, [s], (0, 6))[0]
             assert (batch[idx] == single).all()
-            assert (single == oracle_sums(spec, (0, 6))).all()
+            assert (single == oracle_sums(spec, int(s), (0, 6))).all()
 
 
 class TestConditioning:
     def test_goal_plan_small(self):
-        plan = goal_event_plan(N=2, C=1)
-        # kappa: smallest k with p_k > 4 -> k = 3 (p=9); K: 2 p_K < d_K holds at 3
-        assert (plan.kappa, plan.K, plan.k_max) == (3, 3, 3)
+        # scales 1 and 2 (p = 3, 4) can move an increment by -14, which C = 1
+        # does not dominate
+        with pytest.raises(PreconditionError, match="dominate"):
+            goal_event_plan(N=2, C=1)
+        plan = goal_event_plan(N=2)
+        # kappa: smallest k with p_k > 4 -> k = 3 (p=9); K: 2 p_K < d_K holds
+        # at 3; the band 9 + 16 passes C = 15 at k = 4
+        assert (plan.C, plan.M, plan.kappa, plan.K, plan.k_max) == (15, -14, 3, 3, 4)
         ones = [w for w in plan_windows(plan) if w.value == 1]
         assert ones and all(w.lo == 0 and w.hi == scale_params(w.k).p + 4 for w in ones)
 
@@ -410,12 +413,12 @@ class TestConditioning:
         plan = goal_event_plan(N=2, C=40)
         assert (plan.kappa, plan.K, plan.k_max) == (3, 3, 5)
         windows = plan_windows(plan)
-        spec = FieldSpec(seed=10, dimension=2, k_max=plan.k_max)
+        spec = FieldSpec(dimension=2, k_max=plan.k_max)
         for k in range(plan.kappa, plan.k_max + 1):
             sp = scale_params(k)
             for j in range(sp.p + 4):
-                assert field_value(spec, k, 1, j, windows) == 1
-                assert field_value(spec, k, 1, sp.d + j, windows) == 0
+                assert field_value(spec, 10, k, 1, j, windows) == 1
+                assert field_value(spec, 10, k, 1, sp.d + j, windows) == 0
 
     def test_monotone_event_on_conditioned_samples(self):
         # every conditioned sample has strictly increasing first-coordinate
@@ -424,15 +427,15 @@ class TestConditioning:
         N, C = 2, -min_low_scale_increment(2) + 1
         plan = goal_event_plan(N=N, C=C)
         windows = plan_windows(plan)
-        spec = FieldSpec(seed=0, dimension=2, doubling=True, k_max=plan.k_max)
+        spec = FieldSpec(dimension=2, doubling=True, k_max=plan.k_max)
         scales = spec.scales()
         band = 2 * sum(sp.p for sp in scales[plan.K - 1:]) * np.arange(2 * N + 1)
-        paths = fields._window_sums(spec, np.arange(20), (0, 2 * N),
-                                    [scales[: plan.kappa - 1], scales])
+        paths = partial_sums_batch(spec, np.arange(20), (0, 2 * N),
+                                   [scales[: plan.kappa - 1], scales])
         paths[:, :, 0] += band
         assert (np.diff(paths[:, :, 0], axis=1) > 0).all()
         for seed in range(3):
-            want = oracle_sums(replace(spec, seed=seed), (0, 2 * N), windows)
+            want = oracle_sums(spec, seed, (0, 2 * N), windows)
             assert (paths[seed] == want).all()
 
 
@@ -463,8 +466,8 @@ class TestKeyedBlocks:
         q = scale_params(k).q
         b = fields.block_bits(q)
         assert q * 2.0**b <= 1.0 < q * 2.0 ** (b + 1)
-        spec = FieldSpec(seed=0, dimension=1, k_max=k)
-        row, c, x = field_nonzeros(spec, k, 1, [0], [blocks << b], seed=self.SEEDS)
+        spec = FieldSpec(dimension=1, k_max=k)
+        row, c, x = field_nonzeros(spec, self.SEEDS, k, 1, [0], [blocks << b])
         # counts per block against the binomial, the tail from 4 on pooled
         per_block = np.bincount(row * blocks + (c >> b), minlength=self.SEEDS.size * blocks)
         observed = np.bincount(np.minimum(per_block, 4), minlength=5)
@@ -485,10 +488,10 @@ class TestKeyedBlocks:
         b = fields.block_bits(scale_params(k).q)
         size = 1 << b
         lo, hi = [-size + 5, size // 2], [-3, size + size // 4]
-        spec = FieldSpec(seed=0, dimension=2, k_max=k)
+        spec = FieldSpec(dimension=2, k_max=k)
         for seed in self.SEEDS[:8].tolist():
             for lagged in (False, True):
-                row, c, x = field_nonzeros(spec, k, 2, lo, hi, lagged, seed=seed)
+                row, c, x = field_nonzeros(spec, seed, k, 2, lo, hi, lagged)
                 lag = lagged and fields.lag_namespace(k)
                 shift = scale_params(k).d if lagged and not lag else 0
                 want = []
@@ -506,8 +509,8 @@ class TestKeyedBlocks:
         # twice with probability about c^2 / 512: some blocks of 40 seeds x
         # 2000 blocks must redraw, and every block still holds c distinct
         # positions, as the oracle's
-        spec = FieldSpec(seed=0, dimension=1, k_max=3)
-        row, c, x = field_nonzeros(spec, 3, 1, [0], [2000 << 8], seed=self.SEEDS)
+        spec = FieldSpec(dimension=1, k_max=3)
+        row, c, x = field_nonzeros(spec, self.SEEDS, 3, 1, [0], [2000 << 8])
         redrawn = 0
         for r, block in set(zip(row.tolist(), (c >> 8).tolist())):
             held = keyed_block(int(self.SEEDS[r]), 3, 1, False, block)
@@ -523,14 +526,14 @@ class TestKeyedBlocks:
         # a window's nonzeros are the larger window's, restricted; several
         # segments read what one segment over their hull reads there
         size = 1 << fields.block_bits(scale_params(k).q)
-        spec = FieldSpec(seed=0, dimension=1, k_max=k)
+        spec = FieldSpec(dimension=1, k_max=k)
         lo0, hi0 = -size // 2, size + size // 4
         for lagged in (False, True):
-            row, c, x = field_nonzeros(spec, k, 1, [lo0], [hi0], lagged, seed=self.SEEDS)
+            row, c, x = field_nonzeros(spec, self.SEEDS, k, 1, [lo0], [hi0], lagged)
             whole = set(zip(row.tolist(), (c + lo0).tolist(), x.tolist()))
             lo = [lo0 + size // 8, -size // 5, size + 1]
             hi = [-size // 4, size // 7, hi0 - size // 9]
-            row, c, x = field_nonzeros(spec, k, 1, lo, hi, lagged, seed=self.SEEDS)
+            row, c, x = field_nonzeros(spec, self.SEEDS, k, 1, lo, hi, lagged)
             starts = np.cumsum([0] + [h - l for l, h in zip(lo, hi)])
             seg = np.searchsorted(starts, c, side="right") - 1
             j = c - starts[seg] + np.array(lo)[seg]
@@ -543,10 +546,10 @@ class TestKeyedBlocks:
         # the count thresholds depend on (q_k, b_k) alone; repeated reads of
         # one scale reuse one read-only table
         fields._count_thresholds.cache_clear()
-        spec = FieldSpec(seed=0, dimension=1, k_max=5)
+        spec = FieldSpec(dimension=1, k_max=5)
         for seed in self.SEEDS[:5].tolist():
             for k in (3, 4, 5):
-                field_nonzeros(spec, k, 1, [0], [1 << 12], seed=seed)
+                field_nonzeros(spec, seed, k, 1, [0], [1 << 12])
         info = fields._count_thresholds.cache_info()
         assert (info.misses, info.hits) == (3, 12)
         with pytest.raises(ValueError, match="read-only"):
@@ -566,5 +569,6 @@ class TestHashCount:
             return h
 
         monkeypatch.setattr(fields, "hash_words_vec", counting)
-        partial_sums_batch(np.arange(900, dtype=np.uint64), (0, 600), k_max=12)
+        partial_sums_batch(FieldSpec(dimension=1, k_max=12, doubling=False),
+                           np.arange(900, dtype=np.uint64), (0, 600))
         assert sum(hashed) < 3_000_000

@@ -137,6 +137,16 @@ the last with its lag in its own namespace) were pinned before that change.
 Nor did recur3.json move when the section-3 probe came to list
 ``uncovered`` by n instead of in the order of each n's first miss: the
 reports sort their keys.
+
+No digest moved when ``FieldSpec`` came to hold only the field's law, with
+every reader taking its seeds, and the goal-event plan came to be computed
+beside certify-range, with K = max(kappa, 2) and M from the kappa loop.
+Nor did one move when the section-3 probe came to take each
+configuration's first seed, whose origin bit no witness reads, in place of
+re-hashing until that bit is 0: the probe's counts do not read the bits'
+values at the origin. The cases ``recur3-auto`` (k chosen by the profile,
+with a non-empty ``uncovered``) and ``recur2-zero`` (the zero field, which
+exits 1 with verdict ``diverged``) were pinned before those changes.
 """
 
 import hashlib
@@ -162,6 +172,15 @@ GOLDEN = {
         ["recur3", "--horizon", "40", "--samples", "20",
          "--param", "pool_size=7", "--param", "k=5"],
         {"recur3.json": "65fe001b81660e0d9638a07757a53ebab6f2ab75c779780bdd792c61c3436a00"},
+    ),
+    "recur3-auto": (
+        ["recur3", "--horizon", "30", "--samples", "60", "--param", "pool_size=8"],
+        {"recur3.json": "b2896c87c73381d38a9451856c0f848c481502ccf09f5956bc1e2ebd1f9ac38e"},
+    ),
+    "recur2-zero": (
+        ["recur2", "--horizon", "120", "--samples", "40", "--param", "zero=true"],
+        {"report.json": "1dad43b9a9ec662f3c88b669c9aef8fa0be4b6abb16fc4fb13e6b213c25ea4ec",
+         "decay.csv": "ccacd0510c71e401c1c9dfc3173a3c20be9dd04828cd33836db41d4904c84d09"},
     ),
     "certify-range": (
         ["certify-range", "--samples", "10"],
@@ -198,10 +217,14 @@ GOLDEN = {
 }
 
 
+# the exit code of each case that does not pass its checks
+EXIT = {"recur2-zero": 1}
+
+
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_report_digests(command, tmp_path):
     argv, digests = GOLDEN[command]
-    assert main(argv + ["--seed", "3", "--out", str(tmp_path)]) == 0
+    assert main(argv + ["--seed", "3", "--out", str(tmp_path)]) == EXIT.get(command, 0)
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted(digests)
     for name, digest in digests.items():

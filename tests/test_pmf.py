@@ -89,7 +89,7 @@ def _brute_groups(k, n):
 
 
 def _single_scale_pmf(k, n):
-    spec = FieldSpec(seed=0, dimension=1, k_min=k, k_max=k, doubling=False)
+    spec = FieldSpec(dimension=1, k_min=k, k_max=k, doubling=False)
     return walk_pmf(spec, n)[0]
 
 
@@ -199,15 +199,15 @@ class TestExactRational:
         assert all(law[s] == law[-s] for s in law)
 
     def test_walk_combines_scales(self):
-        spec = FieldSpec(seed=0, dimension=1, k_max=2, doubling=False)
+        spec = FieldSpec(dimension=1, k_max=2, doubling=False)
         combined = exact_walk_pmf(spec, 2)
         oracle = _convolve_laws(_oracle_scale_law(1, 2, rational_q(1)),
                                 _oracle_scale_law(2, 2, rational_q(2)))
         assert combined == oracle
 
     def test_walk_doubling_reindexes(self):
-        base = FieldSpec(seed=0, dimension=1, k_max=2, doubling=False)
-        doubled = FieldSpec(seed=0, dimension=1, k_max=2, doubling=True)
+        base = FieldSpec(dimension=1, k_max=2, doubling=False)
+        doubled = FieldSpec(dimension=1, k_max=2, doubling=True)
         lb = exact_walk_pmf(base, 2)
         ld = exact_walk_pmf(doubled, 2)
         assert ld == {2 * s: m for s, m in lb.items()}
@@ -224,7 +224,7 @@ class TestFloatAgainstExact:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_walk_pmf(self, n):
-        spec = FieldSpec(seed=0, dimension=1, k_max=2, doubling=False)
+        spec = FieldSpec(dimension=1, k_max=2, doubling=False)
         exact = exact_walk_pmf(spec, n)
         pmf, report = walk_pmf(spec, n)
         for s, m in exact.items():
@@ -235,8 +235,8 @@ class TestFloatAgainstExact:
         # walk_pmf gives one coordinate's law; a 2-D walk's law is the
         # product of two independent copies of it
         with pytest.raises(ValueError, match="1-D"):
-            walk_pmf(FieldSpec(seed=0, dimension=2, k_max=2, doubling=True), 2)
-        spec = FieldSpec(seed=0, dimension=1, k_max=2, doubling=True)
+            walk_pmf(FieldSpec(dimension=2, k_max=2, doubling=True), 2)
+        spec = FieldSpec(dimension=1, k_max=2, doubling=True)
         law, _ = walk_pmf(spec, 2)
         exact = exact_walk_pmf(spec, 2)
         assert law.prob(0) ** 2 == pytest.approx(float(exact[0]) ** 2, abs=1e-12)
@@ -282,7 +282,7 @@ class TestSample:
     def test_frequencies_match_the_law(self):
         # n=2, k_max=1: the scale-1 lead and lag windows overlap, so the law
         # has few atoms and every value of |S_2| <= 3 has visible mass
-        pmf, _ = walk_pmf(FieldSpec(seed=0, dimension=1, k_max=1, doubling=False), 2)
+        pmf, _ = walk_pmf(FieldSpec(dimension=1, k_max=1, doubling=False), 2)
         size = 10**6
         draws = pmf.sample(np.random.default_rng(1), size)
         assert draws.shape == (size,)
@@ -294,27 +294,27 @@ class TestSample:
         assert all(pmf.prob(int(j)) > 0 for j in np.unique(draws))
 
     def test_doubled_law_draws_even_values(self):
-        pmf, _ = walk_pmf(FieldSpec(seed=0, dimension=1, k_max=6, doubling=True), 64)
+        pmf, _ = walk_pmf(FieldSpec(dimension=1, k_max=6, doubling=True), 64)
         draws = pmf.sample(np.random.default_rng(2), (5000, 2))
         assert draws.shape == (5000, 2)
         assert (draws % 2 == 0).all()
         assert all(pmf.prob(int(j)) > 0 for j in np.unique(draws))
 
     def test_zero_spec_draws_zero(self):
-        pmf, _ = walk_pmf(FieldSpec(seed=0, dimension=1, k_max=6, zero=True), 64)
+        pmf, _ = walk_pmf(FieldSpec(dimension=1, k_max=6, zero=True), 64)
         assert (pmf.sample(np.random.default_rng(3), 1000) == 0).all()
 
 
 class TestModerateSizeLaw:
     def test_mass_and_symmetry_n64(self):
-        spec = FieldSpec(seed=0, dimension=1, k_max=8, doubling=False)
+        spec = FieldSpec(dimension=1, k_max=8, doubling=False)
         pmf, report = walk_pmf(spec, 64)
         assert pmf.total() == pytest.approx(1.0, abs=1e-9)
         assert pmf.max_asymmetry() < 1e-12
         assert report.alias_bound < 1.0
 
     def test_variance_identity(self):
-        spec = FieldSpec(seed=0, dimension=1, k_max=8, doubling=False)
+        spec = FieldSpec(dimension=1, k_max=8, doubling=False)
         pmf, _ = walk_pmf(spec, 64)
         law = grouped_law(1, 8, 64)
         assert _variance(pmf) == pytest.approx(law.variance(), rel=1e-6)
@@ -333,10 +333,10 @@ class TestModerateSizeLaw:
         assert deep_overlap < 0.05 * law.variance()
 
     def test_zero_and_degenerate_specs(self):
-        zero = FieldSpec(seed=0, dimension=1, k_max=3, zero=True)
+        zero = FieldSpec(dimension=1, k_max=3, zero=True)
         pmf, _ = walk_pmf(zero, 10)
         assert pmf.prob(0) == 1.0
-        pmf0, _ = walk_pmf(FieldSpec(seed=0, dimension=1, k_max=3, doubling=False), 0)
+        pmf0, _ = walk_pmf(FieldSpec(dimension=1, k_max=3, doubling=False), 0)
         assert pmf0.prob(0) == 1.0
 
 
@@ -352,7 +352,7 @@ class TestAliasBound:
         assert int((law.counts * law.values).sum()) == largest
         for half in (largest + 1, 64, 128, 1 << 20):
             assert self._bound(law, half) == 0.0, half
-        walk = FieldSpec(seed=0, dimension=1, k_max=3, doubling=False)
+        walk = FieldSpec(dimension=1, k_max=3, doubling=False)
         assert walk_pmf(walk, n)[1].alias_bound == 0.0
 
     @pytest.mark.parametrize("k_max, n, half, bound", [
@@ -419,7 +419,7 @@ class TestLogCfKernel:
 
     @pytest.mark.parametrize("k_max,n", KERNEL_CASES)
     def test_pmf_matches_dense(self, k_max, n, monkeypatch):
-        spec = FieldSpec(seed=0, dimension=1, k_max=k_max, doubling=False)
+        spec = FieldSpec(dimension=1, k_max=k_max, doubling=False)
         new, report = walk_pmf(spec, n)
         monkeypatch.setattr(pmf_module, "_log_cf", oracle_logphi)
         old, dense_report = walk_pmf(spec, n)
@@ -451,7 +451,7 @@ class TestLogCfKernel:
             pmf_module._log_cf(law, 64)
 
     def test_walk_pmf_at_n_16384(self):
-        spec = FieldSpec(seed=0, dimension=1, k_max=default_k_max(16384),
+        spec = FieldSpec(dimension=1, k_max=default_k_max(16384),
                          doubling=False)
         pmf, report = walk_pmf(spec, 16384)
         assert abs(pmf.total() - 1.0) <= 1e-9
@@ -463,7 +463,7 @@ class TestPeakSweep:
     def test_matches_full_inversion(self):
         sweep = peak_probability_sweep(12, k_max=4, grid=1024)
         for n in range(1, 13):
-            spec = FieldSpec(seed=0, dimension=1, k_max=4, doubling=False)
+            spec = FieldSpec(dimension=1, k_max=4, doubling=False)
             pmf, _ = walk_pmf(spec, n)
             assert sweep[n - 1] == pytest.approx(pmf.prob(0), abs=1e-10)
 
@@ -493,7 +493,7 @@ class TestPeakSweep:
             sp = scale_params(k)
             if sp.d >= H + sp.p:  # split over the whole sweep
                 ns |= {sp.p - 1, sp.p, sp.p + 1}
-        spec = FieldSpec(seed=0, dimension=1, k_max=k_max, doubling=False)
+        spec = FieldSpec(dimension=1, k_max=k_max, doubling=False)
         for n in sorted(n for n in ns if 1 <= n <= H):
             exact = walk_pmf(spec, n)[0].prob(0)
             assert abs(sweep[n - 1] - exact) <= 1e-14 * exact, n
@@ -514,7 +514,7 @@ class TestPeakSweep:
                   if scale_params(k).d >= H + scale_params(k).p]
         assert [p for p in splits if p <= H] == [16, 33, 64, 129, 256, 513, 1024]
         ns |= {n for p in splits if p <= H for n in (p - 1, p, p + 1)}
-        spec = FieldSpec(seed=0, dimension=1, k_max=k_max, doubling=False)
+        spec = FieldSpec(dimension=1, k_max=k_max, doubling=False)
         for n in sorted(n for n in ns if 1 <= n <= H):
             aliased, report = walk_pmf(spec, n, grid=grid)
             assert abs(sweep[n - 1] - aliased.prob(0)) <= 1e-14 * aliased.prob(0), n
@@ -566,7 +566,7 @@ class TestLclt:
         assert report.deviation == pytest.approx(0.593, abs=1e-3)
 
     def test_moderate_n_peak(self):
-        spec = FieldSpec(seed=0, dimension=1, k_max=9, doubling=False)
+        spec = FieldSpec(dimension=1, k_max=9, doubling=False)
         pmf, _ = walk_pmf(spec, 256)
         report = lclt_deviation(pmf, n=256)
         assert 0.2 < report.peak < 1.0
@@ -579,14 +579,14 @@ class TestBoxProbability:
     # with m the mass of one coordinate's law on [-M, M]
 
     def test_monotone_and_total(self):
-        spec = FieldSpec(seed=0, dimension=1, k_max=7, doubling=True)
+        spec = FieldSpec(dimension=1, k_max=7, doubling=True)
         law, _ = walk_pmf(spec, 32)
         vals = [law.interval_mass(-M, M) ** 2 for M in (0, 4, 16, 64, 10**6)]
         assert vals == sorted(vals)
         assert vals[-1] == pytest.approx(1.0, abs=1e-9)
 
     def test_negative_box_rejected(self):
-        spec = FieldSpec(seed=0, dimension=2, k_max=3, doubling=True)
+        spec = FieldSpec(dimension=2, k_max=3, doubling=True)
         with pytest.raises(ValueError, match="M must be"):
             mixing_probe(spec, M=-1, H=128, samples=10, n_min=64)
 

@@ -7,14 +7,7 @@ import pytest
 import recurlab.fields
 import recurlab.ranges
 from recurlab import PreconditionError
-from recurlab.fields import (
-    FieldSpec,
-    _window_sums,
-    default_k_max,
-    goal_event_plan,
-    min_low_scale_increment,
-    scale_params,
-)
+from recurlab.fields import FieldSpec, default_k_max, partial_sums_batch, scale_params
 from recurlab.ranges import (
     HorizonError,
     P_CUBE,
@@ -25,6 +18,7 @@ from recurlab.ranges import (
     certify_distinct,
     choose_k,
     complement_profile,
+    goal_event_plan,
     pool_range_tables,
 )
 from recurlab.shiftspace import OmegaConfig
@@ -33,9 +27,12 @@ from oracles import (
     audit_injectivity,
     build_range,
     complement_point,
+    min_low_scale_increment,
     oracle_certify,
+    oracle_plan,
     oracle_sums,
     plan_windows,
+    range_set,
 )
 
 
@@ -60,42 +57,41 @@ class TestPolynomialSpec:
         P_CUBE.check_injective(100)
 
     def test_negative_times_rejected(self):
-        spec = FieldSpec(seed=0, dimension=2, k_max=6)
+        spec = FieldSpec(dimension=2, k_max=6)
         for coeffs, N in [((-1, 0, 0, 1), 10),  # n^4 - n, zero at 1
                           ((11, -7, 1), 4)]:  # injective: 5, 2, -3, -4
             with pytest.raises(ValueError, match=r"positive on \[1, "):
-                build_range(spec, PolynomialSpec(coeffs), N)
+                build_range(spec, 0, PolynomialSpec(coeffs), N)
 
 
 class TestRangeTable:
     def test_zero_fields_give_trivial_range(self):
-        spec = FieldSpec(seed=0, dimension=2, k_max=8, zero=True)
-        table = build_range(spec, P_CUBE, 25)
+        spec = FieldSpec(dimension=2, k_max=8, zero=True)
+        table = build_range(spec, 0, P_CUBE, 25)
         assert table.fresh == ()
-        assert table.range_set == {(0, 0)}
+        assert range_set(table) == {(0, 0)}
 
     def test_endpoints_match_stepping(self):
         # the linear schedule makes the union schedule gap-free up to 36,
         # so the squares up to 36 read exact partial sums
-        spec = FieldSpec(seed=17, dimension=2, k_max=8, doubling=True)
-        [[_, table]] = pool_range_tables(spec, [spec.seed],
-                                         [PolynomialSpec((1,)), P_SQUARE], 36)
-        path = oracle_sums(spec, (0, 36))
+        spec = FieldSpec(dimension=2, k_max=8, doubling=True)
+        [[_, table]] = pool_range_tables(spec, [17], [PolynomialSpec((1,)), P_SQUARE], 36)
+        path = oracle_sums(spec, 17, (0, 36))
         for n in range(1, 7):
             assert table.endpoint(n) == tuple(path[n * n])
 
     def test_fresh_strictly_increasing_and_counts(self):
-        spec = FieldSpec(seed=3, dimension=2, k_max=18, doubling=True)
-        table = build_range(spec, P_CUBE, 60)
+        spec = FieldSpec(dimension=2, k_max=18, doubling=True)
+        table = build_range(spec, 3, P_CUBE, 60)
         assert list(table.fresh) == sorted(set(table.fresh))
         zero_visited = any(
             tuple(int(x) for x in row) == (0, 0) for row in table.endpoints
         )
-        assert len(table.range_set) == len(table.fresh) + (1 if zero_visited else 0)
+        assert len(range_set(table)) == len(table.fresh) + (1 if zero_visited else 0)
 
     def test_horizon_enforced(self):
-        spec = FieldSpec(seed=3, dimension=2, k_max=10)
-        table = build_range(spec, P_SQUARE, 5)
+        spec = FieldSpec(dimension=2, k_max=10)
+        table = build_range(spec, 3, P_SQUARE, 5)
         with pytest.raises(HorizonError):
             table.endpoint(6)
         with pytest.raises(HorizonError):
@@ -107,24 +103,24 @@ class TestRangeTable:
         # as the larger horizon doesn't cross a scale's lag boundary and
         # change that scale's evaluation layout (30^3 and 35^3 both sit
         # below the scale-4 lag 2^16)
-        spec = FieldSpec(seed=8, dimension=2, k_max=16, doubling=True)
-        small = build_range(spec, P_CUBE, 30)
-        large = build_range(spec, P_CUBE, 35)
+        spec = FieldSpec(dimension=2, k_max=16, doubling=True)
+        small = build_range(spec, 8, P_CUBE, 30)
+        large = build_range(spec, 8, P_CUBE, 35)
         assert (small.endpoints == large.endpoints[:30]).all()
         assert small.fresh == tuple(n for n in large.fresh if n <= 30)
 
     def test_shared_realization_across_polys(self):
         # n^2 and n^3 agree at n=1; a joint build must give equal endpoints there
-        spec = FieldSpec(seed=12, dimension=2, k_max=16, doubling=True)
-        [[t1, t2]] = pool_range_tables(spec, [spec.seed], [P_SQUARE, P_CUBE], 40)
+        spec = FieldSpec(dimension=2, k_max=16, doubling=True)
+        [[t1, t2]] = pool_range_tables(spec, [12], [P_SQUARE, P_CUBE], 40)
         assert t1.endpoint(1) == t2.endpoint(1)
 
 
 class TestCurlyK:
     def test_subset_of_both_fresh(self):
-        spec = FieldSpec(seed=5, dimension=2, k_max=18, doubling=True)
-        ks = PermutationView.build(spec, P_SQUARE, P_CUBE, 50).curly
-        [[t1, t2]] = pool_range_tables(spec, [spec.seed], [P_SQUARE, P_CUBE], 50)
+        spec = FieldSpec(dimension=2, k_max=18, doubling=True)
+        ks = PermutationView.build(spec, 5, P_SQUARE, P_CUBE, 50).curly
+        [[t1, t2]] = pool_range_tables(spec, [5], [P_SQUARE, P_CUBE], 50)
         assert set(ks) == set(t1.fresh) & set(t2.fresh)
         assert list(ks) == sorted(ks)
 
@@ -147,8 +143,8 @@ class TestComplementEnumeration:
 
 @pytest.fixture(scope="module")
 def view():
-    spec = FieldSpec(seed=0, dimension=2, k_max=21, doubling=True)
-    return PermutationView.build(spec, P_SQUARE, P_CUBE, 120)
+    spec = FieldSpec(dimension=2, k_max=21, doubling=True)
+    return PermutationView.build(spec, 0, P_SQUARE, P_CUBE, 120)
 
 
 class TestPermutationView:
@@ -212,27 +208,27 @@ class TestPermutationView:
         assert abs(mean - 0.5) < 4 * 0.5 / math.sqrt(2000)
 
     def test_requires_two_dimensions(self):
-        spec = FieldSpec(seed=0, dimension=1, k_max=8, doubling=False)
+        spec = FieldSpec(dimension=1, k_max=8, doubling=False)
         with pytest.raises(ValueError):
-            PermutationView.build(spec, P_SQUARE, P_CUBE, 5)
+            PermutationView.build(spec, 0, P_SQUARE, P_CUBE, 5)
 
 
 def _same_view(a: PermutationView, b: PermutationView) -> bool:
-    return (a.spec == b.spec and a.curly == b.curly
+    return (a.N == b.N and a.curly == b.curly
             and a.s1_points == b.s1_points and a.s2_points == b.s2_points
             and a.s2_ordinal == b.s2_ordinal
             and all(np.array_equal(x.endpoints, y.endpoints)
                     and x.endpoints.dtype == y.endpoints.dtype
-                    and x.fresh == y.fresh and x.range_set == y.range_set
+                    and x.fresh == y.fresh and range_set(x) == range_set(y)
                     for x, y in ((a.table1, b.table1), (a.table2, b.table2))))
 
 
 class TestViewPool:
     # a pool shares each axis's layout and reads every view's field values
     # in one call; each view must still be exactly the view
-    # its own spec builds alone
+    # its own seed builds alone
 
-    SPEC = FieldSpec(seed=0, dimension=2, k_max=default_k_max(60**3))
+    SPEC = FieldSpec(dimension=2, k_max=default_k_max(60**3))
     SEEDS = [5, 2**63 + 1, 17, 2**64 - 1, 0]
 
     @pytest.fixture(scope="class")
@@ -241,8 +237,7 @@ class TestViewPool:
 
     def test_each_view_equals_its_own_build(self, pool):
         for seed, view in zip(self.SEEDS, pool):
-            alone = PermutationView.build(replace(self.SPEC, seed=seed),
-                                          P_SQUARE, P_CUBE, 60)
+            alone = PermutationView.build(self.SPEC, seed, P_SQUARE, P_CUBE, 60)
             assert _same_view(view, alone)
 
     def test_prefix_pool_equals_prefix(self, pool):
@@ -266,9 +261,9 @@ class TestViewPool:
 class TestComplementProfile:
     def test_profile_and_choice(self):
         k_max = default_k_max(P_CUBE(60))
-        pool = [PermutationView.build(
-            FieldSpec(seed=900 + s, dimension=2, k_max=k_max, doubling=True),
-            P_SQUARE, P_CUBE, 60) for s in range(20)]
+        spec = FieldSpec(dimension=2, k_max=k_max, doubling=True)
+        pool = [PermutationView.build(spec, 900 + s, P_SQUARE, P_CUBE, 60)
+                for s in range(20)]
         prof = complement_profile(pool)
         assert prof.samples == 20
         assert prof.q_hat.shape == (60,)
@@ -287,11 +282,37 @@ class TestComplementProfile:
             choose_k(prof, k_limit=4)
 
     def test_horizon_below_fit_rejected(self):
-        spec = FieldSpec(seed=1, dimension=2, k_max=10, doubling=True)
-        pool = [PermutationView.build(spec, P_SQUARE, P_CUBE, 7)]
+        spec = FieldSpec(dimension=2, k_max=10, doubling=True)
+        pool = [PermutationView.build(spec, 1, P_SQUARE, P_CUBE, 7)]
         with pytest.raises(ValueError, match="fit"):
             complement_profile(pool)
         assert complement_profile(pool, fit_from=7).envelope_c >= 0
+
+
+class TestGoalEventPlan:
+    def test_equals_scalar_definitions(self):
+        # kappa, M, K and k_max against one loop each, at 50 values of C
+        # from the least the low band admits; the band's floor passes C
+        for N in range(1, 61):
+            M = min_low_scale_increment(N)
+            for C in range(max(1, -M), max(1, -M) + 50):
+                plan = goal_event_plan(N, C)
+                assert plan == oracle_plan(N, C)
+                y_floor = sum(scale_params(k).p for k in range(plan.K, plan.k_max + 1))
+                assert y_floor > C
+            assert goal_event_plan(N).C == -M + 1
+
+    @pytest.mark.parametrize("N,C,message", [
+        (0, None, "need N >= 1 and C >= 1"),
+        (0, -3, "dominate the low-band worst case"),
+        (8, 5, "dominate the low-band worst case"),
+        (8, 63, "dominate the low-band worst case"),
+        (1, 0, "need N >= 1 and C >= 1"),
+    ])
+    def test_rejections_in_order(self, N, C, message):
+        # C < -M is checked first, then N >= 1 and C >= 1
+        with pytest.raises(PreconditionError, match=message):
+            goal_event_plan(N, C)
 
 
 class TestCertification:
@@ -317,8 +338,8 @@ class TestCertification:
         # the seed-axis kernel as ranges binds it, returning minus the band
         # of the plan ranges builds for the seeds in flat_seeds, so that
         # their paths, band added, are constant
-        kernel = recurlab.ranges._window_sums
-        plan = recurlab.ranges.goal_event_plan(N, -min_low_scale_increment(N) + 1)
+        kernel = recurlab.ranges.partial_sums_batch
+        plan = goal_event_plan(N)
         y = sum(scale_params(k).p for k in range(plan.K, plan.k_max + 1))
 
         def patched(spec, seeds, window, scales):
@@ -328,18 +349,13 @@ class TestCertification:
             out[flat, :, 0] = -2 * y * np.arange(window[1] + 1)
             return out
 
-        monkeypatch.setattr(recurlab.ranges, "_window_sums", patched)
+        monkeypatch.setattr(recurlab.ranges, "partial_sums_batch", patched)
 
     def test_goal_failures_counted_once_per_sample(self, monkeypatch):
-        # a constant path under a plan whose band is empty fails both goal
-        # checks (no increase, floor <= C) and the distinct check in every
-        # sample; each sample must still count once
-        plan = recurlab.ranges.goal_event_plan
-        monkeypatch.setattr(recurlab.ranges, "goal_event_plan",
-                            lambda N, C: replace(plan(N, C), K=plan(N, C).k_max + 1))
+        # a constant path fails the goal check (no increase) and the
+        # distinct check in every sample; each sample must count once
         self._flat_rows(monkeypatch, flat_seeds=range(5))
         run = certify_distinct(seed0=0, N=2, samples=5)
-        assert run.y_floor == 0 <= run.C
         assert run.goal_failures == run.samples == 5
         assert run.distinct_failures == run.samples
 
@@ -356,15 +372,14 @@ class TestCertification:
         # the floor is the plan's band sum because the plan forces every
         # value the high band reads: under the oracle's windows the band's
         # path is y_floor t for every seed, as for the zero field
-        plan = goal_event_plan(N=N, C=-min_low_scale_increment(N) + 1)
+        plan = goal_event_plan(N)
         windows = plan_windows(plan)
         y_floor = certify_distinct(seed0=0, N=N, samples=1).y_floor
         assert y_floor == sum(scale_params(k).p for k in range(plan.K, plan.k_max + 1))
-        spec = FieldSpec(seed=0, dimension=1, k_min=plan.kappa, k_max=plan.k_max,
-                         doubling=False)
-        for seed in (0, 1, 7, 2**63, 2**64 - 1, None):
-            field = replace(spec, zero=True) if seed is None else replace(spec, seed=seed)
-            band = oracle_sums(field, (0, 2 * N), windows)
+        spec = FieldSpec(dimension=1, k_min=plan.kappa, k_max=plan.k_max, doubling=False)
+        cases = [(spec, seed) for seed in (0, 1, 7, 2**63, 2**64 - 1)]
+        for field, seed in cases + [(replace(spec, zero=True), 0)]:
+            band = oracle_sums(field, seed, (0, 2 * N), windows)
             assert (band[:, 0] == y_floor * np.arange(2 * N + 1)).all()
 
     @pytest.mark.parametrize("samples", [0, -3])
@@ -405,8 +420,8 @@ class TestCertification:
         # overwhelmingly unlikely across seeds
         bad = 0
         for seed in range(20):
-            spec = FieldSpec(seed=seed, dimension=2, k_max=6, doubling=True)
-            vals = _window_sums(spec, [spec.seed], (0, 16))[0]
+            spec = FieldSpec(dimension=2, k_max=6, doubling=True)
+            vals = partial_sums_batch(spec, [seed], (0, 16))[0]
             chain = [tuple(int(x) for x in row) for row in vals]
             if not all(chain[t] < chain[t + 1] for t in range(16)):
                 bad += 1

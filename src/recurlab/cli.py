@@ -33,7 +33,7 @@ from .experiments import (
 from .fields import FieldSpec, default_k_max
 from .gaussian import power_density_model, white_noise_model
 from .pmf import ALIAS_TOL, MASS_TOL, lclt_deviation, walk_pmf
-from .ranges import (FIT_FROM, P_CUBE, P_SQUARE, KNotReached, certify_distinct, choose_k,
+from .ranges import (P_CUBE, P_SQUARE, KNotReached, certify_distinct, choose_k,
                      complement_profile)
 
 
@@ -172,10 +172,6 @@ def _validate(command: str, v: Dict, explicit: set) -> None:
         raise ConfigError(f"k must be 0 (auto) or >= 3, got {v['k']}")
     if command == "recur3" and not 0.0 <= v["margin"] < 1.0:
         raise ConfigError(f"margin must lie in [0, 1), got {v['margin']}")
-    if command == "recur3" and v["horizon"] < FIT_FROM:
-        raise ConfigError(f"horizon must be >= {FIT_FROM} for recur3 (the "
-                          f"complement envelope is fitted from n = {FIT_FROM}), "
-                          f"got {v['horizon']}")
 
 
 # ---------------------------------------------------------------------------

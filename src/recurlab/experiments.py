@@ -32,8 +32,8 @@ from .fields import FieldSpec, default_k_max, partial_sums_batch
 from .gaussian import (
     SpectralModel,
     conditioned_paths,
-    hurwitz_zeta,
     power_summability,
+    power_tail,
     triple_envelope,
     triple_hit_counts,
     triple_probabilities,
@@ -46,7 +46,8 @@ from .shiftspace import OmegaConfig
 
 _TAG_EXP = 67
 
-# (sample, coordinate, n) entries per block of the section-3 probe
+# entries per block of the sampled probes: (sample, coordinate, n) in the
+# section-3 probe, (seed, step) path values in the section-2 extraction
 _PROBE_BLOCK_ELEMS = 1 << 20
 _GAUSS_PATH_VALUES = 1 << 26  # path values in a gauss run, 17 bytes each
 
@@ -118,7 +119,7 @@ class BCReport:
     a_n: np.ndarray  # a_n = (p_n(0)/2)^3, exact, index n-1
     partial_sums: np.ndarray
     envelope_c: float  # fitted c with p_n(0) <= c / sqrt(n)
-    tail: float  # analytic (c / (2 sqrt n))^3 remainder beyond H
+    tail: float  # power_tail bound on the (c / (2 sqrt n))^3 remainder beyond H
     extraction: Extraction
 
     @property
@@ -168,14 +169,19 @@ def exp_section2(spec: FieldSpec, H: int = 2000, samples: int = 1000,
     ns = np.arange(1, H + 1)
     c = float(np.max(p0 * np.sqrt(ns)))
 
-    # entry (s, t) is _child_seed(seed0, 1, s, t)
+    # entry (s, t) is _child_seed(seed0, 1, s, t); a path depends on its
+    # seed alone, so the samples are taken in blocks of at most
+    # _PROBE_BLOCK_ELEMS path values and only their joint returns are kept
     y_seeds = hash_words_vec(seed0, (_TAG_EXP, 1), *np.ogrid[:samples, :3])
-    paths = partial_sums_batch(spec, y_seeds.ravel(), (0, H))
-    joint = (paths[:, 1:, 0] == 0).reshape(samples, 3, H).all(axis=1)
+    joint = np.empty((samples, H), dtype=bool)
+    block = max(1, _PROBE_BLOCK_ELEMS // (3 * (H + 1)))
+    for s0 in range(0, samples, block):
+        paths = partial_sums_batch(spec, y_seeds[s0 : s0 + block].ravel(), (0, H))
+        joint[s0 : s0 + block] = (paths[:, 1:, 0] == 0).reshape(-1, 3, H).all(axis=1)
     # the omega coordinates are conditioned on bit(0) = 1, and joint returns
     # only ever re-read the origin bit, so they need no further sampling
     extraction = _extract(joint)
-    tail = (c / 2.0) ** 3 * hurwitz_zeta(1.5, H + 1)
+    tail = (c / 2.0) ** 3 * power_tail(1.5, H)
     bc = BCReport(H=H, a_n=a_n, partial_sums=partial, envelope_c=c, tail=tail,
                   extraction=extraction)
     probe = TripleProbeReport(horizon=H, samples=samples,

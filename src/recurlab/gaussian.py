@@ -30,11 +30,8 @@ and must stay below 1e-10 relative, or it raises RuntimeError. Paths
 conditioned on X_0 > 1 (``conditioned_paths``) shift unconditioned
 circulant paths by their regression on X_0, so none is thrown away.
 
-The Hurwitz zeta is a plain-Python port of cephes' zeta, with its
-coefficients and order of operations, so it equals ``scipy.special.zeta``
-bit for bit; the normal tail (``upper_tail``) is ``math.erfc``, which now
-feeds only the exact-vs-envelope check (``triple_envelope``). Nothing here
-imports scipy.
+The normal tail (``upper_tail``) is ``math.erfc``, which feeds only the
+exact-vs-envelope check (``triple_envelope``). Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -77,14 +74,6 @@ _TRIPLE_BLOCK = 1 << 18
 
 # (correlation, pair) comparisons per block of triple_hit_counts
 _MC_BLOCK = 1 << 18
-
-# cephes' Euler-Maclaurin coefficients (2j)! / B_2j and stopping tolerance
-_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
-           -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
-           1.1646782814350067249e14, -4.5979787224074726105e15,
-           1.8152105401943546773e17, -7.1661652561756670113e18)
-_MACHEP = 1.11022302462515654042e-16
-
 
 class PsdError(ValueError):
     """The circulant embedding of r(0..N) has an eigenvalue below -PSD_TOL;
@@ -411,50 +400,27 @@ class SummabilityReport:
         return self.head + self.tail
 
 
-def hurwitz_zeta(s: float, q: float) -> float:
-    """sum_{n >= 0} (n + q)^-s for s > 1, q > 0, by cephes' operations in
-    its order, so that it equals ``scipy.special.zeta`` bit for bit: past
-    q = 1e8 two asymptotic terms; below, direct terms until the base
-    exceeds 9 (at least nine), then up to twelve Euler-Maclaurin terms."""
-    if not (s > 1.0 and q > 0):
-        raise ValueError(f"hurwitz_zeta needs s > 1 and q > 0, got {s}, {q}")
-    q = float(q)
-    if q > 1e8:
-        return (1 / (s - 1) + 1 / (2 * q)) * q ** (1 - s)
-    total, a, b, i = q**-s, q, 0.0, 0
-    while i < 9 or a <= 9.0:
-        i += 1
-        a += 1.0
-        b = a**-s
-        total += b
-        if abs(b / total) < _MACHEP:
-            return total
-    total += b * a / (s - 1.0)
-    total -= 0.5 * b
-    f = 1.0  # s (s + 1) ... (s + 2k), over the Euler-Maclaurin terms
-    for k, coefficient in enumerate(_ZETA_A):
-        f *= s + 2 * k
-        b /= a
-        t = f * b / coefficient
-        total += t
-        if abs(t / total) < _MACHEP:
-            break
-        f *= s + 2 * k + 1
-        b /= a
-    return total
+def power_tail(s: float, H: int) -> float:
+    """(H + 1/2)^(1-s) / (s - 1), an upper bound on sum_{n > H} n^-s for
+    s > 1 and integer H >= 0: x^-s is convex, so n^-s is at most its mean
+    over [n - 1/2, n + 1/2] (Hermite-Hadamard), and those intervals tile
+    [H + 1/2, oo). Its relative excess over the sum is, to leading order,
+    the midpoint rule's s (s - 1) / (24 (H + 1/2)^2)."""
+    if not (s > 1.0 and H >= 0 and H == int(H)):
+        raise ValueError(f"power_tail needs s > 1 and integer H >= 0, got {s}, {H}")
+    return (H + 0.5) ** (1.0 - s) / (s - 1.0)
 
 
 def power_summability(estimates: Sequence[float], k: int, delta: float,
                       C: float, H: int) -> SummabilityReport:
-    """Sum of k-th powers of the estimates plus the analytic C^2k n^-2k*delta
-    tail beyond H; requires the summability hypothesis 2 k delta > 1."""
+    """Sum of k-th powers of the estimates plus a bound on the
+    C^2k n^-2k*delta tail beyond H (``power_tail``); requires the
+    summability hypothesis 2 k delta > 1."""
     if 2 * k * delta <= 1.0:
         raise ValueError(f"need 2 k delta > 1, got {2 * k * delta}")
     if len(estimates) > H:
         raise ValueError("more estimates than the stated horizon")
     head = float(np.sum(np.asarray(estimates, dtype=np.float64) ** k))
-    s = 2.0 * k * delta
-    # zeta(s, H+1) = sum_{n > H} n^-s
-    tail = C ** (2 * k) * hurwitz_zeta(s, H + 1)
+    tail = C ** (2 * k) * power_tail(2.0 * k * delta, H)
     return SummabilityReport(k=k, delta=delta, C=C, H=H, head=head, tail=tail)
 

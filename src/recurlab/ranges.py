@@ -19,6 +19,7 @@ import numpy as np
 from . import PreconditionError
 from .bigsums import pool_schedule_sums
 from .fields import _BLOCK_ELEMS, FieldSpec, partial_sums_batch, scale_params
+from .gaussian import power_tail
 from .shiftspace import OmegaConfig
 
 
@@ -229,24 +230,25 @@ class ComplementProfile:
     envelope_c: float  # fitted c with q_n <= pi c / sqrt(n) on the sample
 
 
-# first index of the envelope fit q_n <= pi c / sqrt(n)
+# first index of the envelope fit q_n <= pi c / sqrt(n); largest k tried
 FIT_FROM = 8
+K_LIMIT = 12
 
 
-def complement_profile(pool: Sequence[PermutationView],
-                       fit_from: int = FIT_FROM) -> ComplementProfile:
+def complement_profile(pool: Sequence[PermutationView]) -> ComplementProfile:
     """Estimate q_n from the shared fresh indices of a pool of views, one
     independent field realization each, and fit the envelope over
-    fit_from <= n <= N."""
+    FIT_FROM <= n <= N; a horizon N below FIT_FROM raises
+    PreconditionError."""
     N = pool[0].N
-    if N < fit_from:
-        raise ValueError(f"profile horizon N={N} is below the envelope fit "
-                         f"start {fit_from}")
+    if N < FIT_FROM:
+        raise PreconditionError(f"horizon N={N} is below {FIT_FROM}, where the "
+                                f"complement envelope fit starts")
     # each view's shared fresh indices are distinct and lie in [1, N]
     hits = np.concatenate([np.asarray(view.curly, dtype=np.int64) for view in pool])
     q_hat = (len(pool) - np.bincount(hits - 1, minlength=N)) / len(pool)
-    ns = np.arange(fit_from, N + 1)
-    c = float(np.max(q_hat[fit_from - 1:] * np.sqrt(ns) / math.pi))
+    ns = np.arange(FIT_FROM, N + 1)
+    c = float(np.max(q_hat[FIT_FROM - 1:] * np.sqrt(ns) / math.pi))
     return ComplementProfile(N=N, samples=len(pool), q_hat=q_hat, envelope_c=c)
 
 
@@ -255,42 +257,39 @@ class ChooseKReport:
     k: int
     margin: float
     head: float  # sum of q_hat^k over the profiled range
-    tail: float  # integrated envelope beyond the profile
+    tail: float  # power_tail bound on the envelope's series beyond the profile
     total: float
     per_k: Dict[int, float]
 
 
 class KNotReached(RuntimeError):
-    """No k up to the limit keeps the joint-miss series below the target;
+    """No k up to K_LIMIT keeps the joint-miss series below the target;
     ``per_k`` holds the total of every k tried."""
 
-    def __init__(self, k_limit: int, per_k: Dict[int, float]):
+    def __init__(self, per_k: Dict[int, float]):
         self.per_k = per_k
-        super().__init__(f"no k <= {k_limit} reaches the target; totals {per_k}")
+        super().__init__(f"no k <= {K_LIMIT} reaches the target; totals {per_k}")
 
 
-def choose_k(profile: ComplementProfile, margin: float = 0.1,
-             k_limit: int = 12) -> ChooseKReport:
+def choose_k(profile: ComplementProfile, margin: float = 0.1) -> ChooseKReport:
     """Smallest k >= 3 whose joint-miss series stays below 1 - margin.
 
     The product identity makes the k-fold joint miss probability q_n^k; the
-    head is summed from the profile and the tail integrates the fitted
-    pi c / sqrt(n) envelope beyond the horizon (finite for k >= 3). Raises
-    KNotReached when no k <= k_limit does.
+    head is summed from the profile and the tail bounds the series of the
+    fitted pi c / sqrt(n) envelope beyond the horizon (``power_tail``,
+    finite for k >= 3). Raises KNotReached when no k <= K_LIMIT does.
     """
     per_k: Dict[int, float] = {}
     H = profile.N
-    for k in range(3, k_limit + 1):
+    for k in range(3, K_LIMIT + 1):
         head = float(np.sum(profile.q_hat**k))
-        env = math.pi * profile.envelope_c
-        # integral of (env / sqrt(n))^k from H to infinity
-        tail = (env**k) * (H ** (1 - k / 2.0)) / (k / 2.0 - 1.0)
+        tail = (math.pi * profile.envelope_c) ** k * power_tail(k / 2.0, H)
         total = head + tail
         per_k[k] = total
         if total < 1.0 - margin:
             return ChooseKReport(k=k, margin=margin, head=head, tail=tail,
                                  total=total, per_k=per_k)
-    raise KNotReached(k_limit, per_k)
+    raise KNotReached(per_k)
 
 
 # ---------------------------------------------------------------------------

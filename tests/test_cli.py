@@ -68,13 +68,17 @@ class TestParseConfig:
         assert "margin must lie in [0, 1)" in capsys.readouterr().err
         assert parse_config(["recur3", "--param", "margin=0"])["margin"] == 0.0
 
-    def test_recur3_short_horizon_rejected(self, capsys):
-        # the complement envelope is fitted from n = 8 on
-        with pytest.raises(ConfigError, match="horizon"):
-            parse_config(["recur3", "--horizon", "5"])
-        assert main(["recur3", "--horizon", "7"]) == 2
-        assert "horizon" in capsys.readouterr().err
-        assert parse_config(["recur3", "--horizon", "8"])["horizon"] == 8
+    def test_recur3_short_horizon_rejected(self, tmp_path, capsys):
+        # the complement envelope is fitted from n = 8 on, and
+        # complement_profile rejects a shorter horizon; no report is written
+        for horizon in ("5", "7"):
+            assert run(tmp_path, "recur3", "--horizon", horizon) == 2
+            err = capsys.readouterr().err
+            assert f"horizon N={horizon} is below 8, where the complement" in err
+        assert not list(tmp_path.iterdir())
+        assert run(tmp_path, "recur3", "--horizon", "8", "--samples", "10",
+                   "--param", "pool_size=5", "--param", "k=3") == 0
+        assert (tmp_path / "recur3.json").exists()
 
     def test_param_flag(self):
         cfg = parse_config(["gauss", "--param", "delta=0.4", "--param", "k=2"])
@@ -387,7 +391,7 @@ class TestImportCost:
         ["lclt", "--param", "n_grid=64"],
         ["mixing", "--horizon", "128", "--samples", "200"],
         ["certify-range", "--samples", "2"],
-        # its Hurwitz zeta tail is plain Python (gaussian.hurwitz_zeta)
+        # its tail bound is closed form (gaussian.power_tail)
         ["recur2", "--horizon", "32", "--samples", "4"],
         # and the normal tail of the triple envelopes is math.erfc (upper_tail)
         ["gauss", "--horizon", "16", "--samples", "20", "--param", "mc=200"],

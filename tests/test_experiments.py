@@ -124,6 +124,17 @@ class TestSection2:
         with pytest.raises(ValueError):
             exp_section2(FieldSpec(dimension=1, k_max=6), H=4)
 
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_sample_blocks_keep_the_report(self, monkeypatch, zero):
+        # 3 * 61 path values per sample: two samples per block, the last
+        # block holding one
+        spec = FieldSpec(dimension=1, k_max=8, doubling=False, zero=zero)
+        whole, _ = exp_section2(spec, H=60, samples=25, seed0=4)
+        monkeypatch.setattr(experiments, "_PROBE_BLOCK_ELEMS", 2 * 3 * 61 + 1)
+        blocked, _ = exp_section2(spec, H=60, samples=25, seed0=4)
+        assert blocked.extraction == whole.extraction
+        assert (blocked.tail, blocked.total) == (whole.tail, whole.total)
+
     def test_json_deterministic(self):
         spec = FieldSpec(dimension=1, k_max=8, doubling=False)
         a, _ = exp_section2(spec, H=60, samples=30, seed0=5)

@@ -12,6 +12,8 @@ from oracles import (
     triple_probability,
 )
 from recurlab import gaussian
+from recurlab.experiments import exp_section2
+from recurlab.fields import FieldSpec
 from recurlab.gaussian import (
     PsdError,
     SpectralModel,
@@ -26,6 +28,7 @@ from recurlab.gaussian import (
     upper_tail,
     white_noise_model,
 )
+from recurlab.ranges import K_LIMIT, ComplementProfile, choose_k
 
 
 @pytest.fixture(scope="module")
@@ -526,31 +529,47 @@ class TestSummability:
             power_summability([0.1] * 5, k=2, delta=0.3, C=0.5, H=3)
 
 
-class TestHurwitzZeta:
-    # the section-2 exponent 1.5 and summability exponents 2 k delta > 1
-    EXPONENTS = sorted({1.5} | {2 * k * d for k in range(1, 7)
-                                for d in (0.05, 0.1, 0.25, 0.3, 0.45, 0.5, 0.7, 0.95)
-                                if 2 * k * d > 1})
+class TestPowerTail:
+    # choose_k's exponents k/2 (the section-2 exponent 1.5 among them) and
+    # summability exponents 2 k delta > 1
+    EXPONENTS = sorted({k / 2 for k in range(3, K_LIMIT + 1)}
+                       | {2 * k * d for k in range(1, 7)
+                          for d in (0.05, 0.1, 0.25, 0.3, 0.45, 0.5, 0.7, 0.95)
+                          if 2 * k * d > 1})
     HORIZONS = (list(range(16, 130)) + [255, 600, 1000, 2000, 4096, 12345,
                                         10**5, 654321, 10**6])
 
-    def test_equals_scipy_bit_for_bit(self):
+    def test_bounds_the_zeta_tail(self):
+        # sum_{n > H} n^-s = zeta(s, H + 1), up to a few ulps of rounding
+        from scipy.special import zeta
+
+        for s in self.EXPONENTS:
+            for H in list(range(16)) + self.HORIZONS:
+                tail = float(zeta(s, H + 1))
+                assert gaussian.power_tail(s, H) >= tail * (1 - 4e-16), (s, H)
+
+    def test_excess_within_midpoint_error(self):
         from scipy.special import zeta
 
         for s in self.EXPONENTS:
             for H in self.HORIZONS:
-                assert gaussian.hurwitz_zeta(s, H + 1) == float(zeta(s, H + 1)), (s, H)
+                excess = gaussian.power_tail(s, H) / float(zeta(s, H + 1)) - 1.0
+                assert excess <= s * (s - 1) / (24 * H * H) + 1e-15, (s, H)
 
-    def test_small_and_huge_arguments(self):
-        # the direct sum below a = 9 and the asymptotic form beyond 1e8
-        from scipy.special import zeta
+    # H = -1 is the zeta argument q = H + 1 = 0
+    @pytest.mark.parametrize("s,H", [(1.0, 5), (0.5, 5), (math.nan, 5),
+                                     (2.0, -1), (2.0, -1.5), (2.0, 2.5)])
+    def test_outside_domain_rejected(self, s, H):
+        with pytest.raises(ValueError, match="power_tail needs"):
+            gaussian.power_tail(s, H)
 
-        for s in (1.01, 1.5, 2.0, 3.3):
-            for q in (0.25, 1.0, 2.0, 8.5, 9.0, 1e8, 1e8 + 1, 3e9):
-                assert gaussian.hurwitz_zeta(s, q) == float(zeta(s, q)), (s, q)
-        assert gaussian.hurwitz_zeta(2.0, 1) == pytest.approx(math.pi**2 / 6, rel=1e-15)
-
-    @pytest.mark.parametrize("s,q", [(1.0, 5), (0.5, 5), (2.0, 0), (2.0, -1.5)])
-    def test_outside_domain_rejected(self, s, q):
-        with pytest.raises(ValueError):
-            gaussian.hurwitz_zeta(s, q)
+    def test_each_tail_is_its_constant_times_the_bound(self):
+        rep = power_summability([0.01] * 20, k=2, delta=0.3, C=0.7, H=40)
+        assert rep.tail == 0.7 ** 4 * gaussian.power_tail(2 * 2 * 0.3, 40)
+        spec = FieldSpec(dimension=1, k_max=8, doubling=False)
+        bc, _ = exp_section2(spec, H=60, samples=4, seed0=1)
+        assert bc.tail == (bc.envelope_c / 2.0) ** 3 * gaussian.power_tail(1.5, 60)
+        q_hat = np.linspace(0.5, 0.05, 40)
+        prof = ComplementProfile(N=40, samples=10, q_hat=q_hat, envelope_c=0.2)
+        rep = choose_k(prof)
+        assert rep.tail == (math.pi * 0.2) ** rep.k * gaussian.power_tail(rep.k / 2.0, 40)

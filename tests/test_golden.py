@@ -12,9 +12,9 @@ distributions numpy does not promise to keep across versions. NumPy 2.3
 and later need Python 3.11, so an install on Python 3.10 resolves an older
 numpy than these. A failing digest names both version sets. No report
 depends on scipy: gauss's covariance r(0..H) is a fixed Gauss-Legendre
-rule evaluated by numpy, its zeta tail is a plain-Python port of cephes' zeta,
-and its normal tail is ``math.erfc``, whose last bits no report reads
-(``test_gauss_digests_ignore_normal_tail_last_bits``).
+rule evaluated by numpy, its series tail is a closed form
+(``gaussian.power_tail``), and its normal tail is ``math.erfc``, whose last
+bits no report reads (``test_gauss_digests_ignore_normal_tail_last_bits``).
 
 The lclt and mixing digests were re-pinned when the log characteristic
 function moved from a dense product over every (group, grid point) pair to
@@ -147,6 +147,21 @@ re-hashing until that bit is 0: the probe's counts do not read the bits'
 values at the origin. The cases ``recur3-auto`` (k chosen by the profile,
 with a non-empty ``uncovered``) and ``recur2-zero`` (the zero field, which
 exits 1 with verdict ``diverged``) were pinned before those changes.
+
+The recur2, recur2-zero, recur3, recur3-auto, gauss and gauss-600 JSON
+digests were re-pinned when every series tail the commands report came to
+be one closed-form bound, ``gaussian.power_tail(s, H)`` =
+(H + 1/2)^(1-s) / (s - 1) on sum_{n > H} n^-s (n^-s is at most its mean
+over [n - 1/2, n + 1/2], as x^-s is convex), in place of the Hurwitz zeta
+of recur2's and gauss's tails and of choose_k's integral from H. Against
+zeta(s, H + 1), the tails moved by +3.7e-5 relative for gauss (s = 1.2,
+H = 16), +2.8e-8 for gauss-600 and +2.2e-6 for recur2 and recur2-zero
+(s = 1.5, H = 120), each within s (s - 1) / (24 H^2); ``summability_total``
+and recur2's ``total`` moved with them. choose_k's tail fell by 0.62%
+(recur3, H = 40) and 0.82% (recur3-auto, H = 30), since the integral from
+H exceeds the sum by more; both still pick k = 3. No CSV digest moved, nor
+did the certify, lclt or mixing digests. Taking recur2's paths in blocks
+of at most 2^20 values moved no byte.
 """
 
 import hashlib
@@ -165,21 +180,21 @@ RUNNING = {"python": platform.python_version(), "numpy": np.__version__}
 GOLDEN = {
     "recur2": (
         ["recur2", "--horizon", "120", "--samples", "40"],
-        {"report.json": "b79196e93af69a67ea5128fc9984b2fe27239890330be85c2da9ed2edbb1d1b8",
+        {"report.json": "66f063fc14dcf85c5091903164316a5c5f758e21ac001293cd601e28ce1d49c1",
          "decay.csv": "4c5ae01cba9f5a69e071617348aca6339f74cd59d6cffc02c4e9bd349c9c8bce"},
     ),
     "recur3": (
         ["recur3", "--horizon", "40", "--samples", "20",
          "--param", "pool_size=7", "--param", "k=5"],
-        {"recur3.json": "65fe001b81660e0d9638a07757a53ebab6f2ab75c779780bdd792c61c3436a00"},
+        {"recur3.json": "8ebb5925334e48d02f6993666a467bdbd9f84de982d722646d3e2491de132801"},
     ),
     "recur3-auto": (
         ["recur3", "--horizon", "30", "--samples", "60", "--param", "pool_size=8"],
-        {"recur3.json": "b2896c87c73381d38a9451856c0f848c481502ccf09f5956bc1e2ebd1f9ac38e"},
+        {"recur3.json": "14f6203ab2c78062efb43cdb51b9ee28b921323915bc93e3275da13c97f707c7"},
     ),
     "recur2-zero": (
         ["recur2", "--horizon", "120", "--samples", "40", "--param", "zero=true"],
-        {"report.json": "1dad43b9a9ec662f3c88b669c9aef8fa0be4b6abb16fc4fb13e6b213c25ea4ec",
+        {"report.json": "4924fa38430acdb3f74bad7b388d2488368d2460ff3d64130fa83b6186eca9e3",
          "decay.csv": "ccacd0510c71e401c1c9dfc3173a3c20be9dd04828cd33836db41d4904c84d09"},
     ),
     "certify-range": (
@@ -206,12 +221,12 @@ GOLDEN = {
     ),
     "gauss": (
         ["gauss", "--horizon", "16", "--samples", "100", "--param", "mc=2000"],
-        {"gauss.json": "578ac4a8b50237065166d979496e1d16aa13ea6893b9b548fb1cbe8b315a28ab",
+        {"gauss.json": "47d84157fb7580058798d2fa39765909b84556d3283e3e78da2f0725127de409",
          "gauss_decay.csv": "d85b2d79fae2fcbc8aed5b305dc7c0e18df516b5439c7885c414092e4d9fad0c"},
     ),
     "gauss-600": (
         ["gauss", "--horizon", "600", "--samples", "100", "--param", "mc=2000"],
-        {"gauss.json": "82c3a7e7982ee06832c694d30a56745d614bb3afce75c6fa62d2e500afee76c6",
+        {"gauss.json": "2fe27ce171fc2f94d239af7d24cc73199ba99bec5c17804ef58ddd6940231a29",
          "gauss_decay.csv": "8d28b3ebed6706a8dbc4ec4bdc7dc9213fa30ff9f654050a201776cc8dfc0439"},
     ),
 }

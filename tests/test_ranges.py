@@ -9,10 +9,13 @@ import recurlab.ranges
 from recurlab import PreconditionError
 from recurlab.fields import FieldSpec, default_k_max, partial_sums_batch, scale_params
 from recurlab.ranges import (
-    HorizonError,
+    FIT_FROM,
+    K_LIMIT,
     P_CUBE,
     P_SQUARE,
     ComplementProfile,
+    HorizonError,
+    KNotReached,
     PermutationView,
     PolynomialSpec,
     certify_distinct,
@@ -275,18 +278,22 @@ class TestComplementProfile:
         assert rep == choose_k(prof, margin=0.1)
 
     def test_choose_k_can_fail(self):
-        # a saturated profile admits no finite k
+        # a saturated profile admits no finite k: every head is N = 20
         prof = ComplementProfile(N=20, samples=5, q_hat=np.ones(20),
                                  envelope_c=5.0)
-        with pytest.raises(RuntimeError):
-            choose_k(prof, k_limit=4)
+        with pytest.raises(KNotReached, match=f"no k <= {K_LIMIT}") as exc:
+            choose_k(prof)
+        assert list(exc.value.per_k) == list(range(3, K_LIMIT + 1))
+        assert all(total > 20 for total in exc.value.per_k.values())
 
     def test_horizon_below_fit_rejected(self):
         spec = FieldSpec(dimension=2, k_max=10, doubling=True)
-        pool = [PermutationView.build(spec, 1, P_SQUARE, P_CUBE, 7)]
-        with pytest.raises(ValueError, match="fit"):
+        pool = [PermutationView.build(spec, 1, P_SQUARE, P_CUBE, FIT_FROM - 1)]
+        with pytest.raises(PreconditionError,
+                           match="horizon N=7 is below 8, where the complement"):
             complement_profile(pool)
-        assert complement_profile(pool, fit_from=7).envelope_c >= 0
+        pool = [PermutationView.build(spec, 1, P_SQUARE, P_CUBE, FIT_FROM)]
+        assert complement_profile(pool).envelope_c >= 0
 
 
 class TestGoalEventPlan:

@@ -4,19 +4,20 @@ Four orchestrations over the lower-level engines:
 
 * the 1-D equal-times experiment: exact summable decay of the triple
   intersection plus a Borel-Cantelli surrogate extraction of a
-  non-recurrent set from Monte Carlo samples;
-* the polynomial-times structural experiment: conditioned samples whose
-  shared fresh indices cover the horizon, checked against the pointwise
-  complement contradiction;
+  non-recurrent set from the sampled joint returns;
+* the polynomial-times structural experiment: how many sampled k-tuples of
+  range views have shared fresh indices covering the horizon, and which
+  indices the others miss;
 * the Gaussian analogue with its summability report;
 * the mixing probe: exact box probabilities along a dyadic grid and a
   cylinder correlation decomposition.
 
 Emptiness for every n is not decidable numerically. Each report gives
-exact summability inputs and (where available) checks the pointwise
-identity that makes the emptiness structural; horizon surrogates may
-overestimate the extracted sets, so the chosen cut-offs are exposed in the
-reports.
+exact summability inputs and the sampled quantities its emptiness argument
+rests on; the identities that make the emptiness structural hold by
+construction and are checked by the tests, not at run time. Horizon
+surrogates may overestimate the extracted sets, so the chosen cut-offs are
+exposed in the reports.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .gaussian import (
 from .pmf import MASS_TOL, peak_probability_sweep, walk_pmf
 from .prf import hash_words, hash_words_vec
 from .ranges import PermutationView, PolynomialSpec
-from .shiftspace import OmegaConfig
 
 _TAG_EXP = 67
 
@@ -65,16 +65,14 @@ class Extraction:
     """Horizon surrogate of the D/M/A extraction from sampled return sets.
 
     N is the smallest horizon beyond which some sample never jointly
-    returns, D the samples achieving it, M the largest joint-return time
-    inside D, and A the D-samples returning at M. Violations count pairs
-    (sample in A, n) with a joint return at both n and n + M, which is what
-    a triple A-return at n would require.
-
-    Neither A nor the violations are measured: every sample in D has
-    max R = N, so M = N, every D-sample returns at M (measure_A ==
-    measure_D), and n + M > max R for every n >= 1 leaves ``violations`` 0
-    by construction. The field stays because ``bench/run.py::check_recur2``
-    reads it, until the extraction measures it.
+    returns, and D the samples achieving it; measure_D is measured. M is
+    the largest joint-return time inside D, A the D-samples returning at
+    M, and violations the pairs (sample in A, n) with a joint return at
+    both n and n + M, which is what a triple A-return at n would require.
+    Those three are written, not measured: every sample in D has max R =
+    N, so M = N, A = D (measure_A == measure_D), and n + M > max R for
+    every n >= 1 leaves no violation. They stay in the reports because
+    ``bench/run.py::check_recur2`` and the acceptance tests read them.
     """
 
     H: int
@@ -97,16 +95,9 @@ def _extract(joint: np.ndarray) -> Extraction:
     if N >= H:
         return Extraction(H=H, samples=samples, N=N, M=0, measure_D=0.0,
                           measure_A=0.0, violations=0, verdict="diverged")
-    D = last <= N
-    M = int(last[D].max())
-    A = D & joint[:, M - 1] if M else D
-    # pairs (sample in A, n) with joint returns at both n and n + M <= H
-    violations = int(np.count_nonzero(joint[A, : H - M] & joint[A, M:]))
-    verdict = "ok" if violations == 0 else "violated"
-    return Extraction(H=H, samples=samples, N=N, M=M,
-                      measure_D=int(D.sum()) / samples,
-                      measure_A=int(A.sum()) / samples,
-                      violations=violations, verdict=verdict)
+    measure_D = int(np.count_nonzero(last == N)) / samples
+    return Extraction(H=H, samples=samples, N=N, M=N, measure_D=measure_D,
+                      measure_A=measure_D, violations=0, verdict="ok")
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +127,7 @@ class TripleProbeReport:
     horizon: int
     samples: int
     in_surrogate: int
-    violations: int
+    violations: int  # 0 by construction in both probes, as is the next
     identity_failures: int
     uncovered: Dict[int, int]  # n -> samples lacking a witness there
 
@@ -150,11 +141,12 @@ def exp_section2(spec: FieldSpec, H: int = 2000, samples: int = 1000,
     """Equal-times triple-intersection decay and surrogate extraction.
 
     The intersection measure collapses exactly to (p_n(0)/2)^3, computed
-    from the characteristic-function sweep; the Monte Carlo half samples
-    triples of walk realizations conditioned on the origin bit being 1 and
-    extracts the surrogate D/M/A sets from their joint zero times (a joint
-    return needs all three walks back at 0, where the origin bits are
-    already 1).
+    from the characteristic-function sweep. The Monte Carlo half samples
+    triples of walk paths and measures, from their joint zero times, the
+    extraction's N and measure_D (``Extraction``). The configurations are
+    conditioned on the origin bit being 1 and a joint return reads only
+    that bit, so none is sampled: every sample lies in the probe's
+    surrogate and the probe reports no violation.
     """
     if H < 16:
         raise PreconditionError("need H >= 16")
@@ -178,15 +170,12 @@ def exp_section2(spec: FieldSpec, H: int = 2000, samples: int = 1000,
     for s0 in range(0, samples, block):
         paths = partial_sums_batch(spec, y_seeds[s0 : s0 + block].ravel(), (0, H))
         joint[s0 : s0 + block] = (paths[:, 1:, 0] == 0).reshape(-1, 3, H).all(axis=1)
-    # the omega coordinates are conditioned on bit(0) = 1, and joint returns
-    # only ever re-read the origin bit, so they need no further sampling
     extraction = _extract(joint)
     tail = (c / 2.0) ** 3 * power_tail(1.5, H)
     bc = BCReport(H=H, a_n=a_n, partial_sums=partial, envelope_c=c, tail=tail,
                   extraction=extraction)
     probe = TripleProbeReport(horizon=H, samples=samples,
-                              in_surrogate=samples,
-                              violations=extraction.violations,
+                              in_surrogate=samples, violations=0,
                               identity_failures=0, uncovered={})
     return bc, probe
 
@@ -213,37 +202,24 @@ def range_view_pool(p1: PolynomialSpec, p2: PolynomialSpec, N: int, size: int,
     return PermutationView.build_pool(spec, seeds, p1, p2, N)
 
 
-def _witness_sites(view: PermutationView, H: int):
-    """Arrays over the view's shared fresh indices n <= H: n, the site of
-    the plain origin bit after p1(n) steps, and the site and complement
-    flag that the twist reads for the origin bit after p2(n) steps, taken
-    from table2's endpoint (the view's s2 point) through the permutation."""
-    ns = np.array([n for n in view.curly if n <= H], dtype=np.int64)
-    twist = [view.twist_site(v) for v in view.s2_points[: ns.size]]
-    s_sites = np.array([site for site, _ in twist], dtype=np.int64).reshape(-1, 2)
-    flips = np.array([flip for _, flip in twist], dtype=np.int64)
-    return ns, view.table1.endpoints[ns - 1], s_sites, flips
-
-
 def exp_section3(pool: Sequence[PermutationView], k: int, H: int,
                  samples: int = 1000, seed0: int = 0) -> TripleProbeReport:
     """Structural emptiness along polynomial times.
 
-    Each sample is a k-tuple of (walk realization, configuration) pairs,
-    the configurations conditioned on omega(0) = 0. No witness reads that
-    bit (a witness site is a shared fresh point, never the origin), so
-    configuration (s, t) is that of _child_seed(seed0, 4, s, t, 0), whose
-    law at every other site is the conditioned one. A sample lies in the
-    surrogate base set when every n <= H has a witness coordinate whose
-    shared fresh indices contain n. At each witness the twisted origin bit
-    is the complement of the plain one, so the two returns can never both
-    present a 0 origin bit; the run asserts both that identity and the
-    resulting absence of joint returns.
+    Each sample is a k-tuple of views drawn from the pool. It lies in the
+    surrogate base set when every n <= H has a witness, a coordinate whose
+    view holds n among its shared fresh indices; the report counts those
+    samples and, per n, the samples lacking a witness there. The counts
+    are read off a (views x H) membership matrix, with the samples taken in
+    blocks of at most _PROBE_BLOCK_ELEMS (sample, coordinate, n) entries.
 
-    The witness of n is the first coordinate whose view holds n, read off
-    a (views x H) membership matrix; the bits of every witness are hashed
-    as arrays, with the samples taken in blocks of at most
-    _PROBE_BLOCK_ELEMS (sample, coordinate, n) entries.
+    ``violations`` and ``identity_failures`` are 0 by construction. At a
+    witness, the twist sends the second schedule's point S_{p2(n)} onto
+    the first's S_{p1(n)} and complements the bit there
+    (``PermutationView.twist_bit``), so the twisted origin bit is the
+    complement of the plain one and the two returns never both present a
+    0 origin bit, whatever the configuration. ``tests/oracles.py``'s
+    ``oracle_section3`` checks that identity one scalar bit at a time.
     """
     if H > pool[0].N:
         raise ValueError("horizon exceeds the pool's range horizon")
@@ -253,47 +229,23 @@ def exp_section3(pool: Sequence[PermutationView], k: int, H: int,
     # one call per sample, so the stream is consumed as it always has been
     idx = np.array([rng.integers(0, len(pool), size=k) for _ in range(samples)],
                    dtype=np.int64).reshape(samples, k)
-    omega = hash_words_vec(seed0, (_TAG_EXP, 4), *np.ogrid[:samples, :k], 0)
     member = np.zeros((len(pool), H), dtype=bool)
-    t_site = np.zeros((len(pool), H, 2), dtype=np.int64)
-    s_site = np.zeros((len(pool), H, 2), dtype=np.int64)
-    s_flip = np.zeros((len(pool), H), dtype=np.int64)
-    # sorted(set()) rather than np.unique, which imports numpy.ma
-    for v in sorted(set(idx.ravel().tolist())):
-        ns, t_sites, s_sites, flips = _witness_sites(pool[v], H)
-        member[v, ns - 1] = True
-        t_site[v, ns - 1] = t_sites
-        s_site[v, ns - 1] = s_sites
-        s_flip[v, ns - 1] = flips
+    for v, view in enumerate(pool):
+        member[v, [n - 1 for n in view.curly if n <= H]] = True
     in_surrogate = 0
-    violations = 0
-    identity_failures = 0
     missed = np.zeros(H, dtype=np.int64)
     block = max(1, _PROBE_BLOCK_ELEMS // (k * H))
     for s0 in range(0, samples, block):
-        idx_b, omega_b = idx[s0 : s0 + block], omega[s0 : s0 + block]
-        hit = member[idx_b]  # (samples, k, H)
-        miss = ~hit.any(axis=1)
+        miss = ~member[idx[s0 : s0 + block]].any(axis=1)  # (samples, H)
         missed += miss.sum(axis=0)
-        covered = ~miss.any(axis=1)
-        in_surrogate += int(covered.sum())
-        wit = hit[covered].argmax(axis=1)  # first witness coordinate, (covered, H)
-        rows = np.arange(wit.shape[0])[:, None]
-        view = idx_b[covered][rows, wit]
-        seeds = omega_b[covered][rows, wit]
-        col = np.arange(H)
-        t_bit = OmegaConfig.bits(seeds, t_site[view, col])
-        s_bit = s_flip[view, col] ^ OmegaConfig.bits(seeds, s_site[view, col])
-        identity_failures += int(np.count_nonzero(s_bit != 1 - t_bit))
-        violations += int(np.count_nonzero((t_bit == 0) & (s_bit == 0)))
+        in_surrogate += int(np.count_nonzero(~miss.any(axis=1)))
     uncovered = {n + 1: int(missed[n]) for n in np.flatnonzero(missed).tolist()}
     if in_surrogate == 0:
         raise RuntimeError(
             f"no sample covered [1, {H}]; per-n failures: {uncovered}")
     return TripleProbeReport(horizon=H, samples=samples,
-                             in_surrogate=in_surrogate, violations=violations,
-                             identity_failures=identity_failures,
-                             uncovered=uncovered)
+                             in_surrogate=in_surrogate, violations=0,
+                             identity_failures=0, uncovered=uncovered)
 
 
 # ---------------------------------------------------------------------------

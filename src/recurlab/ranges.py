@@ -199,15 +199,11 @@ class PermutationView:
 
     # -- the twist ----------------------------------------------------------
 
-    def twist_site(self, v: Tuple[int, int]) -> Tuple[Tuple[int, int], int]:
-        """The base site whose bit the twisted configuration shows at v, and
-        1 where it shows that bit complemented (at the visit points)."""
-        site = self.pi_forward(v)  # raises HorizonError where unresolved
-        return site, int((int(v[0]), int(v[1])) in self.s2_ordinal)
-
     def twist_bit(self, config: OmegaConfig, v: Tuple[int, int]) -> int:
-        site, flip = self.twist_site(v)
-        return flip ^ config.bit(site)
+        """The twisted configuration's bit at v: the base bit at pi(v),
+        complemented at the second schedule's visit points."""
+        site = self.pi_forward(v)  # raises HorizonError where unresolved
+        return int((int(v[0]), int(v[1])) in self.s2_ordinal) ^ config.bit(site)
 
     def tilde_S_origin_bit(self, config: OmegaConfig, n: int) -> int:
         """Origin bit of the configuration after p2(n) steps of the twisted

@@ -489,14 +489,16 @@ def _omega_seed_with_origin_bit(seed0: int, tag: Sequence[int], dimension: int,
 
 def oracle_section3(pool: Sequence[PermutationView], k: int, H: int,
                     samples: int = 1000, seed0: int = 0) -> TripleProbeReport:
-    """``recurlab.experiments.exp_section3`` one sample at a time: the
-    witness of each n is the first coordinate whose view has n among its
-    shared fresh indices, and each bit is one scalar ``OmegaConfig.bit``:
-    the plain origin bit at the endpoint S_{p1(n)} of the view's first
-    table, the twisted one through ``tilde_S_origin_bit``. Each
-    configuration is conditioned on omega(0) = 0 by re-hashing its seed
-    until that bit is 0, where the probe takes the first seed: no witness
-    reads the origin, so the two must agree."""
+    """``recurlab.experiments.exp_section3`` one sample at a time, with the
+    bits the probe does not read: the witness of each n is the first
+    coordinate whose view has n among its shared fresh indices, and each
+    bit is one scalar ``OmegaConfig.bit``: the plain origin bit at the
+    endpoint S_{p1(n)} of the view's first table, the twisted one through
+    ``tilde_S_origin_bit``. Each configuration is conditioned on
+    omega(0) = 0 by re-hashing its seed until that bit is 0. The probe
+    writes ``identity_failures`` and ``violations`` as 0, which the
+    counts here must equal while the twist complements every witness
+    bit."""
     if H > pool[0].N:
         raise ValueError("horizon exceeds the pool's range horizon")
     if k < 1:

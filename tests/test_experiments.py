@@ -9,7 +9,6 @@ from recurlab import experiments, gaussian
 from recurlab.cli import _probe
 from recurlab.experiments import (
     _extract,
-    _witness_sites,
     exp_gaussian,
     exp_section2,
     exp_section3,
@@ -48,7 +47,7 @@ def pool():
 def _lacking(pool, H=100):
     """The first view of the pool, alone, that misses some n <= H: no
     sample of k = 1 tuples drawn from it is covered."""
-    return [next(v for v in pool if len(_witness_sites(v, H)[0]) < H)]
+    return [next(v for v in pool if sum(n <= H for n in v.curly) < H)]
 
 
 def _joint(return_sets, H):
@@ -78,24 +77,24 @@ class TestExtraction:
         ext = _extract(_joint([set(range(1, 51))], H=50))
         assert ext.verdict == "diverged"
 
-    def test_violation_detected(self):
-        # a joint return at both n and n + M from inside A
-        ext = _extract(_joint([{2, 5, 7}], H=50))
-        assert ext.M == 7
-        assert ext.violations == 0
-        forged = _extract(_joint([{3, 6}], H=50))  # M = 6, and 3 + ... no pair
-        assert forged.violations == 0
-        paired = _extract(_joint([{4, 8}], H=50))  # M = 8; no n with n and n+8
-        assert paired.violations == 0
-
     @pytest.mark.parametrize("density", [0.0, 0.02, 0.3, 1.0])
     def test_equals_set_oracle(self, density):
+        # returns at n and 2n, which a violation at M = n would pair
+        joints = [_joint([R], H=50) for R in ({2, 5, 7}, {3, 6}, {4, 8})]
         rng = np.random.default_rng(17)
         for samples, H in ((1, 16), (7, 40), (40, 64)):
             joint = rng.random((samples, H)) < density
             joint[:, -1] &= rng.random(samples) < 0.5
+            joints.append(joint)
+        for joint in joints:
             sets = [set((np.flatnonzero(row) + 1).tolist()) for row in joint]
-            assert _extract(joint) == oracle_extract(sets, H)
+            ext = _extract(joint)
+            # M, A and the violations are written from N and D; the
+            # oracle derives them from the return sets
+            assert ext == oracle_extract(sets, joint.shape[1])
+            if ext.verdict == "ok":
+                assert ext.M == ext.N and ext.measure_A == ext.measure_D
+            assert ext.violations == 0
 
 
 class TestSection2:
@@ -178,8 +177,8 @@ class TestSection3:
 
 
 class TestSection3Oracle:
-    # the probe over a membership matrix with array-hashed bits must equal
-    # the scalar loop, field for field
+    # the probe over a membership matrix must equal the scalar loop, which
+    # reads every witness bit, field for field
 
     @staticmethod
     def _assert_same(pool, k, samples, seed0, H=100):
@@ -210,12 +209,15 @@ class TestSection3Oracle:
         assert str(got.value) == str(want.value)
 
     def test_identity_is_checked(self, pool, monkeypatch):
-        # the twisted bit is read through table2's endpoint, so a twist
-        # that stops complementing shows up as identity failures
-        monkeypatch.setattr(PermutationView, "twist_site",
-                            lambda self, v: ((0, 0), 0))
-        got = exp_section3(pool, k=3, H=50, samples=40, seed0=3)
-        assert got.identity_failures > 0
+        # the probe writes no identity failure; the scalar oracle reads the
+        # twisted bit through table2's endpoint, so a twist that stops
+        # complementing shows up there and test_equals_scalar_oracle fails
+        monkeypatch.setattr(PermutationView, "twist_bit",
+                            lambda self, config, v: config.bit(self.pi_forward(v)))
+        want = oracle_section3(pool[:9], k=3, H=50, samples=40, seed0=3)
+        assert want.identity_failures > 0
+        got = exp_section3(pool[:9], k=3, H=50, samples=40, seed0=3)
+        assert asdict(got) != asdict(want)
 
 
 class TestGaussianExperiment:

@@ -162,6 +162,13 @@ and recur2's ``total`` moved with them. choose_k's tail fell by 0.62%
 H exceeds the sum by more; both still pick k = 3. No CSV digest moved, nor
 did the certify, lclt or mixing digests. Taking recur2's paths in blocks
 of at most 2^20 values moved no byte.
+
+No digest moved when the section-2 and section-3 probes stopped
+re-deriving what holds by construction: the extraction writes M = N,
+``measure_A`` = ``measure_D`` and no violation, and the section-3 probe,
+which no longer hashes a configuration bit, writes no violation and no
+identity failure; its coverage counts come from the views' shared fresh
+indices alone.
 """
 
 import hashlib

@@ -2,10 +2,10 @@
 
 Commands: lclt | recur2 | recur3 | gauss | mixing | certify-range.
 Configuration comes from a flat ``key = value`` file plus flags (flags win).
-Exit codes: 0 all assertions passed, 1 an assertion or bound was violated
-(or an engine fault, with its traceback), 2 usage/config error: an unknown
-key, a bad value, a key that a mode switch leaves unread, or an input
-outside an engine's validated range. Outputs are deterministic given the
+Exit codes: 0 all assertions passed (or --help printed the usage), 1 an
+assertion or bound was violated (or an engine fault, with its traceback),
+2 usage/config error: an unknown key, a bad value, a key that a mode switch
+leaves unread, or an input outside an engine's validated range. Outputs are deterministic given the
 config: JSON reports with sorted keys, CSV with fixed column order, and the
 resolved config embedded in every file.
 """
@@ -18,23 +18,16 @@ import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from . import PreconditionError, __version__
-from .experiments import (
-    Extraction,
-    TripleProbeReport,
-    exp_gaussian,
-    exp_section2,
-    exp_section3,
-    mixing_probe,
-    range_view_pool,
-)
-from .fields import FieldSpec, default_k_max
-from .gaussian import power_density_model, white_noise_model
-from .pmf import ALIAS_TOL, MASS_TOL, lclt_deviation, walk_pmf
-from .ranges import (P_CUBE, P_SQUARE, KNotReached, certify_distinct, choose_k,
-                     complement_profile)
+
+if TYPE_CHECKING:
+    from .experiments import Extraction, TripleProbeReport
+
+# Each runner imports the engines it calls, so that a cold run of one
+# command loads only its own modules (tests/test_cli.py::TestImportCost
+# pins each set), and importing this module loads no numpy.
 
 
 class ConfigError(Exception):
@@ -115,7 +108,9 @@ def parse_config(argv) -> RunConfig:
                         help="set a command-specific key")
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
+    except SystemExit as exc:
+        if exc.code == 0:  # --help printed the usage: exit 0 with it
+            raise
         raise ConfigError("invalid command line")
 
     keys = _KEYS[args.command]
@@ -209,6 +204,7 @@ def _probe(probe: TripleProbeReport) -> Dict:
 
 def _alias_ok(grid, bounds) -> bool:
     """False when an aliasing bound exceeds ALIAS_TOL; names each such n."""
+    from .pmf import ALIAS_TOL
     bad = [(n, b) for n, b in zip(grid, bounds) if b > ALIAS_TOL]
     for n, b in bad:
         print(f"n={n}: aliasing bound {b:.3g} exceeds {ALIAS_TOL:g}",
@@ -229,6 +225,9 @@ def _csv(header, rows) -> str:
 
 
 def _run_lclt(cfg: RunConfig) -> int:
+    from .fields import FieldSpec, default_k_max
+    from .pmf import MASS_TOL, lclt_deviation, walk_pmf
+
     grid = [_parse_value("n_grid", tok, int) for tok in cfg["n_grid"].split(",")]
     if min(grid) < 1:
         raise ConfigError(f"n_grid entries must be positive, got {min(grid)}")
@@ -264,6 +263,9 @@ def _run_lclt(cfg: RunConfig) -> int:
 
 
 def _run_recur2(cfg: RunConfig) -> int:
+    from .experiments import exp_section2
+    from .fields import FieldSpec, default_k_max
+
     k_max = cfg["k_max"] or default_k_max(cfg["horizon"])
     spec = FieldSpec(dimension=1, k_max=k_max, doubling=False, zero=cfg["zero"])
     bc, probe = exp_section2(spec, H=cfg["horizon"], samples=cfg["samples"],
@@ -280,6 +282,10 @@ def _run_recur2(cfg: RunConfig) -> int:
 
 
 def _run_recur3(cfg: RunConfig) -> int:
+    from .experiments import exp_section3, range_view_pool
+    from .ranges import (P_CUBE, P_SQUARE, KNotReached, choose_k,
+                         complement_profile)
+
     H = cfg["horizon"]
     pool = range_view_pool(P_SQUARE, P_CUBE, N=H, size=cfg["pool_size"],
                            seed0=cfg["seed"], k_max=cfg["k_max"] or None)
@@ -301,6 +307,9 @@ def _run_recur3(cfg: RunConfig) -> int:
 
 
 def _run_gauss(cfg: RunConfig) -> int:
+    from .experiments import exp_gaussian
+    from .gaussian import power_density_model, white_noise_model
+
     model = white_noise_model() if cfg["white"] else power_density_model(cfg["delta"])
     rep = exp_gaussian(model, k=cfg["k"], H=cfg["horizon"],
                        samples=cfg["samples"], mc=cfg["mc"], seed0=cfg["seed"])
@@ -315,6 +324,9 @@ def _run_gauss(cfg: RunConfig) -> int:
 
 
 def _run_mixing(cfg: RunConfig) -> int:
+    from .experiments import mixing_probe
+    from .fields import FieldSpec, default_k_max
+
     k_max = cfg["k_max"] or default_k_max(cfg["horizon"])
     spec = FieldSpec(dimension=2, k_max=k_max, doubling=True, zero=cfg["zero"])
     rep = mixing_probe(spec, M=cfg["M"], H=cfg["horizon"],
@@ -330,6 +342,8 @@ def _run_mixing(cfg: RunConfig) -> int:
 
 
 def _run_certify(cfg: RunConfig) -> int:
+    from .ranges import certify_distinct
+
     C = cfg["C"] or None
     run = certify_distinct(seed0=cfg["seed"], N=cfg["N"], C=C,
                            samples=cfg["samples"])

@@ -24,25 +24,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import PreconditionError
-from .fields import FieldSpec, default_k_max, partial_sums_batch
-from .gaussian import (
-    SpectralModel,
-    conditioned_paths,
-    power_summability,
-    power_tail,
-    triple_envelope,
-    triple_hit_counts,
-    triple_probabilities,
-    twisted_values,
-)
-from .pmf import MASS_TOL, peak_probability_sweep, walk_pmf
 from .prf import hash_words, hash_words_vec
-from .ranges import PermutationView, PolynomialSpec
+
+if TYPE_CHECKING:
+    from .fields import FieldSpec
+    from .gaussian import SpectralModel
+    from .ranges import PermutationView, PolynomialSpec
+
+# Each experiment imports the engines it runs, so that a command loads only
+# its own: gauss reads no field, mixing no Gaussian and recur3 no pmf.
 
 _TAG_EXP = 67
 
@@ -148,6 +143,10 @@ def exp_section2(spec: FieldSpec, H: int = 2000, samples: int = 1000,
     that bit, so none is sampled: every sample lies in the probe's
     surrogate and the probe reports no violation.
     """
+    from .fields import partial_sums_batch
+    from .gaussian import power_tail
+    from .pmf import peak_probability_sweep
+
     if H < 16:
         raise PreconditionError("need H >= 16")
     if spec.dimension != 1:
@@ -195,6 +194,9 @@ def range_view_pool(p1: PolynomialSpec, p2: PolynomialSpec, N: int, size: int,
     share their schedule, so they come from one pool-wide evaluation
     (``PermutationView.build_pool``).
     """
+    from .fields import FieldSpec, default_k_max
+    from .ranges import PermutationView
+
     if k_max is None:
         k_max = default_k_max(max(p1(N), p2(N)))
     seeds = [_child_seed(seed0, 2, i) for i in range(size)]
@@ -290,6 +292,9 @@ def exp_gaussian(model: SpectralModel, k: int, H: int = 64,
     least 1/mc: with the exact variance alone, one hit of an event far
     rarer than 1/mc would read as many standard errors.
     """
+    from .gaussian import (conditioned_paths, power_summability, triple_envelope,
+                           triple_hit_counts, triple_probabilities, twisted_values)
+
     if 2 * k * model.delta <= 1.0:
         raise PreconditionError("summability hypothesis 2 k delta > 1 fails")
     if samples * k * (H + 1) > _GAUSS_PATH_VALUES:
@@ -364,6 +369,8 @@ def mixing_probe(spec: FieldSpec, M: int, H: int = 4096,
     exact law computed at that n, and each distinct site of a cylinder
     holds one fair bit.
     """
+    from .pmf import MASS_TOL, walk_pmf
+
     if spec.dimension != 2:
         raise ValueError("mixing probe needs a 2-D walk")
     if M < 0:

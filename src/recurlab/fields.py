@@ -59,6 +59,10 @@ class ScaleParams:
         return self.alpha * self.alpha
 
 
+# the largest scale whose period p_k fits in an int64: p_62 = 2^62
+K_MAX_LIMIT = 62
+
+
 def scale_params(k: int) -> ScaleParams:
     if k <= 0:
         raise ValueError(f"scale index must be >= 1, got {k}")
@@ -89,6 +93,10 @@ class FieldSpec:
             raise ValueError("dimension must be 1 or 2")
         if not (1 <= self.k_min <= self.k_max):
             raise PreconditionError("need 1 <= k_min <= k_max")
+        if self.k_max > K_MAX_LIMIT:
+            raise PreconditionError(
+                f"k_max must be <= {K_MAX_LIMIT}, got {self.k_max}: the kernels "
+                f"hold periods as int64, and p_63 = 2^63 + 1 overflows it")
 
     def scales(self) -> List[ScaleParams]:
         return [scale_params(k) for k in range(self.k_min, self.k_max + 1)]

@@ -370,19 +370,31 @@ def triple_hit_counts(r: np.ndarray, draws: int, seed: int) -> np.ndarray:
 
     X_0 = Z_0 and X_n = r Z_0 + s Z_1, s = sqrt(1 - r^2), so the event is
     Z_0 > 1 and s |Z_1| < r Z_0 - 1. Only the pairs with Z_0 > 1 are kept,
-    and the correlations are taken in blocks of at most _MC_BLOCK
-    (correlation, pair) comparisons.
+    sorted by Z_0. A hit needs fl(r Z_0) > 1, so r > 0 and Z_0 > 1/r: each
+    correlation tests, with the event's own expression, only the pairs from
+    the cut (1 - 2^-40) / r on, which stays below 1/r after rounding. The
+    correlations are taken in order of their cuts, in blocks of at most
+    _MC_BLOCK (correlation, pair) comparisons from the block's lowest cut on.
     """
     z0, z1 = np.random.default_rng(seed).standard_normal((2, draws))
     above = z0 > 1.0
-    z0, z1 = z0[above], np.abs(z1[above])
+    order = np.argsort(z0[above], kind="stable")
+    z0, z1 = z0[above][order], np.abs(z1[above])[order]
     r = np.asarray(r, dtype=np.float64)
     s = np.sqrt(1.0 - r * r)
-    counts = np.empty(r.size, dtype=np.int64)
-    rows = max(1, _MC_BLOCK // max(z0.size, 1))
-    for start in range(0, r.size, rows):
-        rb, sb = r[start : start + rows, None], s[start : start + rows, None]
-        counts[start : start + rows] = np.count_nonzero(sb * z1 < rb * z0 - 1.0, axis=1)
+    cut = np.full(r.size, np.inf)
+    np.divide(1.0 - 2.0**-40, r, out=cut, where=r > 0)
+    first = np.searchsorted(z0, cut)
+    live = np.flatnonzero(first < z0.size)
+    live = live[np.argsort(first[live], kind="stable")]
+    counts = np.zeros(r.size, dtype=np.int64)
+    start = 0
+    while start < live.size:
+        lo = first[live[start]]
+        lags = live[start : start + max(1, _MC_BLOCK // (z0.size - lo))]
+        counts[lags] = np.count_nonzero(
+            s[lags, None] * z1[lo:] < r[lags, None] * z0[lo:] - 1.0, axis=1)
+        start += lags.size
     return counts
 
 

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import PreconditionError
 from .bigsums import pool_schedule_sums
 from .fields import _BLOCK_ELEMS, FieldSpec, partial_sums_batch, scale_params
-from .gaussian import power_tail
-from .shiftspace import OmegaConfig
+
+if TYPE_CHECKING:
+    from .shiftspace import OmegaConfig
 
 
 class HorizonError(RuntimeError):
@@ -275,6 +276,8 @@ def choose_k(profile: ComplementProfile, margin: float = 0.1) -> ChooseKReport:
     fitted pi c / sqrt(n) envelope beyond the horizon (``power_tail``,
     finite for k >= 3). Raises KNotReached when no k <= K_LIMIT does.
     """
+    from .gaussian import power_tail  # here, so certify-range loads no gaussian
+
     per_k: Dict[int, float] = {}
     H = profile.N
     for k in range(3, K_LIMIT + 1):

@@ -8,7 +8,8 @@ walk's exact rational law at toy sizes (amplitudes are rational only for k <= 2)
 model's covariance by adaptive quadrature, one lag per call, the
 circulant sampler's transform of all rows at once, the triple probability
 by adaptive quadrature over scipy's ndtr and by Monte Carlo with one keyed
-stream per lag, the
+stream per lag, its shared-stream hit counts with every pair tested at
+every lag, the
 section-3 probe one sample, one n and one scalar bit at a time, the
 distinct-window certification one sample at a time over scalar sums of
 the goal event's cylinder laid out as forced windows of field values,
@@ -21,8 +22,9 @@ The library evaluates partial sums only through the scatter kernel over
 nonzero field values in ``recurlab.fields``, the log characteristic
 function only through the per-scale histogram FFT in ``recurlab.pmf``,
 the power covariance and the triple probability only through fixed
-Gauss-Legendre rules over all lags and the circulant paths only in row
-blocks in ``recurlab.gaussian``, the section-3
+Gauss-Legendre rules over all lags, the circulant paths only in row
+blocks and the hit counts only past a cut on sorted pairs in
+``recurlab.gaussian``, the section-3
 probe only over a membership matrix with its bits hashed as arrays in
 ``recurlab.experiments``, the
 extraction only over the joint-return matrix there, and the
@@ -448,6 +450,19 @@ class TripleEstimate:
     @property
     def envelope(self) -> float:
         return min(self.env_tail, self.env_markov)
+
+
+def oracle_triple_hit_counts(r: Sequence[float], draws: int, seed: int) -> np.ndarray:
+    """``triple_hit_counts`` by brute force: the same stream of (Z_0, Z_1)
+    pairs, every kept pair (Z_0 > 1) compared with every correlation, one
+    correlation at a time and with no cut."""
+    z0, z1 = np.random.default_rng(seed).standard_normal((2, draws))
+    keep = z0 > 1.0
+    z0, z1 = z0[keep], np.abs(z1[keep])
+    r = np.asarray(r, dtype=np.float64)
+    s = np.sqrt(1.0 - r * r)
+    return np.array([np.count_nonzero(sn * z1 < rn * z0 - 1.0)
+                     for rn, sn in zip(r, s)], dtype=np.int64)
 
 
 def triple_probability(r: Sequence[float], n: int, samples: int,

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import recurlab
-from recurlab import PreconditionError, cli, experiments
+from recurlab import PreconditionError, cli, experiments, pmf, ranges
 from recurlab.cli import ConfigError, main, parse_config
 from recurlab.experiments import TripleProbeReport
 from recurlab.pmf import walk_pmf
@@ -18,6 +18,13 @@ from recurlab.ranges import ChooseKReport
 
 def run(tmp_path, *args):
     return main(list(args) + ["--out", str(tmp_path)])
+
+
+def _src_env():
+    """The environment of a fresh interpreter that imports this recurlab."""
+    src = str(Path(recurlab.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
 
 
 class TestParseConfig:
@@ -86,6 +93,27 @@ class TestParseConfig:
 
     def test_bad_command(self):
         assert main(["dance"]) == 2
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["lclt", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        # argparse prints the usage and exits 0; that is not a config error
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: recurlab") and "error" not in err
+
+    def test_help_process_exit_codes(self):
+        # as a process: help exits 0, a usage error still exits 2
+        cmd = [sys.executable, "-m", "recurlab.cli"]
+        ok = subprocess.run(cmd + ["--help"], env=_src_env(), capture_output=True,
+                            text=True)
+        assert ok.returncode == 0 and "usage: recurlab" in ok.stdout
+        assert ok.stderr == ""
+        bad = subprocess.run(cmd + ["lclt", "--bogus"], env=_src_env(),
+                             capture_output=True, text=True)
+        assert bad.returncode == 2
+        assert "error: invalid command line" in bad.stderr
 
     @pytest.mark.parametrize("command,argv,message", [
         ("lclt", ["--horizon", "5"], "unknown key 'horizon' for lclt"),
@@ -215,6 +243,22 @@ class TestDispatch:
         assert run(tmp_path, *argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,report", [
+        (["lclt", "--param", "n_grid=64"], "lclt.json"),
+        (["mixing", "--horizon", "128", "--samples", "200"], "mixing.json"),
+        (["recur2", "--horizon", "32", "--samples", "4"], "report.json"),
+        (["recur3", "--horizon", "20", "--samples", "10", "--param",
+          "pool_size=3", "--param", "k=3"], "recur3.json"),
+    ])
+    def test_k_max_past_int64_periods_exits_2(self, tmp_path, capsys, argv, report):
+        # p_62 = 2^62 fits in an int64, p_63 = 2^63 + 1 does not: 63 is a
+        # config error, not an engine fault
+        assert run(tmp_path, *argv, "--param", "k_max=63") == 2
+        assert "k_max must be <= 62, got 63" in capsys.readouterr().err
+        assert not (tmp_path / report).exists()
+        assert run(tmp_path, *argv, "--param", "k_max=62") == 0
+        assert json.loads((tmp_path / report).read_text())["config"]["k_max"] == 62
+
     def test_gauss_path_size_exits_2_before_allocating(self, tmp_path, capsys):
         # 1000 samples of k = 500000000001 paths of 65 values would take
         # 582 TiB; the run stops at its size check, before r(0..H) or a path
@@ -272,7 +316,7 @@ class TestDispatch:
         # exception keeps its traceback and exits 1
         def fault(*args, **kwargs):
             raise ValueError("engine fault")
-        monkeypatch.setattr(cli, "certify_distinct", fault)
+        monkeypatch.setattr(ranges, "certify_distinct", fault)
         with pytest.raises(ValueError, match="engine fault"):
             run(tmp_path, "certify-range", "--samples", "1")
 
@@ -302,8 +346,7 @@ class TestDispatch:
                                               monkeypatch, command, argv):
         # a 64-point grid leaves far more than 1e-10 of wrap-around at these n
         coarse = functools.partial(walk_pmf, grid=64)
-        monkeypatch.setattr(cli, "walk_pmf", coarse)
-        monkeypatch.setattr(experiments, "walk_pmf", coarse)
+        monkeypatch.setattr(pmf, "walk_pmf", coarse)
         assert run(tmp_path, command, *argv) == 1
         err = capsys.readouterr().err
         assert "aliasing bound" in err
@@ -331,12 +374,12 @@ class TestReportShape:
         # per_k and uncovered are keyed by integers; the report lists their
         # keys as sorted strings, so "10" comes before "9"
         per_k = {k: 1.0 / k for k in range(3, 12)}
-        monkeypatch.setattr(cli, "range_view_pool", lambda *args, **kwargs: [])
-        monkeypatch.setattr(cli, "complement_profile", lambda pool: None)
-        monkeypatch.setattr(cli, "choose_k", lambda profile, margin: ChooseKReport(
+        monkeypatch.setattr(experiments, "range_view_pool", lambda *args, **kwargs: [])
+        monkeypatch.setattr(ranges, "complement_profile", lambda pool: None)
+        monkeypatch.setattr(ranges, "choose_k", lambda profile, margin: ChooseKReport(
             k=11, margin=margin, head=0.5, tail=0.25, total=0.75, per_k=per_k))
         monkeypatch.setattr(
-            cli, "exp_section3", lambda pool, k, H, samples, seed0: TripleProbeReport(
+            experiments, "exp_section3", lambda pool, k, H, samples, seed0: TripleProbeReport(
                 horizon=H, samples=samples, in_surrogate=samples, violations=0,
                 identity_failures=0, uncovered={9: 1, 10: 2, 100: 3}))
         assert run(tmp_path, "recur3", "--horizon", "20", "--samples", "4") == 0
@@ -369,13 +412,10 @@ class TestImportCost:
     def _loaded_after(statements, packages=("scipy",)):
         """Every module of ``packages`` a fresh interpreter holds after
         running ``statements``."""
-        src = str(Path(recurlab.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
         probe = (f"import sys\n{statements}\nprint(sorted(m for m in "
                  f"sys.modules if any(m == p or m.startswith(p + '.') "
                  f"for p in {packages!r})))")
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
+        out = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
                              capture_output=True, text=True, check=True)
         return out.stdout.strip()
 
@@ -400,13 +440,52 @@ class TestImportCost:
     ])
     def test_runs_without_special_functions_leave_scipy_out(self, tmp_path, argv):
         run = f"from recurlab.cli import main; main({argv + ['--out', str(tmp_path)]!r})"
-        packages = ("scipy",)
-        if argv[0] in ("lclt", "mixing", "recur3"):
-            # np.unique imports numpy.ma (10-14 ms under -X importtime);
-            # these commands deduplicate without it
-            packages += ("numpy.ma",)
-        assert self._loaded_after(run, packages) == "[]"
+        # np.unique imports numpy.ma (10-14 ms under -X importtime); every
+        # command deduplicates without it
+        assert self._loaded_after(run, ("scipy", "numpy.ma")) == "[]"
         assert any(tmp_path.iterdir())
+
+    # the recurlab modules a small run of each command loads besides the
+    # package: the runner imports its engines and nothing else
+    _ENGINES = {
+        "lclt": (["lclt", "--param", "n_grid=64"], "cli pmf fields prf"),
+        "certify-range": (["certify-range", "--samples", "2"],
+                          "cli ranges bigsums fields prf"),
+        "mixing": (["mixing", "--horizon", "128", "--samples", "200"],
+                   "cli experiments pmf fields prf"),
+        "gauss": (["gauss", "--horizon", "16", "--samples", "20", "--param",
+                   "mc=200"], "cli experiments gaussian prf"),
+        "recur2": (["recur2", "--horizon", "32", "--samples", "4"],
+                   "cli experiments fields pmf gaussian prf"),
+        "recur3": (["recur3", "--horizon", "20", "--samples", "10", "--param",
+                    "pool_size=3", "--param", "k=3"],
+                   "cli experiments ranges bigsums fields gaussian prf"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(_ENGINES))
+    def test_each_command_loads_only_its_engines(self, tmp_path, command):
+        argv, modules = self._ENGINES[command]
+        run = f"from recurlab.cli import main; main({argv + ['--out', str(tmp_path)]!r})"
+        expected = sorted(["recurlab"] + [f"recurlab.{m}" for m in modules.split()])
+        assert self._loaded_after(run, ("recurlab",)) == str(expected)
+        assert any(tmp_path.iterdir())
+
+    def test_cli_import_and_help_leave_numpy_out(self):
+        # a cold run pays for numpy only in the runner that needs it
+        assert self._loaded_after("import recurlab.cli", ("numpy",)) == "[]"
+        help_run = ("import contextlib, io\nfrom recurlab.cli import main\n"
+                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                    "    try:\n        main(['--help'])\n"
+                    "    except SystemExit as exc:\n        assert exc.code == 0")
+        assert self._loaded_after(help_run, ("numpy", "recurlab")) == \
+            "['recurlab', 'recurlab.cli']"
+
+    def test_probe_sees_what_a_command_loads(self, tmp_path):
+        # the control: the engines and numpy that lclt does load are seen
+        argv = self._ENGINES["lclt"][0] + ["--out", str(tmp_path)]
+        loaded = self._loaded_after(f"from recurlab.cli import main; main({argv!r})",
+                                    ("numpy", "recurlab.pmf"))
+        assert "'numpy'" in loaded and "'recurlab.pmf'" in loaded
 
     def test_probe_sees_a_numpy_ma_import(self):
         # the control: np.unique's import of numpy.ma is caught

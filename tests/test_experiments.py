@@ -248,7 +248,7 @@ class TestGaussianExperiment:
     def test_monte_carlo_disagreement_fails(self, power03, monkeypatch):
         # a rule that reads twice the true probability is caught by the
         # Monte Carlo check, not by the envelopes
-        monkeypatch.setattr(experiments, "triple_probabilities",
+        monkeypatch.setattr(gaussian, "triple_probabilities",
                             lambda r: 2.0 * triple_probabilities(r))
         rep = exp_gaussian(power03, k=2, H=16, samples=50, mc=200_000)
         assert rep.envelope_violations == 0

@@ -54,6 +54,14 @@ class TestScaleParams:
         with pytest.raises(ValueError):
             scale_params(0)
 
+    def test_spec_scales_stop_at_int64_periods(self):
+        # p_62 = 2^62 fits in an int64 and p_63 = 2^63 + 1 does not
+        assert scale_params(fields.K_MAX_LIMIT).p == 2**62 <= np.iinfo(np.int64).max
+        assert scale_params(fields.K_MAX_LIMIT + 1).p > np.iinfo(np.int64).max
+        assert FieldSpec(dimension=1, k_max=62).k_max == 62
+        with pytest.raises(PreconditionError, match="k_max must be <= 62, got 63"):
+            FieldSpec(dimension=1, k_max=63)
+
     @given(st.integers(min_value=1, max_value=40))
     def test_invariants(self, k):
         sp = scale_params(k)

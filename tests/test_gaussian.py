@@ -9,6 +9,7 @@ from oracles import (
     oracle_circulant_paths,
     oracle_power_r,
     oracle_triple,
+    oracle_triple_hit_counts,
     triple_probability,
 )
 from recurlab import gaussian
@@ -504,6 +505,41 @@ class TestTripleHitCounts:
 
     def test_white_noise_never_hits(self):
         assert (triple_hit_counts(np.zeros(5), 10_000, seed=1) == 0).all()
+
+    @pytest.mark.parametrize("delta", [0.02, 0.3, 0.525])
+    def test_equals_brute_force(self, delta):
+        # each lag tests only the pairs past its cut just below 1/r; the
+        # brute force tests every pair at every lag
+        r = power_density_model(delta).r_vector(512)[1:]
+        for seed in (0, 1):
+            assert np.array_equal(triple_hit_counts(r, 20_000, seed),
+                                  oracle_triple_hit_counts(r, 20_000, seed))
+
+    def test_white_model_equals_brute_force(self):
+        r = white_noise_model().r_vector(64)[1:]
+        assert np.array_equal(triple_hit_counts(r, 20_000, 2),
+                              oracle_triple_hit_counts(r, 20_000, 2))
+
+    def test_correlations_at_the_cut(self):
+        # r = 1/Z_0 for kept pairs puts fl(r Z_0) at 1 give or take an ulp,
+        # where the cut must keep every pair that can hit; with r = 1 and
+        # s = 0 every kept pair hits, and r <= 0 none does
+        z0 = np.random.default_rng(3).standard_normal((2, 5_000))[0]
+        kept = np.sort(z0[z0 > 1.0])
+        r = np.concatenate([1.0 / kept, np.nextafter(1.0 / kept, 2.0),
+                            np.nextafter(1.0 / kept, 0.0), [1.0, 0.0, -0.5]])
+        counts = triple_hit_counts(r, 5_000, 3)
+        assert np.array_equal(counts, oracle_triple_hit_counts(r, 5_000, 3))
+        assert counts[-3] == kept.size and not counts[-2:].any()
+
+    def test_no_kept_pair(self):
+        # a draw with no Z_0 > 1 leaves nothing to compare at any lag
+        seed = next(seed for seed in range(100)
+                    if np.random.default_rng(seed).standard_normal((2, 1))[0, 0] <= 1.0)
+        r = power_density_model(0.3).r_vector(16)[1:]
+        counts = triple_hit_counts(r, 1, seed)
+        assert counts.shape == (16,) and not counts.any()
+        assert np.array_equal(counts, oracle_triple_hit_counts(r, 1, seed))
 
 
 class TestSummability:

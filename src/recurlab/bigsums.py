@@ -147,21 +147,20 @@ def pool_schedule_sums(spec: FieldSpec, seeds: Sequence[int],
 def _scale_endpoints(spec: FieldSpec, sp: ScaleParams, i: int,
                      t: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
     """Scale-k contribution to S_t at the sorted times ``t`` for every seed,
-    shape (seeds, times): the lead block sums p * C + H from 0 to t minus
-    the lagged ones from d_k."""
+    shape (seeds, times): the lead block sum from 0 to t minus the lagged
+    one from d_k, each p * (C(b + t) - C(b)) + H(b + t) - H(b) on an axis
+    from its base offset b."""
     p, d = sp.p, sp.d
+
+    def window(axis: _AxisEval, b: int) -> np.ndarray:
+        return (p * (axis.running_sum(b + t) - axis.running_sum([b]))
+                + axis.ramp(b + t) - axis.ramp([b]))
+
     if d < t[-1] + p:
         # lag windows overlap the lead axis: one shared absolute axis
         axis = _AxisEval(spec, sp, i, np.concatenate([[0, d], t, t + d]),
                          lag=False, seeds=seeds)
-        h0, hd = np.split(axis.ramp([0, d]), 2, axis=1)
-        cd = axis.running_sum([d])
-        lead = p * axis.running_sum(t) + axis.ramp(t) - h0
-        lagged = p * (axis.running_sum(t + d) - cd) + axis.ramp(t + d) - hd
-        return lead - lagged
-    out = np.zeros((len(seeds), t.size), dtype=np.int64)
-    for lag, sign in ((False, 1), (True, -1)):
-        axis = _AxisEval(spec, sp, i, np.concatenate([[0], t]), lag=lag, seeds=seeds)
-        out += sign * (p * axis.running_sum(t) + axis.ramp(t) - axis.ramp([0]))
-    return out
-
+        return window(axis, 0) - window(axis, d)
+    lead, lag = (_AxisEval(spec, sp, i, np.concatenate([[0], t]), lag=lag, seeds=seeds)
+                 for lag in (False, True))
+    return window(lead, 0) - window(lag, 0)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .prf import hash_words, hash_words_vec
 if TYPE_CHECKING:
     from .fields import FieldSpec
     from .gaussian import SpectralModel
-    from .ranges import PermutationView, PolynomialSpec
+    from .ranges import PolynomialSpec
 
 # Each experiment imports the engines it runs, so that a command loads only
 # its own: gauss reads no field, mixing no Gaussian and recur3 no pmf.
@@ -184,56 +184,48 @@ def exp_section2(spec: FieldSpec, H: int = 2000, samples: int = 1000,
 
 
 def range_view_pool(p1: PolynomialSpec, p2: PolynomialSpec, N: int, size: int,
-                    seed0: int = 0, k_max: Optional[int] = None,
-                    ) -> List[PermutationView]:
-    """Pool of independent permutation views, one field realization each.
-
-    Building the views is the expensive step, so experiments draw sample
-    tuples from a shared pool; the per-sample assertions are structural,
-    not statistical, so reuse across tuples does not bias them. The views
-    share their schedule, so they come from one pool-wide evaluation
-    (``PermutationView.build_pool``).
-    """
+                    seed0: int = 0, k_max: Optional[int] = None) -> np.ndarray:
+    """Shared fresh indices of a pool of independent range views, one field
+    realization each, from one pool-wide schedule evaluation: the (size, N)
+    mask of ``ranges.shared_fresh_mask``. Experiments draw their sample
+    tuples from the pool; the per-sample assertions are structural, not
+    statistical, so reuse across tuples does not bias them."""
     from .fields import FieldSpec, default_k_max
-    from .ranges import PermutationView
+    from .ranges import shared_fresh_mask
 
     if k_max is None:
         k_max = default_k_max(max(p1(N), p2(N)))
     seeds = [_child_seed(seed0, 2, i) for i in range(size)]
     spec = FieldSpec(dimension=2, k_max=k_max, doubling=True)
-    return PermutationView.build_pool(spec, seeds, p1, p2, N)
+    return shared_fresh_mask(spec, seeds, p1, p2, N)
 
 
-def exp_section3(pool: Sequence[PermutationView], k: int, H: int,
+def exp_section3(pool: np.ndarray, k: int, H: int,
                  samples: int = 1000, seed0: int = 0) -> TripleProbeReport:
     """Structural emptiness along polynomial times.
 
-    Each sample is a k-tuple of views drawn from the pool. It lies in the
+    Each sample is a k-tuple of views drawn from the pool, a (views, N)
+    mask of shared fresh indices (``range_view_pool``). It lies in the
     surrogate base set when every n <= H has a witness, a coordinate whose
     view holds n among its shared fresh indices; the report counts those
     samples and, per n, the samples lacking a witness there. The counts
-    are read off a (views x H) membership matrix, with the samples taken in
+    are read off the mask's first H columns, with the samples taken in
     blocks of at most _PROBE_BLOCK_ELEMS (sample, coordinate, n) entries.
 
-    ``violations`` and ``identity_failures`` are 0 by construction. At a
-    witness, the twist sends the second schedule's point S_{p2(n)} onto
-    the first's S_{p1(n)} and complements the bit there
-    (``PermutationView.twist_bit``), so the twisted origin bit is the
-    complement of the plain one and the two returns never both present a
-    0 origin bit, whatever the configuration. ``tests/oracles.py``'s
-    ``oracle_section3`` checks that identity one scalar bit at a time.
+    ``violations`` and ``identity_failures`` are 0 by construction: at a
+    witness the twist sends S_{p2(n)} onto S_{p1(n)} and complements the
+    bit there (``PermutationView.twist_bit``), so the twisted origin bit is
+    the complement of the plain one and the two are never both 0.
+    ``tests/oracles.py``'s ``oracle_section3`` checks that identity one
+    scalar bit at a time.
     """
-    if H > pool[0].N:
+    if H > pool.shape[1]:
         raise ValueError("horizon exceeds the pool's range horizon")
     if k < 1:
         raise ValueError("need k >= 1")
     rng = np.random.default_rng(_child_seed(seed0, 3))
-    # one call per sample, so the stream is consumed as it always has been
-    idx = np.array([rng.integers(0, len(pool), size=k) for _ in range(samples)],
-                   dtype=np.int64).reshape(samples, k)
-    member = np.zeros((len(pool), H), dtype=bool)
-    for v, view in enumerate(pool):
-        member[v, [n - 1 for n in view.curly if n <= H]] = True
+    idx = rng.integers(0, pool.shape[0], size=(samples, k))
+    member = pool[:, :H]
     in_surrogate = 0
     missed = np.zeros(H, dtype=np.int64)
     block = max(1, _PROBE_BLOCK_ELEMS // (k * H))

@@ -11,6 +11,7 @@ cannot decide raise HorizonError instead of guessing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -43,12 +44,7 @@ class PolynomialSpec:
             raise ValueError("leading coefficient must be nonzero")
 
     def __call__(self, n: int) -> int:
-        total = 0
-        power = n
-        for c in self.coeffs:
-            total += c * power
-            power *= n
-        return total
+        return sum(c * n**j for j, c in enumerate(self.coeffs, start=1))
 
     def check_injective(self, N: int) -> None:
         """Raise ValueError unless p maps [1, N] injectively into the
@@ -87,37 +83,57 @@ def pool_range_tables(spec: FieldSpec, seeds: Sequence[int],
                       polys: Sequence[PolynomialSpec],
                       N: int) -> List[List[RangeTable]]:
     """Range tables of several polynomials for every seed of a pool: entry
-    r holds seed r's tables, one per polynomial.
+    r holds seed r's tables, one per polynomial."""
+    ends, fresh = _pool_visits(spec, seeds, polys, N)
+    return [[RangeTable(poly=poly, N=N, endpoints=e[r],
+                        fresh=tuple((np.flatnonzero(f[r]) + 1).tolist()))
+             for poly, e, f in zip(polys, ends, fresh)] for r in range(len(seeds))]
+
+
+def shared_fresh_mask(spec: FieldSpec, seeds: Sequence[int], p1: PolynomialSpec,
+                      p2: PolynomialSpec, N: int) -> np.ndarray:
+    """(seeds, N) bool: row r holds ``PermutationView.build(spec, seeds[r],
+    p1, p2, N).curly``, the indices fresh for both schedules."""
+    _, (f1, f2) = _pool_visits(spec, seeds, [p1, p2], N)
+    return f1 & f2
+
+
+def _pool_visits(spec: FieldSpec, seeds: Sequence[int],
+                 polys: Sequence[PolynomialSpec], N: int):
+    """Per polynomial, the (seeds, N, dimension) endpoints S_{p(1)}, ...,
+    S_{p(N)} and the (seeds, N) mask of their first visits.
 
     All endpoint times go into a single union schedule, evaluated once for
-    the whole pool, so each seed's tables share one field realization
-    (chunk aggregation draws depend on the schedule) and do not depend on
-    the other seeds.
+    the whole pool, so each seed's polynomials share one field realization
+    (chunk aggregation draws depend on the schedule) that does not depend
+    on the other seeds.
     """
     if N < 1:
         raise ValueError("need N >= 1")
     for poly in polys:
         poly.check_injective(N)
-    if not seeds:
-        return []
     times = sorted({poly(n) for poly in polys for n in range(1, N + 1)})
     values = pool_schedule_sums(spec, seeds, times)
-    rows = [np.searchsorted(times, [poly(n) for n in range(1, N + 1)])
+    ends = [values[:, np.searchsorted(times, [poly(n) for n in range(1, N + 1)])]
             for poly in polys]
-    return [[_range_table(poly, N, view[row]) for poly, row in zip(polys, rows)]
-            for view in values]
+    return ends, [_first_visits(e) for e in ends]
 
 
-def _range_table(poly: PolynomialSpec, N: int, endpoints: np.ndarray) -> RangeTable:
-    """The table of one polynomial from its endpoints S_{p(1)}, ..., S_{p(N)}."""
-    zero = (0,) * endpoints.shape[1]
-    seen = set()
-    fresh = []
-    for n, v in enumerate(map(tuple, endpoints.tolist()), start=1):
-        if v != zero and v not in seen:
-            fresh.append(n)
-        seen.add(v)
-    return RangeTable(poly=poly, N=N, endpoints=endpoints, fresh=tuple(fresh))
+def _first_visits(endpoints: np.ndarray) -> np.ndarray:
+    """(rows, N) mask of the fresh indices of (rows, N, dimension)
+    endpoints: n is fresh in row r when its point is not the origin and no
+    earlier index of the row visits it. One lexsort by (row, point, index)
+    puts each row's visits of a point together, the first visit first."""
+    rows, N, dimension = endpoints.shape
+    keys = np.column_stack([np.repeat(np.arange(rows), N),
+                            endpoints.reshape(rows * N, dimension)])
+    order = np.lexsort((np.arange(rows * N), *keys.T[::-1]))
+    ranked = keys[order]
+    first = np.ones(rows * N, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    fresh = np.zeros(rows * N, dtype=bool)
+    fresh[order[first & ranked[:, 1:].any(axis=1)]] = True
+    return fresh.reshape(rows, N)
 
 
 # ---------------------------------------------------------------------------
@@ -152,21 +168,9 @@ class PermutationView:
     @classmethod
     def build(cls, spec: FieldSpec, seed: int, p1: PolynomialSpec,
               p2: PolynomialSpec, N: int) -> "PermutationView":
-        return cls.build_pool(spec, [seed], p1, p2, N)[0]
-
-    @classmethod
-    def build_pool(cls, spec: FieldSpec, seeds: Sequence[int],
-                   p1: PolynomialSpec, p2: PolynomialSpec,
-                   N: int) -> List["PermutationView"]:
-        """One view per seed, from one pool-wide schedule evaluation: view
-        r equals ``build(spec, seeds[r], p1, p2, N)``."""
         if spec.dimension != 2:
             raise ValueError("permutation view needs a 2-D walk")
-        return [cls._from_tables(N, t1, t2)
-                for t1, t2 in pool_range_tables(spec, seeds, [p1, p2], N)]
-
-    @classmethod
-    def _from_tables(cls, N: int, t1: RangeTable, t2: RangeTable) -> "PermutationView":
+        [[t1, t2]] = pool_range_tables(spec, [seed], [p1, p2], N)
         # fresh indices are first visits, so their points are distinct
         curly = tuple(sorted(set(t1.fresh) & set(t2.fresh)))
         rows = np.array(curly, dtype=np.int64) - 1
@@ -232,21 +236,19 @@ FIT_FROM = 8
 K_LIMIT = 12
 
 
-def complement_profile(pool: Sequence[PermutationView]) -> ComplementProfile:
-    """Estimate q_n from the shared fresh indices of a pool of views, one
-    independent field realization each, and fit the envelope over
-    FIT_FROM <= n <= N; a horizon N below FIT_FROM raises
-    PreconditionError."""
-    N = pool[0].N
+def complement_profile(pool: np.ndarray) -> ComplementProfile:
+    """Estimate q_n from a (views, N) mask of shared fresh indices
+    (``shared_fresh_mask``), one independent field realization per row, and
+    fit the envelope over FIT_FROM <= n <= N; a horizon N below FIT_FROM
+    raises PreconditionError."""
+    P, N = pool.shape
     if N < FIT_FROM:
         raise PreconditionError(f"horizon N={N} is below {FIT_FROM}, where the "
                                 f"complement envelope fit starts")
-    # each view's shared fresh indices are distinct and lie in [1, N]
-    hits = np.concatenate([np.asarray(view.curly, dtype=np.int64) for view in pool])
-    q_hat = (len(pool) - np.bincount(hits - 1, minlength=N)) / len(pool)
+    q_hat = (P - pool.sum(axis=0)) / P
     ns = np.arange(FIT_FROM, N + 1)
     c = float(np.max(q_hat[FIT_FROM - 1:] * np.sqrt(ns) / math.pi))
-    return ComplementProfile(N=N, samples=len(pool), q_hat=q_hat, envelope_c=c)
+    return ComplementProfile(N=N, samples=P, q_hat=q_hat, envelope_c=c)
 
 
 @dataclass
@@ -317,6 +319,11 @@ class ConditioningPlan:
     k_max: int
 
 
+# scales k = K + C, ..., K + C + BOUND_SCALES - 1 outside the cylinder, whose
+# factor bound m(D_k) >= exp(-2/p_k) each certification checks
+BOUND_SCALES = 40
+
+
 def goal_event_plan(N: int, C: Optional[int] = None) -> ConditioningPlan:
     """The conditioning plan forcing strictly increasing first-coordinate sums.
 
@@ -325,7 +332,8 @@ def goal_event_plan(N: int, C: Optional[int] = None) -> ConditioningPlan:
     K = max(kappa, 2) is the first scale from kappa on with 2 p_k < d_k,
     which holds exactly when k >= 2, and k_max the first whose band K..k_max
     sums past C. As p_k > 2N from kappa on, p_k + 2N < 2 p_k <= d_k: no
-    lead window of the cylinder meets its lag window.
+    lead window of the cylinder meets its lag window. A C whose factor-bound
+    scales (``certify_distinct``) pass a finite double raises first.
     """
     kappa, M = 1, 0
     while scale_params(kappa).p <= 2 * N:
@@ -338,6 +346,11 @@ def goal_event_plan(N: int, C: Optional[int] = None) -> ConditioningPlan:
     if N < 1 or C < 1:
         raise PreconditionError("need N >= 1 and C >= 1")
     K = max(kappa, 2)
+    top = sys.float_info.max_exp - 2  # the last scale whose 2 (p_k + 2N) is finite
+    if K + C + BOUND_SCALES - 1 > top:
+        raise PreconditionError(
+            f"C must be at most {top - K - BOUND_SCALES + 1} at N={N}: the factor "
+            f"bound is checked up to scale K + C + {BOUND_SCALES - 1}, at most {top}")
     k_max, total = K, scale_params(K).p
     while total <= C:
         k_max += 1
@@ -359,11 +372,6 @@ class CertificationRun:
     y_floor: int  # band increment per step, sum of p_k over K..k_max (undoubled)
     log_event_probability: float
     bound_checks: Tuple[Tuple[int, float, float], ...]  # (k, log m(D_k), -2/p_k)
-
-
-# scales k = K + C, ..., K + C + BOUND_SCALES - 1 outside the cylinder, whose
-# factor bound m(D_k) >= exp(-2/p_k) each certification checks
-BOUND_SCALES = 40
 
 
 def certify_distinct(seed0: int, N: int, C: Optional[int] = None,

@@ -673,6 +673,21 @@ def build_range(spec: FieldSpec, seed: int, poly: PolynomialSpec, N: int) -> Ran
     return pool_range_tables(spec, [seed], [poly], N)[0][0]
 
 
+def oracle_fresh(endpoints: np.ndarray) -> Tuple[int, ...]:
+    """Fresh indices of one row of endpoints S_{p(1)}, ..., S_{p(N)}, one
+    point at a time: each n whose point is not the origin and was not
+    visited at an earlier index. ``recurlab.ranges._first_visits`` does
+    this for a whole pool in one lexsort."""
+    zero = (0,) * endpoints.shape[1]
+    seen = set()
+    fresh = []
+    for n, v in enumerate(map(tuple, endpoints.tolist()), start=1):
+        if v != zero and v not in seen:
+            fresh.append(n)
+        seen.add(v)
+    return tuple(fresh)
+
+
 def range_set(table: RangeTable) -> set:
     """The points a range table visits, the origin included if visited."""
     return set(map(tuple, table.endpoints.tolist()))

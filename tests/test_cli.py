@@ -3,9 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import recurlab
@@ -238,6 +240,9 @@ class TestDispatch:
         (["gauss", "--param", "white=true", "--param", "k=0"],
          "summability hypothesis 2 k delta > 1 fails"),
         (["lclt", "--param", "k_max=-2"], "need 1 <= k_min <= k_max"),
+        # the default C = -M + 1 = 1029 puts the factor-bound scales past
+        # a finite double
+        (["certify-range", "--param", "N=128"], "C must be at most 974 at N=128"),
     ])
     def test_precondition_exits_2(self, tmp_path, capsys, argv, message):
         assert run(tmp_path, *argv) == 2
@@ -368,13 +373,33 @@ class TestDispatch:
         payload = json.loads((tmp_path / "certify.json").read_text())
         assert payload["bounds_ok"] is True
 
+    @pytest.mark.parametrize("C", [979, 2**62, 10**18])
+    def test_certify_c_past_the_bound_scales_exits_2(self, tmp_path, capsys, C):
+        # at N = 8 (K = 5) the factor bound is checked at k = C + 5 ..
+        # C + 44, and from k = 1023 on 2 (p_k + 2N) overflows a double; the
+        # run stops before it builds any of those scales
+        start = time.monotonic()
+        assert run(tmp_path, "certify-range", "--param", f"C={C}", "--samples", "2") == 2
+        assert time.monotonic() - start < 1.0
+        assert "C must be at most 978 at N=8" in capsys.readouterr().err
+        assert not (tmp_path / "certify.json").exists()
+
+    def test_certify_largest_c_exits_0(self, tmp_path):
+        assert run(tmp_path, "certify-range", "--param", "C=978", "--samples", "2") == 0
+        payload = json.loads((tmp_path / "certify.json").read_text())
+        assert payload["bounds_ok"] is True
+        assert payload["report"]["bound_checks"][-1][0] == 1022
+
 
 class TestReportShape:
     def test_integer_keys_sort_as_strings(self, tmp_path, monkeypatch):
         # per_k and uncovered are keyed by integers; the report lists their
         # keys as sorted strings, so "10" comes before "9"
         per_k = {k: 1.0 / k for k in range(3, 12)}
-        monkeypatch.setattr(experiments, "range_view_pool", lambda *args, **kwargs: [])
+        # an empty (views, N) mask: complement_profile and exp_section3 are
+        # stubbed, so no view is read
+        monkeypatch.setattr(experiments, "range_view_pool",
+                            lambda *args, N, **kwargs: np.zeros((0, N), dtype=bool))
         monkeypatch.setattr(ranges, "complement_profile", lambda pool: None)
         monkeypatch.setattr(ranges, "choose_k", lambda profile, margin: ChooseKReport(
             k=11, margin=margin, head=0.5, tail=0.25, total=0.75, per_k=per_k))

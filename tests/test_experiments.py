@@ -8,6 +8,7 @@ import pytest
 from recurlab import experiments, gaussian
 from recurlab.cli import _probe
 from recurlab.experiments import (
+    _child_seed,
     _extract,
     exp_gaussian,
     exp_section2,
@@ -15,7 +16,7 @@ from recurlab.experiments import (
     mixing_probe,
     range_view_pool,
 )
-from recurlab.fields import FieldSpec
+from recurlab.fields import FieldSpec, default_k_max
 from recurlab.gaussian import (
     power_density_model,
     sample_paths,
@@ -44,10 +45,19 @@ def pool():
     return range_view_pool(P_SQUARE, P_CUBE, N=100, size=25, seed0=0)
 
 
+@pytest.fixture(scope="module")
+def views():
+    """The pool's first nine views, each built alone from its seed, as the
+    scalar oracle reads them."""
+    spec = FieldSpec(dimension=2, k_max=default_k_max(P_CUBE(100)), doubling=True)
+    return [PermutationView.build(spec, _child_seed(0, 2, i), P_SQUARE, P_CUBE, 100)
+            for i in range(9)]
+
+
 def _lacking(pool, H=100):
-    """The first view of the pool, alone, that misses some n <= H: no
-    sample of k = 1 tuples drawn from it is covered."""
-    return [next(v for v in pool if sum(n <= H for n in v.curly) < H)]
+    """The index of the first view of the pool that misses some n <= H: no
+    sample of k = 1 tuples drawn from it alone is covered."""
+    return next(r for r, row in enumerate(pool) if not row[:H].all())
 
 
 def _joint(return_sets, H):
@@ -163,10 +173,11 @@ class TestSection3:
             exp_section3(pool, k=3, H=101)
 
     def test_impossible_coverage_reports_profile(self, pool):
+        r = _lacking(pool)
         with pytest.raises(RuntimeError) as exc:
             # k=1 tuples rarely cover every n; with few samples the
             # surrogate can be empty, which must fail loudly
-            exp_section3(_lacking(pool), k=1, H=100, samples=2, seed0=9)
+            exp_section3(pool[r : r + 1], k=1, H=100, samples=2, seed0=9)
         assert "covered" in str(exc.value)
 
     def test_report_json(self, pool):
@@ -177,44 +188,50 @@ class TestSection3:
 
 
 class TestSection3Oracle:
-    # the probe over a membership matrix must equal the scalar loop, which
-    # reads every witness bit, field for field
+    # the probe over the pool's mask must equal the scalar loop over views
+    # built one seed at a time, which reads every witness bit, field for
+    # field
 
     @staticmethod
-    def _assert_same(pool, k, samples, seed0, H=100):
-        got = exp_section3(pool, k=k, H=H, samples=samples, seed0=seed0)
-        want = oracle_section3(pool, k=k, H=H, samples=samples, seed0=seed0)
+    def _assert_same(pool, views, k, samples, seed0, H=100):
+        got = exp_section3(pool[: len(views)], k=k, H=H, samples=samples, seed0=seed0)
+        want = oracle_section3(views, k=k, H=H, samples=samples, seed0=seed0)
         assert asdict(got) == asdict(want)
         assert all(type(v) is int for v in (got.in_surrogate, got.violations,
                                             got.identity_failures))
         return got
 
+    def test_mask_rows_are_the_views(self, pool, views):
+        for row, view in zip(pool, views):
+            assert tuple((np.flatnonzero(row) + 1).tolist()) == view.curly
+
     @pytest.mark.parametrize("seed0", [0, 1, 7])
     @pytest.mark.parametrize("k", [3, 5])
-    def test_equals_scalar_oracle(self, pool, seed0, k):
-        got = self._assert_same(pool[:9], k, 120, seed0)
+    def test_equals_scalar_oracle(self, pool, views, seed0, k):
+        got = self._assert_same(pool, views, k, 120, seed0)
         assert got.in_surrogate > 0
 
-    def test_sample_blocks_keep_the_report(self, pool, monkeypatch):
+    def test_sample_blocks_keep_the_report(self, pool, views, monkeypatch):
         # one sample per block: uncovered's counts span the blocks
         monkeypatch.setattr(experiments, "_PROBE_BLOCK_ELEMS", 1)
-        got = self._assert_same(pool[:4], 3, 60, 2)
+        got = self._assert_same(pool, views[:4], 3, 60, 2)
         assert got.uncovered
 
-    def test_uncovered_failure_matches_oracle(self, pool):
+    def test_uncovered_failure_matches_oracle(self, pool, views):
+        r = _lacking(pool)
         with pytest.raises(RuntimeError) as got:
-            exp_section3(_lacking(pool), k=1, H=100, samples=5, seed0=9)
+            exp_section3(pool[r : r + 1], k=1, H=100, samples=5, seed0=9)
         with pytest.raises(RuntimeError) as want:
-            oracle_section3(_lacking(pool), k=1, H=100, samples=5, seed0=9)
+            oracle_section3(views[r : r + 1], k=1, H=100, samples=5, seed0=9)
         assert str(got.value) == str(want.value)
 
-    def test_identity_is_checked(self, pool, monkeypatch):
+    def test_identity_is_checked(self, pool, views, monkeypatch):
         # the probe writes no identity failure; the scalar oracle reads the
         # twisted bit through table2's endpoint, so a twist that stops
         # complementing shows up there and test_equals_scalar_oracle fails
         monkeypatch.setattr(PermutationView, "twist_bit",
                             lambda self, config, v: config.bit(self.pi_forward(v)))
-        want = oracle_section3(pool[:9], k=3, H=50, samples=40, seed0=3)
+        want = oracle_section3(views, k=3, H=50, samples=40, seed0=3)
         assert want.identity_failures > 0
         got = exp_section3(pool[:9], k=3, H=50, samples=40, seed0=3)
         assert asdict(got) != asdict(want)

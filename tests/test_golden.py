@@ -169,6 +169,13 @@ re-deriving what holds by construction: the extraction writes M = N,
 which no longer hashes a configuration bit, writes no violation and no
 identity failure; its coverage counts come from the views' shared fresh
 indices alone.
+
+No digest moved when recur3's pool became one (views x N) mask of shared
+fresh indices, found by one array first-visit pass instead of a scalar
+scan per view, when the section-3 probe came to draw its pool indices in
+one call, and when the schedule engine came to write every window sum as
+one expression. certify.json did not move when a C past the factor-bound
+limit became a config error.
 """
 
 import hashlib

@@ -9,6 +9,7 @@ import recurlab.ranges
 from recurlab import PreconditionError
 from recurlab.fields import FieldSpec, default_k_max, partial_sums_batch, scale_params
 from recurlab.ranges import (
+    BOUND_SCALES,
     FIT_FROM,
     K_LIMIT,
     P_CUBE,
@@ -21,8 +22,10 @@ from recurlab.ranges import (
     certify_distinct,
     choose_k,
     complement_profile,
+    _first_visits,
     goal_event_plan,
     pool_range_tables,
+    shared_fresh_mask,
 )
 from recurlab.shiftspace import OmegaConfig
 
@@ -32,6 +35,7 @@ from oracles import (
     complement_point,
     min_low_scale_increment,
     oracle_certify,
+    oracle_fresh,
     oracle_plan,
     oracle_sums,
     plan_windows,
@@ -216,57 +220,88 @@ class TestPermutationView:
             PermutationView.build(spec, 0, P_SQUARE, P_CUBE, 5)
 
 
-def _same_view(a: PermutationView, b: PermutationView) -> bool:
-    return (a.N == b.N and a.curly == b.curly
-            and a.s1_points == b.s1_points and a.s2_points == b.s2_points
-            and a.s2_ordinal == b.s2_ordinal
-            and all(np.array_equal(x.endpoints, y.endpoints)
-                    and x.endpoints.dtype == y.endpoints.dtype
-                    and x.fresh == y.fresh and range_set(x) == range_set(y)
-                    for x, y in ((a.table1, b.table1), (a.table2, b.table2))))
+def _fresh_of(row: np.ndarray) -> tuple:
+    """The 1-based indices a mask row holds."""
+    return tuple((np.flatnonzero(row) + 1).tolist())
+
+
+class TestFirstVisits:
+    # one lexsort over a whole pool must give each row the fresh indices
+    # of the scalar scan, which walks the row's endpoints one at a time
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("N", [1, 40, 100])
+    def test_pool_equals_scalar_scan(self, N, dimension):
+        spec = FieldSpec(dimension=dimension, k_max=default_k_max(P_CUBE(N)))
+        seeds = [3, 2**64 - 1, 11, 0]
+        tables = pool_range_tables(spec, seeds, [P_SQUARE, P_CUBE], N)
+        mask = shared_fresh_mask(spec, seeds, P_SQUARE, P_CUBE, N)
+        assert mask.shape == (len(seeds), N)
+        for (t1, t2), row in zip(tables, mask):
+            assert t1.fresh == oracle_fresh(t1.endpoints)
+            assert t2.fresh == oracle_fresh(t2.endpoints)
+            assert set(_fresh_of(row)) == set(t1.fresh) & set(t2.fresh)
+
+    def test_hand_made_endpoints(self):
+        # row 0 returns to the origin (n = 2, 6), revisits its first point
+        # (n = 3) and repeats a pair (n = 4, 5); row 1 starts at the origin,
+        # holds a point and its swap, and ends at row 0's first point,
+        # fresh again in its own row; row 2 never leaves the origin
+        ends = np.array([
+            [(2, 0), (0, 0), (2, 0), (4, 2), (4, 2), (0, 0), (2, 2)],
+            [(0, 0), (0, 0), (-2, 4), (4, -2), (-2, 4), (0, 2), (2, 0)],
+            [(0, 0)] * 7,
+        ], dtype=np.int64)
+        fresh = _first_visits(ends)
+        assert [_fresh_of(row) for row in fresh] == [(1, 4, 7), (3, 4, 6, 7), ()]
+        assert [_fresh_of(row) for row in fresh] == [oracle_fresh(e) for e in ends]
+        line = np.array([[[2], [0], [2], [-2], [-2], [4]]], dtype=np.int64)
+        assert _fresh_of(_first_visits(line)[0]) == (1, 4, 6) == oracle_fresh(line[0])
 
 
 class TestViewPool:
-    # a pool shares each axis's layout and reads every view's field values
-    # in one call; each view must still be exactly the view
-    # its own seed builds alone
+    # a pool shares each axis's layout and reads every seed's field values
+    # in one call; each row of its mask must still be the shared fresh
+    # indices of the view its own seed builds alone
 
     SPEC = FieldSpec(dimension=2, k_max=default_k_max(60**3))
     SEEDS = [5, 2**63 + 1, 17, 2**64 - 1, 0]
 
     @pytest.fixture(scope="class")
     def pool(self):
-        return PermutationView.build_pool(self.SPEC, self.SEEDS, P_SQUARE, P_CUBE, 60)
+        return shared_fresh_mask(self.SPEC, self.SEEDS, P_SQUARE, P_CUBE, 60)
 
     def test_each_view_equals_its_own_build(self, pool):
-        for seed, view in zip(self.SEEDS, pool):
+        assert pool.shape == (len(self.SEEDS), 60) and pool.dtype == bool
+        tables = pool_range_tables(self.SPEC, self.SEEDS, [P_SQUARE, P_CUBE], 60)
+        for seed, row, pooled in zip(self.SEEDS, pool, tables):
             alone = PermutationView.build(self.SPEC, seed, P_SQUARE, P_CUBE, 60)
-            assert _same_view(view, alone)
+            assert _fresh_of(row) == alone.curly
+            for x, y in zip(pooled, (alone.table1, alone.table2)):
+                assert np.array_equal(x.endpoints, y.endpoints)
+                assert (x.endpoints.dtype, x.fresh) == (y.endpoints.dtype, y.fresh)
 
     def test_prefix_pool_equals_prefix(self, pool):
-        three = PermutationView.build_pool(self.SPEC, self.SEEDS[:3], P_SQUARE,
-                                           P_CUBE, 60)
-        assert len(three) == 3
-        assert all(_same_view(a, b) for a, b in zip(three, pool))
+        three = shared_fresh_mask(self.SPEC, self.SEEDS[:3], P_SQUARE, P_CUBE, 60)
+        assert np.array_equal(three, pool[:3])
 
     def test_hashing_blocks_do_not_change_views(self, pool, monkeypatch):
         # blocks of a few hundred values split every hashed axis into rows
         # and column blocks
         monkeypatch.setattr(recurlab.fields, "_BLOCK_ELEMS", 300)
-        small = PermutationView.build_pool(self.SPEC, self.SEEDS, P_SQUARE,
-                                           P_CUBE, 60)
-        assert all(_same_view(a, b) for a, b in zip(small, pool))
+        small = shared_fresh_mask(self.SPEC, self.SEEDS, P_SQUARE, P_CUBE, 60)
+        assert np.array_equal(small, pool)
 
     def test_empty_pool(self):
-        assert PermutationView.build_pool(self.SPEC, [], P_SQUARE, P_CUBE, 60) == []
+        assert shared_fresh_mask(self.SPEC, [], P_SQUARE, P_CUBE, 60).shape == (0, 60)
+        assert pool_range_tables(self.SPEC, [], [P_SQUARE, P_CUBE], 60) == []
 
 
 class TestComplementProfile:
     def test_profile_and_choice(self):
         k_max = default_k_max(P_CUBE(60))
         spec = FieldSpec(dimension=2, k_max=k_max, doubling=True)
-        pool = [PermutationView.build(spec, 900 + s, P_SQUARE, P_CUBE, 60)
-                for s in range(20)]
+        pool = shared_fresh_mask(spec, range(900, 920), P_SQUARE, P_CUBE, 60)
         prof = complement_profile(pool)
         assert prof.samples == 20
         assert prof.q_hat.shape == (60,)
@@ -276,6 +311,11 @@ class TestComplementProfile:
         assert rep.total < 0.9
         assert rep.tail > 0  # analytic remainder beyond the horizon
         assert rep == choose_k(prof, margin=0.1)
+        # q_n counts the views lacking n among their shared fresh indices
+        curly = [PermutationView.build(spec, seed, P_SQUARE, P_CUBE, 60).curly
+                 for seed in range(900, 920)]
+        assert prof.q_hat.tolist() == [sum(n not in c for c in curly) / 20
+                                       for n in range(1, 61)]
 
     def test_choose_k_can_fail(self):
         # a saturated profile admits no finite k: every head is N = 20
@@ -288,11 +328,11 @@ class TestComplementProfile:
 
     def test_horizon_below_fit_rejected(self):
         spec = FieldSpec(dimension=2, k_max=10, doubling=True)
-        pool = [PermutationView.build(spec, 1, P_SQUARE, P_CUBE, FIT_FROM - 1)]
+        pool = shared_fresh_mask(spec, [1], P_SQUARE, P_CUBE, FIT_FROM - 1)
         with pytest.raises(PreconditionError,
                            match="horizon N=7 is below 8, where the complement"):
             complement_profile(pool)
-        pool = [PermutationView.build(spec, 1, P_SQUARE, P_CUBE, FIT_FROM)]
+        pool = shared_fresh_mask(spec, [1], P_SQUARE, P_CUBE, FIT_FROM)
         assert complement_profile(pool).envelope_c >= 0
 
 
@@ -308,6 +348,19 @@ class TestGoalEventPlan:
                 y_floor = sum(scale_params(k).p for k in range(plan.K, plan.k_max + 1))
                 assert y_floor > C
             assert goal_event_plan(N).C == -M + 1
+
+    @pytest.mark.parametrize("N", [1, 8, 100])
+    def test_c_past_the_bound_scales_rejected(self, N):
+        # certification checks the factor bound at k = K + C ..
+        # K + C + BOUND_SCALES - 1, and from k = 1023 on 2 (p_k + 2N) is no
+        # finite double; the largest admitted C puts the last check at 1022
+        # (from N = 128 on -M exceeds it, and no C is admitted)
+        K = goal_event_plan(N).K
+        top = 1022 - K - BOUND_SCALES + 1
+        assert goal_event_plan(N, top).C == top
+        for C in (top + 1, 2**62, 10**18, 10**1000):
+            with pytest.raises(PreconditionError, match=f"C must be at most {top} at N={N}"):
+                goal_event_plan(N, C)
 
     @pytest.mark.parametrize("N,C,message", [
         (0, None, "need N >= 1 and C >= 1"),

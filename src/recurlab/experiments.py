@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
-from . import PreconditionError
+from . import PreconditionError, power_tail
 from .prf import hash_words, hash_words_vec
 
 if TYPE_CHECKING:
@@ -144,7 +144,6 @@ def exp_section2(spec: FieldSpec, H: int = 2000, samples: int = 1000,
     surrogate and the probe reports no violation.
     """
     from .fields import partial_sums_batch
-    from .gaussian import power_tail
     from .pmf import peak_probability_sweep
 
     if H < 16:

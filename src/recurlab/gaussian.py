@@ -42,7 +42,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from . import PreconditionError
+from . import PreconditionError, power_tail
 from .prf import derive_rng
 
 PSD_TOL = 1e-8
@@ -410,17 +410,6 @@ class SummabilityReport:
     @property
     def total(self) -> float:
         return self.head + self.tail
-
-
-def power_tail(s: float, H: int) -> float:
-    """(H + 1/2)^(1-s) / (s - 1), an upper bound on sum_{n > H} n^-s for
-    s > 1 and integer H >= 0: x^-s is convex, so n^-s is at most its mean
-    over [n - 1/2, n + 1/2] (Hermite-Hadamard), and those intervals tile
-    [H + 1/2, oo). Its relative excess over the sum is, to leading order,
-    the midpoint rule's s (s - 1) / (24 (H + 1/2)^2)."""
-    if not (s > 1.0 and H >= 0 and H == int(H)):
-        raise ValueError(f"power_tail needs s > 1 and integer H >= 0, got {s}, {H}")
-    return (H + 0.5) ** (1.0 - s) / (s - 1.0)
 
 
 def power_summability(estimates: Sequence[float], k: int, delta: float,

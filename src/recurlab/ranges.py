@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import PreconditionError
+from . import PreconditionError, power_tail
 from .bigsums import pool_schedule_sums
 from .fields import _BLOCK_ELEMS, FieldSpec, partial_sums_batch, scale_params
 
@@ -278,7 +278,6 @@ def choose_k(profile: ComplementProfile, margin: float = 0.1) -> ChooseKReport:
     fitted pi c / sqrt(n) envelope beyond the horizon (``power_tail``,
     finite for k >= 3). Raises KNotReached when no k <= K_LIMIT does.
     """
-    from .gaussian import power_tail  # here, so certify-range loads no gaussian
 
     per_k: Dict[int, float] = {}
     H = profile.N

@@ -43,12 +43,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from recurlab.experiments import Extraction, TripleProbeReport, _child_seed
+from recurlab import fields
 from recurlab.fields import (
     _COUNT,
     _POSITION,
+    KEYED_BITS,
+    TAG_BLOCK,
     TAG_FIELD,
     FieldSpec,
+    ScaleParams,
+    _count_thresholds,
     _thresholds,
+    block_bits,
     lag_namespace,
     scale_params,
 )
@@ -275,6 +281,180 @@ def oracle_window_sums(spec: FieldSpec, seeds, window: Tuple[int, int],
     cum = np.zeros((seeds.shape[0], b - a + 1, spec.dimension), dtype=np.int64)
     np.cumsum(incr, axis=1, out=cum[:, 1:])
     return cum - cum[:, [-a], :]
+
+
+def oracle_field_nonzeros(spec: FieldSpec, seeds, k: int, i: int, lo, hi,
+                          lagged: bool = False) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``recurlab.fields.field_nonzeros`` on one axis, one axis per call:
+    (seed row, packed coordinate, value) sorted by row and coordinate, with
+    k and i absorbed as fixed words, the blocks' counts searched in the
+    scale's own table and the positions filtered on the axis's own
+    segments. An axis without values reads nothing."""
+    sp = scale_params(k)
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    lo, hi = np.asarray(lo, dtype=np.int64).reshape(-1), np.asarray(hi, dtype=np.int64).reshape(-1)
+    if lagged and not lag_namespace(k):
+        lo, hi, lagged = lo + sp.d, hi + sp.d, False
+    start = np.cumsum(hi - lo) - (hi - lo)
+    if spec.zero or not lo.size or (block_bits(sp.q) < KEYED_BITS and not (hi - lo).sum()):
+        return (np.zeros(0, dtype=np.int64),) * 3
+    words = (TAG_FIELD, k, i, 1) if lagged else (TAG_FIELD, k, i)
+    b = block_bits(sp.q)
+    if b < KEYED_BITS:
+        width = int(start[-1] + hi[-1] - lo[-1])
+        js = np.repeat(lo - start, hi - lo) + np.arange(width)
+        nonzero, plus = _thresholds(sp.q)
+        step, cols = max(1, fields._BLOCK_ELEMS // width), min(width, fields._BLOCK_ELEMS)
+        out = []
+        for r0 in range(0, seeds.size, step):
+            for c0 in range(0, width, cols):
+                h = hash_words_vec(seeds[r0 : r0 + step, None], words, js[c0 : c0 + cols])
+                r, c = np.nonzero(h < nonzero)
+                out.append((r + r0, c + c0, np.where(h[r, c] < plus, 1, -1)))
+        return tuple(np.concatenate(parts) for parts in zip(*out))
+    spans = ((hi - 1) >> b) - (lo >> b) + 1
+    blocks = np.arange(spans.sum()) + np.repeat((lo >> b) - np.cumsum(spans) + spans, spans)
+    blocks = blocks[np.diff(blocks, prepend=blocks[0] - 1) != 0]
+    count = np.searchsorted(_count_thresholds(sp.q, b), side="right",
+                            v=hash_words_vec(seeds[:, None], words + (_COUNT,), blocks))
+    row, blk = np.nonzero(count)
+    need = count[row, blk]
+    pair = pos = np.zeros(0, np.int64)
+    h, drawn, missing = np.zeros(0, np.uint64), 0 * need, need
+    while missing.any():
+        new = np.repeat(np.arange(need.size), missing)
+        t = drawn[new] + np.arange(new.size) - np.repeat(np.cumsum(missing) - missing, missing)
+        drawn += missing
+        pair = np.concatenate([pair, new])
+        h = np.concatenate([h, hash_words_vec(seeds[row[new]], words + (_POSITION,),
+                                              blocks[blk[new]], t)])
+        pos = (h >> np.uint64(64 - b)).astype(np.int64)
+        order = np.lexsort((pos, pair))
+        keep = np.empty(pair.size, dtype=bool)
+        keep[order] = np.diff(np.stack([pair, pos])[:, order], prepend=-1).any(axis=0)
+        pair, h, pos = pair[keep], h[keep], pos[keep]
+        missing = need - np.bincount(pair, minlength=need.size)
+    j = (blocks[blk[pair]] << b) + pos
+    seg = np.searchsorted(lo, j, side="right") - 1
+    inside = (seg >= 0) & (j < hi[seg])
+    row, c, x = row[pair][inside], (j - lo[seg] + start[seg])[inside], h[inside] & np.uint64(1)
+    order = np.lexsort((c, row))
+    return row[order], c[order], 2 * x[order].astype(np.int64) - 1
+
+
+def oracle_axes_nonzeros(spec: FieldSpec, seeds, axes) -> Tuple[np.ndarray, ...]:
+    """``field_nonzeros`` over ``axes`` as one ``oracle_field_nonzeros``
+    call per axis, laid end to end with the axis index in front."""
+    parts = [(np.zeros(0, dtype=np.int64),) * 4]
+    for a, (k, i, lagged, lo, hi) in enumerate(axes):
+        row, c, x = oracle_field_nonzeros(spec, seeds, k, i, lo, hi, lagged)
+        parts.append((np.full(row.size, a), row, c, x))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+class AxisEval:
+    """Field sums along one (scale, coordinate, window-role) axis, for every
+    seed of a pool at once: the per-axis schedule engine.
+
+    Offsets count from 0 on the lead axis and from d_k on the lag axis
+    (``lag=True``). Every anchor opens a ramp window of length p - 1;
+    overlapping or touching windows merge into segments, and the gaps
+    between them become aggregate chunks. The nonzero values, from
+    ``oracle_field_nonzeros`` and keyed row * width + packed coordinate,
+    carry prefix sums of x and of c * x, so a query answers every seed
+    through one ``searchsorted``.
+    """
+
+    def __init__(self, spec: FieldSpec, sp: ScaleParams, i: int,
+                 anchors: Sequence[int], lag: bool, seeds: Sequence[int]):
+        self.p = sp.p
+        seeds = [int(s) for s in seeds]
+        anchors = np.sort(np.asarray(anchors, dtype=np.int64))
+        anchors = anchors[np.diff(anchors, prepend=anchors[:1] - 1) != 0]
+        if anchors[0] != 0:
+            raise ValueError("axis anchors must start at offset 0")
+        w = sp.p - 1
+        first = np.flatnonzero(np.diff(anchors, prepend=-w - 1) > w)
+        self.lo = anchors[first]
+        self.hi = np.append(anchors[first[1:] - 1], anchors[-1]) + w
+        lengths = self.hi - self.lo
+        self.start = np.cumsum(lengths) - lengths
+        width = int(lengths.sum())
+        rows, c, x = oracle_field_nonzeros(spec, seeds, sp.k, i, self.lo, self.hi, lag)
+        ns = lag and lag_namespace(sp.k)
+        words = (TAG_BLOCK, sp.k, i, int(ns), sp.d if lag and not ns else 0)
+        gaps = self.lo[1:] - self.hi[:-1]
+        drawn = np.zeros((len(seeds), gaps.size + 1), dtype=np.int64)
+        for row, seed in enumerate(seeds if gaps.size else []):
+            plus, minus, _ = derive_rng(seed, *words).multinomial(
+                gaps, [sp.q / 2, sp.q / 2, 1 - sp.q]).T
+            drawn[row, 1:] = plus - minus
+        self.gaps_before = np.cumsum(drawn, axis=1)
+        self.key = rows * width + c
+        self.row_key = np.arange(len(seeds), dtype=np.int64)[:, None] * width
+        self.s0 = np.concatenate([[0], np.cumsum(x)])
+        self.s1 = np.concatenate([[0], np.cumsum(c * x)])
+        self.s0_row = self.s0[np.searchsorted(self.key, self.row_key)]
+
+    def _packed(self, offsets: Sequence[int], span: int):
+        off = np.asarray(offsets, dtype=np.int64)
+        seg = np.searchsorted(self.lo, off, side="right") - 1
+        ok = (seg >= 0) & (off + span <= self.hi[seg])
+        if not ok.all():
+            raise ValueError(f"offset {int(off[~ok][0])} is not an anchor of this axis")
+        return seg, off - self.lo[seg] + self.start[seg]
+
+    def running_sum(self, offsets: Sequence[int]) -> np.ndarray:
+        """C(offset): sum of field values over [0, offset), one row per seed."""
+        seg, c = self._packed(offsets, 1)
+        at = np.searchsorted(self.key, self.row_key + c)
+        return self.gaps_before[:, seg] + self.s0[at] - self.s0_row
+
+    def ramp(self, offsets: Sequence[int]) -> np.ndarray:
+        """H(offset): descending-weight sum over [offset, offset + p - 1)."""
+        _, c = self._packed(offsets, self.p - 1)
+        left = np.searchsorted(self.key, self.row_key + c)
+        right = np.searchsorted(self.key, self.row_key + (c + self.p - 1))
+        return ((c + self.p - 1) * (self.s0[right] - self.s0[left])
+                - (self.s1[right] - self.s1[left]))
+
+
+def oracle_schedule_sums(spec: FieldSpec, seeds: Sequence[int],
+                         times: Sequence[int]) -> np.ndarray:
+    """``recurlab.bigsums.pool_schedule_sums`` one axis at a time: per
+    coordinate and scale, a shared absolute axis when the lag windows
+    overlap the lead axis, else a lead and a lag axis, each an ``AxisEval``
+    over the whole pool, in groups whose keys stay within int64."""
+    times = sorted({int(t) for t in times})
+    t = np.array(times, dtype=np.int64)
+    seeds = [int(s) for s in seeds]
+    values = np.zeros((len(seeds), t.size, spec.dimension), dtype=np.int64)
+    if spec.zero:
+        return values
+    scales = spec.scales()
+    group = max(1, (1 << 62) // (2 * (int(t[-1]) + scales[-1].p)))
+    for g in range(0, len(seeds), group):
+        chunk = seeds[g : g + group]
+        for i in range(1, spec.dimension + 1):
+            for sp in scales:
+                p, d = sp.p, sp.d
+
+                def window(axis: AxisEval, b: int) -> np.ndarray:
+                    return (p * (axis.running_sum(b + t) - axis.running_sum([b]))
+                            + axis.ramp(b + t) - axis.ramp([b]))
+
+                if d < t[-1] + p:
+                    axis = AxisEval(spec, sp, i, np.concatenate([[0, d], t, t + d]),
+                                    lag=False, seeds=chunk)
+                    part = window(axis, 0) - window(axis, d)
+                else:
+                    lead, lag = (AxisEval(spec, sp, i, np.concatenate([[0], t]), lag=lag,
+                                          seeds=chunk) for lag in (False, True))
+                    part = window(lead, 0) - window(lag, 0)
+                values[g : g + group, :, i - 1] += part
+    if spec.doubling:
+        values *= 2
+    return values
 
 
 def f_k_at(spec: FieldSpec, seed: int, k: int, i: int, t: int,

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from recurlab.bigsums import _AxisEval, pool_schedule_sums
+from recurlab.bigsums import _Axis, pool_schedule_sums
 from recurlab.fields import (
     FieldSpec,
     block_bits,
@@ -14,7 +14,7 @@ from recurlab.fields import (
 )
 from recurlab.pmf import grouped_law
 
-from oracles import oracle_sums
+from oracles import oracle_schedule_sums, oracle_sums
 
 
 class TestExplicitAgreesWithStepping:
@@ -101,7 +101,7 @@ class TestPinnedRealizations:
             lo, hi = [-size + 5, size // 2], [-3, size + size // 4]
             for i in (1, 2):
                 for lagged in (False, True):
-                    for a in field_nonzeros(FieldSpec(), seed, k, i, lo, hi, lagged):
+                    for a in field_nonzeros(FieldSpec(), seed, [(k, i, lagged, lo, hi)])[1:]:
                         h.update(a.tobytes())
         assert h.hexdigest() == digest
 
@@ -116,18 +116,30 @@ class TestPinnedRealizations:
         spec = FieldSpec(dimension=1, k_max=30, doubling=False)
         assert _digest(spec, seed, [10, 10**7, 10**12, 2**57]) == digest
 
+    # k_max 62 at times up to 2^57 + 12345: a lead axis of scale 62 is
+    # about 2^62 values long, so its packed width, alone, comes nearest to
+    # int64, and the axes go through in several groups. Pinned when the
+    # engine still read one axis at a time
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "2a5b041e1b065a1f6cb9998d29f7a3f8ce00d30494b353d767a6e8d78382d42a"),
+        (1, "26ac4e14a9eff56ce9f419b015721ed27f5559c0edc6c827856c5f86d41cf52f"),
+        (2, "b4ed241b9c077d92a877b3fd7f32b96178f92c17f6a19e9971228b2a47bda6ed"),
+    ], ids=["0", "1", "2"])
+    def test_int64_key_groups(self, seed, digest):
+        spec = FieldSpec(dimension=2, k_max=62)
+        assert _digest(spec, seed, [5, 10**6, 2**56 + 3, 2**57 + 12345]) == digest
+
     @pytest.mark.parametrize("lag", [True, False])
     def test_query_off_anchors_rejected(self, lag):
         sp = scale_params(3)
-        spec = FieldSpec(dimension=1, k_max=3)
-        axis = _AxisEval(spec, sp, 1, [0, 1000], lag=lag, seeds=[1])
-        axis.running_sum([0, 1000, 1000 + sp.p - 2])
-        axis.ramp([0, 1000])
+        axis = _Axis(sp, 1, [0, 1000], lag=lag)
+        axis.packed([0, 1000, 1000 + sp.p - 2], 1)  # running sums
+        axis.packed([0, 1000], sp.p - 1)  # ramps
         for offset in (sp.p - 1, 500, 1000 + sp.p - 1, -1):
             with pytest.raises(ValueError, match="not an anchor"):
-                axis.running_sum([offset])
+                axis.packed([offset], 1)
         with pytest.raises(ValueError, match="not an anchor"):
-            axis.ramp([1])  # its window runs past the end of the segment
+            axis.packed([1], sp.p - 1)  # its window runs past the end of the segment
 
 
 class TestPoolSchedule:
@@ -151,6 +163,36 @@ class TestPoolSchedule:
         for seed, row in zip(self.SEEDS, pooled):
             alone = pool_schedule_sums(spec, [seed], times)[0]
             assert np.array_equal(row, alone)
+
+
+class TestScheduleTable:
+    # the pool-wide table, one field read per group of rows, against the
+    # per-axis engine (tests/oracles.py:oracle_schedule_sums), value for
+    # value: the gap draws keep their stream per (seed, axis)
+
+    @pytest.mark.parametrize("spec,times", [
+        (FieldSpec(dimension=2, k_max=22), SQUARES_AND_CUBES),
+        (FieldSpec(dimension=1, k_max=30, doubling=False), [10, 10**7, 10**12, 2**57]),
+        (FieldSpec(dimension=1, k_min=55, k_max=60, doubling=False), [3, 1000, 10**9]),
+        (FieldSpec(dimension=2, k_max=62), [3, 1000, 2**56, 2**57 + 12345]),
+        (FieldSpec(dimension=2, k_min=2, k_max=9), list(range(1, 80)) + [500, 4096]),
+    ], ids=["squares-cubes", "large-times", "high-scales", "k62", "dense-run"])
+    def test_equals_per_axis_engine(self, spec, times):
+        seeds = [0, 9, 2**63 + 4, 2**64 - 1]
+        assert np.array_equal(pool_schedule_sums(spec, seeds, times),
+                              oracle_schedule_sums(spec, seeds, times))
+
+    def test_groups_split_the_pool_and_the_axes(self, monkeypatch):
+        # at 64 values per block every axis goes through alone and every
+        # row by itself: the same values as one group of each
+        import recurlab.bigsums as bigsums
+
+        spec = FieldSpec(dimension=2, k_max=14)
+        seeds = list(range(11))
+        whole = pool_schedule_sums(spec, seeds, SQUARES_AND_CUBES[:60])
+        monkeypatch.setattr(bigsums, "_BLOCK_ELEMS", 64)
+        assert np.array_equal(pool_schedule_sums(spec, seeds, SQUARES_AND_CUBES[:60]), whole)
+        assert np.array_equal(whole, oracle_schedule_sums(spec, seeds, SQUARES_AND_CUBES[:60]))
 
 
 class TestAutoMode:

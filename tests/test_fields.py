@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,13 +9,15 @@ from hypothesis import strategies as st
 from recurlab import PreconditionError, fields
 from recurlab.fields import (
     FieldSpec,
+    ScaleParams,
+    block_bits,
     default_k_max,
     field_nonzeros,
     partial_sums_batch,
     scale_params,
     tail_variance_bound,
 )
-from recurlab.ranges import goal_event_plan
+from recurlab.ranges import certify_distinct, goal_event_plan
 
 from recurlab.prf import hash_words, hash_words_vec
 
@@ -27,6 +30,7 @@ from oracles import (
     field_values_vec,
     keyed_block,
     min_low_scale_increment,
+    oracle_axes_nonzeros,
     oracle_sums,
     oracle_window_sums,
     plan_windows,
@@ -62,6 +66,19 @@ class TestScaleParams:
         with pytest.raises(PreconditionError, match="k_max must be <= 62, got 63"):
             FieldSpec(dimension=1, k_max=63)
 
+    def test_lag_is_computed_where_read(self, monkeypatch):
+        # d_k = 2^(k k) is a property of k: certify-range's bound checks read
+        # only p_k and q_k, at scales up to 1022 for C = 978 (N = 8), where
+        # d_k would be a number of about a million bits
+        assert "d" not in {f.name for f in dataclasses.fields(ScaleParams)}
+
+        def lag(sp):
+            assert sp.k <= fields.K_MAX_LIMIT, f"d_{sp.k} was built"
+            return 2 ** (sp.k * sp.k)
+
+        monkeypatch.setattr(ScaleParams, "d", property(lag))
+        assert certify_distinct(0, 8, 978, 2).bound_checks[-1][0] == 1022
+
     @given(st.integers(min_value=1, max_value=40))
     def test_invariants(self, k):
         sp = scale_params(k)
@@ -75,11 +92,16 @@ def _point(k, i, j, value):
     return ForcedWindow(k=k, i=i, lo=j, hi=j + 1, value=value)
 
 
+def _one_axis(spec, seeds, k, i, lo, hi, lagged=False):
+    """(row, packed coordinate, value) of ``field_nonzeros`` on one axis."""
+    return field_nonzeros(spec, seeds, [(k, i, lagged, lo, hi)])[1:]
+
+
 def _dense(spec, seed, k, i, j, lagged=False):
     """The field values that ``field_nonzeros`` lists over the consecutive
     coordinates ``j``, one segment, laid out densely in the broadcast shape
     of ``seed`` and ``j``."""
-    row, c, x = field_nonzeros(spec, seed, k, i, [j[0]], [j[-1] + 1], lagged)
+    row, c, x = _one_axis(spec, seed, k, i, [j[0]], [j[-1] + 1], lagged)
     out = np.zeros((np.size(seed), len(j)), dtype=np.int64)
     out[row, c] = x
     return out.reshape(np.broadcast_shapes(np.shape(seed), np.shape(j)))
@@ -475,7 +497,7 @@ class TestKeyedBlocks:
         b = fields.block_bits(q)
         assert q * 2.0**b <= 1.0 < q * 2.0 ** (b + 1)
         spec = FieldSpec(dimension=1, k_max=k)
-        row, c, x = field_nonzeros(spec, self.SEEDS, k, 1, [0], [blocks << b])
+        row, c, x = _one_axis(spec, self.SEEDS, k, 1, [0], [blocks << b])
         # counts per block against the binomial, the tail from 4 on pooled
         per_block = np.bincount(row * blocks + (c >> b), minlength=self.SEEDS.size * blocks)
         observed = np.bincount(np.minimum(per_block, 4), minlength=5)
@@ -499,7 +521,7 @@ class TestKeyedBlocks:
         spec = FieldSpec(dimension=2, k_max=k)
         for seed in self.SEEDS[:8].tolist():
             for lagged in (False, True):
-                row, c, x = field_nonzeros(spec, seed, k, 2, lo, hi, lagged)
+                row, c, x = _one_axis(spec, seed, k, 2, lo, hi, lagged)
                 lag = lagged and fields.lag_namespace(k)
                 shift = scale_params(k).d if lagged and not lag else 0
                 want = []
@@ -518,7 +540,7 @@ class TestKeyedBlocks:
         # 2000 blocks must redraw, and every block still holds c distinct
         # positions, as the oracle's
         spec = FieldSpec(dimension=1, k_max=3)
-        row, c, x = field_nonzeros(spec, self.SEEDS, 3, 1, [0], [2000 << 8])
+        row, c, x = _one_axis(spec, self.SEEDS, 3, 1, [0], [2000 << 8])
         redrawn = 0
         for r, block in set(zip(row.tolist(), (c >> 8).tolist())):
             held = keyed_block(int(self.SEEDS[r]), 3, 1, False, block)
@@ -537,11 +559,11 @@ class TestKeyedBlocks:
         spec = FieldSpec(dimension=1, k_max=k)
         lo0, hi0 = -size // 2, size + size // 4
         for lagged in (False, True):
-            row, c, x = field_nonzeros(spec, self.SEEDS, k, 1, [lo0], [hi0], lagged)
+            row, c, x = _one_axis(spec, self.SEEDS, k, 1, [lo0], [hi0], lagged)
             whole = set(zip(row.tolist(), (c + lo0).tolist(), x.tolist()))
             lo = [lo0 + size // 8, -size // 5, size + 1]
             hi = [-size // 4, size // 7, hi0 - size // 9]
-            row, c, x = field_nonzeros(spec, self.SEEDS, k, 1, lo, hi, lagged)
+            row, c, x = _one_axis(spec, self.SEEDS, k, 1, lo, hi, lagged)
             starts = np.cumsum([0] + [h - l for l, h in zip(lo, hi)])
             seg = np.searchsorted(starts, c, side="right") - 1
             j = c - starts[seg] + np.array(lo)[seg]
@@ -557,7 +579,7 @@ class TestKeyedBlocks:
         spec = FieldSpec(dimension=1, k_max=5)
         for seed in self.SEEDS[:5].tolist():
             for k in (3, 4, 5):
-                field_nonzeros(spec, seed, k, 1, [0], [1 << 12])
+                _one_axis(spec, seed, k, 1, [0], [1 << 12])
         info = fields._count_thresholds.cache_info()
         assert (info.misses, info.hits) == (3, 12)
         with pytest.raises(ValueError, match="read-only"):
@@ -580,3 +602,90 @@ class TestHashCount:
         partial_sums_batch(FieldSpec(dimension=1, k_max=12, doubling=False),
                            np.arange(900, dtype=np.uint64), (0, 600))
         assert sum(hashed) < 3_000_000
+        # the keyed blocks of every scale and role in a row chunk go through
+        # one read, in one hash call per word layout and draw round (54
+        # calls when each axis was read alone); the hashes are the same
+        assert sum(hashed) == 2_206_420 and len(hashed) <= 44
+
+
+class TestMultiAxisReader:
+    # field_nonzeros over many axes at once against one per-axis read each
+    # (tests/oracles.py:oracle_field_nonzeros), laid end to end
+
+    SEEDS = np.array([0, 2**64 - 1, 12345, 2**63 + 7], dtype=np.uint64)
+
+    @staticmethod
+    def _mixed():
+        """Dense, keyed and lag-namespace axes, on both coordinates and in
+        both roles, over a negative segment and a positive one that cut the
+        keyed blocks at both ends; an axis without segments, and one whose
+        only segment is empty."""
+        axes = []
+        for k in (1, 2, 3, 5, 8, 9, 13, 29):
+            size = 1 << max(8, block_bits(scale_params(k).q))
+            for i, lagged in ((1, False), (2, True), (1, True)):
+                axes.append((k, i, lagged, [-size // 2 + 5, 40], [-3, 40 + size // 4]))
+        axes.insert(3, (4, 1, False, [], []))
+        axes.insert(7, (3, 2, True, [17], [17]))
+        return axes
+
+    @staticmethod
+    def _assert_equal(got, want):
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int64
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("seeds", [[0], [2**64 - 1], SEEDS])
+    def test_equals_per_axis_reads(self, seeds):
+        spec = FieldSpec(dimension=2, k_max=29)
+        got = field_nonzeros(spec, seeds, self._mixed())
+        self._assert_equal(got, oracle_axes_nonzeros(spec, seeds, self._mixed()))
+        held = set(got[0].tolist())
+        assert not {3, 7} & held  # no segment, an empty one
+        if len(seeds) > 1:
+            assert {0, 8, 15} <= held  # dense, keyed, the lag namespace
+
+    @pytest.mark.parametrize("block", [5, 37, 1000])
+    def test_chunks_split_anywhere(self, monkeypatch, block):
+        # chunks of (block, row) pairs and of dense values that cut axes,
+        # blocks and rows at other points read the same values
+        spec = FieldSpec(dimension=2, k_max=29)
+        whole = field_nonzeros(spec, self.SEEDS, self._mixed())
+        monkeypatch.setattr(fields, "_BLOCK_ELEMS", block)
+        self._assert_equal(field_nonzeros(spec, self.SEEDS, self._mixed()), whole)
+
+    def test_hulls_past_the_line_split(self):
+        # six hulls of 2^62 values each pass the 2^64 of one uint64 line:
+        # the axes go through in halves, with the same values
+        spec = FieldSpec(dimension=2, k_max=8)
+        axes = [(k, i, lagged, [-2**61, 2**61], [-2**61 + 3000, 2**61 + 3000])
+                for k, lagged in ((3, False), (3, True), (4, False)) for i in (1, 2)]
+        got = field_nonzeros(spec, self.SEEDS, axes)
+        self._assert_equal(got, oracle_axes_nonzeros(spec, self.SEEDS, axes))
+        assert got[0].size and set(got[0].tolist()) == set(range(6))
+
+    def test_hashes_the_same_addresses(self, monkeypatch):
+        # the batch hashes exactly the values the per-axis reads hash, in
+        # fewer calls
+        import oracles
+
+        spec = FieldSpec(dimension=2, k_max=29)
+        for module in (fields, oracles):
+            hashed = []
+
+            def counting(seed, words, *js, hashed=hashed):
+                h = hash_words_vec(seed, words, *js)
+                hashed.append(h.reshape(-1))
+                return h
+
+            monkeypatch.setattr(module, "hash_words_vec", counting)
+            read = field_nonzeros if module is fields else oracle_axes_nonzeros
+            read(spec, self.SEEDS, self._mixed())
+            module.hashed = np.sort(np.concatenate(hashed)), len(hashed)
+        assert np.array_equal(fields.hashed[0], oracles.hashed[0])
+        assert fields.hashed[1] < oracles.hashed[1]
+
+    def test_zero_and_empty(self):
+        for spec, axes in ((FieldSpec(zero=True), self._mixed()), (FieldSpec(), [])):
+            got = field_nonzeros(spec, self.SEEDS, axes)
+            assert len(got) == 4 and all(a.size == 0 and a.dtype == np.int64 for a in got)
